@@ -300,9 +300,9 @@ func BenchmarkAblation_TimingGranularity(b *testing.B) {
 //
 // The three per-event paths a runtime system exercises on every key point:
 // Submit (record mode), Observe (predict mode) and Observe+PredictAt (the
-// steady-state oracle query loop). scripts/bench.sh runs these and writes the
-// perf-trajectory point BENCH_PR2.json; CI runs them at -benchtime=1x so the
-// code cannot rot.
+// steady-state oracle query loop). CI runs them at -benchtime=1x so the code
+// cannot rot; the numbers of record come from the repo's benchmark
+// (BENCHMARK.json, bench/README.md), which times the same paths.
 
 // hotpathTrace builds a reference trace over the repetitive motif the other
 // hot-path benchmarks replay (run-length-friendly, like a real iterative app).

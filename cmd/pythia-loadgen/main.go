@@ -3,7 +3,7 @@
 //
 //	pythia-record -app EP -class small -o traces/EP.pythia
 //	pythiad -listen 127.0.0.1:9137 -traces traces/ &
-//	pythia-loadgen -addr 127.0.0.1:9137 -tenant EP -app EP -class small -clients 8 -o BENCH_PR5.json
+//	pythia-loadgen -addr 127.0.0.1:9137 -tenant EP -app EP -class small -clients 8 -o report.json
 //
 // Each client opens its own connection, replays every rank's event stream
 // of the chosen application through pythia/client, and issues a timed
@@ -42,9 +42,8 @@
 // over N tenants named <tenant>-00..<tenant>-NN, and each client dials its
 // tenant's assignment (owner first, replicas as reconnect fallbacks). The
 // report gains a per-daemon breakdown — events/s, p50/p99, retry-later per
-// fleet member — which scripts/bench-cluster.sh assembles into
-// BENCH_PR10.json. Fleet mode excludes -chaos, -drift, and shm (those
-// exercise a single connection's machinery).
+// fleet member. Fleet mode excludes -chaos, -drift, and shm (those exercise
+// a single connection's machinery).
 package main
 
 import (
@@ -148,7 +147,7 @@ type daemonReport struct {
 	RetryLater   uint64  `json:"retry_later"`
 }
 
-// benchReport is the committed BENCH_PR5.json layout.
+// benchReport is the layout of the -o JSON report.
 type benchReport struct {
 	Config struct {
 		App          string   `json:"app"`
@@ -200,7 +199,7 @@ func run(args []string, stdout io.Writer) error {
 		clients      = fs.Int("clients", 8, "concurrent client connections")
 		predictEvery = fs.Int("predict-every", 16, "issue a timed PredictAt every N submitted events")
 		distance     = fs.Int("distance", 16, "prediction distance for the timed queries")
-		out          = fs.String("o", "", "write a JSON report (e.g. BENCH_PR5.json)")
+		out          = fs.String("o", "", "write a JSON report to this file")
 		chaos        = fs.Bool("chaos", false, "inject deterministic network faults between the clients and the daemon")
 		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the chaos fault schedule")
 		repeat       = fs.Int("repeat", 1, "replay the captured streams this many times per client (lengthens the run)")
@@ -255,7 +254,7 @@ func run(args []string, stdout io.Writer) error {
 	// In fleet mode -tenant may itself be a comma-separated list of tenant
 	// names (client i uses list[i%len]); -tenants N instead derives N names
 	// as <tenant>-00... The explicit list lets a caller hand-pick a tenant
-	// set (e.g. one the shard map spreads evenly — see bench-cluster.sh).
+	// set (e.g. one the shard map spreads evenly — see pythia-shardplan).
 	tenantList := []string{*tenant}
 	if strings.Contains(*tenant, ",") {
 		tenantList = tenantList[:0]

@@ -8,8 +8,8 @@
 //
 // One line per tenant: the tenant, its owner, then any warm replicas, all
 // tab-separated. Comparing the output at two epochs shows exactly which
-// tenants an epoch bump migrates. scripts/bench-cluster.sh uses this to
-// pick a tenant set the map spreads evenly across the fleet.
+// tenants an epoch bump migrates, and lets a load test pick a tenant set the
+// map spreads evenly across the fleet.
 package main
 
 import (

@@ -32,8 +32,7 @@
 // highest, and an anti-entropy sweep every -cluster-sync ships model
 // checkpoints to new owners and keeps -cluster-replicas warm copies per
 // tenant. Per-tenant event budgets (-tenant-events-per-sec, -tenant-burst)
-// and a daemon-wide Submit ceiling (-pace-events) bound what any one tenant
-// or node absorbs. See DESIGN.md §15.
+// bound what any one tenant absorbs. See DESIGN.md §15.
 package main
 
 import (
@@ -95,14 +94,10 @@ func run(args []string, stdout io.Writer) error {
 		drainTimeout   = fs.Duration("drain-timeout", server.DefaultDrainTimeout, "bound on graceful shutdown")
 		resumeWindow   = fs.Duration("resume-window", server.DefaultResumeWindow, "how long a dead connection's sessions await resume (negative = resume disabled)")
 		keepalive      = fs.Duration("keepalive", 0, "reap connections silent for this long (0 = never)")
-		maxParked      = fs.Int("max-parked", server.DefaultMaxParked, "cap on connections parked for resume (negative = unlimited)")
 		tenantSessions = fs.Int("max-sessions-per-tenant", 0, "per-tenant session cap, refused with a retry hint (0 = unlimited)")
 		shedSessions   = fs.Int("shed-sessions", 0, "shed speculative queries above this open-session count (0 = never)")
 		learn          = fs.Bool("learn", false, "online learning: shadow-record each client's live stream, promote when it out-predicts the serving model, roll back on regression")
 		learnEpoch     = fs.Int64("learn-epoch", 0, "scoring epoch in events (0 = default)")
-		learnPromote   = fs.Int("learn-promote", 0, "consecutive winning epochs before promotion (0 = default)")
-		learnMargin    = fs.Int("learn-margin", 0, "promotion/rollback margin in percent of the epoch (0 = default)")
-		learnWatch     = fs.Int("learn-watch", 0, "post-promotion watch window in epochs (0 = default)")
 		clusterSelf    = fs.String("cluster-self", "", "this daemon's address as peers dial it (required with -cluster-peers)")
 		clusterPeers   = fs.String("cluster-peers", "", "comma-separated fleet daemon addresses, including self (enables cluster mode)")
 		clusterEpoch   = fs.Uint64("cluster-epoch", 1, "starting shard-map epoch; peers gossip and adopt the highest")
@@ -110,7 +105,6 @@ func run(args []string, stdout io.Writer) error {
 		clusterSync    = fs.Duration("cluster-sync", 5*time.Second, "anti-entropy sweep interval in cluster mode (0 = sweep only on epoch changes)")
 		tenantRate     = fs.Int64("tenant-events-per-sec", 0, "per-tenant event budget; queries over budget get retry-after (0 = unlimited)")
 		tenantBurst    = fs.Int64("tenant-burst", 0, "per-tenant burst allowance in events (0 = one second of budget)")
-		paceEvents     = fs.Int64("pace-events", 0, "daemon-wide Submit ceiling in events/sec, modelling per-node capacity (0 = unpaced)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,12 +138,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var learnPol *pythia.LearnPolicy
 	if *learn {
-		learnPol = &pythia.LearnPolicy{
-			EpochEvents:      *learnEpoch,
-			PromoteEpochs:    *learnPromote,
-			PromoteMarginPct: *learnMargin,
-			WatchEpochs:      *learnWatch,
-		}
+		learnPol = &pythia.LearnPolicy{EpochEvents: *learnEpoch}
 	}
 
 	logger := log.New(os.Stderr, "pythiad: ", log.LstdFlags)
@@ -161,12 +150,10 @@ func run(args []string, stdout io.Writer) error {
 		DrainTimeout:         *drainTimeout,
 		ResumeWindow:         *resumeWindow,
 		Keepalive:            *keepalive,
-		MaxParked:            *maxParked,
 		MaxSessionsPerTenant: *tenantSessions,
 		ShedSessions:         *shedSessions,
 		TenantEventsPerSec:   *tenantRate,
 		TenantBurst:          *tenantBurst,
-		PaceEvents:           *paceEvents,
 		Logf:                 logger.Printf,
 	})
 

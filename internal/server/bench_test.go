@@ -106,8 +106,8 @@ func BenchmarkServePredictAt(b *testing.B) {
 		}
 		// Keep the bufio writer from accumulating: it flushes to the
 		// no-op transport.
-		if c.bw.Buffered() > 1<<15 {
-			if err := c.bw.Flush(); err != nil {
+		if c.BW.Buffered() > 1<<15 {
+			if err := c.BW.Flush(); err != nil {
 				b.Fatal(err)
 			}
 		}

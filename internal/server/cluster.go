@@ -25,11 +25,9 @@ package server
 // started and the client's next open lands on the new owner.
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,14 +109,15 @@ func (s *Server) ProbePeers() {
 		if d == cs.self {
 			continue
 		}
-		p, err := dialPeer(d, 2*time.Second)
+		p, err := dialPeer(d)
 		if err != nil {
 			continue // peer not up yet; gossip flows the other way later
 		}
-		if sm, err := p.shardMap(cs.m.Epoch); err == nil {
+		var sm wire.ShardMap
+		if err := p.Exchange(wire.TShardMap, &wire.Uint64{V: cs.m.Epoch}, &sm, peerTimeout); err == nil {
 			s.adoptEpoch(sm.Epoch)
 		}
-		if cerr := p.close(); cerr != nil {
+		if cerr := p.NC.Close(); cerr != nil {
 			s.logf("pythiad: probe: closing peer %s: %v", d, cerr)
 		}
 	}
@@ -158,21 +157,27 @@ func (s *Server) Sweep() {
 		}
 	}
 	for peer, tenants := range byPeer {
-		p, err := dialPeer(peer, 2*time.Second)
+		p, err := dialPeer(peer)
 		if err != nil {
 			s.logf("pythiad: sweep: dial %s: %v", peer, err)
 			continue
 		}
 		for _, tenant := range tenants {
-			accepted, haveGen, err := p.offerModel(s.loadOffer(tenant, cs.self))
+			om := s.loadOffer(tenant, cs.self)
+			if len(om.Payload) == 0 {
+				s.logf("pythiad: sweep: tenant %q: nothing to offer", tenant)
+				continue
+			}
+			var verdict wire.ModelAccepted
+			err := p.Exchange(wire.TOfferModel, om, &verdict, peerTimeout)
 			switch {
 			case err != nil:
 				s.logf("pythiad: sweep: offer %q to %s: %v", tenant, peer, err)
-			case accepted:
-				s.logf("pythiad: sweep: %q shipped to %s (generation %d)", tenant, peer, haveGen)
+			case verdict.Accepted:
+				s.logf("pythiad: sweep: %q shipped to %s (generation %d)", tenant, peer, verdict.HaveGen)
 			}
 		}
-		if cerr := p.close(); cerr != nil {
+		if cerr := p.NC.Close(); cerr != nil {
 			s.logf("pythiad: sweep: closing peer %s: %v", peer, cerr)
 		}
 	}
@@ -181,8 +186,8 @@ func (s *Server) Sweep() {
 // loadOffer builds the TOfferModel payload for one tenant: the trace file
 // as currently committed, serialized, with its generation and this
 // daemon's address as the source.
-func (s *Server) loadOffer(tenant, self string) wire.ModelOffer {
-	om := wire.ModelOffer{Tenant: tenant, Source: self}
+func (s *Server) loadOffer(tenant, self string) *wire.ModelOffer {
+	om := &wire.ModelOffer{Tenant: tenant, Source: self}
 	ts, err := pythia.LoadTraceSet(filepath.Join(s.cfg.TraceDir, tenant+".pythia"))
 	if err != nil {
 		return om // empty payload; the peer rejects it
@@ -216,37 +221,31 @@ func (c *conn) checkShard(tenant string) *protoErr {
 
 // shardMap answers a TShardMap request and folds the caller's epoch into
 // the gossip (max-wins). A non-clustered daemon answers with an empty map.
-func (c *conn) shardMap(callerEpoch uint64) error {
-	c.srv.adoptEpoch(callerEpoch)
-	var sm wire.ShardMap
+func (c *conn) shardMap(caller *wire.Uint64) (wire.Message, error) {
+	c.srv.adoptEpoch(caller.V)
+	sm := new(wire.ShardMap)
 	if cs := c.srv.clus.Load(); cs != nil {
-		r := cs.m.Replicas
-		if r > 255 {
-			r = 255
-		}
-		sm = wire.ShardMap{Epoch: cs.m.Epoch, Replicas: uint8(r), Daemons: cs.m.Daemons}
+		*sm = wire.ShardMap{Epoch: cs.m.Epoch, Replicas: uint8(min(cs.m.Replicas, 255)), Daemons: cs.m.Daemons}
 	}
-	c.out = wire.AppendShardMapR(c.out[:0], sm)
-	return wire.WriteFrame(c.bw, wire.TShardMapR, c.out)
+	return sm, nil
 }
 
 // fetchModel answers a TFetchModel request with the tenant's newest
 // committed generation as a TOfferModel frame.
-func (c *conn) fetchModel(tenant string) error {
-	if err := sanitizeTenant(tenant); err != nil {
-		return &protoErr{code: wire.CodeUnknownTenant, msg: err.Error()}
+func (c *conn) fetchModel(m *wire.TenantRef) (wire.Message, error) {
+	if err := sanitizeTenant(m.Tenant); err != nil {
+		return nil, &protoErr{code: wire.CodeUnknownTenant, msg: err.Error()}
 	}
 	self := ""
 	if cs := c.srv.clus.Load(); cs != nil {
 		self = cs.self
 	}
-	om := c.srv.loadOffer(tenant, self)
+	om := c.srv.loadOffer(m.Tenant, self)
 	if len(om.Payload) == 0 {
-		return &protoErr{code: wire.CodeUnknownTenant,
-			msg: fmt.Sprintf("tenant %q has no committed generation here", tenant)}
+		return nil, &protoErr{code: wire.CodeUnknownTenant,
+			msg: fmt.Sprintf("tenant %q has no committed generation here", m.Tenant)}
 	}
-	c.out = wire.AppendOfferModel(c.out[:0], om)
-	return wire.WriteFrame(c.bw, wire.TOfferModel, c.out)
+	return om, nil
 }
 
 // offerModel applies one TOfferModel with last-generation-wins: the offer
@@ -255,13 +254,13 @@ func (c *conn) fetchModel(tenant string) error {
 // reports what is now on disk either way. The shipped provenance is
 // stamped with the source daemon so lineage listings can tell a replicated
 // generation from a locally recorded one.
-func (c *conn) offerModel(om wire.ModelOffer) error {
+func (c *conn) offerModel(om *wire.ModelOffer) (wire.Message, error) {
 	if err := sanitizeTenant(om.Tenant); err != nil {
-		return &protoErr{code: wire.CodeUnknownTenant, msg: err.Error()}
+		return nil, &protoErr{code: wire.CodeUnknownTenant, msg: err.Error()}
 	}
 	ts, err := tracefile.Read(bytes.NewReader(om.Payload))
 	if err != nil {
-		return &protoErr{code: wire.CodeInternal, msg: fmt.Sprintf("offered model: %v", err)}
+		return nil, &protoErr{code: wire.CodeInternal, msg: fmt.Sprintf("offered model: %v", err)}
 	}
 	path := filepath.Join(c.srv.cfg.TraceDir, om.Tenant+".pythia")
 	accepted := true
@@ -278,20 +277,19 @@ func (c *conn) offerModel(om wire.ModelOffer) error {
 	if accepted {
 		src := om.Source
 		if src == "" {
-			src = c.nc.RemoteAddr().String()
+			src = c.NC.RemoteAddr().String()
 		}
 		if ts.Provenance == nil {
 			ts.Provenance = &pythia.Provenance{Generation: om.Generation}
 		}
 		ts.Provenance.ReplicatedFrom = src
 		if serr := pythia.SaveTraceSet(path, ts); serr != nil {
-			return &protoErr{code: wire.CodeInternal, msg: fmt.Sprintf("committing offered model: %v", serr)}
+			return nil, &protoErr{code: wire.CodeInternal, msg: fmt.Sprintf("committing offered model: %v", serr)}
 		}
 		haveGen = om.Generation
 		c.srv.logf("pythiad: tenant %q generation %d accepted from %s", om.Tenant, om.Generation, src)
 	}
-	c.out = wire.AppendModelAccepted(c.out[:0], accepted, haveGen)
-	return wire.WriteFrame(c.bw, wire.TModelAccepted, c.out)
+	return &wire.ModelAccepted{Accepted: accepted, HaveGen: haveGen}, nil
 }
 
 // tenantBucket returns the per-tenant QoS bucket, creating it on the
@@ -313,24 +311,12 @@ func (s *Server) tenantBucket(t *tenant) *cluster.TokenBucket {
 }
 
 // chargeEvents debits n submitted events against the session's tenant
-// budget and the daemon-wide pacing bucket. Submits are one-way and are
-// never refused — an exhausted tenant budget surfaces on the tenant's next
-// gated request instead — but an overdrafted pacing bucket stalls the
-// connection goroutine, bounding the daemon's aggregate admitted rate.
+// budget. Submits are one-way and are never refused — an exhausted budget
+// surfaces on the tenant's next gated request instead.
 // pythia:hotpath — called per Submit; must not allocate.
-func (c *conn) chargeEvents(sid uint32, n int64) {
-	q := c.sessions[sid].ct.qos
-	pace := c.srv.pace
-	if q == nil && pace == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	q.Charge(n, now)
-	if pace != nil {
-		pace.Charge(n, now)
-		if bal := pace.Balance(now); bal < 0 {
-			time.Sleep(time.Duration(-bal * int64(time.Second) / c.srv.cfg.PaceEvents))
-		}
+func chargeEvents(q *cluster.TokenBucket, n int64) {
+	if q != nil {
+		q.Charge(n, time.Now().UnixNano())
 	}
 }
 
@@ -355,105 +341,22 @@ func gateTenant(q *cluster.TokenBucket) *protoErr {
 	return nil
 }
 
-// peerConn is a minimal wire client for daemon-to-daemon traffic: dial,
-// version handshake, then synchronous request/response frames. Peers reuse
-// the public protocol, so migration works across any transport a daemon
-// listens on ("host:port" TCP, "unix:///path" sockets).
-type peerConn struct {
-	nc  net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
-	buf []byte
-	out []byte
-}
+// peerTimeout bounds the handshake and each request/reply exchange with a
+// peer daemon.
+const peerTimeout = 5 * time.Second
 
-// dialPeer connects and completes the Hello handshake. addr takes the
-// same forms client dials do: "host:port", "tcp://host:port", or
-// "unix:///path/to.sock".
-func dialPeer(addr string, timeout time.Duration) (*peerConn, error) {
-	nc, _, err := transport.Dial(addr, timeout)
+// dialPeer connects to a peer daemon and completes the Hello handshake.
+// Peers reuse the public protocol and wire's exchange path, so migration
+// works across any transport a daemon listens on; addr takes the same forms
+// client dials do ("host:port", "tcp://host:port", "unix:///path/to.sock").
+func dialPeer(addr string) (*wire.Conn, error) {
+	nc, _, err := transport.Dial(addr, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	p := &peerConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	fail := func(err error) (*peerConn, error) {
-		return nil, errors.Join(err, p.close())
-	}
-	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		return fail(err)
-	}
-	p.out = wire.AppendHello(p.out[:0], 0)
-	if err := wire.WriteFrame(p.bw, wire.THello, p.out); err != nil {
-		return fail(err)
-	}
-	if err := p.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	t, payload, err := wire.ReadFrame(p.br, &p.buf)
-	if err != nil {
-		return fail(err)
-	}
-	if t != wire.THelloOK {
-		return fail(fmt.Errorf("peer %s: handshake answered with %s", addr, t))
-	}
-	if _, _, _, err := wire.ParseHelloOK(payload); err != nil {
-		return fail(err)
+	p := wire.NewConn(nc)
+	if _, err := p.Handshake(0, peerTimeout); err != nil {
+		return nil, errors.Join(fmt.Errorf("peer %s: %w", addr, err), nc.Close())
 	}
 	return p, nil
-}
-
-func (p *peerConn) close() error {
-	return p.nc.Close()
-}
-
-// roundTrip sends one frame and reads the typed response. An Error frame
-// comes back as a wire-shaped error; any other unexpected type fails.
-func (p *peerConn) roundTrip(t wire.Type, payload []byte, want wire.Type) ([]byte, error) {
-	if err := p.nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		return nil, err
-	}
-	if err := wire.WriteFrame(p.bw, t, payload); err != nil {
-		return nil, err
-	}
-	if err := p.bw.Flush(); err != nil {
-		return nil, err
-	}
-	rt, rp, err := wire.ReadFrame(p.br, &p.buf)
-	if err != nil {
-		return nil, err
-	}
-	if rt == wire.TError {
-		code, msg, perr := wire.ParseError(rp)
-		if perr != nil {
-			return nil, fmt.Errorf("peer sent a malformed Error frame for %s: %w", t, perr)
-		}
-		return nil, fmt.Errorf("peer refused %s: %s: %s", t, code, msg)
-	}
-	if rt != want {
-		return nil, fmt.Errorf("peer answered %s with %s", t, rt)
-	}
-	return rp, nil
-}
-
-// shardMap gossips epochs with the peer and returns its map.
-func (p *peerConn) shardMap(epoch uint64) (wire.ShardMap, error) {
-	p.out = wire.AppendShardMap(p.out[:0], epoch)
-	rp, err := p.roundTrip(wire.TShardMap, p.out, wire.TShardMapR)
-	if err != nil {
-		return wire.ShardMap{}, err
-	}
-	return wire.ParseShardMapR(rp)
-}
-
-// offerModel ships one tenant generation and returns the peer's verdict.
-func (p *peerConn) offerModel(om wire.ModelOffer) (accepted bool, haveGen uint64, err error) {
-	if len(om.Payload) == 0 {
-		return false, 0, fmt.Errorf("tenant %q: nothing to offer", om.Tenant)
-	}
-	p.out = wire.AppendOfferModel(p.out[:0], om)
-	rp, err := p.roundTrip(wire.TOfferModel, p.out, wire.TModelAccepted)
-	if err != nil {
-		return false, 0, err
-	}
-	return wire.ParseModelAccepted(rp)
 }

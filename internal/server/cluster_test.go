@@ -66,31 +66,20 @@ func TestShardMapServedAndGossiped(t *testing.T) {
 	srv.ConfigureCluster(addr, []string{addr, "127.0.0.1:1"}, 3, 1)
 
 	c := dialRaw(t, addr)
-	c.send(wire.TShardMap, wire.AppendShardMap(nil, 0))
-	typ, payload := c.recv()
-	if typ != wire.TShardMapR {
-		t.Fatalf("got %s, want ShardMapR", typ)
-	}
-	sm, err := wire.ParseShardMapR(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sm wire.ShardMap
+	c.ask(wire.TShardMap, &wire.Uint64{V: 0}, &sm)
 	if sm.Epoch != 3 || sm.Replicas != 1 || len(sm.Daemons) != 2 {
 		t.Fatalf("shard map = %+v, want epoch 3, 1 replica, 2 daemons", sm)
 	}
 
 	// A request carrying a higher epoch is gossip: the daemon adopts it
 	// (max-wins) and the response reflects the adoption.
-	c.send(wire.TShardMap, wire.AppendShardMap(nil, 9))
-	_, payload = c.recv()
-	if sm, err = wire.ParseShardMapR(payload); err != nil || sm.Epoch != 9 {
-		t.Fatalf("epoch not adopted from gossip: %+v, %v", sm, err)
+	if c.ask(wire.TShardMap, &wire.Uint64{V: 9}, &sm); sm.Epoch != 9 {
+		t.Fatalf("epoch not adopted from gossip: %+v", sm)
 	}
 	// A lower epoch is ignored.
-	c.send(wire.TShardMap, wire.AppendShardMap(nil, 4))
-	_, payload = c.recv()
-	if sm, err = wire.ParseShardMapR(payload); err != nil || sm.Epoch != 9 {
-		t.Fatalf("lower epoch regressed the map: %+v, %v", sm, err)
+	if c.ask(wire.TShardMap, &wire.Uint64{V: 4}, &sm); sm.Epoch != 9 {
+		t.Fatalf("lower epoch regressed the map: %+v", sm)
 	}
 	if got := srv.ClusterMap().Epoch; got != 9 {
 		t.Fatalf("server epoch = %d, want 9", got)
@@ -123,28 +112,19 @@ func TestModelOfferLastGenerationWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offer := func(gen uint64) []byte {
+	offer := func(gen uint64) *wire.ModelOffer {
 		ts.Provenance = &pythia.Provenance{Generation: gen, Kind: pythia.ProvPromotion, Parent: gen - 1}
 		var buf bytes.Buffer
 		if err := tracefile.Write(&buf, ts); err != nil {
 			t.Fatal(err)
 		}
-		return wire.AppendOfferModel(nil, wire.ModelOffer{
-			Tenant: "mt", Generation: gen, Source: "10.0.0.7:9137", Payload: buf.Bytes(),
-		})
+		return &wire.ModelOffer{Tenant: "mt", Generation: gen, Source: "10.0.0.7:9137", Payload: buf.Bytes()}
 	}
 	c := dialRaw(t, addr)
 	sendOffer := func(gen uint64) (bool, uint64) {
-		c.send(wire.TOfferModel, offer(gen))
-		typ, payload := c.recv()
-		if typ != wire.TModelAccepted {
-			t.Fatalf("got %s, want ModelAccepted", typ)
-		}
-		accepted, have, err := wire.ParseModelAccepted(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return accepted, have
+		var verdict wire.ModelAccepted
+		c.ask(wire.TOfferModel, offer(gen), &verdict)
+		return verdict.Accepted, verdict.HaveGen
 	}
 
 	if ok, have := sendOffer(5); !ok || have != 5 {
@@ -170,15 +150,8 @@ func TestModelOfferLastGenerationWins(t *testing.T) {
 	}
 
 	// FetchModel round-trips the committed generation back out.
-	c.send(wire.TFetchModel, wire.AppendFetchModel(nil, "mt"))
-	typ, payload := c.recv()
-	if typ != wire.TOfferModel {
-		t.Fatalf("got %s, want OfferModel", typ)
-	}
-	om, err := wire.ParseOfferModel(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var om wire.ModelOffer
+	c.ask(wire.TFetchModel, &wire.TenantRef{Tenant: "mt"}, &om)
 	if om.Generation != 6 || om.Tenant != "mt" {
 		t.Fatalf("fetched offer %+v, want generation 6 of mt", om)
 	}
@@ -219,10 +192,7 @@ func TestEpochBumpMigratesTenantWithLineage(t *testing.T) {
 
 	// Gossip the bump to A; adoption triggers its migration sweep.
 	c := dialRaw(t, addrs[0])
-	c.send(wire.TShardMap, wire.AppendShardMap(nil, 2))
-	if typ, _ := c.recv(); typ != wire.TShardMapR {
-		t.Fatalf("got %s, want ShardMapR", typ)
-	}
+	c.ask(wire.TShardMap, &wire.Uint64{V: 2}, &wire.ShardMap{})
 
 	migrated := filepath.Join(dirB, tenant+".pythia")
 	waitForFile(t, migrated)
@@ -389,16 +359,10 @@ func TestTenantBudgetGatesRequests(t *testing.T) {
 	// The next gated request for the hot tenant is refused with a
 	// retry-after hint...
 	c.send(wire.TPredictAt, wire.AppendPredictAt(nil, hot, 4))
-	typ, payload := c.recv()
-	if typ != wire.TError {
-		t.Fatalf("got %s, want RetryLater error", typ)
-	}
-	code, _, retryMs, err := wire.ParseErrorRetry(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != wire.CodeRetryLater || retryMs == 0 {
-		t.Fatalf("got code %s retryMs %d, want retry-later with a hint", code, retryMs)
+	var re wire.RemoteError
+	c.recvMsg(wire.TError, &re)
+	if re.Code != wire.CodeRetryLater || re.RetryAfterMs == 0 {
+		t.Fatalf("got code %s retryMs %d, want retry-later with a hint", re.Code, re.RetryAfterMs)
 	}
 	// ...and so is a fan-out attempt (new session on the same tenant)...
 	c.send(wire.TOpenSession, wire.AppendOpenSession(nil, wire.OpenSession{TID: 1, Tenant: "hot"}))

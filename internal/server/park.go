@@ -21,10 +21,8 @@ import (
 
 // parkedConn is one dead connection's session state awaiting resume.
 type parkedConn struct {
-	sessions []session
-	byKey    map[sessKey]uint32
-	tenants  map[string]*connTenant
-	timer    *time.Timer
+	sessTable
+	timer *time.Timer
 }
 
 // newResumeToken draws a nonzero random 64-bit token. Tokens gate session
@@ -61,7 +59,7 @@ func (s *Server) tryPark(c *conn) bool {
 		return false
 	}
 	token := c.resumeToken
-	p := &parkedConn{sessions: c.sessions, byKey: c.byKey, tenants: c.tenants}
+	p := &parkedConn{sessTable: c.sessTable}
 	p.timer = time.AfterFunc(s.cfg.ResumeWindow, func() { s.expirePark(token) })
 	s.parked[token] = p
 	s.parkMu.Unlock()
@@ -89,7 +87,7 @@ func (s *Server) expirePark(token uint64) {
 	delete(s.parked, token)
 	s.parkMu.Unlock()
 	if p != nil {
-		releaseParked(s, p.sessions, p.tenants)
+		p.release(s)
 	}
 }
 
@@ -101,22 +99,22 @@ func (s *Server) sweepParked() {
 	s.parkMu.Unlock()
 	for _, p := range parked {
 		p.timer.Stop()
-		releaseParked(s, p.sessions, p.tenants)
+		p.release(s)
 	}
 }
 
-// releaseParked returns session budget, per-tenant counts, oracle
-// registrations, and tenant references for one connection's session state —
-// the shared accounting for teardown, park expiry, and the drain sweep.
-func releaseParked(s *Server, sessions []session, tenants map[string]*connTenant) {
-	for i := range sessions {
-		if sessions[i].open {
-			sessions[i].open = false
+// release returns session budget, per-tenant counts, oracle registrations,
+// and tenant references for one connection's session state — the shared
+// accounting for teardown, park expiry, and the drain sweep.
+func (st *sessTable) release(s *Server) {
+	for i := range st.sessions {
+		if sess := &st.sessions[i]; sess.open {
+			sess.open = false
 			s.sessions.Add(-1)
-			sessions[i].ct.t.sess.Add(-1)
+			sess.ct.t.sess.Add(-1)
 		}
 	}
-	for _, ct := range tenants {
+	for _, ct := range st.tenants {
 		ct.t.unregister(ct.oracle)
 		// A learning oracle runs a lifecycle manager goroutine; join it.
 		// Frozen oracles make this a no-op.
@@ -126,65 +124,56 @@ func releaseParked(s *Server, sessions []session, tenants map[string]*connTenant
 }
 
 // resume handles TResume: adopt a parked connection's sessions. It must
-// arrive before any session is opened on this connection — session ids are
-// slice indexes, so adopting into a non-empty table would renumber them.
-func (c *conn) resume(token uint64) error {
+// arrive before any session is opened on this connection — session ids name
+// table slots, so adopting into a non-empty table would renumber them.
+func (c *conn) resume(m *wire.Uint64) (wire.Message, error) {
 	if len(c.sessions) != 0 || len(c.tenants) != 0 {
-		return badFrame("Resume after sessions were opened")
+		return nil, badFrame("Resume after sessions were opened")
 	}
 	if c.srv.draining.Load() {
-		return &protoErr{code: wire.CodeDraining, msg: "server draining; no resume"}
+		return nil, &protoErr{code: wire.CodeDraining, msg: "server draining; no resume"}
 	}
-	p := c.srv.unpark(token)
+	p := c.srv.unpark(m.V)
 	if p == nil {
-		return &protoErr{
+		return nil, &protoErr{
 			code: wire.CodeNoResume,
 			msg:  "no parked sessions for this token (expired, resumed, or never granted)",
 		}
 	}
-	c.sessions = p.sessions
-	c.byKey = p.byKey
-	c.tenants = p.tenants
+	c.sessTable = p.sessTable
 
-	rs := make([]wire.ResumedSession, 0, len(c.sessions))
-	for sid := range c.sessions {
-		if c.sessions[sid].open {
-			rs = append(rs, wire.ResumedSession{
-				Session: uint32(sid),
-				Applied: *c.sessions[sid].applied,
-			})
+	resumed := new(wire.Resumed)
+	for i := range c.sessions {
+		if s := &c.sessions[i]; s.open {
+			resumed.Sessions = append(resumed.Sessions, wire.SessionApplied{Session: s.id, Applied: *s.applied})
 		}
 	}
-	c.out = wire.AppendResumed(c.out[:0], rs)
-	return wire.WriteFrame(c.bw, wire.TResumed, c.out)
+	return resumed, nil
 }
 
 // replay handles TReplay: apply the batch's events, skipping every sequence
 // number at or below the session's applied counter. A client replaying its
 // shadow buffer after resume may overlap what the server already applied;
 // the counter makes redelivery exactly-once.
-func (c *conn) replay(sid uint32, base uint64, batch wire.Batch) error {
-	if base == 0 {
-		return badFrame("Replay base must be 1-based")
+func (c *conn) replay(m *wire.Replay) (wire.Message, error) {
+	if m.Base == 0 {
+		return nil, badFrame("Replay base must be 1-based")
 	}
-	th, perr := c.threadOf(sid)
+	s, perr := c.threadOf(m.Session)
 	if perr != nil {
-		return perr
+		return nil, perr
 	}
-	release, perr := c.enterSession(sid)
+	release, perr := c.enterSession(m.Session)
 	if perr != nil {
-		return perr
+		return nil, perr
 	}
-	ap := c.sessions[sid].applied
-	for i, n := 0, batch.Len(); i < n; i++ {
-		seq := base + uint64(i)
-		if seq > *ap {
-			th.Submit(pythia.ID(batch.At(i)))
-			*ap = seq
+	for i, id := range m.IDs {
+		if seq := m.Base + uint64(i); seq > *s.applied {
+			s.th.Submit(pythia.ID(id))
+			*s.applied = seq
 		}
 	}
-	applied := *ap
+	applied := *s.applied
 	release()
-	c.out = wire.AppendReplayed(c.out[:0], sid, applied)
-	return wire.WriteFrame(c.bw, wire.TReplayed, c.out)
+	return &wire.SessionApplied{Session: m.Session, Applied: applied}, nil
 }

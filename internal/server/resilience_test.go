@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"os"
@@ -20,53 +19,25 @@ import (
 // server-granted resume token alongside the connection.
 func dialRawResume(t *testing.T, addr string) (*rawConn, uint64) {
 	t.Helper()
-	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c := &rawConn{t: t, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	t.Cleanup(func() {
-		if err := nc.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			t.Logf("closing raw conn: %v", err)
-		}
-	})
-	c.send(wire.THello, wire.AppendHello(nil, wire.HelloFlagResume))
-	typ, payload := c.recv()
-	if typ != wire.THelloOK {
-		t.Fatalf("handshake: got %s", typ)
-	}
-	_, token, _, err := wire.ParseHelloOK(payload)
-	if err != nil {
-		t.Fatalf("parsing HelloOK: %v", err)
-	}
-	return c, token
+	c, ok := dialRawHello(t, addr, wire.HelloFlagResume)
+	return c, ok.Token
 }
 
 // resumeWithRetry polls TResume until the dead predecessor's sessions have
 // been parked (teardown races the new connection) and returns the adopted
 // sessions' applied counters.
-func resumeWithRetry(t *testing.T, c *rawConn, token uint64) []wire.ResumedSession {
+func resumeWithRetry(t *testing.T, c *rawConn, token uint64) []wire.SessionApplied {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c.send(wire.TResume, wire.AppendResume(nil, token))
-		typ, payload := c.recv()
-		if typ == wire.TResumed {
-			rs, err := wire.ParseResumed(payload)
-			if err != nil {
-				t.Fatalf("parsing Resumed: %v", err)
-			}
-			return rs
+		var rs wire.Resumed
+		err := c.Exchange(wire.TResume, &wire.Uint64{V: token}, &rs, 5*time.Second)
+		if err == nil {
+			return rs.Sessions
 		}
-		if typ != wire.TError {
-			t.Fatalf("resume: got %s, want Resumed or Error", typ)
-		}
-		code, msg, err := wire.ParseError(payload)
-		if err != nil {
-			t.Fatalf("parsing resume error: %v", err)
-		}
-		if code != wire.CodeNoResume {
-			t.Fatalf("resume error %s (%s), want NoResume while parking races", code, msg)
+		var re *wire.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeNoResume {
+			t.Fatalf("resume: %v, want Resumed or NoResume while parking races", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("sessions never parked for token %#x", token)
@@ -99,7 +70,7 @@ func TestResumeReplayDedup(t *testing.T) {
 	if typ, _ := c1.recv(); typ != wire.TPrediction {
 		t.Fatalf("sync predict: got %s", typ)
 	}
-	if err := c1.nc.Close(); err != nil {
+	if err := c1.NC.Close(); err != nil {
 		t.Fatalf("killing c1: %v", err)
 	}
 
@@ -121,29 +92,21 @@ func TestResumeReplayDedup(t *testing.T) {
 
 	// Replay overlapping the applied prefix: sequences 2 and 3 must be
 	// skipped, 4 applied.
-	c2.send(wire.TReplay, wire.AppendReplay(nil, sid, 2, []int32{b, cc, d}))
-	typ, payload := c2.recv()
-	if typ != wire.TReplayed {
-		t.Fatalf("replay: got %s", typ)
-	}
-	rsid, ap, err := wire.ParseReplayed(payload)
-	if err != nil || rsid != sid || ap != 4 {
-		t.Fatalf("Replayed = (%d, %d, %v), want (%d, 4, nil)", rsid, ap, err, sid)
+	var done wire.SessionApplied
+	c2.ask(wire.TReplay, &wire.Replay{Session: sid, Base: 2, IDs: []int32{b, cc, d}}, &done)
+	if done.Session != sid || done.Applied != 4 {
+		t.Fatalf("Replayed = %+v, want session %d applied 4", done, sid)
 	}
 
 	// A second, fully-overlapping replay must be a no-op.
-	c2.send(wire.TReplay, wire.AppendReplay(nil, sid, 1, []int32{a, b, cc, d}))
-	typ, payload = c2.recv()
-	if typ != wire.TReplayed {
-		t.Fatalf("overlap replay: got %s", typ)
-	}
-	if _, ap, err = wire.ParseReplayed(payload); err != nil || ap != 4 {
-		t.Fatalf("overlap Replayed applied = %d (%v), want 4", ap, err)
+	c2.ask(wire.TReplay, &wire.Replay{Session: sid, Base: 1, IDs: []int32{a, b, cc, d}}, &done)
+	if done.Applied != 4 {
+		t.Fatalf("overlap Replayed applied = %d, want 4", done.Applied)
 	}
 
 	// The model saw exactly a,b,c,d: the next event must be phase:a again.
 	c2.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))
-	typ, payload = c2.recv()
+	typ, payload := c2.recv()
 	if typ != wire.TPrediction {
 		t.Fatalf("predict after replay: got %s", typ)
 	}
@@ -166,10 +129,10 @@ func TestKeepaliveReapsSilentConns(t *testing.T) {
 
 	t.Run("silent conn reaped", func(t *testing.T) {
 		c := dialRaw(t, addr)
-		if err := c.nc.SetReadDeadline(time.Now().Add(3 * time.Second)); err != nil {
+		if err := c.NC.SetReadDeadline(time.Now().Add(3 * time.Second)); err != nil {
 			t.Fatalf("deadline: %v", err)
 		}
-		_, _, err := wire.ReadFrame(c.br, &c.buf)
+		_, _, err := wire.ReadFrame(c.BR, &c.In)
 		if err == nil {
 			t.Fatalf("unexpected frame from server on a silent connection")
 		}

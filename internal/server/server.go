@@ -18,9 +18,9 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -94,11 +94,6 @@ type Config struct {
 	// TenantBurst caps a tenant's budget balance. 0 means one second of
 	// slack (TenantEventsPerSec).
 	TenantBurst int64
-	// PaceEvents, when positive, bounds the daemon's aggregate admitted
-	// Submit rate (events/second) by stalling connection goroutines that
-	// overdraft the shared pacing bucket. Used by the cluster scaling
-	// bench to model per-node capacity; 0 (the default) disables pacing.
-	PaceEvents int64
 	// Logf, when set, receives connection-lifecycle diagnostics. It must
 	// be safe for concurrent use (log.Printf is).
 	Logf func(format string, args ...any)
@@ -124,12 +119,10 @@ type Server struct {
 
 	// Cluster state (see cluster.go). clus is nil on a non-clustered
 	// daemon; clusMu serializes epoch adoption, sweepMu serializes
-	// migration/replication sweeps, pace is the optional daemon-wide
-	// Submit pacing bucket.
+	// migration/replication sweeps.
 	clusMu  sync.Mutex
 	clus    atomic.Pointer[clusterState]
 	sweepMu sync.Mutex
-	pace    *cluster.TokenBucket
 }
 
 // New returns a server over cfg.TraceDir. It does not listen yet.
@@ -149,18 +142,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxParked == 0 {
 		cfg.MaxParked = DefaultMaxParked
 	}
-	s := &Server{
+	return &Server{
 		cfg:    cfg,
 		st:     newStore(cfg.TraceDir),
 		conns:  make(map[*conn]struct{}),
 		parked: make(map[uint64]*parkedConn),
 	}
-	if cfg.PaceEvents > 0 {
-		// 100ms of burst keeps batches smooth without letting the rate drift.
-		burst := cfg.PaceEvents / 10
-		s.pace = cluster.NewTokenBucket(cfg.PaceEvents, burst, time.Now().UnixNano())
-	}
-	return s
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -252,8 +239,8 @@ func (s *Server) drain() error {
 	for c := range s.conns {
 		// An expired read deadline unblocks the connection goroutine's
 		// blocking read; frames that arrive before it are still served.
-		if derr := c.nc.SetReadDeadline(deadline); derr != nil {
-			s.logf("pythiad: drain deadline on %s: %v", c.nc.RemoteAddr(), derr)
+		if derr := c.NC.SetReadDeadline(deadline); derr != nil {
+			s.logf("pythiad: drain deadline on %s: %v", c.NC.RemoteAddr(), derr)
 		}
 	}
 	s.mu.Unlock()
@@ -278,8 +265,8 @@ func (s *Server) drain() error {
 		s.mu.Lock()
 		for c := range s.conns {
 			forced++
-			if cerr := c.nc.Close(); cerr != nil {
-				s.logf("pythiad: force-closing %s: %v", c.nc.RemoteAddr(), cerr)
+			if cerr := c.NC.Close(); cerr != nil {
+				s.logf("pythiad: force-closing %s: %v", c.NC.RemoteAddr(), cerr)
 			}
 		}
 		s.mu.Unlock()
@@ -318,12 +305,26 @@ type sessKey struct {
 	tid    int32
 }
 
-// session is one open session slot. th is nil for meta sessions (tid < 0),
-// which exist to pin a tenant and fetch its event table. applied counts
-// events fed into the session since it opened; it lives behind a pointer so
-// the count survives sessions-slice growth and is shared with the shm pump
-// (both writers are serialized by the ring lock for ring-bound sessions).
+// A session id names a slot of the connection's session table and one
+// tenancy of it: the low slotBits index the table, the bits above count how
+// often the slot has been retired. Retired slots are reused, so the table
+// stays as large as the most sessions the connection ever had open at once;
+// an id that outlived its session still finds its slot, sees a newer
+// tenancy, and is refused like one that never existed.
+const (
+	slotBits = 16
+	slotMask = 1<<slotBits - 1
+)
+
+// session is one slot of the session table. th is nil for meta sessions
+// (tid < 0), which exist to pin a tenant and fetch its event table. applied
+// counts events fed into the session since it opened; it lives behind a
+// pointer so the count survives sessions-slice growth and is shared with the
+// shm pump (both writers are serialized by the ring lock for ring-bound
+// sessions) — a ring is always unbound before its session's slot is retired.
 type session struct {
+	id      uint32 // the slot's current (or, once retired, next) session id
+	key     sessKey
 	th      *pythia.Thread
 	ct      *connTenant
 	open    bool
@@ -340,19 +341,21 @@ type connTenant struct {
 	qos    *cluster.TokenBucket
 }
 
-// conn serves one client connection. All fields are owned by the single
-// connection goroutine; the server touches only nc (deadlines, force-close).
-type conn struct {
-	srv *Server
-	nc  net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
-
-	buf      []byte // frame read buffer, reused across frames
-	out      []byte // payload encode buffer, reused across responses
+// sessTable is the part of a connection that outlives it when it parks: the
+// session slots, which of them are free, and the tenants they hold open.
+type sessTable struct {
 	sessions []session
+	free     []uint32 // indexes of retired slots, reused before the table grows
 	byKey    map[sessKey]uint32
 	tenants  map[string]*connTenant
+}
+
+// conn serves one client connection. All fields are owned by the single
+// connection goroutine; the server touches only NC (deadlines, force-close).
+type conn struct {
+	srv *Server
+	*wire.Conn
+	sessTable
 
 	// Shared-memory transport state (nil until ShmSetup succeeds). ringOf
 	// maps a session id to its bound ring index; both are owned by the conn
@@ -369,29 +372,22 @@ type conn struct {
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
-		srv:     s,
-		nc:      nc,
-		br:      bufio.NewReader(nc),
-		bw:      bufio.NewWriter(nc),
-		buf:     make([]byte, 0, 4096),
-		out:     make([]byte, 0, 1024),
-		byKey:   make(map[sessKey]uint32),
-		tenants: make(map[string]*connTenant),
+		srv:  s,
+		Conn: wire.NewConn(nc),
+		sessTable: sessTable{
+			byKey:   make(map[sessKey]uint32),
+			tenants: make(map[string]*connTenant),
+		},
 	}
 }
 
 // refuse sends one Error frame to an unadmitted connection and closes it.
 func (c *conn) refuse(code wire.Code, msg string) {
-	if err := c.nc.SetWriteDeadline(time.Now().Add(2 * time.Second)); err == nil {
-		c.out = wire.AppendError(c.out[:0], code, msg)
-		if werr := wire.WriteFrame(c.bw, wire.TError, c.out); werr == nil {
-			if ferr := c.bw.Flush(); ferr != nil {
-				c.srv.logf("pythiad: refusing %s: %v", c.nc.RemoteAddr(), ferr)
-			}
-		}
+	if err := c.NC.SetWriteDeadline(time.Now().Add(2 * time.Second)); err == nil {
+		c.writeError(&protoErr{code: code, msg: msg})
 	}
-	if err := c.nc.Close(); err != nil {
-		c.srv.logf("pythiad: closing refused %s: %v", c.nc.RemoteAddr(), err)
+	if err := c.NC.Close(); err != nil {
+		c.srv.logf("pythiad: closing refused %s: %v", c.NC.RemoteAddr(), err)
 	}
 }
 
@@ -405,7 +401,7 @@ func (c *conn) serve() {
 		return
 	}
 	for {
-		t, payload, err := wire.ReadFrame(c.br, &c.buf)
+		t, payload, err := wire.ReadFrame(c.BR, &c.In)
 		if err != nil {
 			c.finishWith(nil) // EOF, deadline, or torn frame: nothing to answer
 			return
@@ -424,8 +420,8 @@ func (c *conn) serve() {
 		// Write batching: flush only when no further request is already
 		// buffered, so a pipelined burst gets one flush, not N. The idle
 		// point is also where the keepalive window restarts.
-		if c.br.Buffered() == 0 {
-			if err := c.bw.Flush(); err != nil {
+		if c.BR.Buffered() == 0 {
+			if err := c.BW.Flush(); err != nil {
 				c.finishWith(nil)
 				return
 			}
@@ -440,8 +436,8 @@ func (c *conn) armKeepalive() {
 	if c.srv.cfg.Keepalive <= 0 || c.srv.draining.Load() {
 		return
 	}
-	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.Keepalive)); err != nil {
-		c.srv.logf("pythiad: keepalive deadline on %s: %v", c.nc.RemoteAddr(), err)
+	if err := c.NC.SetReadDeadline(time.Now().Add(c.srv.cfg.Keepalive)); err != nil {
+		c.srv.logf("pythiad: keepalive deadline on %s: %v", c.NC.RemoteAddr(), err)
 	}
 }
 
@@ -450,56 +446,49 @@ func (c *conn) armKeepalive() {
 // the token it may present over a future connection to adopt the sessions
 // this connection leaves behind.
 func (c *conn) handshake() error {
-	t, payload, err := wire.ReadFrame(c.br, &c.buf)
+	t, payload, err := wire.ReadFrame(c.BR, &c.In)
 	if err != nil {
 		return nil // connected and left: not an event worth a frame
 	}
 	if t != wire.THello {
 		return badFrame("expected Hello")
 	}
-	v, flags, err := wire.ParseHello(payload)
-	if err != nil {
+	var hello wire.Hello
+	if err := wire.Decode(t, payload, &hello); err != nil {
 		return badFrame(err.Error())
 	}
-	if v != wire.Version {
+	if hello.Version != wire.Version {
 		return &protoErr{
 			code:  wire.CodeBadVersion,
-			msg:   fmt.Sprintf("server speaks version %d, client sent %d", wire.Version, v),
+			msg:   fmt.Sprintf("server speaks version %d, client sent %d", wire.Version, hello.Version),
 			fatal: true,
 		}
 	}
+	ok := wire.HelloOK{Version: wire.Version}
 	window := c.srv.cfg.ResumeWindow
-	if flags&wire.HelloFlagResume != 0 && window > 0 && !c.srv.draining.Load() {
+	if hello.Flags&wire.HelloFlagResume != 0 && window > 0 && !c.srv.draining.Load() {
 		token, terr := newResumeToken()
 		if terr != nil {
-			c.srv.logf("pythiad: resume token for %s: %v", c.nc.RemoteAddr(), terr)
+			c.srv.logf("pythiad: resume token for %s: %v", c.NC.RemoteAddr(), terr)
 		} else {
 			c.resumeToken = token
+			ok.Token, ok.WindowMs = token, uint32(window/time.Millisecond)
 		}
 	}
-	if c.resumeToken != 0 {
-		c.out = wire.AppendHelloOKResume(c.out[:0], c.resumeToken, uint32(window/time.Millisecond))
-	} else {
-		c.out = wire.AppendHelloOK(c.out[:0])
-	}
-	if err := wire.WriteFrame(c.bw, wire.THelloOK, c.out); err != nil {
+	if err := c.Send(wire.THelloOK, &ok); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.BW.Flush()
 }
 
-// writeError answers (or terminates) a request with an Error frame.
+// writeError answers (or terminates) a request with an Error frame; the
+// retry-after hint rides along when the refusal carries one.
 func (c *conn) writeError(pe *protoErr) {
-	if pe.retryMs > 0 {
-		c.out = wire.AppendErrorRetry(c.out[:0], pe.code, pe.msg, pe.retryMs)
-	} else {
-		c.out = wire.AppendError(c.out[:0], pe.code, pe.msg)
-	}
-	if err := wire.WriteFrame(c.bw, wire.TError, c.out); err != nil {
+	if err := c.Send(wire.TError, &wire.RemoteError{Code: pe.code, Msg: pe.msg, RetryAfterMs: pe.retryMs}); err != nil {
 		return
 	}
-	if err := c.bw.Flush(); err != nil {
-		c.srv.logf("pythiad: error frame to %s: %v", c.nc.RemoteAddr(), err)
+	if err := c.BW.Flush(); err != nil {
+		c.srv.logf("pythiad: error frame to %s: %v", c.NC.RemoteAddr(), err)
 	}
 }
 
@@ -511,11 +500,11 @@ func (c *conn) finishWith(err error) {
 			c.writeError(pe)
 		}
 	}
-	if ferr := c.bw.Flush(); ferr != nil {
-		c.srv.logf("pythiad: final flush to %s: %v", c.nc.RemoteAddr(), ferr)
+	if ferr := c.BW.Flush(); ferr != nil {
+		c.srv.logf("pythiad: final flush to %s: %v", c.NC.RemoteAddr(), ferr)
 	}
-	if cerr := c.nc.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-		c.srv.logf("pythiad: closing %s: %v", c.nc.RemoteAddr(), cerr)
+	if cerr := c.NC.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
+		c.srv.logf("pythiad: closing %s: %v", c.NC.RemoteAddr(), cerr)
 	}
 }
 
@@ -530,17 +519,11 @@ func (c *conn) teardown() {
 	if c.resumeToken != 0 && c.srv.tryPark(c) {
 		return
 	}
-	c.releaseSessions()
+	c.release(c.srv)
 }
 
-// releaseSessions returns the session budget, per-tenant counts, oracle
-// registrations, and tenant references. Called from teardown (no park) and
-// from the park table when a parked connection expires unresumed.
-func (c *conn) releaseSessions() {
-	releaseParked(c.srv, c.sessions, c.tenants)
-}
-
-// handleFrame dispatches one request frame.
+// handleFrame dispatches one request frame: the three hot-path frames
+// directly, everything else through the handler table.
 // pythia:hotpath — per-request on the serving path; the Submit and
 // PredictAt arms must not allocate.
 func (c *conn) handleFrame(t wire.Type, payload []byte) error {
@@ -550,7 +533,7 @@ func (c *conn) handleFrame(t wire.Type, payload []byte) error {
 		if err != nil {
 			return badFrame(err.Error())
 		}
-		th, perr := c.threadOf(sid)
+		s, perr := c.threadOf(sid)
 		if perr != nil {
 			return perr
 		}
@@ -558,18 +541,17 @@ func (c *conn) handleFrame(t wire.Type, payload []byte) error {
 		if perr != nil {
 			return perr
 		}
-		th.Submit(pythia.ID(id))
-		ap := c.sessions[sid].applied
-		*ap++
+		s.th.Submit(pythia.ID(id))
+		*s.applied++
 		release()
-		c.chargeEvents(sid, 1)
+		chargeEvents(s.ct.qos, 1)
 		return nil
 	case wire.TSubmitBatch:
 		sid, batch, err := wire.ParseSubmitBatch(payload)
 		if err != nil {
 			return badFrame(err.Error())
 		}
-		th, perr := c.threadOf(sid)
+		s, perr := c.threadOf(sid)
 		if perr != nil {
 			return perr
 		}
@@ -578,173 +560,85 @@ func (c *conn) handleFrame(t wire.Type, payload []byte) error {
 			return perr
 		}
 		for i, n := 0, batch.Len(); i < n; i++ {
-			th.Submit(pythia.ID(batch.At(i)))
+			s.th.Submit(pythia.ID(batch.At(i)))
 		}
-		ap := c.sessions[sid].applied
-		*ap += uint64(batch.Len())
+		*s.applied += uint64(batch.Len())
 		release()
-		c.chargeEvents(sid, int64(batch.Len()))
+		chargeEvents(s.ct.qos, int64(batch.Len()))
 		return nil
 	case wire.TPredictAt:
 		sid, distance, err := wire.ParsePredictAt(payload)
 		if err != nil {
 			return badFrame(err.Error())
 		}
-		th, perr := c.threadOf(sid)
+		s, perr := c.threadOf(sid)
 		if perr != nil {
 			return perr
 		}
-		if perr := gateTenant(c.sessions[sid].ct.qos); perr != nil {
+		if perr := gateTenant(s.ct.qos); perr != nil {
 			return perr
 		}
 		release, perr := c.enterSession(sid)
 		if perr != nil {
 			return perr
 		}
-		pr, ok := th.PredictAt(distance)
+		pr, ok := s.th.PredictAt(distance)
 		release()
-		c.out = wire.AppendPrediction(c.out[:0], pr, ok)
-		return wire.WriteFrame(c.bw, wire.TPrediction, c.out)
-	case wire.TPredictSequence:
-		sid, n, err := wire.ParsePredictSequence(payload)
-		if err != nil {
+		c.Out = wire.AppendPrediction(c.Out[:0], pr, ok)
+		return wire.WriteFrame(c.BW, wire.TPrediction, c.Out)
+	}
+	if serve := handlers[t]; serve != nil {
+		return serve(c, t, payload)
+	}
+	return badFrameType(t)
+}
+
+// handler serves one cold-path request frame.
+type handler func(c *conn, t wire.Type, payload []byte) error
+
+// handlers is the cold-path dispatch table, indexed by frame type. A frame
+// with no row (a reply type, a second Hello, an unknown number) is a fatal
+// CodeBadFrame.
+var handlers = [math.MaxUint8 + 1]handler{
+	wire.TOpenSession:     on((*conn).openSession),
+	wire.TPredictSequence: on((*conn).predictSequence),
+	wire.THealth:          on((*conn).health),
+	wire.TCloseSession:    on((*conn).closeSession),
+	wire.TShmSetup:        on((*conn).shmSetup),
+	wire.TShmBind:         on((*conn).shmBind),
+	wire.TSubscribe:       on((*conn).shmSubscribe),
+	wire.TResume:          on((*conn).resume),
+	wire.TReplay:          on((*conn).replay),
+	wire.THeartbeat:       on((*conn).heartbeat),
+	wire.TDetach:          on((*conn).detach),
+	wire.TModelInfo:       on((*conn).modelInfo),
+	wire.TPromote:         on((*conn).promote),
+	wire.TRollback:        on((*conn).rollback),
+	wire.TShardMap:        on((*conn).shardMap),
+	wire.TFetchModel:      on((*conn).fetchModel),
+	wire.TOfferModel:      on((*conn).offerModel),
+}
+
+// on makes a handler-table row from a typed request method. The payload is
+// decoded into the message value wire's frame table holds for the frame
+// type, and whatever the method returns goes out as the frame type the same
+// table names as the answer — so neither the Go type of a request nor the
+// type of its reply is stated anywhere but there. A nil reply sends nothing
+// (one-way frames).
+func on[M wire.Message](serve func(*conn, M) (wire.Message, error)) handler {
+	return func(c *conn, t wire.Type, payload []byte) error {
+		m, ok := wire.New(t).(M)
+		if !ok {
+			return &protoErr{code: wire.CodeInternal, msg: "handler table and frame table disagree on " + t.String(), fatal: true}
+		}
+		if err := wire.Decode(t, payload, m); err != nil {
 			return badFrame(err.Error())
 		}
-		th, perr := c.threadOf(sid)
-		if perr != nil {
-			return perr
+		reply, err := serve(c, m)
+		if err != nil || reply == nil {
+			return err
 		}
-		if perr := gateTenant(c.sessions[sid].ct.qos); perr != nil {
-			return perr
-		}
-		// Load shedding drops the lowest-value work first: speculative
-		// multi-step sequence queries. Submits are never refused (losing
-		// events corrupts the model) and single PredictAt stays cheap.
-		if shed := c.srv.cfg.ShedSessions; shed > 0 && c.srv.sessions.Load() > int64(shed) {
-			return &protoErr{
-				code:    wire.CodeRetryLater,
-				msg:     "overloaded; sequence predictions shed",
-				retryMs: 100,
-			}
-		}
-		// n comes off the wire: clamp it to what one response frame can
-		// carry, so an 8-byte request cannot demand a multi-GiB prediction
-		// buffer (the core allocates the full horizon up front). Shorter-
-		// than-asked results are already in the method's contract — the
-		// in-process oracle truncates at the end of the reference trace.
-		if n < 0 {
-			n = 0
-		} else if n > wire.MaxPredictions {
-			n = wire.MaxPredictions
-		}
-		release, perr := c.enterSession(sid)
-		if perr != nil {
-			return perr
-		}
-		preds := th.PredictSequence(n)
-		release()
-		c.out = wire.AppendPredictions(c.out[:0], preds)
-		return wire.WriteFrame(c.bw, wire.TPredictions, c.out)
-	case wire.TOpenSession:
-		o, err := wire.ParseOpenSession(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.openSession(o)
-	case wire.TCloseSession:
-		sid, err := wire.ParseCloseSession(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.closeSession(sid)
-	case wire.THealth:
-		tenant, err := wire.ParseHealth(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.health(tenant)
-	case wire.TShmSetup:
-		ss, err := wire.ParseShmSetup(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.shmSetup(ss)
-	case wire.TShmBind:
-		sid, ring, err := wire.ParseShmBind(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.shmBind(sid, ring)
-	case wire.TSubscribe:
-		sub, err := wire.ParseSubscribe(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.shmSubscribe(sub)
-	case wire.TResume:
-		token, err := wire.ParseResume(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.resume(token)
-	case wire.TReplay:
-		sid, base, batch, err := wire.ParseReplay(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.replay(sid, base, batch)
-	case wire.THeartbeat:
-		if err := wire.ParseHeartbeat(payload); err != nil {
-			return badFrame(err.Error())
-		}
-		return wire.WriteFrame(c.bw, wire.THeartbeatAck, nil)
-	case wire.TDetach:
-		if err := wire.ParseDetach(payload); err != nil {
-			return badFrame(err.Error())
-		}
-		// One-way: the client is closing for good; never park its sessions.
-		c.resumeToken = 0
-		return nil
-	case wire.TModelInfo:
-		tenant, err := wire.ParseModelInfo(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.modelInfo(tenant)
-	case wire.TPromote:
-		tenant, err := wire.ParsePromote(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.promote(tenant)
-	case wire.TRollback:
-		tenant, err := wire.ParseRollback(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.rollback(tenant)
-	case wire.TShardMap:
-		epoch, err := wire.ParseShardMap(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.shardMap(epoch)
-	case wire.TFetchModel:
-		tenant, err := wire.ParseFetchModel(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.fetchModel(tenant)
-	case wire.TOfferModel:
-		om, err := wire.ParseOfferModel(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		return c.offerModel(om)
-	case wire.THello:
-		return badFrame("duplicate Hello")
-	default:
-		return badFrameType(t)
+		return c.Send(t.Reply(), reply)
 	}
 }
 
@@ -755,19 +649,31 @@ func badFrameType(t wire.Type) *protoErr {
 	return badFrame("unexpected frame type " + t.String())
 }
 
-// threadOf resolves a session id to its oracle thread. Failures are fatal:
-// they corrupt request/response pairing (the id may belong to a one-way
-// Submit), so the connection cannot safely continue.
+// sessionOf resolves a session id to its open slot, nil when the id names
+// no session open on this connection — never opened, or closed since (the
+// slot's id moved on when it was retired).
 // pythia:hotpath — per-request on the serving path.
-func (c *conn) threadOf(sid uint32) (*pythia.Thread, *protoErr) {
-	if int(sid) >= len(c.sessions) || !c.sessions[sid].open {
+func (c *conn) sessionOf(sid uint32) *session {
+	idx := int(sid & slotMask)
+	if idx >= len(c.sessions) || !c.sessions[idx].open || c.sessions[idx].id != sid {
+		return nil
+	}
+	return &c.sessions[idx]
+}
+
+// threadOf resolves a session id to a slot with an oracle thread. Failures
+// are fatal: they corrupt request/response pairing (the id may belong to a
+// one-way Submit), so the connection cannot safely continue.
+// pythia:hotpath — per-request on the serving path.
+func (c *conn) threadOf(sid uint32) (*session, *protoErr) {
+	s := c.sessionOf(sid)
+	if s == nil {
 		return nil, errUnknownSession
 	}
-	th := c.sessions[sid].th
-	if th == nil {
+	if s.th == nil {
 		return nil, errMetaSession
 	}
-	return th, nil
+	return s, nil
 }
 
 var (
@@ -775,21 +681,70 @@ var (
 	errMetaSession    = &protoErr{code: wire.CodeBadFrame, msg: "submit/predict on a meta session", fatal: true}
 )
 
+// predictSequence answers a PredictSequence request.
+func (c *conn) predictSequence(m *wire.SessionArg) (wire.Message, error) {
+	s, perr := c.threadOf(m.Session)
+	if perr != nil {
+		return nil, perr
+	}
+	if perr := gateTenant(s.ct.qos); perr != nil {
+		return nil, perr
+	}
+	// Load shedding drops the lowest-value work first: speculative
+	// multi-step sequence queries. Submits are never refused (losing
+	// events corrupts the model) and single PredictAt stays cheap.
+	if shed := c.srv.cfg.ShedSessions; shed > 0 && c.srv.sessions.Load() > int64(shed) {
+		return nil, &protoErr{
+			code:    wire.CodeRetryLater,
+			msg:     "overloaded; sequence predictions shed",
+			retryMs: 100,
+		}
+	}
+	// n comes off the wire: clamp it to what one response frame can
+	// carry, so an 8-byte request cannot demand a multi-GiB prediction
+	// buffer (the core allocates the full horizon up front). Shorter-
+	// than-asked results are already in the method's contract — the
+	// in-process oracle truncates at the end of the reference trace.
+	n := int(int32(m.Arg))
+	if n < 0 {
+		n = 0
+	} else if n > wire.MaxPredictions {
+		n = wire.MaxPredictions
+	}
+	release, perr := c.enterSession(m.Session)
+	if perr != nil {
+		return nil, perr
+	}
+	preds := s.th.PredictSequence(n)
+	release()
+	return &wire.Predictions{Preds: preds}, nil
+}
+
+// heartbeat answers a keepalive probe.
+func (c *conn) heartbeat(*wire.Empty) (wire.Message, error) { return &wire.Empty{}, nil }
+
+// detach handles the one-way Detach: the client is closing for good, so its
+// sessions must not be parked.
+func (c *conn) detach(*wire.Empty) (wire.Message, error) {
+	c.resumeToken = 0
+	return nil, nil
+}
+
 // openSession admits one session under the drain flag and session budget,
 // then binds it to a (tenant, thread) oracle.
-func (c *conn) openSession(o wire.OpenSession) error {
+func (c *conn) openSession(o *wire.OpenSession) (wire.Message, error) {
 	if c.srv.draining.Load() {
-		return &protoErr{code: wire.CodeDraining, msg: "server draining; no new sessions"}
+		return nil, &protoErr{code: wire.CodeDraining, msg: "server draining; no new sessions"}
 	}
 	// Ownership is enforced at open time only: a clustered daemon refuses
 	// tenants outside its assignment (non-fatal — the client re-fetches the
 	// shard map and re-routes), while sessions already open stay put across
 	// epoch changes.
 	if perr := c.checkShard(o.Tenant); perr != nil {
-		return perr
+		return nil, perr
 	}
 	if max := int64(c.srv.cfg.MaxSessions); max > 0 && c.srv.sessions.Load() >= max {
-		return &protoErr{code: wire.CodeSessionLimit, msg: "session limit reached; retry later"}
+		return nil, &protoErr{code: wire.CodeSessionLimit, msg: "session limit reached; retry later"}
 	}
 	key := sessKey{tenant: o.Tenant, tid: o.TID}
 	if o.TID >= 0 {
@@ -800,20 +755,20 @@ func (c *conn) openSession(o wire.OpenSession) error {
 			// it permanently. The orphaned slot can hold no unacknowledged
 			// client state — the client never learned its id — so retiring
 			// it and letting the shadow replay rebuild the stream converges.
-			if perr := c.retireSession(old); perr != nil {
-				return perr
+			if perr := c.retireSession(c.sessionOf(old)); perr != nil {
+				return nil, perr
 			}
 		}
 	}
 	ct, perr := c.tenantOf(o.Tenant)
 	if perr != nil {
-		return perr
+		return nil, perr
 	}
 	// Per-tenant admission: one tenant's fan-out cannot crowd out the rest
 	// of the server. Non-fatal with a retry hint — the client's session
 	// stays unopened, the connection stays usable.
 	if max := int64(c.srv.cfg.MaxSessionsPerTenant); max > 0 && ct.t.sess.Load() >= max {
-		return &protoErr{
+		return nil, &protoErr{
 			code:    wire.CodeRetryLater,
 			msg:     fmt.Sprintf("tenant %q at its session limit; retry later", o.Tenant),
 			retryMs: 250,
@@ -822,40 +777,40 @@ func (c *conn) openSession(o wire.OpenSession) error {
 	// A tenant deep in event-budget overdraft cannot open new sessions
 	// either — fanning out is how a hot tenant would dodge its budget.
 	if perr := gateTenant(ct.qos); perr != nil {
-		return perr
+		return nil, perr
 	}
 
-	var th *pythia.Thread
-	hasPredictor := false
+	// Take a retired slot if there is one; grow the table otherwise.
+	var idx uint32
+	if n := len(c.free); n > 0 {
+		idx, c.free = c.free[n-1], c.free[:n-1]
+	} else if idx = uint32(len(c.sessions)); idx > slotMask {
+		return nil, &protoErr{code: wire.CodeSessionLimit, msg: "this connection's session table is full"}
+	} else {
+		c.sessions = append(c.sessions, session{id: idx, applied: new(uint64)})
+	}
+	s := &c.sessions[idx]
+	s.key, s.ct, s.open = key, ct, true
+	*s.applied = 0
+	so := &wire.SessionOpened{Session: s.id, State: stateToWire(ct.oracle.Health().State)}
 	if o.TID >= 0 {
-		th = ct.oracle.Thread(o.TID)
-		hasPredictor = ct.t.ts.Trace(o.TID) != nil
+		s.th = ct.oracle.Thread(o.TID)
+		so.HasPredictor = ct.t.ts.Trace(o.TID) != nil
 		if o.Flags&wire.FlagStartAtBeginning != 0 {
-			th.StartAtBeginning()
+			s.th.StartAtBeginning()
 		}
-	}
-
-	sid := uint32(len(c.sessions))
-	c.sessions = append(c.sessions, session{th: th, ct: ct, open: true, applied: new(uint64)})
-	if o.TID >= 0 {
-		c.byKey[key] = sid
+		c.byKey[key] = s.id
 	}
 	c.srv.sessions.Add(1)
 	ct.t.sess.Add(1)
 
-	so := wire.SessionOpened{
-		Session:      sid,
-		HasPredictor: hasPredictor,
-		State:        stateToWire(ct.oracle.Health().State),
-	}
 	if o.Flags&wire.FlagWantEvents != 0 {
 		so.Events = ct.t.ts.Events
 		if so.Events == nil {
 			so.Events = []string{}
 		}
 	}
-	c.out = wire.AppendSessionOpened(c.out[:0], so)
-	return wire.WriteFrame(c.bw, wire.TSessionOpened, c.out)
+	return so, nil
 }
 
 // tenantOf returns this connection's oracle for a tenant, acquiring the
@@ -890,49 +845,49 @@ func (c *conn) tenantOf(name string) (*connTenant, *protoErr) {
 
 // closeSession retires one session slot. The tenant handle stays with the
 // connection (other sessions may share it); it is released at teardown.
-func (c *conn) closeSession(sid uint32) error {
-	if int(sid) >= len(c.sessions) || !c.sessions[sid].open {
-		return errUnknownSession
+func (c *conn) closeSession(m *wire.SessionRef) (wire.Message, error) {
+	s := c.sessionOf(m.Session)
+	if s == nil {
+		return nil, errUnknownSession
 	}
-	if perr := c.retireSession(sid); perr != nil {
-		return perr
+	if perr := c.retireSession(s); perr != nil {
+		return nil, perr
 	}
-	c.out = wire.AppendSessionClosed(c.out[:0], sid)
-	return wire.WriteFrame(c.bw, wire.TSessionClosed, c.out)
+	return m, nil
 }
 
 // retireSession releases one open session slot without answering the
-// client: the budget and per-tenant counts are returned and the (tenant,
-// thread) key freed for a fresh open. Shared by closeSession and the
-// duplicate-open path.
-func (c *conn) retireSession(sid uint32) *protoErr {
+// client: the budget and per-tenant counts are returned, the (tenant,
+// thread) key is freed for a fresh open, and the slot — under its next id —
+// goes on the free list. Shared by closeSession and the duplicate-open path.
+func (c *conn) retireSession(s *session) *protoErr {
 	// A ring-bound session drains its ring before closing, so no submitted
-	// event is lost; the ring becomes rebindable.
-	if perr := c.shmUnbind(sid); perr != nil {
+	// event is lost; the ring becomes rebindable, and nothing but this
+	// goroutine refers to the slot's applied counter any more.
+	if perr := c.shmUnbind(s.id); perr != nil {
 		return perr
 	}
-	c.sessions[sid].open = false
-	c.srv.sessions.Add(-1)
-	c.sessions[sid].ct.t.sess.Add(-1)
-	for key, id := range c.byKey {
-		if id == sid {
-			delete(c.byKey, key)
-			break
-		}
+	if s.th != nil {
+		delete(c.byKey, s.key)
 	}
+	c.srv.sessions.Add(-1)
+	s.ct.t.sess.Add(-1)
+	c.free = append(c.free, s.id&slotMask)
+	s.open, s.th, s.ct = false, nil, nil
+	s.id += 1 << slotBits
 	return nil
 }
 
 // modelInfo answers a ModelInfo request with this connection's lifecycle
 // snapshot for the tenant (oracles are per-connection, so the generation
 // numbers and counters describe this client's oracle).
-func (c *conn) modelInfo(tenant string) error {
-	ct, perr := c.tenantOf(tenant)
+func (c *conn) modelInfo(m *wire.TenantRef) (wire.Message, error) {
+	ct, perr := c.tenantOf(m.Tenant)
 	if perr != nil {
-		return perr
+		return nil, perr
 	}
 	mi := ct.oracle.ModelInfo()
-	wmi := wire.ModelInfo{
+	return &wire.ModelInfo{
 		Enabled:           mi.Enabled,
 		State:             modelStateToWire(mi.State),
 		ServingGeneration: mi.ServingGeneration,
@@ -940,40 +895,31 @@ func (c *conn) modelInfo(tenant string) error {
 		Rollbacks:         mi.Rollbacks,
 		ShadowEpochs:      mi.ShadowEpochs,
 		Retained:          mi.Retained,
-	}
-	c.out = wire.AppendModelInfoR(c.out[:0], wmi)
-	return wire.WriteFrame(c.bw, wire.TModelInfoR, c.out)
+	}, nil
 }
 
 // promote forces a promotion of the tenant's shadow model on this
-// connection's oracle. Refusals (learning disabled, no candidate yet) are
+// connection's oracle, rollback a return to its previous generation.
+// Refusals (learning disabled, no candidate yet, nothing to go back to) are
 // non-fatal CodeLifecycle errors.
-func (c *conn) promote(tenant string) error {
-	ct, perr := c.tenantOf(tenant)
-	if perr != nil {
-		return perr
-	}
-	gen, err := ct.oracle.Promote()
-	if err != nil {
-		return &protoErr{code: wire.CodeLifecycle, msg: err.Error()}
-	}
-	c.out = wire.AppendPromoted(c.out[:0], gen)
-	return wire.WriteFrame(c.bw, wire.TPromoted, c.out)
+func (c *conn) promote(m *wire.TenantRef) (wire.Message, error) {
+	return c.lifecycle(m.Tenant, (*pythia.Oracle).Promote)
 }
 
-// rollback forces a rollback to the previous generation on this
-// connection's oracle.
-func (c *conn) rollback(tenant string) error {
+func (c *conn) rollback(m *wire.TenantRef) (wire.Message, error) {
+	return c.lifecycle(m.Tenant, (*pythia.Oracle).Rollback)
+}
+
+func (c *conn) lifecycle(tenant string, op func(*pythia.Oracle) (uint64, error)) (wire.Message, error) {
 	ct, perr := c.tenantOf(tenant)
 	if perr != nil {
-		return perr
+		return nil, perr
 	}
-	gen, err := ct.oracle.Rollback()
+	gen, err := op(ct.oracle)
 	if err != nil {
-		return &protoErr{code: wire.CodeLifecycle, msg: err.Error()}
+		return nil, &protoErr{code: wire.CodeLifecycle, msg: err.Error()}
 	}
-	c.out = wire.AppendRolledBack(c.out[:0], gen)
-	return wire.WriteFrame(c.bw, wire.TRolledBack, c.out)
+	return &wire.Uint64{V: gen}, nil
 }
 
 // modelStateToWire maps a core lifecycle state string to its wire value.
@@ -989,17 +935,14 @@ func modelStateToWire(state string) uint8 {
 }
 
 // health answers a Health request for one tenant ("" = whole server).
-func (c *conn) health(tenant string) error {
-	var hi wire.HealthInfo
-	if tenant == "" {
-		hi = c.srv.st.serverHealth()
-	} else {
-		var ok bool
-		hi, ok = c.srv.st.healthOf(tenant)
-		if !ok {
-			return &protoErr{code: wire.CodeUnknownTenant, msg: fmt.Sprintf("tenant %q not loaded", tenant)}
-		}
+func (c *conn) health(m *wire.TenantRef) (wire.Message, error) {
+	if m.Tenant == "" {
+		hi := c.srv.st.serverHealth()
+		return &hi, nil
 	}
-	c.out = wire.AppendHealthInfo(c.out[:0], hi)
-	return wire.WriteFrame(c.bw, wire.THealthInfo, c.out)
+	hi, ok := c.srv.st.healthOf(m.Tenant)
+	if !ok {
+		return nil, &protoErr{code: wire.CodeUnknownTenant, msg: fmt.Sprintf("tenant %q not loaded", m.Tenant)}
+	}
+	return &hi, nil
 }

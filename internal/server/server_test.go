@@ -356,49 +356,79 @@ func TestRemoteBitIdenticalAllApps(t *testing.T) {
 
 // rawConn is a wire-level test client for asserting exact protocol frames.
 type rawConn struct {
-	t   *testing.T
-	nc  net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
-	buf []byte
+	t *testing.T
+	*wire.Conn
 }
 
 func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, _ := dialRawHello(t, addr, 0)
+	return c
+}
+
+// dialRawHello dials and handshakes with the given Hello flags, returning
+// the server's HelloOK alongside the connection.
+func dialRawHello(t *testing.T, addr string, flags uint8) (*rawConn, wire.HelloOK) {
 	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	c := &rawConn{t: t, nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	c := &rawConn{t: t, Conn: wire.NewConn(nc)}
 	t.Cleanup(func() {
 		if err := nc.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
 			t.Logf("closing raw conn: %v", err)
 		}
 	})
-	c.send(wire.THello, wire.AppendHello(nil, 0))
-	typ, _ := c.recv()
-	if typ != wire.THelloOK {
-		t.Fatalf("handshake: got %s", typ)
+	ok, err := c.Handshake(flags, 5*time.Second)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
-	return c
+	return c, ok
 }
 
 func (c *rawConn) send(t wire.Type, payload []byte) {
 	c.t.Helper()
-	if err := wire.WriteFrame(c.bw, t, payload); err != nil {
+	if err := wire.WriteFrame(c.BW, t, payload); err != nil {
 		c.t.Fatalf("write %s: %v", t, err)
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.BW.Flush(); err != nil {
 		c.t.Fatalf("flush %s: %v", t, err)
 	}
 }
 
+// sendMsg sends m as one frame of type t.
+func (c *rawConn) sendMsg(t wire.Type, m wire.Message) {
+	c.t.Helper()
+	c.send(t, wire.Append(nil, m))
+}
+
+// recvMsg asserts the next frame is a t and decodes it into m.
+func (c *rawConn) recvMsg(t wire.Type, m wire.Message) {
+	c.t.Helper()
+	typ, payload := c.recv()
+	if typ != t {
+		c.t.Fatalf("expected %s frame, got %s", t, typ)
+	}
+	if err := wire.Decode(typ, payload, m); err != nil {
+		c.t.Fatalf("decoding %s: %v", typ, err)
+	}
+}
+
+// ask sends req as a frame of type t and decodes the frame table's reply
+// for t into resp.
+func (c *rawConn) ask(t wire.Type, req, resp wire.Message) {
+	c.t.Helper()
+	c.sendMsg(t, req)
+	c.recvMsg(t.Reply(), resp)
+}
+
 func (c *rawConn) recv() (wire.Type, []byte) {
 	c.t.Helper()
-	if err := c.nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+	if err := c.NC.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		c.t.Fatalf("deadline: %v", err)
 	}
-	typ, payload, err := wire.ReadFrame(c.br, &c.buf)
+	typ, payload, err := wire.ReadFrame(c.BR, &c.In)
 	if err != nil {
 		c.t.Fatalf("read frame: %v", err)
 	}
@@ -408,16 +438,10 @@ func (c *rawConn) recv() (wire.Type, []byte) {
 // expectError asserts the next frame is an Error with the given code.
 func (c *rawConn) expectError(code wire.Code) {
 	c.t.Helper()
-	typ, payload := c.recv()
-	if typ != wire.TError {
-		c.t.Fatalf("expected Error frame, got %s", typ)
-	}
-	got, msg, err := wire.ParseError(payload)
-	if err != nil {
-		c.t.Fatalf("parsing error frame: %v", err)
-	}
-	if got != code {
-		c.t.Fatalf("error code = %s (%s), want %s", got, msg, code)
+	var re wire.RemoteError
+	c.recvMsg(wire.TError, &re)
+	if re.Code != code {
+		c.t.Fatalf("error code = %s (%s), want %s", re.Code, re.Msg, code)
 	}
 }
 
@@ -459,12 +483,12 @@ func TestGracefulDrain(t *testing.T) {
 		c.send(wire.TOpenSession, wire.AppendOpenSession(nil, wire.OpenSession{TID: 1, Tenant: "synth"}))
 		typ, payload := c.recv()
 		if typ == wire.TError {
-			code, _, err := wire.ParseError(payload)
-			if err != nil {
+			var re wire.RemoteError
+			if err := wire.Decode(typ, payload, &re); err != nil {
 				t.Fatalf("parsing refusal: %v", err)
 			}
-			if code != wire.CodeDraining {
-				t.Fatalf("refusal code = %s, want draining", code)
+			if re.Code != wire.CodeDraining {
+				t.Fatalf("refusal code = %s, want draining", re.Code)
 			}
 			break
 		}
@@ -476,10 +500,7 @@ func TestGracefulDrain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parsing SessionOpened: %v", err)
 		}
-		c.send(wire.TCloseSession, wire.AppendCloseSession(nil, so.Session))
-		if typ, _ := c.recv(); typ != wire.TSessionClosed {
-			t.Fatalf("expected SessionClosed, got %s", typ)
-		}
+		c.ask(wire.TCloseSession, &wire.SessionRef{Session: so.Session}, &wire.SessionRef{})
 		if time.Now().After(deadline) {
 			t.Fatal("server never started refusing sessions")
 		}
@@ -556,10 +577,7 @@ func TestOverloadRefusesNewSessionsNeverStallsExisting(t *testing.T) {
 	}
 
 	// Closing a session frees budget for a new one.
-	c.send(wire.TCloseSession, wire.AppendCloseSession(nil, sid))
-	if typ, _ := c.recv(); typ != wire.TSessionClosed {
-		t.Fatalf("expected SessionClosed, got %s", typ)
-	}
+	c.ask(wire.TCloseSession, &wire.SessionRef{Session: sid}, &wire.SessionRef{})
 	c.openSession("synth", 1, 0)
 }
 
@@ -668,21 +686,14 @@ func TestServerWideHealth(t *testing.T) {
 	c := dialRaw(t, addr)
 	regFor(t, c, "synth") // load the tenant
 
-	c.send(wire.THealth, wire.AppendHealth(nil, ""))
-	typ, payload := c.recv()
-	if typ != wire.THealthInfo {
-		t.Fatalf("expected HealthInfo, got %s", typ)
-	}
-	hi, err := wire.ParseHealthInfo(payload)
-	if err != nil {
-		t.Fatalf("parsing HealthInfo: %v", err)
-	}
+	var hi wire.HealthInfo
+	c.ask(wire.THealth, &wire.TenantRef{}, &hi)
 	if hi.State != wire.StateHealthy || hi.Oracles != 1 {
 		t.Fatalf("server health = %+v, want healthy with 1 oracle", hi)
 	}
 
 	// Health of a tenant nobody loaded is a refusal, not a stall.
-	c.send(wire.THealth, wire.AppendHealth(nil, "unloaded"))
+	c.sendMsg(wire.THealth, &wire.TenantRef{Tenant: "unloaded"})
 	c.expectError(wire.CodeUnknownTenant)
 }
 
@@ -748,9 +759,9 @@ func TestProtocolFatalErrors(t *testing.T) {
 		if typ != wire.TError {
 			t.Fatalf("expected Error, got %s", typ)
 		}
-		code, _, perr := wire.ParseError(payload)
-		if perr != nil || code != wire.CodeBadVersion {
-			t.Fatalf("code = %v (parse err %v), want CodeBadVersion", code, perr)
+		var re wire.RemoteError
+		if perr := wire.Decode(typ, payload, &re); perr != nil || re.Code != wire.CodeBadVersion {
+			t.Fatalf("code = %v (parse err %v), want CodeBadVersion", re.Code, perr)
 		}
 	})
 
@@ -759,7 +770,7 @@ func TestProtocolFatalErrors(t *testing.T) {
 		c.send(wire.TPredictAt, wire.AppendPredictAt(nil, 99, 1))
 		c.expectError(wire.CodeUnknownSession)
 		// The server closes the connection after a fatal error.
-		if _, _, err := wire.ReadFrame(c.br, &c.buf); err == nil {
+		if _, _, err := wire.ReadFrame(c.BR, &c.In); err == nil {
 			t.Fatal("connection still open after fatal protocol error")
 		}
 	})

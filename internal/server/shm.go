@@ -47,53 +47,52 @@ func shmRefused(format string, args ...any) *protoErr {
 
 // shmSetup handles TShmSetup: validate the claimed geometry as untrusted
 // input, map the client's segment, and start the pump.
-func (c *conn) shmSetup(ss wire.ShmSetup) error {
+func (c *conn) shmSetup(ss *wire.ShmSetup) (wire.Message, error) {
 	if c.shm != nil {
-		return badFrame("duplicate ShmSetup")
+		return nil, badFrame("duplicate ShmSetup")
 	}
 	// Every field arrived off the wire; bound each one explicitly before it
 	// feeds any size arithmetic.
 	if ss.Rings < 1 || ss.Rings > transport.MaxRings {
-		return shmRefused("rings %d out of range 1..%d", ss.Rings, transport.MaxRings)
+		return nil, shmRefused("rings %d out of range 1..%d", ss.Rings, transport.MaxRings)
 	}
 	if ss.Slots < transport.MinSlots || ss.Slots > transport.MaxSlots {
-		return shmRefused("slots %d out of range %d..%d", ss.Slots, transport.MinSlots, transport.MaxSlots)
+		return nil, shmRefused("slots %d out of range %d..%d", ss.Slots, transport.MinSlots, transport.MaxSlots)
 	}
 	if ss.PredCap < 1 || ss.PredCap > transport.MaxPredCap {
-		return shmRefused("prediction capacity %d out of range 1..%d", ss.PredCap, transport.MaxPredCap)
+		return nil, shmRefused("prediction capacity %d out of range 1..%d", ss.PredCap, transport.MaxPredCap)
 	}
 	g := transport.Geometry{Rings: int(ss.Rings), Slots: int(ss.Slots), PredCap: int(ss.PredCap)}
 	if err := g.Validate(); err != nil {
-		return shmRefused("%v", err)
+		return nil, shmRefused("%v", err)
 	}
 	if ss.SegSize != uint64(g.SegmentSize()) {
-		return shmRefused("segment size %d disagrees with geometry (%d)", ss.SegSize, g.SegmentSize())
+		return nil, shmRefused("segment size %d disagrees with geometry (%d)", ss.SegSize, g.SegmentSize())
 	}
 	seg, err := transport.OpenSegment(ss.Path, g.SegmentSize())
 	if err != nil {
-		return shmRefused("%v", err)
+		return nil, shmRefused("%v", err)
 	}
 	if err := transport.ReadHeader(seg.Bytes(), g); err != nil {
 		c.closeRefusedSeg(seg)
-		return shmRefused("%v", err)
+		return nil, shmRefused("%v", err)
 	}
 	rings, err := transport.MapRings(seg.Bytes(), g)
 	if err != nil {
 		c.closeRefusedSeg(seg)
-		return shmRefused("%v", err)
+		return nil, shmRefused("%v", err)
 	}
 
-	sh := &connShm{seg: seg, rings: make([]shmRing, len(rings)), quit: make(chan struct{})}
+	sh := &connShm{seg: seg, rings: make([]shmRing, g.Rings), quit: make(chan struct{})}
 	for i := range rings {
 		sh.rings[i].r = &rings[i]
 	}
 	c.shm = sh
-	c.ringOf = make(map[uint32]int, len(rings))
+	c.ringOf = make(map[uint32]int, g.Rings)
 	sh.wg.Add(1)
 	go c.pumpShm(sh)
 
-	c.out = wire.AppendShmSetupOK(c.out[:0], uint32(len(rings)))
-	return wire.WriteFrame(c.bw, wire.TShmSetupOK, c.out)
+	return &wire.ShmSetupOK{Rings: uint32(len(rings))}, nil
 }
 
 // closeRefusedSeg unmaps a segment whose setup was refused after opening.
@@ -101,58 +100,57 @@ func (c *conn) shmSetup(ss wire.ShmSetup) error {
 // condition worth a log line but never a reason to kill the connection.
 func (c *conn) closeRefusedSeg(seg *transport.Segment) {
 	if err := seg.Close(); err != nil {
-		c.srv.logf("pythiad: closing refused shm segment for %s: %v", c.nc.RemoteAddr(), err)
+		c.srv.logf("pythiad: closing refused shm segment for %s: %v", c.NC.RemoteAddr(), err)
 	}
 }
 
 // shmBind handles TShmBind: route a session's submissions through a ring.
-func (c *conn) shmBind(sid, ring uint32) error {
+func (c *conn) shmBind(m *wire.SessionArg) (wire.Message, error) {
 	if c.shm == nil {
-		return badFrame("ShmBind before ShmSetup")
+		return nil, badFrame("ShmBind before ShmSetup")
 	}
-	th, perr := c.threadOf(sid)
+	s, perr := c.threadOf(m.Session)
 	if perr != nil {
-		return perr
+		return nil, perr
 	}
+	ring := m.Arg
 	if ring >= uint32(len(c.shm.rings)) {
-		return badFrame(fmt.Sprintf("ring %d out of range (%d rings)", ring, len(c.shm.rings)))
+		return nil, badFrame(fmt.Sprintf("ring %d out of range (%d rings)", ring, len(c.shm.rings)))
 	}
-	if _, dup := c.ringOf[sid]; dup {
-		return badFrame(fmt.Sprintf("session %d already ring-bound", sid))
+	if _, dup := c.ringOf[m.Session]; dup {
+		return nil, badFrame(fmt.Sprintf("session %d already ring-bound", m.Session))
 	}
 	r := &c.shm.rings[ring]
 	r.mu.Lock()
 	if r.th != nil {
 		r.mu.Unlock()
-		return badFrame(fmt.Sprintf("ring %d already bound", ring))
+		return nil, badFrame(fmt.Sprintf("ring %d already bound", ring))
 	}
-	r.th = th
-	r.applied = c.sessions[sid].applied
+	r.th = s.th
+	r.applied = s.applied
 	if r.scratch == nil {
 		r.scratch = make([]int32, scratchChunk)
 	}
 	r.subHorizon = 0
 	r.subEvery = 0
 	r.mu.Unlock()
-	c.ringOf[sid] = int(ring)
-
-	c.out = wire.AppendShmBound(c.out[:0], sid, ring)
-	return wire.WriteFrame(c.bw, wire.TShmBound, c.out)
+	c.ringOf[m.Session] = int(ring)
+	return m, nil
 }
 
 // shmSubscribe handles TSubscribe: keep the ring's prediction slot fresh.
 // The initial publish happens here, inside the same locked section, so the
 // client has predictions to read the moment Subscribed arrives.
-func (c *conn) shmSubscribe(sub wire.Subscribe) error {
+func (c *conn) shmSubscribe(sub *wire.Subscribe) (wire.Message, error) {
 	if c.shm == nil {
-		return badFrame("Subscribe before ShmSetup")
+		return nil, badFrame("Subscribe before ShmSetup")
 	}
 	if _, perr := c.threadOf(sub.Session); perr != nil {
-		return perr
+		return nil, perr
 	}
 	idx, bound := c.ringOf[sub.Session]
 	if !bound {
-		return badFrame(fmt.Sprintf("session %d not ring-bound", sub.Session))
+		return nil, badFrame(fmt.Sprintf("session %d not ring-bound", sub.Session))
 	}
 	horizon := int(sub.Horizon)
 	if horizon < 1 {
@@ -168,7 +166,7 @@ func (c *conn) shmSubscribe(sub wire.Subscribe) error {
 	}
 	if _, err := drainRingLocked(r); err != nil {
 		r.mu.Unlock()
-		return &protoErr{code: wire.CodeBadFrame, msg: err.Error(), fatal: true}
+		return nil, &protoErr{code: wire.CodeBadFrame, msg: err.Error(), fatal: true}
 	}
 	r.subHorizon = horizon
 	r.subEvery = uint64(sub.Every)
@@ -178,8 +176,7 @@ func (c *conn) shmSubscribe(sub wire.Subscribe) error {
 	publishLocked(r)
 	r.mu.Unlock()
 
-	c.out = wire.AppendSubscribed(c.out[:0], sub.Session)
-	return wire.WriteFrame(c.bw, wire.TSubscribed, c.out)
+	return &wire.SessionRef{Session: sub.Session}, nil
 }
 
 // enterSession orders a socket op on sid after everything its bound ring
@@ -243,11 +240,11 @@ func (c *conn) shmTeardown() {
 		_, err := drainRingLocked(r)
 		r.mu.Unlock()
 		if err != nil {
-			c.srv.logf("pythiad: final drain of shm ring %d of %s: %v", i, c.nc.RemoteAddr(), err)
+			c.srv.logf("pythiad: final drain of shm ring %d of %s: %v", i, c.NC.RemoteAddr(), err)
 		}
 	}
 	if err := c.shm.seg.Close(); err != nil {
-		c.srv.logf("pythiad: closing shm segment for %s: %v", c.nc.RemoteAddr(), err)
+		c.srv.logf("pythiad: closing shm segment for %s: %v", c.NC.RemoteAddr(), err)
 	}
 	c.shm = nil
 }
@@ -311,9 +308,9 @@ func (c *conn) pumpShm(sh *connShm) {
 			n, err := drainRingLocked(r)
 			r.mu.Unlock()
 			if err != nil {
-				c.srv.logf("pythiad: shm ring %d of %s: %v", i, c.nc.RemoteAddr(), err)
-				if cerr := c.nc.Close(); cerr != nil {
-					c.srv.logf("pythiad: closing %s after ring corruption: %v", c.nc.RemoteAddr(), cerr)
+				c.srv.logf("pythiad: shm ring %d of %s: %v", i, c.NC.RemoteAddr(), err)
+				if cerr := c.NC.Close(); cerr != nil {
+					c.srv.logf("pythiad: closing %s after ring corruption: %v", c.NC.RemoteAddr(), cerr)
 				}
 				return
 			}

@@ -187,23 +187,16 @@ func TestShmSetupRefusedFallsBack(t *testing.T) {
 		{Rings: 1, Slots: 64, PredCap: 1, SegSize: okSize, Path: "relative/path"},  // bad path
 		{Rings: 1, Slots: 64, PredCap: 1, SegSize: okSize, Path: "/nonexistent/x"}, // no file
 	}
-	for i, ss := range bad {
-		rc.send(wire.TShmSetup, wire.AppendShmSetup(nil, ss))
-		typ, payload := rc.recv()
-		if typ != wire.TError {
-			t.Fatalf("case %d: got %s frame, want Error", i, typ)
-		}
-		code, _, err := wire.ParseError(payload)
-		if err != nil || code != wire.CodeShmSetup {
-			t.Fatalf("case %d: code %v err %v, want CodeShmSetup", i, code, err)
+	for i := range bad {
+		rc.sendMsg(wire.TShmSetup, &bad[i])
+		var re wire.RemoteError
+		if rc.recvMsg(wire.TError, &re); re.Code != wire.CodeShmSetup {
+			t.Fatalf("case %d: code %v, want CodeShmSetup", i, re.Code)
 		}
 	}
 	// The connection survived every refusal.
 	sid := rc.openSession("synth", 0, 0)
-	rc.send(wire.TCloseSession, wire.AppendCloseSession(nil, sid))
-	if typ, _ := rc.recv(); typ != wire.TSessionClosed {
-		t.Fatalf("connection dead after shm refusals: got %s", typ)
-	}
+	rc.ask(wire.TCloseSession, &wire.SessionRef{Session: sid}, &wire.SessionRef{})
 
 	// Client-level: SharedMem over TCP never attempts shm and lands on tcp.
 	o, err := client.Connect(tcpAddr, "synth", client.Config{SharedMem: true})
@@ -240,27 +233,21 @@ func TestShmCorruptRingKillsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc.send(wire.TShmSetup, wire.AppendShmSetup(nil, wire.ShmSetup{
+	rc.ask(wire.TShmSetup, &wire.ShmSetup{
 		Rings: 1, Slots: 64, PredCap: 1,
 		SegSize: uint64(g.SegmentSize()), Path: seg.Path(),
-	}))
-	if typ, _ := rc.recv(); typ != wire.TShmSetupOK {
-		t.Fatalf("setup answered %s", typ)
-	}
+	}, &wire.ShmSetupOK{})
 	sid := rc.openSession("synth", 0, 0)
-	rc.send(wire.TShmBind, wire.AppendShmBind(nil, sid, 0))
-	if typ, _ := rc.recv(); typ != wire.TShmBound {
-		t.Fatalf("bind answered %s", typ)
-	}
+	rc.ask(wire.TShmBind, &wire.SessionArg{Session: sid, Arg: 0}, &wire.SessionArg{})
 
 	// Violate the SPSC invariant: tail claims more than the slot count.
 	rings[0].CorruptTailForTest(1000)
 
 	// The pump notices and closes the socket; the next read must fail.
-	if err := rc.nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := rc.NC.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.ReadFrame(rc.br, &rc.buf); err == nil {
+	if _, _, err := wire.ReadFrame(rc.BR, &rc.In); err == nil {
 		t.Fatal("connection stayed alive after ring corruption")
 	}
 	if !logged.Load() {

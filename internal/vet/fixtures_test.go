@@ -36,7 +36,10 @@ func expectAllInBadFile(t *testing.T, got []string) {
 // TestUntrustedSizeFixture seeds the PR 5 MaxPredictions incident class:
 // wire-decoded counts sizing allocations unchecked. The last two findings
 // are the PR 10 cluster frames in miniature — a shard-map daemon count and
-// a model-transfer payload size off a peer's frame.
+// a model-transfer payload size off a peer's frame — and the three after
+// them the frame-table serving path: a decoded message arriving as a
+// handler parameter, one filled in through a pointer, and a client-offered
+// ring geometry handed to the mapper.
 func TestUntrustedSizeFixture(t *testing.T) {
 	got := loadDiskFixture(t, "untrustedsize", UntrustedSize)
 	expectAllInBadFile(t, got)
@@ -47,6 +50,9 @@ func TestUntrustedSizeFixture(t *testing.T) {
 		"[untrusted-size] size slots from untrusted source binary.Uint64 reaches make",
 		"[untrusted-size] size n from untrusted source binary.Uint16 reaches make",
 		"[untrusted-size] size size from untrusted source binary.Uint32 reaches make",
+		"[untrusted-size] size m.Count from untrusted source wire message parameter m reaches make",
+		"[untrusted-size] size q.Count from untrusted source wire message q reaches make",
+		"[untrusted-size] size g from untrusted source wire message parameter m reaches transport.MapRings",
 	})
 }
 

@@ -62,11 +62,19 @@ type FlowFacts struct {
 	events []flowEvent
 }
 
+// TaintedName names a spelling that is untrusted from the top of the body
+// on — by where it comes from (a parameter), not by a call in the body.
+type TaintedName struct{ Name, Src string }
+
 // TrackFlow walks one function body in source order and records taint,
 // kill and guard events for every simple spelling (identifiers and
-// selector chains). sources classifies the taint origins.
-func TrackFlow(pass *Pass, body *ast.BlockStmt, sources SourceClassifier) *FlowFacts {
+// selector chains). sources classifies the taint origins; entry lists what
+// is already tainted when the body starts.
+func TrackFlow(pass *Pass, body *ast.BlockStmt, sources SourceClassifier, entry ...TaintedName) *FlowFacts {
 	ff := &FlowFacts{pass: pass}
+	for _, e := range entry {
+		ff.events = append(ff.events, flowEvent{pos: body.Pos(), kind: flowTaint, name: e.Name, src: e.Src})
+	}
 	ff.walk(body, sources)
 	return ff
 }

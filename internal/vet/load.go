@@ -111,7 +111,9 @@ func findModule(dir string) (root, modPath string, err error) {
 }
 
 // packageDirs lists every directory under root that contains .go files,
-// skipping hidden directories and testdata.
+// skipping hidden directories, testdata, and nested modules (a directory
+// with its own go.mod is not part of this module — the go tool's ./...
+// leaves it out too).
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -123,6 +125,9 @@ func packageDirs(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
 			return filepath.SkipDir
 		}
 		ents, err := os.ReadDir(path)

@@ -7,6 +7,9 @@ package fixture
 import (
 	"encoding/binary"
 	"io"
+
+	"fixture/transport"
+	"fixture/wire"
 )
 
 // DecodeRecords is the MaxPredictions incident in miniature: the record
@@ -56,4 +59,27 @@ func ReceiveModel(r io.Reader, hdr []byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// ServeQuery is the handler-table class: the request arrives already decoded,
+// as a wire message parameter, and its client-chosen count sizes the answer
+// unchecked.
+func ServeQuery(m *wire.Query) []uint64 {
+	return make([]uint64, m.Count) // seeded bug: unclamped message field
+}
+
+// ReadQuery is the same class on the reading side: the message is filled in
+// through a pointer, then trusted.
+func ReadQuery(p []byte) ([]uint64, error) {
+	var q wire.Query
+	if err := wire.Decode(p, &q); err != nil {
+		return nil, err
+	}
+	return make([]uint64, q.Count), nil // seeded bug: unclamped message field
+}
+
+// MapOffered hands a client-offered ring geometry to the mapper unchecked.
+func MapOffered(m *wire.Setup, seg []byte) [][]byte {
+	g := transport.Geometry{Rings: int(m.Rings), Slots: int(m.Slots)}
+	return transport.MapRings(seg, g) // seeded bug: unvalidated geometry
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+
+	"fixture/transport"
+	"fixture/wire"
 )
 
 const maxRecords = 1 << 12
@@ -101,4 +104,40 @@ func ReceiveModelChecked(r io.Reader, hdr []byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+const maxAnswers = 1 << 10
+
+// ServeQueryClamped is the corrected twin of ServeQuery.
+func ServeQueryClamped(m *wire.Query) []uint64 {
+	n := m.Count
+	if n > maxAnswers {
+		n = maxAnswers
+	}
+	return make([]uint64, n)
+}
+
+// ReadQueryChecked is the corrected twin of ReadQuery.
+func ReadQueryChecked(p []byte) ([]uint64, error) {
+	var q wire.Query
+	if err := wire.Decode(p, &q); err != nil {
+		return nil, err
+	}
+	if q.Count > maxAnswers {
+		return nil, errors.New("fixture: count exceeds the answer ceiling")
+	}
+	return make([]uint64, q.Count), nil
+}
+
+// MapOfferedValidated is the corrected twin of MapOffered: each geometry
+// field passes its range check before the geometry is built.
+func MapOfferedValidated(m *wire.Setup, seg []byte) ([][]byte, error) {
+	if m.Rings < 1 || m.Rings > maxRings {
+		return nil, errors.New("fixture: ring count out of range")
+	}
+	if m.Slots < 64 || m.Slots > maxSlots {
+		return nil, errors.New("fixture: slot count out of range")
+	}
+	g := transport.Geometry{Rings: int(m.Rings), Slots: int(m.Slots)}
+	return transport.MapRings(seg, g), nil
 }

@@ -2,6 +2,7 @@ package vet
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -15,14 +16,19 @@ import (
 //
 // Sources (see untrustedSource): encoding/binary reads (ByteOrder
 // accessors, Read, the varint readers), cursor reads in a package named
-// "wire" (the u8/u16/u32/u64/str payload accessors), and the wire Parse*
-// decoders whose results are raw frame fields.
+// "wire" (the u8/u16/u32/u64/str payload accessors), the wire Parse*
+// decoders whose results are raw frame fields, and wire message values —
+// the structs the wire codec decodes frames into. A message is untrusted
+// wherever it was filled in: a function that takes one as a parameter (the
+// daemon's request handlers) starts with it tainted, and a call handed the
+// address of one (Decode, Exchange, the client's call helper) taints it.
 //
 // Sinks (see runUntrustedSize): make() length/capacity arguments,
 // io.ReadFull / io.ReadAtLeast buffers sized by a tainted slice bound,
-// io.CopyN counts, and oracle Thread.PredictSequence /
-// PredictDurationUntil horizons (the core allocates the full horizon up
-// front — exactly the PR 5 allocation).
+// io.CopyN counts, oracle Thread.PredictSequence / PredictDurationUntil
+// horizons (the core allocates the full horizon up front — exactly the
+// PR 5 allocation), and the ring geometry handed to transport.MapRings
+// (it sizes the ring table and every ring's slot window).
 //
 // A value stops being a finding once it passes any relational comparison
 // against a non-zero bound, or a min/max clamp (see flow.go for the
@@ -40,7 +46,15 @@ func runUntrustedSize(pass *Pass) {
 		if fd.Body == nil || hasAnnotation(fd.Doc, "trusted-input") {
 			continue
 		}
-		ff := TrackFlow(pass, fd.Body, untrustedSource)
+		var params []TaintedName
+		for _, field := range fd.Type.Params.List {
+			if isWireMessage(pass.Pkg.Info.TypeOf(field.Type)) {
+				for _, name := range field.Names {
+					params = append(params, TaintedName{name.Name, "wire message parameter " + name.Name})
+				}
+			}
+		}
+		ff := TrackFlow(pass, fd.Body, untrustedSource, params...)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -66,17 +80,22 @@ func checkSizeSink(pass *Pass, ff *FlowFacts, call *ast.CallExpr) {
 		}
 	case *ast.SelectorExpr:
 		if id, ok := fun.X.(*ast.Ident); ok {
-			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "io" {
-				switch fun.Sel.Name {
-				case "ReadFull", "ReadAtLeast":
+			if pn, ok := info.Uses[id].(*types.PkgName); ok {
+				switch pn.Imported().Path() + "." + fun.Sel.Name {
+				case "io.ReadFull", "io.ReadAtLeast":
 					// The buffer argument's slice bound sizes the read.
 					if len(call.Args) >= 2 {
 						reportSliceBound(pass, ff, call.Args[1], "io."+fun.Sel.Name)
 					}
-				case "CopyN":
+				case "io.CopyN":
 					if len(call.Args) == 3 {
 						reportTaintedSize(pass, ff, call.Args[2], "io.CopyN")
 					}
+				}
+				// The geometry argument sizes the ring table and each
+				// ring's slot window.
+				if pn.Imported().Name() == "transport" && fun.Sel.Name == "MapRings" && len(call.Args) == 2 {
+					reportTaintedSize(pass, ff, call.Args[1], "transport.MapRings")
 				}
 				return
 			}
@@ -126,11 +145,22 @@ func reportSliceBound(pass *Pass, ff *FlowFacts, arg ast.Expr, sink string) {
 // untrustedSource classifies decode calls that yield attacker- or
 // file-controlled integers.
 func untrustedSource(pass *Pass, call *ast.CallExpr) (string, bool) {
+	info := pass.Pkg.Info
+
+	// A call handed the address of a wire message decodes a frame into it
+	// (taintByPointer then taints the variable).
+	for _, arg := range call.Args {
+		if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
+			if _, lit := ast.Unparen(un.X).(*ast.CompositeLit); !lit && isWireMessage(info.TypeOf(un.X)) {
+				return "wire message " + pass.ExprString(un.X), true
+			}
+		}
+	}
+
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
-	info := pass.Pkg.Info
 
 	// Qualified calls: binary.* and wire.Parse*.
 	if id, ok := sel.X.(*ast.Ident); ok {
@@ -186,4 +216,21 @@ func untrustedSource(pass *Pass, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// isWireMessage reports whether t is (a pointer to) a frame payload as the
+// wire codec decodes it: a type declared in a package named "wire" with the
+// codec's field-walk method.
+func isWireMessage(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Name() != "wire" {
+		return false
+	}
+	return types.NewMethodSet(types.NewPointer(n)).Lookup(n.Obj().Pkg(), "walk") != nil
 }

@@ -578,4 +578,11 @@ func TestLoadModuleSelf(t *testing.T) {
 	if len(mod.Packages) < 10 {
 		t.Fatalf("loaded only %d packages", len(mod.Packages))
 	}
+	// bench/ is a module of its own (go.mod, "repro/bench"): like the go
+	// tool's ./..., the scan must leave it out.
+	for _, pkg := range mod.Packages {
+		if pkg.Path == "repro/bench" {
+			t.Fatalf("nested module %s loaded as a package of %s", pkg.Dir, mod.ModPath)
+		}
+	}
 }

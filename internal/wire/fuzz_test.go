@@ -4,62 +4,23 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
-
-	"repro/internal/predictor"
 )
 
 // FuzzWireDecode feeds raw byte streams through the frame reader and every
-// payload parser. Truncated, torn, and version-skewed inputs must come back
+// frame's codec. Truncated, torn, and version-skewed inputs must come back
 // as errors — never a panic, and never an allocation sized from an
 // unvalidated length field. The final check pins the allocation bound: no
 // single decode may retain or request more than MaxFrame bytes.
 func FuzzWireDecode(f *testing.F) {
-	// Seed with one valid encoding of every frame type, plus torn variants.
-	seeds := [][]byte{
-		AppendHello(nil, HelloFlagResume),
-		AppendHelloOK(nil),
-		AppendHelloOKResume(nil, 0x1234, 15000),
-		AppendOpenSession(nil, OpenSession{TID: 2, Flags: FlagStartAtBeginning | FlagWantEvents, Tenant: "bt"}),
-		AppendSessionOpened(nil, SessionOpened{Session: 1, HasPredictor: true, Events: []string{"a", "b"}}),
-		AppendSubmit(nil, 1, 42),
-		AppendSubmitBatch(nil, 1, []int32{1, 2, 3}),
-		AppendPredictAt(nil, 1, 16),
-		AppendPredictSequence(nil, 1, 8),
-		AppendPrediction(nil, predictor.Prediction{EventID: 3, Probability: 0.5, Distance: 2, ExpectedNs: 100}, true),
-		AppendPredictions(nil, []predictor.Prediction{{EventID: 1}, {EventID: 2}}),
-		AppendHealth(nil, "bt"),
-		AppendHealthInfo(nil, HealthInfo{State: StateDegraded, Cause: "x"}),
-		AppendCloseSession(nil, 9),
-		AppendSessionClosed(nil, 9),
-		AppendError(nil, CodeDraining, "drain"),
-		AppendShmSetup(nil, ShmSetup{Rings: 4, Slots: 4096, PredCap: 32, SegSize: 1 << 20, Path: "/dev/shm/pythia-shm-x"}),
-		AppendShmSetupOK(nil, 4),
-		AppendShmBind(nil, 1, 0),
-		AppendShmBound(nil, 1, 0),
-		AppendSubscribe(nil, Subscribe{Session: 1, Horizon: 16, Every: 32}),
-		AppendSubscribed(nil, 1),
-		AppendErrorRetry(nil, CodeRetryLater, "shed", 250),
-		AppendResume(nil, 0xfeedface),
-		AppendResumed(nil, []ResumedSession{{Session: 0, Applied: 3}, {Session: 2, Applied: 9}}),
-		AppendReplay(nil, 1, 4, []int32{5, 6, 7}),
-		AppendReplayed(nil, 1, 7),
-		AppendModelInfo(nil, "bt"),
-		AppendModelInfoR(nil, ModelInfo{Enabled: true, State: ModelLearning, ServingGeneration: 3, Retained: []uint64{3, 2}}),
-		AppendPromote(nil, "bt"),
-		AppendPromoted(nil, 4),
-		AppendRollback(nil, "bt"),
-		AppendRolledBack(nil, 5),
-		AppendShardMap(nil, 7),
-		AppendShardMapR(nil, ShardMap{Epoch: 7, Replicas: 1, Daemons: []string{"127.0.0.1:9137", "127.0.0.1:9138"}}),
-		AppendFetchModel(nil, "bt"),
-		AppendOfferModel(nil, ModelOffer{Tenant: "bt", Generation: 9, Source: "127.0.0.1:9137", Payload: []byte{1, 2, 3, 4}}),
-		AppendModelAccepted(nil, true, 9),
-	}
+	// Seed with every golden payload — whole and torn — framed as every
+	// frame type in the table, so each codec also sees its neighbours'
+	// layouts.
+	golden := loadGolden(f)
 	for t := THello; t <= TModelAccepted; t++ {
-		for _, s := range seeds {
-			f.Add(uint8(t), frameBytes(t, s))
-			if len(s) > 0 {
-				f.Add(uint8(t), frameBytes(t, s[:len(s)/2])) // torn payload
+		for _, g := range golden {
+			f.Add(uint8(t), frameBytes(t, g.payload))
+			if len(g.payload) > 0 {
+				f.Add(uint8(t), frameBytes(t, g.payload[:len(g.payload)/2])) // torn payload
 			}
 		}
 	}
@@ -81,11 +42,11 @@ func FuzzWireDecode(f *testing.F) {
 			if len(payload)+1 > MaxFrame {
 				t.Fatalf("ReadFrame returned %d-byte payload past MaxFrame", len(payload))
 			}
-			exerciseParsers(t, typ, payload)
+			decodeAs(t, typ, payload)
 			// The first decoded frame also gets parsed as the fuzzer's
 			// chosen type, exercising type/payload mismatches.
 			if frames == 0 {
-				exerciseParsers(t, Type(firstType), payload)
+				decodeAs(t, Type(firstType), payload)
 			}
 		}
 		if cap(buf) > MaxFrame {
@@ -94,115 +55,20 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// exerciseParsers runs the payload through the parser for typ; any outcome
-// but a panic or an oversized result is acceptable.
-func exerciseParsers(t *testing.T, typ Type, payload []byte) {
+// decodeAs runs the payload through the codec the frame table names
+// for typ (none for an unknown type); any outcome but a panic or an
+// oversized result is acceptable. Oversized, for every frame alike: what was
+// decoded must encode back into no more bytes than the payload it came from
+// (one more for Hello, whose flags byte decoders may find absent but
+// encoders always write) — so no count or length field was honoured beyond
+// the bytes backing it.
+func decodeAs(t *testing.T, typ Type, payload []byte) {
 	t.Helper()
-	switch typ {
-	case THello:
-		_, _, _ = ParseHello(payload)
-	case THelloOK:
-		_, _, _, _ = ParseHelloOK(payload)
-	case TOpenSession:
-		_, _ = ParseOpenSession(payload)
-	case TSessionOpened:
-		so, err := ParseSessionOpened(payload)
-		if err == nil && len(so.Events) > len(payload) {
-			t.Fatalf("decoded %d event descriptors from a %d-byte payload", len(so.Events), len(payload))
-		}
-	case TSubmit:
-		_, _, _ = ParseSubmit(payload)
-	case TSubmitBatch:
-		s, b, err := ParseSubmitBatch(payload)
-		if err == nil && b.Len() > 0 {
-			_ = s
-			_ = b.At(0)
-			_ = b.At(b.Len() - 1)
-		}
-	case TPredictAt:
-		_, _, _ = ParsePredictAt(payload)
-	case TPrediction:
-		_, _, _ = ParsePrediction(payload)
-	case TPredictSequence:
-		_, _, _ = ParsePredictSequence(payload)
-	case TPredictions:
-		preds, err := ParsePredictions(payload)
-		if err == nil && len(preds)*24 > len(payload) {
-			t.Fatalf("decoded %d predictions from a %d-byte payload", len(preds), len(payload))
-		}
-	case THealth:
-		_, _ = ParseHealth(payload)
-	case THealthInfo:
-		_, _ = ParseHealthInfo(payload)
-	case TCloseSession:
-		_, _ = ParseCloseSession(payload)
-	case TSessionClosed:
-		_, _ = ParseSessionClosed(payload)
-	case TError:
-		_, _, _ = ParseError(payload)
-	case TShmSetup:
-		_, _ = ParseShmSetup(payload)
-	case TShmSetupOK:
-		_, _ = ParseShmSetupOK(payload)
-	case TShmBind:
-		_, _, _ = ParseShmBind(payload)
-	case TShmBound:
-		_, _, _ = ParseShmBound(payload)
-	case TSubscribe:
-		_, _ = ParseSubscribe(payload)
-	case TSubscribed:
-		_, _ = ParseSubscribed(payload)
-	case TResume:
-		_, _ = ParseResume(payload)
-	case TResumed:
-		rs, err := ParseResumed(payload)
-		if err == nil && len(rs)*12 > len(payload) {
-			t.Fatalf("decoded %d resumed sessions from a %d-byte payload", len(rs), len(payload))
-		}
-	case TReplay:
-		_, _, b, err := ParseReplay(payload)
-		if err == nil && b.Len() > 0 {
-			_ = b.At(0)
-			_ = b.At(b.Len() - 1)
-		}
-	case TReplayed:
-		_, _, _ = ParseReplayed(payload)
-	case THeartbeat:
-		_ = ParseHeartbeat(payload)
-	case THeartbeatAck:
-		_ = ParseHeartbeatAck(payload)
-	case TDetach:
-		_ = ParseDetach(payload)
-	case TModelInfo:
-		_, _ = ParseModelInfo(payload)
-	case TModelInfoR:
-		mi, err := ParseModelInfoR(payload)
-		if err == nil && len(mi.Retained)*8 > len(payload) {
-			t.Fatalf("decoded %d retained generations from a %d-byte payload", len(mi.Retained), len(payload))
-		}
-	case TPromote:
-		_, _ = ParsePromote(payload)
-	case TPromoted:
-		_, _ = ParsePromoted(payload)
-	case TRollback:
-		_, _ = ParseRollback(payload)
-	case TRolledBack:
-		_, _ = ParseRolledBack(payload)
-	case TShardMap:
-		_, _ = ParseShardMap(payload)
-	case TShardMapR:
-		sm, err := ParseShardMapR(payload)
-		if err == nil && len(sm.Daemons)*2 > len(payload) {
-			t.Fatalf("decoded %d daemon addresses from a %d-byte payload", len(sm.Daemons), len(payload))
-		}
-	case TFetchModel:
-		_, _ = ParseFetchModel(payload)
-	case TOfferModel:
-		om, err := ParseOfferModel(payload)
-		if err == nil && len(om.Payload) > len(payload) {
-			t.Fatalf("decoded a %d-byte model from a %d-byte payload", len(om.Payload), len(payload))
-		}
-	case TModelAccepted:
-		_, _, _ = ParseModelAccepted(payload)
+	if typ.Dir() == 0 {
+		return
+	}
+	got, err := recode(typ, payload)
+	if err == nil && len(got) > len(payload)+1 {
+		t.Fatalf("%s: a %d-byte payload decoded into %d bytes' worth of fields", typ, len(payload), len(got))
 	}
 }

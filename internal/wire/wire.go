@@ -1,6 +1,6 @@
-// Package wire defines pythiad's binary protocol: the framing and the
-// encode/decode routines for every message a client runtime exchanges with a
-// networked oracle daemon (cmd/pythiad, internal/server, pythia/client).
+// Package wire defines pythiad's binary protocol: the framing, the table of
+// frame types, and the encoding of every message a client runtime exchanges
+// with a networked oracle daemon (cmd/pythiad, internal/server, pythia/client).
 //
 // A connection carries a stream of length-prefixed frames:
 //
@@ -11,17 +11,20 @@
 //
 // The conversation starts with Hello/HelloOK (version negotiation); after
 // that the client opens per-(tenant, thread) sessions and submits events /
-// queries predictions on them. Submit and SubmitBatch are one-way — the
-// server answers nothing on success, which is what makes pipelined batch
+// queries predictions on them. Submit, SubmitBatch and Detach are one-way —
+// the server answers nothing on success, which is what makes pipelined batch
 // submission cheap; every other request frame is answered by exactly one
-// response frame (its success type, or Error), in request order.
+// response frame (the reply type its row of the frame table names, or
+// Error), in request order.
 //
-// Encode routines are append-style and allocation-free when the caller
-// reuses its buffer; decode routines never allocate beyond the decoded
-// values themselves and never trust a length field further than the bytes
-// actually present (a torn or hostile frame yields an error, not a panic or
-// an oversized allocation). The request hot path (Submit/SubmitBatch/
-// PredictAt) allocates nothing in either direction.
+// Each frame type is described once, by its row in the frame table (name,
+// direction, reply, message value), and each message once, by a field walk
+// that one codec runs in either direction: Append encodes, Decode reads
+// through a bounds-latching cursor that never trusts a length field further
+// than the bytes actually present (a torn or hostile frame yields an error,
+// not a panic or an oversized allocation). Only the request hot path
+// (Submit/SubmitBatch/PredictAt/Prediction) is written out by hand, because
+// it must allocate nothing in either direction.
 package wire
 
 import (
@@ -31,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"time"
 
 	"repro/internal/predictor"
 )
@@ -55,136 +60,157 @@ const MaxFrame = 1 << 22
 // the same guarantee MaxFrame gives on the decode side.
 const MaxPredictions = (MaxFrame - 5) / 24
 
+// MaxDaemons caps the daemon count of a decoded shard map. Fleets are tens
+// of daemons, not thousands.
+const MaxDaemons = 256
+
+// MaxModelBytes caps the serialized model carried by one TOfferModel frame,
+// leaving headroom inside MaxFrame for the frame's own header fields.
+const MaxModelBytes = MaxFrame - 512
+
 // Type identifies a frame.
 type Type uint8
 
-// Frame types. Requests flow client to server; responses server to client.
+// Frame types. The frame table below says which way each one flows, what
+// answers it and what its payload is; DESIGN.md §10 lists the fields.
 const (
-	THello           Type = 1  // c->s: magic, version
-	THelloOK         Type = 2  // s->c: version
-	TOpenSession     Type = 3  // c->s: tid, flags, tenant
-	TSessionOpened   Type = 4  // s->c: session, hasPredictor, state [, event table]
-	TSubmit          Type = 5  // c->s (one-way): session, event id
-	TSubmitBatch     Type = 6  // c->s (one-way): session, n, n event ids
-	TPredictAt       Type = 7  // c->s: session, distance
-	TPrediction      Type = 8  // s->c: ok, prediction
-	TPredictSequence Type = 9  // c->s: session, n
-	TPredictions     Type = 10 // s->c: k, k predictions
-	THealth          Type = 11 // c->s: tenant ("" = whole server)
-	THealthInfo      Type = 12 // s->c: state, oracle count, counters, cause
-	TCloseSession    Type = 13 // c->s: session
-	TSessionClosed   Type = 14 // s->c: session
-	TError           Type = 15 // s->c: code, message
-	TShmSetup        Type = 16 // c->s: ring geometry, segment size, segment path
-	TShmSetupOK      Type = 17 // s->c: rings accepted
-	TShmBind         Type = 18 // c->s: session, ring index
-	TShmBound        Type = 19 // s->c: session, ring index
-	TSubscribe       Type = 20 // c->s: session, horizon, refresh cadence
-	TSubscribed      Type = 21 // s->c: session
-	TResume          Type = 22 // c->s: resume token (must be the first frame after Hello)
-	TResumed         Type = 23 // s->c: per-session applied counters of the parked connection
-	TReplay          Type = 24 // c->s: session, base sequence, event ids (dedup'd server-side)
-	TReplayed        Type = 25 // s->c: session, applied counter after the replay
-	THeartbeat       Type = 26 // c->s: empty keepalive probe
-	THeartbeatAck    Type = 27 // s->c: empty keepalive answer
-	TDetach          Type = 28 // c->s (one-way): forget the resume token; close is final
-	TModelInfo       Type = 29 // c->s: tenant
-	TModelInfoR      Type = 30 // s->c: lifecycle state, serving generation, counters
-	TPromote         Type = 31 // c->s: tenant (force-promote the shadow model)
-	TPromoted        Type = 32 // s->c: minted generation
-	TRollback        Type = 33 // c->s: tenant (force-rollback to the previous generation)
-	TRolledBack      Type = 34 // s->c: minted generation
-	TShardMap        Type = 35 // c->s: caller's cached epoch (daemons gossip epochs with it too)
-	TShardMapR       Type = 36 // s->c: epoch, replica count, daemon addresses
-	TFetchModel      Type = 37 // c->s: tenant (pull the newest committed model generation)
-	TOfferModel      Type = 38 // s->c / d->d: tenant, generation, source, serialized model
-	TModelAccepted   Type = 39 // s->c: last-generation-wins verdict on an offered model
+	THello           Type = 1
+	THelloOK         Type = 2
+	TOpenSession     Type = 3
+	TSessionOpened   Type = 4
+	TSubmit          Type = 5
+	TSubmitBatch     Type = 6
+	TPredictAt       Type = 7
+	TPrediction      Type = 8
+	TPredictSequence Type = 9
+	TPredictions     Type = 10
+	THealth          Type = 11
+	THealthInfo      Type = 12
+	TCloseSession    Type = 13
+	TSessionClosed   Type = 14
+	TError           Type = 15
+	TShmSetup        Type = 16
+	TShmSetupOK      Type = 17
+	TShmBind         Type = 18
+	TShmBound        Type = 19
+	TSubscribe       Type = 20
+	TSubscribed      Type = 21
+	TResume          Type = 22
+	TResumed         Type = 23
+	TReplay          Type = 24
+	TReplayed        Type = 25
+	THeartbeat       Type = 26
+	THeartbeatAck    Type = 27
+	TDetach          Type = 28
+	TModelInfo       Type = 29
+	TModelInfoR      Type = 30
+	TPromote         Type = 31
+	TPromoted        Type = 32
+	TRollback        Type = 33
+	TRolledBack      Type = 34
+	TShardMap        Type = 35
+	TShardMapR       Type = 36
+	TFetchModel      Type = 37
+	TOfferModel      Type = 38
+	TModelAccepted   Type = 39
 )
+
+// Dir says which way a frame type flows.
+type Dir uint8
+
+// Frame directions.
+const (
+	ToServer Dir = iota + 1 // request: client (or peer daemon) to server
+	ToClient                // response: server to client
+	BothWays                // OfferModel: the answer to FetchModel and a daemon-to-daemon request
+)
+
+// frame is one row of the frame table: everything the protocol knows about
+// a frame type apart from its field layout, which is the walk method of the
+// message value msg returns.
+type frame struct {
+	name  string
+	dir   Dir
+	reply Type           // the frame that answers this one; 0 for one-way frames and for replies
+	msg   func() Message // a zero message value; nil for the hand-written hot-path frames
+}
+
+func msg[M any, P interface {
+	*M
+	Message
+}]() Message {
+	return P(new(M))
+}
+
+// frames is the frame table, indexed by Type (every Type has a row; the
+// unassigned ones are zero). Type.String, Type.Reply, New, the exchange
+// path's "which reply do I expect", the server's handler adaptor and every
+// table-driven test are answered from it.
+var frames = [math.MaxUint8 + 1]frame{
+	THello:           {"Hello", ToServer, THelloOK, msg[Hello]},
+	THelloOK:         {"HelloOK", ToClient, 0, msg[HelloOK]},
+	TOpenSession:     {"OpenSession", ToServer, TSessionOpened, msg[OpenSession]},
+	TSessionOpened:   {"SessionOpened", ToClient, 0, msg[SessionOpened]},
+	TSubmit:          {"Submit", ToServer, 0, nil},
+	TSubmitBatch:     {"SubmitBatch", ToServer, 0, nil},
+	TPredictAt:       {"PredictAt", ToServer, TPrediction, nil},
+	TPrediction:      {"Prediction", ToClient, 0, nil},
+	TPredictSequence: {"PredictSequence", ToServer, TPredictions, msg[SessionArg]},
+	TPredictions:     {"Predictions", ToClient, 0, msg[Predictions]},
+	THealth:          {"Health", ToServer, THealthInfo, msg[TenantRef]},
+	THealthInfo:      {"HealthInfo", ToClient, 0, msg[HealthInfo]},
+	TCloseSession:    {"CloseSession", ToServer, TSessionClosed, msg[SessionRef]},
+	TSessionClosed:   {"SessionClosed", ToClient, 0, msg[SessionRef]},
+	TError:           {"Error", ToClient, 0, msg[RemoteError]},
+	TShmSetup:        {"ShmSetup", ToServer, TShmSetupOK, msg[ShmSetup]},
+	TShmSetupOK:      {"ShmSetupOK", ToClient, 0, msg[ShmSetupOK]},
+	TShmBind:         {"ShmBind", ToServer, TShmBound, msg[SessionArg]},
+	TShmBound:        {"ShmBound", ToClient, 0, msg[SessionArg]},
+	TSubscribe:       {"Subscribe", ToServer, TSubscribed, msg[Subscribe]},
+	TSubscribed:      {"Subscribed", ToClient, 0, msg[SessionRef]},
+	TResume:          {"Resume", ToServer, TResumed, msg[Uint64]},
+	TResumed:         {"Resumed", ToClient, 0, msg[Resumed]},
+	TReplay:          {"Replay", ToServer, TReplayed, msg[Replay]},
+	TReplayed:        {"Replayed", ToClient, 0, msg[SessionApplied]},
+	THeartbeat:       {"Heartbeat", ToServer, THeartbeatAck, msg[Empty]},
+	THeartbeatAck:    {"HeartbeatAck", ToClient, 0, msg[Empty]},
+	TDetach:          {"Detach", ToServer, 0, msg[Empty]},
+	TModelInfo:       {"ModelInfo", ToServer, TModelInfoR, msg[TenantRef]},
+	TModelInfoR:      {"ModelInfoR", ToClient, 0, msg[ModelInfo]},
+	TPromote:         {"Promote", ToServer, TPromoted, msg[TenantRef]},
+	TPromoted:        {"Promoted", ToClient, 0, msg[Uint64]},
+	TRollback:        {"Rollback", ToServer, TRolledBack, msg[TenantRef]},
+	TRolledBack:      {"RolledBack", ToClient, 0, msg[Uint64]},
+	TShardMap:        {"ShardMap", ToServer, TShardMapR, msg[Uint64]},
+	TShardMapR:       {"ShardMapR", ToClient, 0, msg[ShardMap]},
+	TFetchModel:      {"FetchModel", ToServer, TOfferModel, msg[TenantRef]},
+	TOfferModel:      {"OfferModel", BothWays, TModelAccepted, msg[ModelOffer]},
+	TModelAccepted:   {"ModelAccepted", ToClient, 0, msg[ModelAccepted]},
+}
 
 // String names the frame type.
 func (t Type) String() string {
-	switch t {
-	case THello:
-		return "Hello"
-	case THelloOK:
-		return "HelloOK"
-	case TOpenSession:
-		return "OpenSession"
-	case TSessionOpened:
-		return "SessionOpened"
-	case TSubmit:
-		return "Submit"
-	case TSubmitBatch:
-		return "SubmitBatch"
-	case TPredictAt:
-		return "PredictAt"
-	case TPrediction:
-		return "Prediction"
-	case TPredictSequence:
-		return "PredictSequence"
-	case TPredictions:
-		return "Predictions"
-	case THealth:
-		return "Health"
-	case THealthInfo:
-		return "HealthInfo"
-	case TCloseSession:
-		return "CloseSession"
-	case TSessionClosed:
-		return "SessionClosed"
-	case TError:
-		return "Error"
-	case TShmSetup:
-		return "ShmSetup"
-	case TShmSetupOK:
-		return "ShmSetupOK"
-	case TShmBind:
-		return "ShmBind"
-	case TShmBound:
-		return "ShmBound"
-	case TSubscribe:
-		return "Subscribe"
-	case TSubscribed:
-		return "Subscribed"
-	case TResume:
-		return "Resume"
-	case TResumed:
-		return "Resumed"
-	case TReplay:
-		return "Replay"
-	case TReplayed:
-		return "Replayed"
-	case THeartbeat:
-		return "Heartbeat"
-	case THeartbeatAck:
-		return "HeartbeatAck"
-	case TDetach:
-		return "Detach"
-	case TModelInfo:
-		return "ModelInfo"
-	case TModelInfoR:
-		return "ModelInfoR"
-	case TPromote:
-		return "Promote"
-	case TPromoted:
-		return "Promoted"
-	case TRollback:
-		return "Rollback"
-	case TRolledBack:
-		return "RolledBack"
-	case TShardMap:
-		return "ShardMap"
-	case TShardMapR:
-		return "ShardMapR"
-	case TFetchModel:
-		return "FetchModel"
-	case TOfferModel:
-		return "OfferModel"
-	case TModelAccepted:
-		return "ModelAccepted"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
+	if name := frames[t].name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("Type(%d)", uint8(t))
+}
+
+// Dir reports which way the frame type flows (0 for an unknown type).
+func (t Type) Dir() Dir { return frames[t].dir }
+
+// Reply returns the frame type that answers t on success, 0 when t is
+// one-way or is itself a reply.
+func (t Type) Reply() Type { return frames[t].reply }
+
+// New returns a zero message value of the Go type that carries frame t, or
+// nil for an unknown type and for the hot-path frames (Submit, SubmitBatch,
+// PredictAt, Prediction), which have hand-written codecs instead.
+func New(t Type) Message {
+	if mk := frames[t].msg; mk != nil {
+		return mk()
+	}
+	return nil
 }
 
 // Code classifies a protocol Error frame.
@@ -212,7 +238,7 @@ const (
 	CodeShmSetup Code = 10
 	// CodeRetryLater sheds load: the server refused the request but the
 	// connection stays healthy; the Error payload may carry a retry-after
-	// hint in milliseconds (ParseErrorRetry). Never sent for Submit.
+	// hint in milliseconds (RemoteError.RetryAfterMs). Never sent for Submit.
 	CodeRetryLater Code = 11
 	// CodeNoResume answers a TResume whose token is unknown or expired.
 	// Non-fatal: the client re-opens its sessions fresh on this connection.
@@ -228,41 +254,35 @@ const (
 	CodeWrongShard Code = 14
 )
 
+var codeNames = [...]string{
+	CodeBadFrame:         "bad frame",
+	CodeBadVersion:       "bad version",
+	CodeUnknownTenant:    "unknown tenant",
+	CodeUnknownSession:   "unknown session",
+	CodeDuplicateSession: "duplicate session",
+	CodeSessionLimit:     "session limit",
+	CodeConnLimit:        "connection limit",
+	CodeDraining:         "draining",
+	CodeInternal:         "internal",
+	CodeShmSetup:         "shm setup refused",
+	CodeRetryLater:       "retry later",
+	CodeNoResume:         "no resumable state",
+	CodeLifecycle:        "lifecycle refused",
+	CodeWrongShard:       "wrong shard",
+}
+
 // String names the error code.
 func (c Code) String() string {
-	switch c {
-	case CodeBadFrame:
-		return "bad frame"
-	case CodeBadVersion:
-		return "bad version"
-	case CodeUnknownTenant:
-		return "unknown tenant"
-	case CodeUnknownSession:
-		return "unknown session"
-	case CodeDuplicateSession:
-		return "duplicate session"
-	case CodeSessionLimit:
-		return "session limit"
-	case CodeConnLimit:
-		return "connection limit"
-	case CodeDraining:
-		return "draining"
-	case CodeInternal:
-		return "internal"
-	case CodeShmSetup:
-		return "shm setup refused"
-	case CodeRetryLater:
-		return "retry later"
-	case CodeNoResume:
-		return "no resumable state"
-	case CodeLifecycle:
-		return "lifecycle refused"
-	case CodeWrongShard:
-		return "wrong shard"
-	default:
-		return fmt.Sprintf("Code(%d)", uint16(c))
+	if int(c) < len(codeNames) && codeNames[c] != "" {
+		return codeNames[c]
 	}
+	return fmt.Sprintf("Code(%d)", uint16(c))
 }
+
+// HelloFlagResume asks the server for a resume token: if granted, the
+// HelloOK response carries a nonzero token the client can present in a
+// TResume frame on a future connection to adopt its parked sessions.
+const HelloFlagResume uint8 = 1 << 0
 
 // OpenSession flag bits.
 const (
@@ -280,6 +300,13 @@ const (
 	StateHealthy     uint8 = 0
 	StateDegraded    uint8 = 1
 	StateQuarantined uint8 = 2
+)
+
+// Model lifecycle states on the wire (ModelInfo.State).
+const (
+	ModelFrozen   uint8 = 0
+	ModelLearning uint8 = 1
+	ModelWatching uint8 = 2
 )
 
 // Framing errors. ReadFrame returns io.EOF only for a connection closed
@@ -352,8 +379,7 @@ func WriteFrame(bw *bufio.Writer, t Type, payload []byte) error {
 }
 
 // ---------------------------------------------------------------------------
-// Append-style encoders. All return the extended buffer; pass buf[:0] of a
-// reused buffer for allocation-free encoding.
+// Field primitives: append-style writers and the latched-bounds cursor.
 
 func appendU16(buf []byte, v uint16) []byte { return append(buf, byte(v>>8), byte(v)) }
 
@@ -376,48 +402,287 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// Hello flag bits.
-const (
-	// HelloFlagResume asks the server for a resume token: if granted, the
-	// HelloOK response carries a nonzero token the client can present in a
-	// TResume frame on a future connection to adopt its parked sessions.
-	HelloFlagResume uint8 = 1 << 0
-)
-
-// AppendHello encodes a Hello payload.
-func AppendHello(buf []byte, flags uint8) []byte {
-	buf = appendU32(buf, helloMagic)
-	buf = appendU16(buf, Version)
-	return append(buf, flags)
+// cursor walks a payload; ok latches false on the first out-of-bounds read.
+type cursor struct {
+	p   []byte
+	off int
+	ok  bool
 }
 
-// AppendHelloOK encodes a HelloOK payload with no resume grant (token 0).
-func AppendHelloOK(buf []byte) []byte { return appendU16(buf, Version) }
+func newCursor(p []byte) cursor { return cursor{p: p, ok: true} }
 
-// AppendHelloOKResume encodes a HelloOK payload granting a resume token.
-// windowMs is how long a dropped connection's sessions stay parked.
-func AppendHelloOKResume(buf []byte, token uint64, windowMs uint32) []byte {
-	buf = appendU16(buf, Version)
-	buf = appendU64(buf, token)
-	return appendU32(buf, windowMs)
+// take returns the next n payload bytes. Past the end it latches ok false
+// and returns zero bytes instead, so the fixed-width readers need no
+// branch of their own; what they read then is discarded with the frame.
+func (c *cursor) take(n int) []byte {
+	if !c.ok || n > len(c.p)-c.off {
+		c.ok = false
+		return zeros[:min(n, len(zeros))]
+	}
+	b := c.p[c.off : c.off+n]
+	c.off += n
+	return b
 }
 
-// OpenSession is the decoded form of a TOpenSession payload.
+var zeros [8]byte
+
+func (c *cursor) u8() byte    { return c.take(1)[0] }
+func (c *cursor) u16() uint16 { return binary.BigEndian.Uint16(c.take(2)) }
+func (c *cursor) u32() uint32 { return binary.BigEndian.Uint32(c.take(4)) }
+func (c *cursor) u64() uint64 { return binary.BigEndian.Uint64(c.take(8)) }
+func (c *cursor) str() string { return string(c.take(int(c.u16()))) }
+
+// done reports whether the whole payload was consumed cleanly. Trailing
+// bytes are malformed: they would mask version-skewed encoders.
+func (c *cursor) done() bool { return c.ok && c.off == len(c.p) }
+
+func malformed(frame string) error { return fmt.Errorf("%w: %s", ErrMalformed, frame) }
+
+// ---------------------------------------------------------------------------
+// The two-way field codec.
+
+// Message is the payload of one cold-path frame: a struct whose walk method
+// visits its fields in wire order. Which frame types a message type carries
+// is the frame table's business, so frames with the same layout share one
+// Go type.
+type Message interface {
+	walk(c *codec)
+}
+
+// codec runs a message's field walk in one of two directions: encoding, each
+// visited field is appended to buf; decoding, each is read through the
+// cursor, whose latch (and err) settle the outcome once the walk is over.
+type codec struct {
+	enc bool
+	buf []byte
+	cursor
+	err error // a decoded value the protocol refuses (bad magic)
+}
+
+// Append encodes m onto buf and returns the extended buffer.
+func Append(buf []byte, m Message) []byte {
+	c := codec{enc: true, buf: buf}
+	m.walk(&c)
+	return c.buf
+}
+
+// Decode reads a frame-t payload into m, which must be a zero value of the
+// type New(t) returns. Every length field is checked against the bytes
+// present and any shortfall or trailing byte fails with ErrMalformed
+// (wrapped with the frame name).
+func Decode(t Type, p []byte, m Message) error {
+	c := codec{cursor: newCursor(p)}
+	m.walk(&c)
+	if !c.done() {
+		return malformed(t.String())
+	}
+	return c.err
+}
+
+func (c *codec) u8(v *uint8) {
+	if c.enc {
+		c.buf = append(c.buf, *v)
+	} else {
+		*v = c.cursor.u8()
+	}
+}
+
+func (c *codec) u16(v *uint16) {
+	if c.enc {
+		c.buf = appendU16(c.buf, *v)
+	} else {
+		*v = c.cursor.u16()
+	}
+}
+
+func (c *codec) u32(v *uint32) {
+	if c.enc {
+		c.buf = appendU32(c.buf, *v)
+	} else {
+		*v = c.cursor.u32()
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if c.enc {
+		c.buf = appendU64(c.buf, *v)
+	} else {
+		*v = c.cursor.u64()
+	}
+}
+
+func (c *codec) str(v *string) {
+	if c.enc {
+		c.buf = appendString(c.buf, *v)
+	} else {
+		*v = c.cursor.str()
+	}
+}
+
+func (c *codec) i32(v *int32) {
+	u := uint32(*v)
+	c.u32(&u)
+	*v = int32(u)
+}
+
+func (c *codec) i64(v *int64) {
+	u := uint64(*v)
+	c.u64(&u)
+	*v = int64(u)
+}
+
+func (c *codec) bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.u8(&b)
+	*v = b != 0
+}
+
+// prediction carries one prediction's fixed 24-byte layout.
+func (c *codec) prediction(pr *predictor.Prediction) {
+	if c.enc {
+		c.buf = appendPredictionBody(c.buf, *pr)
+	} else {
+		*pr = parsePredictionBody(&c.cursor)
+	}
+}
+
+// more reports whether an optional trailing field group is on the wire:
+// encoding, that is the caller's choice; decoding, it is there if bytes
+// remain. Hello, HelloOK and Error grew their tails this way, so a peer
+// that predates a tail still decodes.
+func (c *codec) more(present bool) bool {
+	if c.enc {
+		return present
+	}
+	return c.ok && c.off < len(c.p)
+}
+
+// count carries an element count, width bytes wide (2 or 4), and is the one
+// place a count read off the wire becomes trusted: decoding, it is refused —
+// latching the cursor — unless it is at most max and the bytes still unread
+// could hold that many elements of at least elemMin bytes each. Everything
+// in this package that sizes a slice from the wire sizes it from here.
+func (c *codec) count(n, width, elemMin, max int) int {
+	n16, n32 := uint16(n), uint32(n)
+	if width == 2 {
+		c.u16(&n16)
+		n = int(n16)
+	} else {
+		c.u32(&n32)
+		n = int(n32)
+	}
+	if !c.enc && (!c.ok || n < 0 || n > max || n > (len(c.p)-c.off)/elemMin) {
+		c.ok = false
+		return 0
+	}
+	return n
+}
+
+// list carries a counted sequence: its count (see count), then each element
+// through each. A decoded empty sequence is nil.
+func list[T any](c *codec, s *[]T, width, elemMin, max int, each func(*codec, *T)) {
+	n := c.count(len(*s), width, elemMin, max)
+	if !c.enc {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+	for i := range *s {
+		each(c, &(*s)[i])
+	}
+}
+
+// blob carries a uint32 length-prefixed byte string. Decoded, it aliases
+// the payload: no copy, valid until the frame buffer is reused.
+func (c *codec) blob(b *[]byte, max int) {
+	n := c.count(len(*b), 4, 1, max)
+	if c.enc {
+		c.buf = append(c.buf, *b...)
+		return
+	}
+	*b = c.p[c.off : c.off+n]
+	c.off += n
+}
+
+// ---------------------------------------------------------------------------
+// Messages. Field order in each walk is the wire order.
+
+// Hello opens the conversation: magic, version, flags. The flags byte is
+// optional on the wire (absent from version-1 clients that predate resume).
+type Hello struct {
+	Version uint16
+	Flags   uint8 // HelloFlag bits
+}
+
+func (m *Hello) walk(c *codec) {
+	magic := helloMagic
+	c.u32(&magic)
+	c.u16(&m.Version)
+	if c.more(true) {
+		c.u8(&m.Flags)
+	}
+	if magic != helloMagic {
+		c.err = ErrBadMagic
+	}
+}
+
+// HelloOK answers Hello. Token is zero when the server granted no resume
+// capability (the short, version-only form); WindowMs is how long a dropped
+// connection's sessions stay parked.
+type HelloOK struct {
+	Version  uint16
+	Token    uint64
+	WindowMs uint32
+}
+
+func (m *HelloOK) walk(c *codec) {
+	c.u16(&m.Version)
+	if c.more(m.Token != 0) {
+		c.u64(&m.Token)
+		c.u32(&m.WindowMs)
+	}
+}
+
+// RemoteError is an Error frame: the server's answer to a request it
+// refuses, and the typed error the exchange path returns for one.
+type RemoteError struct {
+	Code Code
+	Msg  string
+	// RetryAfterMs is the server's backoff hint on CodeRetryLater
+	// responses (0, and absent from the wire, when the server sent none).
+	RetryAfterMs uint32
+}
+
+func (e *RemoteError) Error() string { return fmt.Sprintf("pythiad: %s: %s", e.Code, e.Msg) }
+
+func (e *RemoteError) walk(c *codec) {
+	c.u16((*uint16)(&e.Code))
+	c.str(&e.Msg)
+	if c.more(e.RetryAfterMs != 0) {
+		c.u32(&e.RetryAfterMs)
+	}
+}
+
+// OpenSession asks for a (tenant, thread) session; TID < 0 opens a meta
+// session that only pins the tenant and fetches its event table.
 type OpenSession struct {
 	TID    int32
 	Flags  uint8
 	Tenant string
 }
 
-// AppendOpenSession encodes an OpenSession payload.
-func AppendOpenSession(buf []byte, o OpenSession) []byte {
-	buf = appendU32(buf, uint32(o.TID))
-	buf = append(buf, o.Flags)
-	return appendString(buf, o.Tenant)
+func (m *OpenSession) walk(c *codec) {
+	c.i32(&m.TID)
+	c.u8(&m.Flags)
+	c.str(&m.Tenant)
 }
 
-// SessionOpened is the decoded form of a TSessionOpened payload. Events is
-// nil unless the request carried FlagWantEvents.
+// SessionOpened answers OpenSession. Events is nil unless the request
+// carried FlagWantEvents.
 type SessionOpened struct {
 	Session      uint32
 	HasPredictor bool
@@ -425,24 +690,249 @@ type SessionOpened struct {
 	Events       []string
 }
 
-// AppendSessionOpened encodes a SessionOpened payload.
-func AppendSessionOpened(buf []byte, so SessionOpened) []byte {
-	buf = appendU32(buf, so.Session)
-	hp := byte(0)
-	if so.HasPredictor {
-		hp = 1
+func (m *SessionOpened) walk(c *codec) {
+	c.u32(&m.Session)
+	c.bool(&m.HasPredictor)
+	c.u8(&m.State)
+	hasTable := m.Events != nil
+	c.bool(&hasTable)
+	if hasTable {
+		// Each descriptor takes at least its 2-byte length prefix.
+		list(c, &m.Events, 4, 2, MaxFrame, (*codec).str)
+		if m.Events == nil {
+			m.Events = []string{}
+		}
 	}
-	buf = append(buf, hp, so.State)
-	if so.Events == nil {
-		return append(buf, 0)
-	}
-	buf = append(buf, 1)
-	buf = appendU32(buf, uint32(len(so.Events)))
-	for _, e := range so.Events {
-		buf = appendString(buf, e)
-	}
-	return buf
 }
+
+// SessionRef names one session: CloseSession, SessionClosed, Subscribed.
+type SessionRef struct{ Session uint32 }
+
+func (m *SessionRef) walk(c *codec) { c.u32(&m.Session) }
+
+// SessionArg is a session and one 32-bit argument: PredictSequence (the
+// count, an int32 on the wire), ShmBind and ShmBound (the ring index).
+type SessionArg struct{ Session, Arg uint32 }
+
+func (m *SessionArg) walk(c *codec) {
+	c.u32(&m.Session)
+	c.u32(&m.Arg)
+}
+
+// TenantRef names one tenant ("" = the whole server, for Health): Health,
+// ModelInfo, Promote, Rollback, FetchModel.
+type TenantRef struct{ Tenant string }
+
+func (m *TenantRef) walk(c *codec) { c.str(&m.Tenant) }
+
+// Uint64 is one 64-bit value: Resume (the token), Promoted and RolledBack
+// (the minted generation), ShardMap (the caller's cached epoch).
+type Uint64 struct{ V uint64 }
+
+func (m *Uint64) walk(c *codec) { c.u64(&m.V) }
+
+// Empty is the payload of Heartbeat, HeartbeatAck and Detach.
+type Empty struct{}
+
+func (*Empty) walk(*codec) {}
+
+// Predictions answers PredictSequence.
+type Predictions struct{ Preds []predictor.Prediction }
+
+func (m *Predictions) walk(c *codec) {
+	list(c, &m.Preds, 4, 24, MaxPredictions, (*codec).prediction)
+}
+
+// HealthInfo answers Health: the aggregate degradation state of one
+// tenant's live oracles (or of the whole server).
+type HealthInfo struct {
+	State              uint8
+	Oracles            uint32
+	PanicsContained    int64
+	BudgetBreaches     int64
+	QuarantinedThreads int64
+	CheckpointFailures int64
+	Promotions         int64
+	Rollbacks          int64
+	Cause              string
+}
+
+func (m *HealthInfo) walk(c *codec) {
+	c.u8(&m.State)
+	c.u32(&m.Oracles)
+	c.i64(&m.PanicsContained)
+	c.i64(&m.BudgetBreaches)
+	c.i64(&m.QuarantinedThreads)
+	c.i64(&m.CheckpointFailures)
+	c.i64(&m.Promotions)
+	c.i64(&m.Rollbacks)
+	c.str(&m.Cause)
+}
+
+// ShmSetup offers a shared-memory segment (transport tier 3): the ring
+// geometry and the segment file carrying it. SegSize is redundant with the
+// geometry (the server recomputes and compares) — a cheap cross-check that
+// the two sides agree on layout arithmetic before either maps a byte.
+// Everything in it is untrusted input on the receiving side.
+type ShmSetup struct {
+	Rings   uint32
+	Slots   uint32
+	PredCap uint32
+	SegSize uint64
+	Path    string
+}
+
+func (m *ShmSetup) walk(c *codec) {
+	c.u32(&m.Rings)
+	c.u32(&m.Slots)
+	c.u32(&m.PredCap)
+	c.u64(&m.SegSize)
+	c.str(&m.Path)
+}
+
+// ShmSetupOK answers ShmSetup with the ring count the server mapped.
+type ShmSetupOK struct{ Rings uint32 }
+
+func (m *ShmSetupOK) walk(c *codec) { c.u32(&m.Rings) }
+
+// Subscribe asks the server to keep the session's ring prediction slot
+// fresh: after every `Every` consumed events it republishes
+// PredictSequence(Horizon) into the seqlock'd slot, so a co-located client
+// reads the latest predictions without a round trip.
+type Subscribe struct {
+	Session uint32
+	Horizon uint32 // predictions per refresh (clamped to the ring's PredCap)
+	Every   uint32 // refresh cadence in consumed events (0 = every decode pass)
+}
+
+func (m *Subscribe) walk(c *codec) {
+	c.u32(&m.Session)
+	c.u32(&m.Horizon)
+	c.u32(&m.Every)
+}
+
+// SessionApplied reports a session's applied event counter — the number of
+// events the server has fed into it since it was opened. It is the Replayed
+// payload and one entry of Resumed.
+type SessionApplied struct {
+	Session uint32
+	Applied uint64
+}
+
+func (m *SessionApplied) walk(c *codec) {
+	c.u32(&m.Session)
+	c.u64(&m.Applied)
+}
+
+// Resumed answers Resume: the re-attached sessions (ids unchanged from the
+// parked connection), so the client can replay only its unacked tail.
+type Resumed struct{ Sessions []SessionApplied }
+
+func (m *Resumed) walk(c *codec) {
+	list(c, &m.Sessions, 4, 12, MaxFrame, func(c *codec, s *SessionApplied) { s.walk(c) })
+}
+
+// Replay re-delivers events after a resume: IDs are the session's events
+// with sequence numbers Base, Base+1, … (1-based per server session); the
+// server drops anything at or below its applied counter.
+type Replay struct {
+	Session uint32
+	Base    uint64
+	IDs     []int32
+}
+
+func (m *Replay) walk(c *codec) {
+	c.u32(&m.Session)
+	c.u64(&m.Base)
+	list(c, &m.IDs, 4, 4, MaxFrame, (*codec).i32)
+}
+
+// ModelInfo answers a ModelInfo request (frame ModelInfoR): one tenant's
+// model-lifecycle snapshot.
+type ModelInfo struct {
+	// Enabled reports whether the tenant's oracle learns online.
+	Enabled bool
+	// State is ModelFrozen, ModelLearning or ModelWatching.
+	State uint8
+	// ServingGeneration is the generation number of the serving model.
+	ServingGeneration uint64
+	// Promotions, Rollbacks and ShadowEpochs are the lifetime counters.
+	Promotions   uint64
+	Rollbacks    uint64
+	ShadowEpochs uint64
+	// Retained lists the generation numbers held in memory, serving first.
+	Retained []uint64
+}
+
+func (m *ModelInfo) walk(c *codec) {
+	c.bool(&m.Enabled)
+	c.u8(&m.State)
+	c.u64(&m.ServingGeneration)
+	c.u64(&m.Promotions)
+	c.u64(&m.Rollbacks)
+	c.u64(&m.ShadowEpochs)
+	list(c, &m.Retained, 2, 8, math.MaxUint16, (*codec).u64)
+}
+
+// ShardMap answers a ShardMap request (frame ShardMapR): one epoch of the
+// fleet's tenant→daemon assignment inputs. Daemons is empty on a daemon
+// that is not running in cluster mode.
+type ShardMap struct {
+	// Epoch versions the assignment; higher epochs win fleet-wide.
+	Epoch uint64
+	// Replicas is how many warm replicas (beyond the owner) each tenant
+	// keeps.
+	Replicas uint8
+	// Daemons lists every fleet member's advertised address.
+	Daemons []string
+}
+
+func (m *ShardMap) walk(c *codec) {
+	c.u64(&m.Epoch)
+	c.u8(&m.Replicas)
+	list(c, &m.Daemons, 2, 2, MaxDaemons, (*codec).str)
+}
+
+// ModelOffer is an OfferModel payload: one tenant's newest committed model
+// generation in transit between daemons (either the response to a
+// FetchModel pull or an unsolicited migration/replication push).
+type ModelOffer struct {
+	// Tenant names the model's tenant.
+	Tenant string
+	// Generation is the checkpoint generation the payload was committed as;
+	// receivers resolve conflicts last-generation-wins without decoding.
+	Generation uint64
+	// Source is the advertised address of the daemon the model came from
+	// (recorded as the installed generation's ReplicatedFrom provenance).
+	Source string
+	// Payload is the tracefile serialization of the model. Decoded, it
+	// aliases the frame read buffer: use or copy it before the next read.
+	Payload []byte
+}
+
+func (m *ModelOffer) walk(c *codec) {
+	c.str(&m.Tenant)
+	c.u64(&m.Generation)
+	c.str(&m.Source)
+	c.blob(&m.Payload, MaxModelBytes)
+}
+
+// ModelAccepted is the last-generation-wins verdict on an offered model:
+// whether it was installed, and the generation the receiver now holds (its
+// own, newer one on a rejection).
+type ModelAccepted struct {
+	Accepted bool
+	HaveGen  uint64
+}
+
+func (m *ModelAccepted) walk(c *codec) {
+	c.bool(&m.Accepted)
+	c.u64(&m.HaveGen)
+}
+
+// ---------------------------------------------------------------------------
+// The hot path, written out by hand: these run per event or per query and
+// must not allocate, which a walk through the Message interface would.
 
 // AppendSubmit encodes a Submit payload.
 // pythia:hotpath — per-event on the client submit path.
@@ -469,12 +959,6 @@ func AppendPredictAt(buf []byte, session uint32, distance int) []byte {
 	return appendU32(buf, uint32(distance))
 }
 
-// AppendPredictSequence encodes a PredictSequence payload.
-func AppendPredictSequence(buf []byte, session uint32, n int) []byte {
-	buf = appendU32(buf, session)
-	return appendU32(buf, uint32(n))
-}
-
 // appendPredictionBody encodes one prediction's fixed 24-byte layout.
 func appendPredictionBody(buf []byte, pr predictor.Prediction) []byte {
 	buf = appendU32(buf, uint32(pr.EventID))
@@ -494,204 +978,6 @@ func AppendPrediction(buf []byte, pr predictor.Prediction, ok bool) []byte {
 	}
 	buf = append(buf, okb)
 	return appendPredictionBody(buf, pr)
-}
-
-// AppendPredictions encodes a Predictions response payload.
-func AppendPredictions(buf []byte, preds []predictor.Prediction) []byte {
-	buf = appendU32(buf, uint32(len(preds)))
-	for _, pr := range preds {
-		buf = appendPredictionBody(buf, pr)
-	}
-	return buf
-}
-
-// AppendHealth encodes a Health request payload.
-func AppendHealth(buf []byte, tenant string) []byte { return appendString(buf, tenant) }
-
-// HealthInfo is the decoded form of a THealthInfo payload: the aggregate
-// degradation state of one tenant's live oracles (or of the whole server
-// when queried with an empty tenant name).
-type HealthInfo struct {
-	State              uint8
-	Oracles            uint32
-	PanicsContained    int64
-	BudgetBreaches     int64
-	QuarantinedThreads int64
-	CheckpointFailures int64
-	Promotions         int64
-	Rollbacks          int64
-	Cause              string
-}
-
-// AppendHealthInfo encodes a HealthInfo payload.
-func AppendHealthInfo(buf []byte, hi HealthInfo) []byte {
-	buf = append(buf, hi.State)
-	buf = appendU32(buf, hi.Oracles)
-	buf = appendU64(buf, uint64(hi.PanicsContained))
-	buf = appendU64(buf, uint64(hi.BudgetBreaches))
-	buf = appendU64(buf, uint64(hi.QuarantinedThreads))
-	buf = appendU64(buf, uint64(hi.CheckpointFailures))
-	buf = appendU64(buf, uint64(hi.Promotions))
-	buf = appendU64(buf, uint64(hi.Rollbacks))
-	return appendString(buf, hi.Cause)
-}
-
-// AppendCloseSession encodes a CloseSession payload.
-func AppendCloseSession(buf []byte, session uint32) []byte { return appendU32(buf, session) }
-
-// AppendSessionClosed encodes a SessionClosed payload.
-func AppendSessionClosed(buf []byte, session uint32) []byte { return appendU32(buf, session) }
-
-// AppendError encodes an Error payload.
-func AppendError(buf []byte, code Code, msg string) []byte {
-	buf = appendU16(buf, uint16(code))
-	return appendString(buf, msg)
-}
-
-// ---------------------------------------------------------------------------
-// Decoders. Every decoder validates length fields against the bytes present
-// and fails with ErrMalformed (wrapped with the frame name) on any shortfall.
-
-// cursor walks a payload; ok latches false on the first out-of-bounds read.
-type cursor struct {
-	p   []byte
-	off int
-	ok  bool
-}
-
-func newCursor(p []byte) cursor { return cursor{p: p, ok: true} }
-
-func (c *cursor) u8() byte {
-	if !c.ok || c.off+1 > len(c.p) {
-		c.ok = false
-		return 0
-	}
-	v := c.p[c.off]
-	c.off++
-	return v
-}
-
-func (c *cursor) u16() uint16 {
-	if !c.ok || c.off+2 > len(c.p) {
-		c.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint16(c.p[c.off:])
-	c.off += 2
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if !c.ok || c.off+4 > len(c.p) {
-		c.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint32(c.p[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if !c.ok || c.off+8 > len(c.p) {
-		c.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint64(c.p[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) str() string {
-	n := int(c.u16())
-	if !c.ok || c.off+n > len(c.p) {
-		c.ok = false
-		return ""
-	}
-	s := string(c.p[c.off : c.off+n])
-	c.off += n
-	return s
-}
-
-// done reports whether the whole payload was consumed cleanly. Trailing
-// bytes are malformed: they would mask version-skewed encoders.
-func (c *cursor) done() bool { return c.ok && c.off == len(c.p) }
-
-func malformed(frame string) error { return fmt.Errorf("%w: %s", ErrMalformed, frame) }
-
-// ParseHello decodes a THello payload and checks magic and version. The
-// flags byte is optional on the wire (absent from version-1 clients that
-// predate resume); a missing byte decodes as zero flags.
-func ParseHello(p []byte) (version uint16, flags uint8, err error) {
-	c := newCursor(p)
-	magic := c.u32()
-	version = c.u16()
-	if c.off < len(p) {
-		flags = c.u8()
-	}
-	if !c.done() {
-		return 0, 0, malformed("Hello")
-	}
-	if magic != helloMagic {
-		return 0, 0, ErrBadMagic
-	}
-	return version, flags, nil
-}
-
-// ParseHelloOK decodes a THelloOK payload. token is zero when the server
-// granted no resume capability (the short, version-only form).
-func ParseHelloOK(p []byte) (version uint16, token uint64, windowMs uint32, err error) {
-	c := newCursor(p)
-	version = c.u16()
-	if c.off < len(p) {
-		token = c.u64()
-		windowMs = c.u32()
-	}
-	if !c.done() {
-		return 0, 0, 0, malformed("HelloOK")
-	}
-	return version, token, windowMs, nil
-}
-
-// ParseOpenSession decodes a TOpenSession payload.
-func ParseOpenSession(p []byte) (OpenSession, error) {
-	c := newCursor(p)
-	var o OpenSession
-	o.TID = int32(c.u32())
-	o.Flags = c.u8()
-	o.Tenant = c.str()
-	if !c.done() {
-		return OpenSession{}, malformed("OpenSession")
-	}
-	return o, nil
-}
-
-// ParseSessionOpened decodes a TSessionOpened payload.
-func ParseSessionOpened(p []byte) (SessionOpened, error) {
-	c := newCursor(p)
-	var so SessionOpened
-	so.Session = c.u32()
-	so.HasPredictor = c.u8() != 0
-	so.State = c.u8()
-	hasTable := c.u8()
-	if hasTable != 0 {
-		n := int(c.u32())
-		// Each descriptor takes at least its 2-byte length prefix, so a
-		// count larger than the remaining bytes/2 cannot be honest.
-		if !c.ok || n > (len(p)-c.off)/2 {
-			return SessionOpened{}, malformed("SessionOpened")
-		}
-		so.Events = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			so.Events = append(so.Events, c.str())
-		}
-		if so.Events == nil {
-			so.Events = []string{}
-		}
-	}
-	if !c.done() {
-		return SessionOpened{}, malformed("SessionOpened")
-	}
-	return so, nil
 }
 
 // ParseSubmit decodes a TSubmit payload.
@@ -747,17 +1033,6 @@ func ParsePredictAt(p []byte) (session uint32, distance int, err error) {
 	return session, distance, nil
 }
 
-// ParsePredictSequence decodes a TPredictSequence payload.
-func ParsePredictSequence(p []byte) (session uint32, n int, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	n = int(int32(c.u32()))
-	if !c.done() {
-		return 0, 0, malformed("PredictSequence")
-	}
-	return session, n, nil
-}
-
 // parsePredictionBody decodes one prediction's fixed 24-byte layout.
 func parsePredictionBody(c *cursor) predictor.Prediction {
 	var pr predictor.Prediction
@@ -779,659 +1054,120 @@ func ParsePrediction(p []byte) (pr predictor.Prediction, ok bool, err error) {
 	return pr, okb != 0, nil
 }
 
+// Value-style shorthands over the codec for callers that build or read one
+// payload outside an exchange (the benchmark's frame probes, protocol tests).
+
+// AppendHello encodes a Hello payload for this build's Version.
+func AppendHello(buf []byte, flags uint8) []byte {
+	return Append(buf, &Hello{Version: Version, Flags: flags})
+}
+
+// AppendOpenSession encodes an OpenSession payload.
+func AppendOpenSession(buf []byte, o OpenSession) []byte { return Append(buf, &o) }
+
+// ParseSessionOpened decodes a TSessionOpened payload.
+func ParseSessionOpened(p []byte) (SessionOpened, error) {
+	var so SessionOpened
+	err := Decode(TSessionOpened, p, &so)
+	return so, err
+}
+
+// AppendPredictSequence encodes a PredictSequence payload.
+func AppendPredictSequence(buf []byte, session uint32, n int) []byte {
+	return Append(buf, &SessionArg{Session: session, Arg: uint32(n)})
+}
+
 // ParsePredictions decodes a TPredictions payload.
 func ParsePredictions(p []byte) ([]predictor.Prediction, error) {
-	c := newCursor(p)
-	n := int(c.u32())
-	if !c.ok || n > (len(p)-c.off)/24 {
-		return nil, malformed("Predictions")
-	}
-	if n == 0 {
-		if !c.done() {
-			return nil, malformed("Predictions")
-		}
-		return nil, nil
-	}
-	preds := make([]predictor.Prediction, 0, n)
-	for i := 0; i < n; i++ {
-		preds = append(preds, parsePredictionBody(&c))
-	}
-	if !c.done() {
-		return nil, malformed("Predictions")
-	}
-	return preds, nil
-}
-
-// ParseHealth decodes a THealth payload.
-func ParseHealth(p []byte) (tenant string, err error) {
-	c := newCursor(p)
-	tenant = c.str()
-	if !c.done() {
-		return "", malformed("Health")
-	}
-	return tenant, nil
-}
-
-// ParseHealthInfo decodes a THealthInfo payload.
-func ParseHealthInfo(p []byte) (HealthInfo, error) {
-	c := newCursor(p)
-	var hi HealthInfo
-	hi.State = c.u8()
-	hi.Oracles = c.u32()
-	hi.PanicsContained = int64(c.u64())
-	hi.BudgetBreaches = int64(c.u64())
-	hi.QuarantinedThreads = int64(c.u64())
-	hi.CheckpointFailures = int64(c.u64())
-	hi.Promotions = int64(c.u64())
-	hi.Rollbacks = int64(c.u64())
-	hi.Cause = c.str()
-	if !c.done() {
-		return HealthInfo{}, malformed("HealthInfo")
-	}
-	return hi, nil
-}
-
-// ParseCloseSession decodes a TCloseSession payload.
-func ParseCloseSession(p []byte) (session uint32, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	if !c.done() {
-		return 0, malformed("CloseSession")
-	}
-	return session, nil
-}
-
-// ParseSessionClosed decodes a TSessionClosed payload.
-func ParseSessionClosed(p []byte) (session uint32, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	if !c.done() {
-		return 0, malformed("SessionClosed")
-	}
-	return session, nil
-}
-
-// AppendErrorRetry encodes an Error payload carrying a retry-after hint in
-// milliseconds (used with CodeRetryLater when the server sheds load).
-func AppendErrorRetry(buf []byte, code Code, msg string, retryMs uint32) []byte {
-	buf = appendU16(buf, uint16(code))
-	buf = appendString(buf, msg)
-	return appendU32(buf, retryMs)
-}
-
-// ParseError decodes a TError payload, tolerating (and discarding) a
-// trailing retry-after hint.
-func ParseError(p []byte) (code Code, msg string, err error) {
-	code, msg, _, err = ParseErrorRetry(p)
-	return code, msg, err
-}
-
-// ParseErrorRetry decodes a TError payload including the optional trailing
-// retry-after hint; retryMs is zero when the short form was sent.
-func ParseErrorRetry(p []byte) (code Code, msg string, retryMs uint32, err error) {
-	c := newCursor(p)
-	code = Code(c.u16())
-	msg = c.str()
-	if c.off < len(p) {
-		retryMs = c.u32()
-	}
-	if !c.done() {
-		return 0, "", 0, malformed("Error")
-	}
-	return code, msg, retryMs, nil
+	var m Predictions
+	err := Decode(TPredictions, p, &m)
+	return m.Preds, err
 }
 
 // ---------------------------------------------------------------------------
-// Shared-memory negotiation (transport tier 3). The client creates the
-// segment, names it in ShmSetup over its socket connection, then binds
-// sessions to rings; the server decodes event ids straight out of the mapped
-// rings from then on. Everything in these frames — geometry, sizes, the
-// path itself — is untrusted input on the receiving side.
+// The exchange path: the one copy of handshake and request/reply.
 
-// ShmSetup is the decoded form of a TShmSetup payload: the ring geometry
-// and the segment file carrying it. SegSize is redundant with the geometry
-// (the server recomputes and compares) — a cheap cross-check that the two
-// sides agree on layout arithmetic before either maps a byte.
-type ShmSetup struct {
-	Rings   uint32
-	Slots   uint32
-	PredCap uint32
-	SegSize uint64
-	Path    string
+// Conn is one end of a framed connection: the socket, its buffered halves
+// and the two scratch buffers (frame body in, payload out) reused across
+// frames. A Conn is not safe for concurrent use.
+type Conn struct {
+	NC  net.Conn
+	BR  *bufio.Reader
+	BW  *bufio.Writer
+	In  []byte // frame read buffer; payloads returned by RoundTrip alias it
+	Out []byte // payload encode buffer
 }
 
-// AppendShmSetup encodes a ShmSetup payload.
-func AppendShmSetup(buf []byte, ss ShmSetup) []byte {
-	buf = appendU32(buf, ss.Rings)
-	buf = appendU32(buf, ss.Slots)
-	buf = appendU32(buf, ss.PredCap)
-	buf = appendU64(buf, ss.SegSize)
-	return appendString(buf, ss.Path)
-}
-
-// ParseShmSetup decodes a TShmSetup payload.
-func ParseShmSetup(p []byte) (ShmSetup, error) {
-	c := newCursor(p)
-	var ss ShmSetup
-	ss.Rings = c.u32()
-	ss.Slots = c.u32()
-	ss.PredCap = c.u32()
-	ss.SegSize = c.u64()
-	ss.Path = c.str()
-	if !c.done() {
-		return ShmSetup{}, malformed("ShmSetup")
+// NewConn wraps an established connection.
+func NewConn(nc net.Conn) *Conn {
+	return &Conn{
+		NC:  nc,
+		BR:  bufio.NewReader(nc),
+		BW:  bufio.NewWriter(nc),
+		In:  make([]byte, 0, 4096),
+		Out: make([]byte, 0, 1024),
 	}
-	return ss, nil
 }
 
-// AppendShmSetupOK encodes a ShmSetupOK payload (the ring count the server
-// mapped, echoing the accepted geometry).
-func AppendShmSetupOK(buf []byte, rings uint32) []byte { return appendU32(buf, rings) }
+// Send encodes m and writes it as one frame of type t. It does not flush.
+func (c *Conn) Send(t Type, m Message) error {
+	c.Out = Append(c.Out[:0], m)
+	return WriteFrame(c.BW, t, c.Out)
+}
 
-// ParseShmSetupOK decodes a TShmSetupOK payload.
-func ParseShmSetupOK(p []byte) (rings uint32, err error) {
-	c := newCursor(p)
-	rings = c.u32()
-	if !c.done() {
-		return 0, malformed("ShmSetupOK")
+// RoundTrip writes one request frame, flushes, and reads the answer, all
+// within timeout. An Error frame comes back as a *RemoteError — the
+// connection stays usable, the Error was the reply — and any frame other
+// than the reply type t's table row names is a protocol failure. The
+// returned payload aliases c.In.
+func (c *Conn) RoundTrip(t Type, payload []byte, timeout time.Duration) ([]byte, error) {
+	if err := c.NC.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, err
 	}
-	return rings, nil
-}
-
-// AppendShmBind encodes a ShmBind payload: route session's submissions
-// through ring (an index into the negotiated segment) from now on.
-func AppendShmBind(buf []byte, session, ring uint32) []byte {
-	buf = appendU32(buf, session)
-	return appendU32(buf, ring)
-}
-
-// ParseShmBind decodes a TShmBind payload.
-func ParseShmBind(p []byte) (session, ring uint32, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	ring = c.u32()
-	if !c.done() {
-		return 0, 0, malformed("ShmBind")
+	if err := WriteFrame(c.BW, t, payload); err != nil {
+		return nil, err
 	}
-	return session, ring, nil
-}
-
-// AppendShmBound encodes a ShmBound payload.
-func AppendShmBound(buf []byte, session, ring uint32) []byte {
-	buf = appendU32(buf, session)
-	return appendU32(buf, ring)
-}
-
-// ParseShmBound decodes a TShmBound payload.
-func ParseShmBound(p []byte) (session, ring uint32, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	ring = c.u32()
-	if !c.done() {
-		return 0, 0, malformed("ShmBound")
+	if err := c.BW.Flush(); err != nil {
+		return nil, err
 	}
-	return session, ring, nil
-}
-
-// Subscribe asks the server to keep the session's ring prediction slot
-// fresh: after every `Every` consumed events it republishes
-// PredictSequence(Horizon) into the seqlock'd slot, so a co-located client
-// reads the latest predictions without a round trip.
-type Subscribe struct {
-	Session uint32
-	Horizon uint32 // predictions per refresh (clamped to the ring's PredCap)
-	Every   uint32 // refresh cadence in consumed events (0 = every decode pass)
-}
-
-// AppendSubscribe encodes a Subscribe payload.
-func AppendSubscribe(buf []byte, s Subscribe) []byte {
-	buf = appendU32(buf, s.Session)
-	buf = appendU32(buf, s.Horizon)
-	return appendU32(buf, s.Every)
-}
-
-// ParseSubscribe decodes a TSubscribe payload.
-func ParseSubscribe(p []byte) (Subscribe, error) {
-	c := newCursor(p)
-	var s Subscribe
-	s.Session = c.u32()
-	s.Horizon = c.u32()
-	s.Every = c.u32()
-	if !c.done() {
-		return Subscribe{}, malformed("Subscribe")
+	rt, p, err := ReadFrame(c.BR, &c.In)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
-}
-
-// AppendSubscribed encodes a Subscribed payload.
-func AppendSubscribed(buf []byte, session uint32) []byte { return appendU32(buf, session) }
-
-// ParseSubscribed decodes a TSubscribed payload.
-func ParseSubscribed(p []byte) (session uint32, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	if !c.done() {
-		return 0, malformed("Subscribed")
-	}
-	return session, nil
-}
-
-// ---------------------------------------------------------------------------
-// Session resume (robust serving). A client that negotiated a resume token
-// at Hello time can, after losing its connection, present the token as the
-// first frame of a fresh connection; the server re-attaches the parked
-// sessions and reports how many events it applied per session, so the
-// client can replay only its unacked tail. Replay frames carry explicit
-// base sequence numbers and the server drops anything at or below its
-// applied counter — replayed events are applied exactly once.
-
-// AppendResume encodes a Resume payload.
-func AppendResume(buf []byte, token uint64) []byte { return appendU64(buf, token) }
-
-// ParseResume decodes a TResume payload.
-func ParseResume(p []byte) (token uint64, err error) {
-	c := newCursor(p)
-	token = c.u64()
-	if !c.done() {
-		return 0, malformed("Resume")
-	}
-	return token, nil
-}
-
-// ResumedSession reports one re-attached session: its id (unchanged from
-// the original connection) and the server's applied event counter — the
-// number of events it has fed into the session since it was opened.
-type ResumedSession struct {
-	Session uint32
-	Applied uint64
-}
-
-// AppendResumed encodes a Resumed payload.
-func AppendResumed(buf []byte, sessions []ResumedSession) []byte {
-	buf = appendU32(buf, uint32(len(sessions)))
-	for _, rs := range sessions {
-		buf = appendU32(buf, rs.Session)
-		buf = appendU64(buf, rs.Applied)
-	}
-	return buf
-}
-
-// ParseResumed decodes a TResumed payload. The count is bounded by the
-// bytes actually present before any allocation.
-func ParseResumed(p []byte) ([]ResumedSession, error) {
-	c := newCursor(p)
-	n := int(c.u32())
-	// Each entry is exactly 12 bytes; a larger count cannot be honest.
-	if !c.ok || n > (len(p)-c.off)/12 {
-		return nil, malformed("Resumed")
-	}
-	sessions := make([]ResumedSession, 0, n)
-	for i := 0; i < n; i++ {
-		var rs ResumedSession
-		rs.Session = c.u32()
-		rs.Applied = c.u64()
-		sessions = append(sessions, rs)
-	}
-	if !c.done() {
-		return nil, malformed("Resumed")
-	}
-	return sessions, nil
-}
-
-// AppendReplay encodes a Replay payload: ids are the session's events with
-// sequence numbers base, base+1, … (1-based per server session).
-func AppendReplay(buf []byte, session uint32, base uint64, ids []int32) []byte {
-	buf = appendU32(buf, session)
-	buf = appendU64(buf, base)
-	buf = appendU32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = appendU32(buf, uint32(id))
-	}
-	return buf
-}
-
-var errMalformedReplay = fmt.Errorf("%w: Replay", ErrMalformed)
-
-// ParseReplay decodes a TReplay payload into a zero-copy Batch view.
-func ParseReplay(p []byte) (session uint32, base uint64, b Batch, err error) {
-	if len(p) < 16 {
-		return 0, 0, Batch{}, errMalformedReplay
-	}
-	session = binary.BigEndian.Uint32(p)
-	base = binary.BigEndian.Uint64(p[4:])
-	n := binary.BigEndian.Uint32(p[12:])
-	if uint64(n)*4 != uint64(len(p)-16) {
-		return 0, 0, Batch{}, errMalformedReplay
-	}
-	return session, base, Batch{p: p[16:]}, nil
-}
-
-// AppendReplayed encodes a Replayed payload.
-func AppendReplayed(buf []byte, session uint32, applied uint64) []byte {
-	buf = appendU32(buf, session)
-	return appendU64(buf, applied)
-}
-
-// ParseReplayed decodes a TReplayed payload.
-func ParseReplayed(p []byte) (session uint32, applied uint64, err error) {
-	c := newCursor(p)
-	session = c.u32()
-	applied = c.u64()
-	if !c.done() {
-		return 0, 0, malformed("Replayed")
-	}
-	return session, applied, nil
-}
-
-// ParseHeartbeat decodes a THeartbeat payload (empty).
-func ParseHeartbeat(p []byte) error {
-	if len(p) != 0 {
-		return malformed("Heartbeat")
-	}
-	return nil
-}
-
-// ParseHeartbeatAck decodes a THeartbeatAck payload (empty).
-func ParseHeartbeatAck(p []byte) error {
-	if len(p) != 0 {
-		return malformed("HeartbeatAck")
-	}
-	return nil
-}
-
-// ParseDetach decodes a TDetach payload (empty).
-func ParseDetach(p []byte) error {
-	if len(p) != 0 {
-		return malformed("Detach")
-	}
-	return nil
-}
-
-// Model lifecycle states on the wire (ModelInfoR.State).
-const (
-	ModelFrozen   uint8 = 0
-	ModelLearning uint8 = 1
-	ModelWatching uint8 = 2
-)
-
-// ModelInfo is the decoded form of a TModelInfoR payload: one tenant's
-// model-lifecycle snapshot.
-type ModelInfo struct {
-	// Enabled reports whether the tenant's oracle learns online.
-	Enabled bool
-	// State is ModelFrozen, ModelLearning or ModelWatching.
-	State uint8
-	// ServingGeneration is the generation number of the serving model.
-	ServingGeneration uint64
-	// Promotions, Rollbacks and ShadowEpochs are the lifetime counters.
-	Promotions   uint64
-	Rollbacks    uint64
-	ShadowEpochs uint64
-	// Retained lists the generation numbers held in memory, serving first.
-	Retained []uint64
-}
-
-// AppendModelInfo encodes a ModelInfo request payload.
-func AppendModelInfo(buf []byte, tenant string) []byte { return appendString(buf, tenant) }
-
-// ParseModelInfo decodes a TModelInfo payload.
-func ParseModelInfo(p []byte) (tenant string, err error) {
-	c := newCursor(p)
-	tenant = c.str()
-	if !c.done() {
-		return "", malformed("ModelInfo")
-	}
-	return tenant, nil
-}
-
-// AppendModelInfoR encodes a ModelInfoR response payload.
-func AppendModelInfoR(buf []byte, mi ModelInfo) []byte {
-	enabled := byte(0)
-	if mi.Enabled {
-		enabled = 1
-	}
-	buf = append(buf, enabled, mi.State)
-	buf = appendU64(buf, mi.ServingGeneration)
-	buf = appendU64(buf, mi.Promotions)
-	buf = appendU64(buf, mi.Rollbacks)
-	buf = appendU64(buf, mi.ShadowEpochs)
-	buf = appendU16(buf, uint16(len(mi.Retained)))
-	for _, g := range mi.Retained {
-		buf = appendU64(buf, g)
-	}
-	return buf
-}
-
-// ParseModelInfoR decodes a TModelInfoR payload.
-func ParseModelInfoR(p []byte) (ModelInfo, error) {
-	c := newCursor(p)
-	var mi ModelInfo
-	mi.Enabled = c.u8() != 0
-	mi.State = c.u8()
-	mi.ServingGeneration = c.u64()
-	mi.Promotions = c.u64()
-	mi.Rollbacks = c.u64()
-	mi.ShadowEpochs = c.u64()
-	n := int(c.u16())
-	if !c.ok || len(p)-c.off < n*8 {
-		return ModelInfo{}, malformed("ModelInfoR")
-	}
-	if n > 0 {
-		mi.Retained = make([]uint64, n)
-		for i := range mi.Retained {
-			mi.Retained[i] = c.u64()
+	if rt == TError {
+		re := new(RemoteError)
+		if err := Decode(TError, p, re); err != nil {
+			return nil, err
 		}
+		return nil, re
 	}
-	if !c.done() {
-		return ModelInfo{}, malformed("ModelInfoR")
+	if rt != t.Reply() {
+		return nil, fmt.Errorf("wire: %s answered with %s, want %s", t, rt, t.Reply())
 	}
-	return mi, nil
+	return p, nil
 }
 
-// AppendPromote encodes a Promote request payload.
-func AppendPromote(buf []byte, tenant string) []byte { return appendString(buf, tenant) }
-
-// ParsePromote decodes a TPromote payload.
-func ParsePromote(p []byte) (tenant string, err error) {
-	c := newCursor(p)
-	tenant = c.str()
-	if !c.done() {
-		return "", malformed("Promote")
+// Exchange is RoundTrip for message values: it sends req as a frame of type
+// t and decodes the reply into resp.
+func (c *Conn) Exchange(t Type, req, resp Message, timeout time.Duration) error {
+	c.Out = Append(c.Out[:0], req)
+	p, err := c.RoundTrip(t, c.Out, timeout)
+	if err != nil {
+		return err
 	}
-	return tenant, nil
+	return Decode(t.Reply(), p, resp)
 }
 
-// AppendPromoted encodes a Promoted response payload.
-func AppendPromoted(buf []byte, gen uint64) []byte { return appendU64(buf, gen) }
-
-// ParsePromoted decodes a TPromoted payload.
-func ParsePromoted(p []byte) (gen uint64, err error) {
-	c := newCursor(p)
-	gen = c.u64()
-	if !c.done() {
-		return 0, malformed("Promoted")
+// Handshake performs the Hello exchange on a fresh connection and checks
+// the server's protocol version. A server that refuses the connection
+// outright (connection limit, draining) surfaces as a *RemoteError.
+func (c *Conn) Handshake(flags uint8, timeout time.Duration) (HelloOK, error) {
+	var ok HelloOK
+	if err := c.Exchange(THello, &Hello{Version: Version, Flags: flags}, &ok, timeout); err != nil {
+		return ok, fmt.Errorf("wire: handshake: %w", err)
 	}
-	return gen, nil
-}
-
-// AppendRollback encodes a Rollback request payload.
-func AppendRollback(buf []byte, tenant string) []byte { return appendString(buf, tenant) }
-
-// ParseRollback decodes a TRollback payload.
-func ParseRollback(p []byte) (tenant string, err error) {
-	c := newCursor(p)
-	tenant = c.str()
-	if !c.done() {
-		return "", malformed("Rollback")
+	if ok.Version != Version {
+		return ok, fmt.Errorf("wire: server speaks protocol version %d, this side version %d", ok.Version, Version)
 	}
-	return tenant, nil
-}
-
-// AppendRolledBack encodes a RolledBack response payload.
-func AppendRolledBack(buf []byte, gen uint64) []byte { return appendU64(buf, gen) }
-
-// ParseRolledBack decodes a TRolledBack payload.
-func ParseRolledBack(p []byte) (gen uint64, err error) {
-	c := newCursor(p)
-	gen = c.u64()
-	if !c.done() {
-		return 0, malformed("RolledBack")
-	}
-	return gen, nil
-}
-
-// MaxDaemons caps the daemon count of a decoded shard map. Fleets are tens
-// of daemons, not thousands; the clamp keeps a hostile count field from
-// sizing an allocation the payload cannot back.
-const MaxDaemons = 256
-
-// MaxModelBytes caps the serialized model carried by one TOfferModel frame,
-// leaving headroom inside MaxFrame for the frame's own header fields.
-const MaxModelBytes = MaxFrame - 512
-
-// ShardMap is the decoded form of a TShardMapR payload: one epoch of the
-// fleet's tenant→daemon assignment inputs. Daemons is empty on a daemon
-// that is not running in cluster mode.
-type ShardMap struct {
-	// Epoch versions the assignment; higher epochs win fleet-wide.
-	Epoch uint64
-	// Replicas is how many warm replicas (beyond the owner) each tenant
-	// keeps.
-	Replicas uint8
-	// Daemons lists every fleet member's advertised address.
-	Daemons []string
-}
-
-// AppendShardMap encodes a TShardMap request payload: the caller's cached
-// epoch (0 when it has none). Daemons use the same frame to gossip epochs.
-func AppendShardMap(buf []byte, epoch uint64) []byte { return appendU64(buf, epoch) }
-
-// ParseShardMap decodes a TShardMap payload.
-func ParseShardMap(p []byte) (epoch uint64, err error) {
-	c := newCursor(p)
-	epoch = c.u64()
-	if !c.done() {
-		return 0, malformed("ShardMap")
-	}
-	return epoch, nil
-}
-
-// AppendShardMapR encodes a TShardMapR response payload.
-func AppendShardMapR(buf []byte, sm ShardMap) []byte {
-	buf = appendU64(buf, sm.Epoch)
-	buf = append(buf, sm.Replicas)
-	buf = appendU16(buf, uint16(len(sm.Daemons)))
-	for _, d := range sm.Daemons {
-		buf = appendString(buf, d)
-	}
-	return buf
-}
-
-// ParseShardMapR decodes a TShardMapR payload. The daemon count is
-// untrusted: it is clamped against MaxDaemons and against what the payload
-// can actually back (each address costs at least its 2-byte length prefix)
-// before it sizes anything.
-func ParseShardMapR(p []byte) (ShardMap, error) {
-	c := newCursor(p)
-	var sm ShardMap
-	sm.Epoch = c.u64()
-	sm.Replicas = c.u8()
-	n := int(c.u16())
-	if !c.ok || n > MaxDaemons || n > (len(p)-c.off)/2 {
-		return ShardMap{}, malformed("ShardMapR")
-	}
-	if n > 0 {
-		sm.Daemons = make([]string, n)
-		for i := range sm.Daemons {
-			sm.Daemons[i] = c.str()
-		}
-	}
-	if !c.done() {
-		return ShardMap{}, malformed("ShardMapR")
-	}
-	return sm, nil
-}
-
-// ModelOffer is the decoded form of a TOfferModel payload: one tenant's
-// newest committed model generation in transit between daemons (either the
-// response to a TFetchModel pull or an unsolicited migration/replication
-// push).
-type ModelOffer struct {
-	// Tenant names the model's tenant.
-	Tenant string
-	// Generation is the checkpoint generation the payload was committed as;
-	// receivers resolve conflicts last-generation-wins without decoding.
-	Generation uint64
-	// Source is the advertised address of the daemon the model came from
-	// (recorded as the installed generation's ReplicatedFrom provenance).
-	Source string
-	// Payload is the tracefile serialization of the model. It aliases the
-	// frame read buffer: decode or copy it before the next ReadFrame.
-	Payload []byte
-}
-
-// AppendFetchModel encodes a TFetchModel request payload.
-func AppendFetchModel(buf []byte, tenant string) []byte { return appendString(buf, tenant) }
-
-// ParseFetchModel decodes a TFetchModel payload.
-func ParseFetchModel(p []byte) (tenant string, err error) {
-	c := newCursor(p)
-	tenant = c.str()
-	if !c.done() {
-		return "", malformed("FetchModel")
-	}
-	return tenant, nil
-}
-
-// AppendOfferModel encodes a TOfferModel payload.
-func AppendOfferModel(buf []byte, om ModelOffer) []byte {
-	buf = appendString(buf, om.Tenant)
-	buf = appendU64(buf, om.Generation)
-	buf = appendString(buf, om.Source)
-	buf = appendU32(buf, uint32(len(om.Payload)))
-	return append(buf, om.Payload...)
-}
-
-// ParseOfferModel decodes a TOfferModel payload. The model size is
-// untrusted: it is clamped against MaxModelBytes and against the bytes the
-// payload actually carries before it bounds the returned slice.
-func ParseOfferModel(p []byte) (ModelOffer, error) {
-	c := newCursor(p)
-	var om ModelOffer
-	om.Tenant = c.str()
-	om.Generation = c.u64()
-	om.Source = c.str()
-	n := int(c.u32())
-	if !c.ok || n > MaxModelBytes || n > len(p)-c.off {
-		return ModelOffer{}, malformed("OfferModel")
-	}
-	om.Payload = p[c.off : c.off+n]
-	c.off += n
-	if !c.done() {
-		return ModelOffer{}, malformed("OfferModel")
-	}
-	return om, nil
-}
-
-// AppendModelAccepted encodes a TModelAccepted response payload: whether
-// the offered generation was installed, and the generation the receiver now
-// holds (its own, newer one on a last-generation-wins rejection).
-func AppendModelAccepted(buf []byte, accepted bool, haveGen uint64) []byte {
-	a := byte(0)
-	if accepted {
-		a = 1
-	}
-	buf = append(buf, a)
-	return appendU64(buf, haveGen)
-}
-
-// ParseModelAccepted decodes a TModelAccepted payload.
-func ParseModelAccepted(p []byte) (accepted bool, haveGen uint64, err error) {
-	c := newCursor(p)
-	accepted = c.u8() != 0
-	haveGen = c.u64()
-	if !c.done() {
-		return false, 0, malformed("ModelAccepted")
-	}
-	return accepted, haveGen, nil
+	return ok, c.NC.SetDeadline(time.Time{})
 }

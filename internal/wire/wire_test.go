@@ -4,10 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/predictor"
@@ -32,6 +37,25 @@ func readOne(t *testing.T, raw []byte) (Type, []byte) {
 	return typ, payload
 }
 
+// roundTrip encodes m as a frame-t payload and decodes it into a fresh
+// message value from the frame table.
+func roundTrip(t *testing.T, typ Type, m Message) Message {
+	t.Helper()
+	got := New(typ)
+	if err := Decode(typ, Append(nil, m), got); err != nil {
+		t.Fatalf("%s round trip: %v", typ, err)
+	}
+	return got
+}
+
+// wantRoundTrip asserts m survives a frame-t round trip unchanged.
+func wantRoundTrip(t *testing.T, typ Type, m Message) {
+	t.Helper()
+	if got := roundTrip(t, typ, m); !reflect.DeepEqual(got, m) {
+		t.Fatalf("%s round trip: got %+v want %+v", typ, got, m)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var out bytes.Buffer
 	bw := bufio.NewWriter(&out)
@@ -46,9 +70,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if typ != TOpenSession {
 		t.Fatalf("type = %v, want OpenSession", typ)
 	}
-	o, err := ParseOpenSession(got)
-	if err != nil {
-		t.Fatalf("ParseOpenSession: %v", err)
+	var o OpenSession
+	if err := Decode(typ, got, &o); err != nil {
+		t.Fatalf("decoding OpenSession: %v", err)
 	}
 	if o.TID != 3 || o.Flags != FlagStartAtBeginning || o.Tenant != "bt" {
 		t.Fatalf("round trip = %+v", o)
@@ -107,30 +131,27 @@ func TestWriteFrameTooLarge(t *testing.T) {
 }
 
 func TestHello(t *testing.T) {
-	v, flags, err := ParseHello(AppendHello(nil, HelloFlagResume))
-	if err != nil || v != Version || flags != HelloFlagResume {
-		t.Fatalf("ParseHello = %d, %#x, %v", v, flags, err)
+	var h Hello
+	if err := Decode(THello, AppendHello(nil, HelloFlagResume), &h); err != nil || h.Version != Version || h.Flags != HelloFlagResume {
+		t.Fatalf("Hello = %+v, %v", h, err)
 	}
 	// The flags byte is optional on the wire: a version-1 six-byte Hello
 	// decodes with zero flags.
-	legacy := AppendHello(nil, 0)[:6]
-	v, flags, err = ParseHello(legacy)
-	if err != nil || v != Version || flags != 0 {
-		t.Fatalf("legacy ParseHello = %d, %#x, %v", v, flags, err)
+	h = Hello{}
+	if err := Decode(THello, AppendHello(nil, 0)[:6], &h); err != nil || h.Version != Version || h.Flags != 0 {
+		t.Fatalf("legacy Hello = %+v, %v", h, err)
 	}
 	bad := AppendHello(nil, 0)
 	bad[0] ^= 0xff
-	if _, _, err := ParseHello(bad); !errors.Is(err, ErrBadMagic) {
+	if err := Decode(THello, bad, new(Hello)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic err = %v", err)
 	}
-	v, token, windowMs, err := ParseHelloOK(AppendHelloOK(nil))
-	if err != nil || v != Version || token != 0 || windowMs != 0 {
-		t.Fatalf("ParseHelloOK = %d, %d, %d, %v", v, token, windowMs, err)
+	short := Append(nil, &HelloOK{Version: Version})
+	if len(short) != 2 {
+		t.Fatalf("HelloOK without a grant is %d bytes, want the 2-byte short form", len(short))
 	}
-	v, token, windowMs, err = ParseHelloOK(AppendHelloOKResume(nil, 0xdeadbeefcafe, 15000))
-	if err != nil || v != Version || token != 0xdeadbeefcafe || windowMs != 15000 {
-		t.Fatalf("ParseHelloOK resume = %d, %d, %d, %v", v, token, windowMs, err)
-	}
+	wantRoundTrip(t, THelloOK, &HelloOK{Version: Version})
+	wantRoundTrip(t, THelloOK, &HelloOK{Version: Version, Token: 0xdeadbeefcafe, WindowMs: 15000})
 }
 
 func TestSessionOpenedRoundTrip(t *testing.T) {
@@ -140,7 +161,7 @@ func TestSessionOpenedRoundTrip(t *testing.T) {
 		{Session: 3, HasPredictor: true, State: StateQuarantined, Events: nil},
 	}
 	for i, want := range cases {
-		got, err := ParseSessionOpened(AppendSessionOpened(nil, want))
+		got, err := ParseSessionOpened(Append(nil, &want))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -201,9 +222,9 @@ func TestPredictRoundTrips(t *testing.T) {
 	if err != nil || s != 3 || d != 17 {
 		t.Fatalf("ParsePredictAt = %d, %d, %v", s, d, err)
 	}
-	s, n, err := ParsePredictSequence(AppendPredictSequence(nil, 4, 8))
-	if err != nil || s != 4 || n != 8 {
-		t.Fatalf("ParsePredictSequence = %d, %d, %v", s, n, err)
+	wantRoundTrip(t, TPredictSequence, &SessionArg{Session: 4, Arg: 8})
+	if !bytes.Equal(AppendPredictSequence(nil, 4, 8), Append(nil, &SessionArg{Session: 4, Arg: 8})) {
+		t.Fatal("AppendPredictSequence disagrees with the SessionArg walk")
 	}
 
 	// Bit-exactness of float fields, including non-round values.
@@ -220,194 +241,94 @@ func TestPredictRoundTrips(t *testing.T) {
 	}
 
 	preds := []predictor.Prediction{want, {EventID: -1, Probability: 0.25, Distance: 1, ExpectedNs: 0}}
-	gotSeq, err := ParsePredictions(AppendPredictions(nil, preds))
+	gotSeq, err := ParsePredictions(Append(nil, &Predictions{Preds: preds}))
 	if err != nil {
 		t.Fatalf("ParsePredictions: %v", err)
 	}
 	if !reflect.DeepEqual(gotSeq, preds) {
 		t.Fatalf("predictions round trip: got %+v want %+v", gotSeq, preds)
 	}
-	empty, err := ParsePredictions(AppendPredictions(nil, nil))
+	empty, err := ParsePredictions(Append(nil, &Predictions{}))
 	if err != nil || empty != nil {
 		t.Fatalf("empty predictions = %v, %v", empty, err)
 	}
 }
 
 func TestHealthRoundTrip(t *testing.T) {
-	tenant, err := ParseHealth(AppendHealth(nil, "cg"))
-	if err != nil || tenant != "cg" {
-		t.Fatalf("ParseHealth = %q, %v", tenant, err)
-	}
-	want := HealthInfo{
+	wantRoundTrip(t, THealth, &TenantRef{Tenant: "cg"})
+	wantRoundTrip(t, THealthInfo, &HealthInfo{
 		State: StateDegraded, Oracles: 3, PanicsContained: 2, BudgetBreaches: 1,
 		QuarantinedThreads: 4, CheckpointFailures: 5, Promotions: 6, Rollbacks: 7,
 		Cause: "watchdog: thread 2 diverged",
-	}
-	got, err := ParseHealthInfo(AppendHealthInfo(nil, want))
-	if err != nil {
-		t.Fatalf("ParseHealthInfo: %v", err)
-	}
-	if got != want {
-		t.Fatalf("health round trip: got %+v want %+v", got, want)
-	}
+	})
 }
 
 func TestCloseAndErrorRoundTrip(t *testing.T) {
-	s, err := ParseCloseSession(AppendCloseSession(nil, 77))
-	if err != nil || s != 77 {
-		t.Fatalf("ParseCloseSession = %d, %v", s, err)
+	wantRoundTrip(t, TCloseSession, &SessionRef{Session: 77})
+	wantRoundTrip(t, TSessionClosed, &SessionRef{Session: 77})
+	// An Error without a retry-after hint is the short form on the wire;
+	// with one, the hint rides as a trailing field. Both decode.
+	plain := &RemoteError{Code: CodeDraining, Msg: "server draining"}
+	hinted := &RemoteError{Code: CodeRetryLater, Msg: "shed", RetryAfterMs: 250}
+	if n, want := len(Append(nil, plain)), 2+2+len(plain.Msg); n != want {
+		t.Fatalf("plain Error is %d bytes, want the %d-byte short form", n, want)
 	}
-	s, err = ParseSessionClosed(AppendSessionClosed(nil, 77))
-	if err != nil || s != 77 {
-		t.Fatalf("ParseSessionClosed = %d, %v", s, err)
-	}
-	code, msg, err := ParseError(AppendError(nil, CodeDraining, "server draining"))
-	if err != nil || code != CodeDraining || msg != "server draining" {
-		t.Fatalf("ParseError = %v, %q, %v", code, msg, err)
-	}
-	// The retry-after form decodes with either parser; the plain parser
-	// discards the hint, ParseErrorRetry surfaces it.
-	p := AppendErrorRetry(nil, CodeRetryLater, "shed", 250)
-	code, msg, err = ParseError(p)
-	if err != nil || code != CodeRetryLater || msg != "shed" {
-		t.Fatalf("ParseError(retry form) = %v, %q, %v", code, msg, err)
-	}
-	code, msg, retryMs, err := ParseErrorRetry(p)
-	if err != nil || code != CodeRetryLater || msg != "shed" || retryMs != 250 {
-		t.Fatalf("ParseErrorRetry = %v, %q, %d, %v", code, msg, retryMs, err)
+	wantRoundTrip(t, TError, plain)
+	wantRoundTrip(t, TError, hinted)
+	if hinted.Error() != "pythiad: retry later: shed" {
+		t.Fatalf("Error() = %q", hinted.Error())
 	}
 }
 
 func TestResumeRoundTrips(t *testing.T) {
-	token, err := ParseResume(AppendResume(nil, 0x1122334455667788))
-	if err != nil || token != 0x1122334455667788 {
-		t.Fatalf("ParseResume = %#x, %v", token, err)
-	}
-	want := []ResumedSession{{Session: 0, Applied: 12}, {Session: 3, Applied: 1 << 40}}
-	got, err := ParseResumed(AppendResumed(nil, want))
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("ParseResumed = %+v, %v, want %+v", got, err, want)
-	}
-	empty, err := ParseResumed(AppendResumed(nil, nil))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty resumed = %+v, %v", empty, err)
-	}
+	wantRoundTrip(t, TResume, &Uint64{V: 0x1122334455667788})
+	wantRoundTrip(t, TResumed, &Resumed{Sessions: []SessionApplied{{Session: 0, Applied: 12}, {Session: 3, Applied: 1 << 40}}})
+	wantRoundTrip(t, TResumed, &Resumed{})
 	// A dishonest count must fail before allocating the claimed capacity.
 	dishonest := appendU32(nil, 1<<30)
-	if _, err := ParseResumed(dishonest); !errors.Is(err, ErrMalformed) {
+	if err := Decode(TResumed, dishonest, new(Resumed)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("dishonest resumed err = %v", err)
 	}
 
-	ids := []int32{7, -2, 9}
-	sess, base, b, err := ParseReplay(AppendReplay(nil, 5, 101, ids))
-	if err != nil || sess != 5 || base != 101 || b.Len() != 3 {
-		t.Fatalf("ParseReplay = %d, %d, len %d, %v", sess, base, b.Len(), err)
-	}
-	for i, wantID := range ids {
-		if got := b.At(i); got != wantID {
-			t.Fatalf("replay At(%d) = %d, want %d", i, got, wantID)
-		}
-	}
-	rp := AppendReplay(nil, 5, 101, ids)
-	binary.BigEndian.PutUint32(rp[12:], uint32(len(ids)+1))
-	if _, _, _, err := ParseReplay(rp); !errors.Is(err, ErrMalformed) {
+	replay := &Replay{Session: 5, Base: 101, IDs: []int32{7, -2, 9}}
+	wantRoundTrip(t, TReplay, replay)
+	rp := Append(nil, replay)
+	binary.BigEndian.PutUint32(rp[12:], uint32(len(replay.IDs)+1))
+	if err := Decode(TReplay, rp, new(Replay)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("overcount replay err = %v", err)
 	}
+	wantRoundTrip(t, TReplayed, &SessionApplied{Session: 5, Applied: 104})
 
-	sess, applied, err := ParseReplayed(AppendReplayed(nil, 5, 104))
-	if err != nil || sess != 5 || applied != 104 {
-		t.Fatalf("ParseReplayed = %d, %d, %v", sess, applied, err)
-	}
-
-	if err := ParseHeartbeat(nil); err != nil {
-		t.Fatalf("ParseHeartbeat = %v", err)
-	}
-	if err := ParseHeartbeatAck(nil); err != nil {
-		t.Fatalf("ParseHeartbeatAck = %v", err)
-	}
-	if err := ParseDetach(nil); err != nil {
-		t.Fatalf("ParseDetach = %v", err)
+	for _, typ := range []Type{THeartbeat, THeartbeatAck, TDetach} {
+		if p := Append(nil, &Empty{}); len(p) != 0 {
+			t.Fatalf("%s payload = %x, want empty", typ, p)
+		}
+		wantRoundTrip(t, typ, &Empty{})
 	}
 }
 
 func TestModelLifecycleRoundTrips(t *testing.T) {
-	tenant, err := ParseModelInfo(AppendModelInfo(nil, "cg"))
-	if err != nil || tenant != "cg" {
-		t.Fatalf("ParseModelInfo = %q, %v", tenant, err)
-	}
-	want := ModelInfo{
+	wantRoundTrip(t, TModelInfo, &TenantRef{Tenant: "cg"})
+	wantRoundTrip(t, TModelInfoR, &ModelInfo{
 		Enabled: true, State: ModelWatching, ServingGeneration: 7,
 		Promotions: 3, Rollbacks: 1, ShadowEpochs: 42, Retained: []uint64{7, 5},
-	}
-	got, err := ParseModelInfoR(AppendModelInfoR(nil, want))
-	if err != nil {
-		t.Fatalf("ParseModelInfoR: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("model info round trip: got %+v want %+v", got, want)
-	}
+	})
 	// No retained generations encodes and decodes cleanly too.
-	got, err = ParseModelInfoR(AppendModelInfoR(nil, ModelInfo{}))
-	if err != nil || got.Enabled || got.State != ModelFrozen || len(got.Retained) != 0 {
-		t.Fatalf("empty model info round trip: %+v, %v", got, err)
-	}
-	for _, tc := range []struct {
-		enc func([]byte, string) []byte
-		dec func([]byte) (string, error)
-	}{
-		{AppendPromote, ParsePromote},
-		{AppendRollback, ParseRollback},
-	} {
-		tenant, err := tc.dec(tc.enc(nil, "cg"))
-		if err != nil || tenant != "cg" {
-			t.Fatalf("promote/rollback tenant round trip = %q, %v", tenant, err)
-		}
-	}
-	gen, err := ParsePromoted(AppendPromoted(nil, 9))
-	if err != nil || gen != 9 {
-		t.Fatalf("ParsePromoted = %d, %v", gen, err)
-	}
-	gen, err = ParseRolledBack(AppendRolledBack(nil, 10))
-	if err != nil || gen != 10 {
-		t.Fatalf("ParseRolledBack = %d, %v", gen, err)
-	}
+	wantRoundTrip(t, TModelInfoR, &ModelInfo{})
+	wantRoundTrip(t, TPromote, &TenantRef{Tenant: "cg"})
+	wantRoundTrip(t, TRollback, &TenantRef{Tenant: "cg"})
+	wantRoundTrip(t, TPromoted, &Uint64{V: 9})
+	wantRoundTrip(t, TRolledBack, &Uint64{V: 10})
 }
 
 func TestClusterRoundTrips(t *testing.T) {
-	epoch, err := ParseShardMap(AppendShardMap(nil, 42))
-	if err != nil || epoch != 42 {
-		t.Fatalf("ParseShardMap = %d, %v", epoch, err)
-	}
-	sm := ShardMap{Epoch: 9, Replicas: 1, Daemons: []string{"127.0.0.1:9137", "unix:///run/pythiad.sock"}}
-	gotSM, err := ParseShardMapR(AppendShardMapR(nil, sm))
-	if err != nil {
-		t.Fatalf("ParseShardMapR: %v", err)
-	}
-	if !reflect.DeepEqual(gotSM, sm) {
-		t.Fatalf("shard map round trip: got %+v want %+v", gotSM, sm)
-	}
+	wantRoundTrip(t, TShardMap, &Uint64{V: 42})
+	wantRoundTrip(t, TShardMapR, &ShardMap{Epoch: 9, Replicas: 1, Daemons: []string{"127.0.0.1:9137", "unix:///run/pythiad.sock"}})
 	// A non-clustered daemon answers with an empty map.
-	gotSM, err = ParseShardMapR(AppendShardMapR(nil, ShardMap{}))
-	if err != nil || gotSM.Epoch != 0 || len(gotSM.Daemons) != 0 {
-		t.Fatalf("empty shard map round trip: %+v, %v", gotSM, err)
-	}
-
-	tenant, err := ParseFetchModel(AppendFetchModel(nil, "cg"))
-	if err != nil || tenant != "cg" {
-		t.Fatalf("ParseFetchModel = %q, %v", tenant, err)
-	}
-	om := ModelOffer{Tenant: "cg", Generation: 12, Source: "127.0.0.1:9137", Payload: []byte{9, 8, 7, 6, 5}}
-	gotOM, err := ParseOfferModel(AppendOfferModel(nil, om))
-	if err != nil {
-		t.Fatalf("ParseOfferModel: %v", err)
-	}
-	if !reflect.DeepEqual(gotOM, om) {
-		t.Fatalf("model offer round trip: got %+v want %+v", gotOM, om)
-	}
-	accepted, have, err := ParseModelAccepted(AppendModelAccepted(nil, false, 13))
-	if err != nil || accepted || have != 13 {
-		t.Fatalf("ParseModelAccepted = %v, %d, %v", accepted, have, err)
-	}
+	wantRoundTrip(t, TShardMapR, &ShardMap{})
+	wantRoundTrip(t, TFetchModel, &TenantRef{Tenant: "cg"})
+	wantRoundTrip(t, TOfferModel, &ModelOffer{Tenant: "cg", Generation: 12, Source: "127.0.0.1:9137", Payload: []byte{9, 8, 7, 6, 5}})
+	wantRoundTrip(t, TModelAccepted, &ModelAccepted{Accepted: false, HaveGen: 13})
 }
 
 // TestClusterDishonestCounts pins the untrusted-size clamps of the cluster
@@ -415,10 +336,10 @@ func TestClusterRoundTrips(t *testing.T) {
 // back malformed, never sized into an allocation or slice bound.
 func TestClusterDishonestCounts(t *testing.T) {
 	// ShardMapR claiming 60k daemons in a 12-byte payload.
-	p := AppendShardMapR(nil, ShardMap{Epoch: 1, Replicas: 0, Daemons: []string{"a"}})
+	p := Append(nil, &ShardMap{Epoch: 1, Replicas: 0, Daemons: []string{"a"}})
 	p[9], p[10] = 0xff, 0xff // daemon count field
-	if _, err := ParseShardMapR(p); err == nil {
-		t.Fatal("ParseShardMapR accepted a dishonest daemon count")
+	if err := Decode(TShardMapR, p, new(ShardMap)); err == nil {
+		t.Fatal("ShardMapR accepted a dishonest daemon count")
 	}
 	// ShardMapR claiming more daemons than MaxDaemons, with a payload big
 	// enough to pass the bytes-per-entry check.
@@ -426,138 +347,251 @@ func TestClusterDishonestCounts(t *testing.T) {
 	for i := range many {
 		many[i] = "a"
 	}
-	p = AppendShardMapR(nil, ShardMap{Epoch: 1, Daemons: many})
+	p = Append(nil, &ShardMap{Epoch: 1, Daemons: many})
 	p[9] = byte((MaxDaemons + 1) >> 8)
 	p[10] = byte((MaxDaemons + 1) & 0xff)
-	if _, err := ParseShardMapR(p); err == nil {
-		t.Fatal("ParseShardMapR accepted a daemon count past MaxDaemons")
+	if err := Decode(TShardMapR, p, new(ShardMap)); err == nil {
+		t.Fatal("ShardMapR accepted a daemon count past MaxDaemons")
 	}
 	// OfferModel claiming a model far larger than the payload carries.
-	p = AppendOfferModel(nil, ModelOffer{Tenant: "x", Generation: 1, Source: "a", Payload: []byte{1, 2}})
+	p = Append(nil, &ModelOffer{Tenant: "x", Generation: 1, Source: "a", Payload: []byte{1, 2}})
 	p[len(p)-6] = 0xff // high byte of the size field
-	if _, err := ParseOfferModel(p); err == nil {
-		t.Fatal("ParseOfferModel accepted a dishonest model size")
+	if err := Decode(TOfferModel, p, new(ModelOffer)); err == nil {
+		t.Fatal("OfferModel accepted a dishonest model size")
+	}
+	// ModelInfoR claiming more retained generations than bytes remain.
+	p = Append(nil, &ModelInfo{Retained: []uint64{1}})
+	p[len(p)-10], p[len(p)-9] = 0xff, 0xff // retained count field
+	if err := Decode(TModelInfoR, p, new(ModelInfo)); err == nil {
+		t.Fatal("ModelInfoR accepted a dishonest retained count")
 	}
 }
 
 func TestShmRoundTrips(t *testing.T) {
-	ss := ShmSetup{Rings: 8, Slots: 4096, PredCap: 64, SegSize: 3 << 20, Path: "/dev/shm/pythia-shm-42"}
-	got, err := ParseShmSetup(AppendShmSetup(nil, ss))
-	if err != nil || got != ss {
-		t.Fatalf("ParseShmSetup = %+v, %v, want %+v", got, err, ss)
+	wantRoundTrip(t, TShmSetup, &ShmSetup{Rings: 8, Slots: 4096, PredCap: 64, SegSize: 3 << 20, Path: "/dev/shm/pythia-shm-42"})
+	wantRoundTrip(t, TShmSetupOK, &ShmSetupOK{Rings: 8})
+	wantRoundTrip(t, TShmBind, &SessionArg{Session: 5, Arg: 2})
+	wantRoundTrip(t, TShmBound, &SessionArg{Session: 5, Arg: 2})
+	wantRoundTrip(t, TSubscribe, &Subscribe{Session: 5, Horizon: 16, Every: 32})
+	wantRoundTrip(t, TSubscribed, &SessionRef{Session: 5})
+}
+
+// goldenFrame is one line of testdata/frames.golden.
+type goldenFrame struct {
+	typ     Type
+	name    string // frame name, "/variant" appended for the extra forms
+	payload []byte
+}
+
+// loadGolden reads testdata/frames.golden: payloads written by the
+// hand-paired encoders this package had before the frame table, one
+// populated instance of every frame type plus the short and empty forms.
+func loadGolden(tb testing.TB) []goldenFrame {
+	tb.Helper()
+	raw, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	rings, err := ParseShmSetupOK(AppendShmSetupOK(nil, 8))
-	if err != nil || rings != 8 {
-		t.Fatalf("ParseShmSetupOK = %d, %v", rings, err)
+	var rows []goldenFrame
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			tb.Fatalf("frames.golden: bad line %q", line)
+		}
+		n, err := strconv.Atoi(f[0])
+		if err != nil {
+			tb.Fatalf("frames.golden: %q: %v", line, err)
+		}
+		var p []byte
+		if f[2] != "-" {
+			if p, err = hex.DecodeString(f[2]); err != nil {
+				tb.Fatalf("frames.golden: %q: %v", line, err)
+			}
+		}
+		rows = append(rows, goldenFrame{typ: Type(n), name: f[1], payload: p})
 	}
-	sess, ring, err := ParseShmBind(AppendShmBind(nil, 5, 2))
-	if err != nil || sess != 5 || ring != 2 {
-		t.Fatalf("ParseShmBind = %d, %d, %v", sess, ring, err)
+	return rows
+}
+
+// recode decodes a frame-typ payload and encodes what it decoded: through
+// the frame table's message value, or — for the four hot-path frames the
+// table has none for — through their hand-written pair.
+func recode(typ Type, p []byte) ([]byte, error) {
+	if m := New(typ); m != nil {
+		if err := Decode(typ, p, m); err != nil {
+			return nil, err
+		}
+		return Append(nil, m), nil
 	}
-	sess, ring, err = ParseShmBound(AppendShmBound(nil, 5, 2))
-	if err != nil || sess != 5 || ring != 2 {
-		t.Fatalf("ParseShmBound = %d, %d, %v", sess, ring, err)
+	switch typ {
+	case TSubmit:
+		s, id, err := ParseSubmit(p)
+		return AppendSubmit(nil, s, id), err
+	case TSubmitBatch:
+		s, b, err := ParseSubmitBatch(p)
+		ids := make([]int32, b.Len())
+		for i := range ids {
+			ids[i] = b.At(i)
+		}
+		return AppendSubmitBatch(nil, s, ids), err
+	case TPredictAt:
+		s, d, err := ParsePredictAt(p)
+		return AppendPredictAt(nil, s, d), err
+	case TPrediction:
+		pr, ok, err := ParsePrediction(p)
+		return AppendPrediction(nil, pr, ok), err
 	}
-	sub := Subscribe{Session: 5, Horizon: 16, Every: 32}
-	gotSub, err := ParseSubscribe(AppendSubscribe(nil, sub))
-	if err != nil || gotSub != sub {
-		t.Fatalf("ParseSubscribe = %+v, %v, want %+v", gotSub, err, sub)
+	return nil, errors.New("no codec for frame type " + typ.String())
+}
+
+// TestGoldenFrames is the cross-version compatibility check: every payload
+// the pre-table encoders produced still decodes, and encodes back to the
+// same bytes (a six-byte Hello gains its flags byte: encoders always wrote
+// it, only decoders accept its absence).
+func TestGoldenFrames(t *testing.T) {
+	seen := make(map[Type]bool)
+	for _, g := range loadGolden(t) {
+		seen[g.typ] = true
+		if base, _, _ := strings.Cut(g.name, "/"); base != g.typ.String() {
+			t.Errorf("type %d is %q in the golden file, %q in the frame table", g.typ, base, g.typ)
+		}
+		got, err := recode(g.typ, g.payload)
+		if err != nil {
+			t.Errorf("%s: %v", g.name, err)
+			continue
+		}
+		want := g.payload
+		if g.name == "Hello/short" {
+			want = append(append([]byte(nil), want...), 0)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: re-encoded %x, want %x", g.name, got, want)
+		}
 	}
-	sess, err = ParseSubscribed(AppendSubscribed(nil, 5))
-	if err != nil || sess != 5 {
-		t.Fatalf("ParseSubscribed = %d, %v", sess, err)
+	for typ := THello; typ <= TModelAccepted; typ++ {
+		if !seen[typ] {
+			t.Errorf("no golden payload for %s", typ)
+		}
+	}
+	for _, short := range []string{"Hello/short", "HelloOK/short", "Error/short"} {
+		found := false
+		for _, g := range loadGolden(t) {
+			found = found || g.name == short
+		}
+		if !found {
+			t.Errorf("no golden payload for %s", short)
+		}
 	}
 }
 
-func TestTrailingBytesAreMalformed(t *testing.T) {
-	checks := []func([]byte) error{
-		func(p []byte) error { _, _, err := ParseHello(p); return err },
-		func(p []byte) error { _, err := ParseOpenSession(p); return err },
-		func(p []byte) error { _, err := ParseSessionOpened(p); return err },
-		func(p []byte) error { _, _, err := ParseSubmit(p); return err },
-		func(p []byte) error { _, _, err := ParseSubmitBatch(p); return err },
-		func(p []byte) error { _, _, err := ParsePredictAt(p); return err },
-		func(p []byte) error { _, _, err := ParsePredictSequence(p); return err },
-		func(p []byte) error { _, _, err := ParsePrediction(p); return err },
-		func(p []byte) error { _, err := ParsePredictions(p); return err },
-		func(p []byte) error { _, err := ParseHealth(p); return err },
-		func(p []byte) error { _, err := ParseHealthInfo(p); return err },
-		func(p []byte) error { _, err := ParseCloseSession(p); return err },
-		func(p []byte) error { _, _, err := ParseError(p); return err },
-		func(p []byte) error { _, err := ParseShmSetup(p); return err },
-		func(p []byte) error { _, err := ParseShmSetupOK(p); return err },
-		func(p []byte) error { _, _, err := ParseShmBind(p); return err },
-		func(p []byte) error { _, _, err := ParseShmBound(p); return err },
-		func(p []byte) error { _, err := ParseSubscribe(p); return err },
-		func(p []byte) error { _, err := ParseSubscribed(p); return err },
-		func(p []byte) error { _, _, _, err := ParseHelloOK(p); return err },
-		func(p []byte) error { _, _, _, err := ParseErrorRetry(p); return err },
-		func(p []byte) error { _, err := ParseResume(p); return err },
-		func(p []byte) error { _, err := ParseResumed(p); return err },
-		func(p []byte) error { _, _, _, err := ParseReplay(p); return err },
-		func(p []byte) error { _, _, err := ParseReplayed(p); return err },
-		func(p []byte) error { return ParseHeartbeat(p) },
-		func(p []byte) error { return ParseHeartbeatAck(p) },
-		func(p []byte) error { return ParseDetach(p) },
-		func(p []byte) error { _, err := ParseModelInfo(p); return err },
-		func(p []byte) error { _, err := ParseModelInfoR(p); return err },
-		func(p []byte) error { _, err := ParsePromote(p); return err },
-		func(p []byte) error { _, err := ParsePromoted(p); return err },
-		func(p []byte) error { _, err := ParseRollback(p); return err },
-		func(p []byte) error { _, err := ParseRolledBack(p); return err },
-		func(p []byte) error { _, err := ParseShardMap(p); return err },
-		func(p []byte) error { _, err := ParseShardMapR(p); return err },
-		func(p []byte) error { _, err := ParseFetchModel(p); return err },
-		func(p []byte) error { _, err := ParseOfferModel(p); return err },
-		func(p []byte) error { _, _, err := ParseModelAccepted(p); return err },
-	}
-	bodies := [][]byte{
-		AppendHello(nil, HelloFlagResume),
-		AppendOpenSession(nil, OpenSession{TID: 1, Tenant: "x"}),
-		AppendSessionOpened(nil, SessionOpened{Session: 1}),
-		AppendSubmit(nil, 1, 2),
-		AppendSubmitBatch(nil, 1, []int32{2}),
-		AppendPredictAt(nil, 1, 2),
-		AppendPredictSequence(nil, 1, 2),
-		AppendPrediction(nil, predictor.Prediction{}, true),
-		AppendPredictions(nil, []predictor.Prediction{{}}),
-		AppendHealth(nil, "x"),
-		AppendHealthInfo(nil, HealthInfo{}),
-		AppendCloseSession(nil, 1),
-		AppendError(nil, CodeInternal, "x"),
-		AppendShmSetup(nil, ShmSetup{Rings: 1, Slots: 64, PredCap: 1, SegSize: 1, Path: "/p"}),
-		AppendShmSetupOK(nil, 1),
-		AppendShmBind(nil, 1, 0),
-		AppendShmBound(nil, 1, 0),
-		AppendSubscribe(nil, Subscribe{Session: 1, Horizon: 1, Every: 1}),
-		AppendSubscribed(nil, 1),
-		AppendHelloOKResume(nil, 1, 1),
-		AppendErrorRetry(nil, CodeRetryLater, "x", 1),
-		AppendResume(nil, 1),
-		AppendResumed(nil, []ResumedSession{{Session: 1, Applied: 2}}),
-		AppendReplay(nil, 1, 2, []int32{3}),
-		AppendReplayed(nil, 1, 2),
-		nil, // Heartbeat
-		nil, // HeartbeatAck
-		nil, // Detach
-		AppendModelInfo(nil, "x"),
-		AppendModelInfoR(nil, ModelInfo{Enabled: true, State: ModelLearning, Retained: []uint64{2, 1}}),
-		AppendPromote(nil, "x"),
-		AppendPromoted(nil, 1),
-		AppendRollback(nil, "x"),
-		AppendRolledBack(nil, 1),
-		AppendShardMap(nil, 1),
-		AppendShardMapR(nil, ShardMap{Epoch: 1, Replicas: 1, Daemons: []string{"a", "b"}}),
-		AppendFetchModel(nil, "x"),
-		AppendOfferModel(nil, ModelOffer{Tenant: "x", Generation: 1, Source: "a", Payload: []byte{1}}),
-		AppendModelAccepted(nil, true, 1),
-	}
-	for i, check := range checks {
-		if err := check(append(bodies[i], 0)); err == nil {
-			t.Fatalf("parser %d accepted trailing byte", i)
+// TestFrameTable checks the table against itself: rows 1..39 and nothing
+// else, names unique, every request's reply is a row that flows back, and
+// only the four hot-path frames lack a message value.
+func TestFrameTable(t *testing.T) {
+	for n, row := range frames {
+		if (n < int(THello) || n > int(TModelAccepted)) && (row.name != "" || row.dir != 0 || row.reply != 0 || row.msg != nil) {
+			t.Errorf("frame table has a row for unassigned type %d (%q)", n, row.name)
 		}
-		if err := check(bodies[i]); err != nil {
-			t.Fatalf("parser %d rejected its own encoding: %v", i, err)
+	}
+	names := make(map[string]Type)
+	for typ := THello; typ <= TModelAccepted; typ++ {
+		row := frames[typ]
+		if row.name == "" || row.dir == 0 {
+			t.Errorf("type %d has no table row", typ)
+			continue
+		}
+		if prev, dup := names[row.name]; dup {
+			t.Errorf("types %d and %d share the name %q", prev, typ, row.name)
+		}
+		names[row.name] = typ
+		if r := typ.Reply(); r != 0 {
+			if row.dir == ToClient {
+				t.Errorf("%s is a reply yet names %s as its own reply", typ, r)
+			}
+			if r.Dir() == ToServer || r.Dir() == 0 || (r.Reply() != 0 && r.Dir() != BothWays) {
+				t.Errorf("%s is answered by %s, which is not a reply frame", typ, r)
+			}
+		}
+		hot := typ == TSubmit || typ == TSubmitBatch || typ == TPredictAt || typ == TPrediction
+		if (New(typ) == nil) != hot {
+			t.Errorf("%s: New = %v, hot-path = %v", typ, New(typ), hot)
+		}
+	}
+	if got := Type(200).String(); got != "Type(200)" || New(200) != nil || Type(200).Reply() != 0 {
+		t.Errorf("unknown type: String %q, New %v, Reply %v", got, New(200), Type(200).Reply())
+	}
+	if CodeWrongShard.String() != "wrong shard" || Code(0).String() != "Code(0)" || Code(99).String() != "Code(99)" {
+		t.Errorf("code names: %q %q %q", CodeWrongShard, Code(0), Code(99))
+	}
+}
+
+// TestDesignFrameReference holds DESIGN.md §10's frame reference — written
+// from the frame table — against the table: number, name, direction, reply.
+func TestDesignFrameReference(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]Dir{"c→s": ToServer, "s→c": ToClient, "both": BothWays}
+	rows := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Split(line, "|")
+		if len(f) < 6 {
+			continue
+		}
+		n, err := strconv.Atoi(strings.TrimSpace(f[1]))
+		if err != nil {
+			continue // the header, the rule, or some other table
+		}
+		rows++
+		typ, name, dir, reply := Type(n), strings.TrimSpace(f[2]), strings.TrimSpace(f[3]), strings.TrimSpace(f[4])
+		wantReply := "—"
+		if r := typ.Reply(); r != 0 {
+			wantReply = r.String()
+		}
+		if name != typ.String() || dirs[dir] != typ.Dir() || reply != wantReply {
+			t.Errorf("DESIGN.md row %d is %s %s reply %s; the frame table has %s direction %d reply %s",
+				n, name, dir, reply, typ, typ.Dir(), wantReply)
+		}
+		if m := New(typ); m != nil {
+			if goType := strings.TrimPrefix(fmt.Sprintf("%T", m), "*wire."); !strings.Contains(f[5], "`"+goType+"`") {
+				t.Errorf("DESIGN.md row %d (%s) does not name its message type %s", n, name, goType)
+			}
+		}
+	}
+	if rows != int(TModelAccepted) {
+		t.Errorf("DESIGN.md's frame reference has %d rows, the frame table %d", rows, TModelAccepted)
+	}
+}
+
+// TestTrailingBytesAreMalformed runs every golden payload through its
+// frame's codec three ways: as written it decodes; with one byte appended it
+// is malformed; cut short anywhere it is malformed too — unless the frame
+// has an optional tail (Hello's flags, HelloOK's grant, Error's hint) and
+// the cut is exactly its tail-less form, which must then be self-consistent.
+func TestTrailingBytesAreMalformed(t *testing.T) {
+	for _, g := range loadGolden(t) {
+		if _, err := recode(g.typ, g.payload); err != nil {
+			t.Errorf("%s rejected its own encoding: %v", g.name, err)
+		}
+		// (A byte after the flags-less Hello is its flags byte.)
+		if _, err := recode(g.typ, append(append([]byte(nil), g.payload...), 0)); !errors.Is(err, ErrMalformed) && g.name != "Hello/short" {
+			t.Errorf("%s with a trailing byte: err = %v, want ErrMalformed", g.name, err)
+		}
+		for n := 0; n < len(g.payload); n++ {
+			cut := g.payload[:n]
+			got, err := recode(g.typ, cut)
+			switch {
+			case err == nil && g.typ == THello && n == 6:
+			case err == nil && (g.typ == THelloOK || g.typ == TError) && bytes.Equal(got, cut):
+			case err == nil:
+				t.Errorf("%s cut to %d bytes decoded (as %x)", g.name, n, got)
+			case !errors.Is(err, ErrMalformed):
+				t.Errorf("%s cut to %d bytes: err = %v, want ErrMalformed", g.name, n, err)
+			}
 		}
 	}
 }

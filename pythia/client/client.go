@@ -33,7 +33,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -85,10 +84,6 @@ type Config struct {
 	// ShmDir is where the segment file is created ("" = /dev/shm when
 	// present, else the system temp directory). Only read with SharedMem.
 	ShmDir string
-	// DisableResume opts out of session resume: the client neither asks
-	// the server for a resume token nor replays after a reconnect, and a
-	// reconnected session starts cold.
-	DisableResume bool
 	// Heartbeat, when positive, round-trips a keepalive frame on that
 	// interval from a background goroutine, detecting half-open
 	// connections that would otherwise surface only at the next request.
@@ -109,18 +104,9 @@ type Config struct {
 }
 
 // RemoteError is a protocol Error frame returned by the server as the
-// response to a request.
-type RemoteError struct {
-	Code wire.Code
-	Msg  string
-	// RetryAfterMs is the server's backoff hint on CodeRetryLater
-	// responses (0 when the server sent none).
-	RetryAfterMs uint32
-}
-
-func (e *RemoteError) Error() string {
-	return fmt.Sprintf("pythiad: %s: %s", e.Code, e.Msg)
-}
+// response to a request: Code, Msg, and — on CodeRetryLater — the server's
+// RetryAfterMs backoff hint.
+type RemoteError = wire.RemoteError
 
 // errClosed is the latched cause of an explicitly closed client.
 var errClosed = errors.New("client: closed")
@@ -161,18 +147,13 @@ type Client struct {
 	statRetryLater atomic.Uint64
 
 	mu      sync.Mutex
-	network string // "tcp" or "unix"; renegotiated on reconnect
-	nc      net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	cause   error  // first failure of the current outage; nil when healthy
-	buf     []byte // frame read buffer
-	out     []byte // payload encode buffer
+	network string     // "tcp" or "unix"; renegotiated on reconnect
+	conn    *wire.Conn // the framed connection; replaced on reconnect
+	cause   error      // first failure of the current outage; nil when healthy
 
 	// resumeToken is the server's grant from the latest handshake; 0 when
-	// the server offered none (or DisableResume).
-	resumeToken  uint64
-	resumeWindow time.Duration
+	// the server offered none.
+	resumeToken uint64
 
 	// oracles lists every oracle opened on this client, so a reconnect
 	// can re-establish their sessions. Guarded by mu.
@@ -216,14 +197,9 @@ func (c *Client) Stats() Stats {
 func (c *Client) ShardMap(cachedEpoch uint64) (cluster.Map, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.out = wire.AppendShardMap(c.out[:0], cachedEpoch)
-	resp, err := c.roundTrip(wire.TShardMap, c.out, wire.TShardMapR)
-	if err != nil {
+	var sm wire.ShardMap
+	if err := c.call(wire.TShardMap, &wire.Uint64{V: cachedEpoch}, &sm); err != nil {
 		return cluster.Map{}, err
-	}
-	sm, err := wire.ParseShardMapR(resp)
-	if err != nil {
-		return cluster.Map{}, c.fail(err)
 	}
 	return cluster.Map{Epoch: sm.Epoch, Replicas: int(sm.Replicas), Daemons: sm.Daemons}, nil
 }
@@ -279,26 +255,18 @@ func dialOne(addr string, addrs []string, cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dialing %s: %w", addr, err)
 	}
-	c := &Client{
-		cfg:     cfg,
-		addrs:   addrs,
-		network: network,
-		nc:      nc,
-		br:      bufio.NewReader(nc),
-		bw:      bufio.NewWriter(nc),
-		buf:     make([]byte, 0, 4096),
-		out:     make([]byte, 0, 1024),
-		quit:    make(chan struct{}),
-	}
-	token, window, err := handshakeConn(nc, c.br, c.bw, cfg)
+	conn, token, err := handshake(nc, cfg)
 	if err != nil {
-		if cerr := nc.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
 		return nil, err
 	}
-	c.resumeToken = token
-	c.resumeWindow = time.Duration(window) * time.Millisecond
+	c := &Client{
+		cfg:         cfg,
+		addrs:       addrs,
+		network:     network,
+		conn:        conn,
+		resumeToken: token,
+		quit:        make(chan struct{}),
+	}
 	if cfg.SharedMem && network == transport.NetUnix {
 		c.mu.Lock()
 		c.negotiateShm()
@@ -311,46 +279,17 @@ func dialOne(addr string, addrs []string, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// handshakeConn performs the Hello exchange on a fresh connection. It uses
-// only local buffers so the reconnect goroutine can handshake a candidate
-// connection without holding the client lock.
-func handshakeConn(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, cfg Config) (token uint64, windowMs uint32, err error) {
-	if err := nc.SetDeadline(time.Now().Add(cfg.DialTimeout)); err != nil {
-		return 0, 0, fmt.Errorf("client: handshake deadline: %w", err)
-	}
-	var flags uint8
-	if !cfg.DisableResume {
-		flags |= wire.HelloFlagResume
-	}
-	if err := wire.WriteFrame(bw, wire.THello, wire.AppendHello(nil, flags)); err != nil {
-		return 0, 0, fmt.Errorf("client: hello: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, 0, fmt.Errorf("client: hello: %w", err)
-	}
-	var buf []byte
-	t, payload, err := wire.ReadFrame(br, &buf)
+// handshake wraps a fresh connection and performs the Hello exchange on it,
+// asking for a resume token (0 when the server grants none). It touches no
+// client state, so the reconnect goroutine can try a candidate connection
+// without holding the client lock; a connection that fails is closed.
+func handshake(nc net.Conn, cfg Config) (*wire.Conn, uint64, error) {
+	conn := wire.NewConn(nc)
+	grant, err := conn.Handshake(wire.HelloFlagResume, cfg.DialTimeout)
 	if err != nil {
-		return 0, 0, fmt.Errorf("client: hello response: %w", err)
+		return nil, 0, errors.Join(fmt.Errorf("client: %w", err), nc.Close())
 	}
-	if t == wire.TError {
-		code, msg, _, perr := wire.ParseErrorRetry(payload)
-		if perr != nil {
-			return 0, 0, fmt.Errorf("client: hello response: %w", perr)
-		}
-		return 0, 0, &RemoteError{Code: code, Msg: msg}
-	}
-	if t != wire.THelloOK {
-		return 0, 0, fmt.Errorf("client: hello response: unexpected %s frame", t)
-	}
-	v, tok, window, err := wire.ParseHelloOK(payload)
-	if err != nil {
-		return 0, 0, fmt.Errorf("client: hello response: %w", err)
-	}
-	if v != wire.Version {
-		return 0, 0, fmt.Errorf("client: server speaks protocol version %d, this client version %d", v, wire.Version)
-	}
-	return tok, window, nc.SetDeadline(time.Time{})
+	return conn, grant.Token, nil
 }
 
 // Close detaches from the daemon (so the server releases rather than parks
@@ -372,15 +311,13 @@ func (c *Client) Close() error {
 	var ferr error
 	if wasConnected {
 		if c.resumeToken != 0 {
-			if err := wire.WriteFrame(c.bw, wire.TDetach, nil); err != nil && ferr == nil {
-				ferr = err
-			}
+			ferr = c.conn.Send(wire.TDetach, &wire.Empty{})
 		}
-		if err := c.bw.Flush(); err != nil && ferr == nil {
+		if err := c.conn.BW.Flush(); err != nil && ferr == nil {
 			ferr = err
 		}
 	}
-	cerr := c.nc.Close()
+	cerr := c.conn.NC.Close()
 	c.mu.Unlock()
 	close(c.quit)
 	c.wg.Wait()
@@ -408,14 +345,14 @@ func (c *Client) Err() error {
 }
 
 // fail routes a transport/protocol failure into the reconnect machinery
-// and returns the latched cause. Caller holds c.mu.
+// and returns the latched cause of the outage (the first failure wins).
+// Caller holds c.mu.
 func (c *Client) fail(err error) error {
-	return c.disconnectLocked(err)
-}
-
-// note is fail for callers that already have an error path of their own.
-func (c *Client) note(err error) {
 	c.disconnectLocked(err)
+	if c.cause != nil {
+		return c.cause
+	}
+	return err
 }
 
 // offlineErr returns nil when requests may proceed, the latched cause (or
@@ -437,64 +374,56 @@ func (c *Client) offlineErr() error {
 	}
 }
 
-// writeOneWay ships a frame that expects no response. Caller holds c.mu.
-func (c *Client) writeOneWay(t wire.Type, payload []byte) error {
+// writeOneWay ships a frame that expects no response; a failure starts the
+// reconnect machinery and the frame's events are re-delivered from the
+// shadow buffer. Caller holds c.mu.
+func (c *Client) writeOneWay(t wire.Type, payload []byte) {
+	if c.offlineErr() != nil {
+		return
+	}
+	if err := c.conn.NC.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout)); err != nil {
+		c.disconnectLocked(err)
+		return
+	}
+	if err := wire.WriteFrame(c.conn.BW, t, payload); err != nil {
+		c.disconnectLocked(err)
+	}
+}
+
+// call runs one request/reply exchange: req goes out as a frame of type t
+// and the reply the frame table names for t is decoded into resp. A refusal
+// comes back as a *RemoteError; anything else that goes wrong has already
+// started a reconnect. Caller holds c.mu.
+func (c *Client) call(t wire.Type, req, resp wire.Message) error {
 	if err := c.offlineErr(); err != nil {
 		return err
 	}
-	if err := c.nc.SetWriteDeadline(time.Now().Add(c.cfg.RequestTimeout)); err != nil {
-		return c.fail(err)
-	}
-	if err := wire.WriteFrame(c.bw, t, payload); err != nil {
-		return c.fail(err)
-	}
-	return nil
+	return c.exchange(t, req, resp)
 }
 
-// roundTrip ships a request and reads its response, which must be either
-// want or an Error frame. The returned payload aliases the client's read
-// buffer: parse it before releasing c.mu. Caller holds c.mu.
-func (c *Client) roundTrip(t wire.Type, payload []byte, want wire.Type) ([]byte, error) {
-	if err := c.offlineErr(); err != nil {
-		return nil, err
-	}
-	return c.doRoundTrip(t, payload, want)
+// exchange is call without the connection-state gate; the reconnect
+// goroutine uses it to talk over a connection that is still being
+// established. Caller holds c.mu.
+func (c *Client) exchange(t wire.Type, req, resp wire.Message) error {
+	return c.settle(c.conn.Exchange(t, req, resp, c.cfg.RequestTimeout))
 }
 
-// doRoundTrip is roundTrip without the connection-state gate; the
-// reconnect goroutine uses it to talk over a connection that is still
-// being established. Caller holds c.mu.
-func (c *Client) doRoundTrip(t wire.Type, payload []byte, want wire.Type) ([]byte, error) {
-	deadline := time.Now().Add(c.cfg.RequestTimeout)
-	if err := c.nc.SetDeadline(deadline); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := wire.WriteFrame(c.bw, t, payload); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	rt, resp, err := wire.ReadFrame(c.br, &c.buf)
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	if rt == wire.TError {
-		code, msg, retryMs, perr := wire.ParseErrorRetry(resp)
-		if perr != nil {
-			return nil, c.fail(perr)
-		}
-		if code == wire.CodeRetryLater {
+// settle sorts the outcome of an exchange. An Error frame keeps
+// request/response pairing intact — the connection stays usable, so it is
+// returned as is (and counted, when it is the server shedding load); any
+// other failure trips the reconnect machinery. Caller holds c.mu.
+func (c *Client) settle(err error) error {
+	var re *RemoteError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &re):
+		if re.Code == wire.CodeRetryLater {
 			c.statRetryLater.Add(1)
 		}
-		// An Error response keeps request/response pairing intact; the
-		// connection stays usable, so the failure does not trip reconnect.
-		return nil, &RemoteError{Code: code, Msg: msg, RetryAfterMs: retryMs}
+		return err
 	}
-	if rt != want {
-		return nil, c.fail(fmt.Errorf("client: expected %s response, got %s", want, rt))
-	}
-	return resp, nil
+	return c.fail(err)
 }
 
 // heartbeatLoop round-trips a keepalive frame on the configured interval,
@@ -512,9 +441,9 @@ func (c *Client) heartbeatLoop() {
 		}
 		c.mu.Lock()
 		if c.state.Load() == stateConnected {
-			// A failed round trip latches the cause and starts the
-			// reconnect loop via doRoundTrip's own failure path.
-			_, _ = c.doRoundTrip(wire.THeartbeat, nil, wire.THeartbeatAck)
+			// A failed exchange has already latched the cause and started
+			// the reconnect loop; there is nothing more to do with it here.
+			_ = c.exchange(wire.THeartbeat, &wire.Empty{}, &wire.Empty{})
 		}
 		c.mu.Unlock()
 	}
@@ -524,16 +453,14 @@ func (c *Client) heartbeatLoop() {
 // checked the connection state (the reconnect goroutine calls this on a
 // connection that is still being established).
 func (c *Client) openSession(tenant string, tid int32, flags uint8) (wire.SessionOpened, error) {
-	c.out = wire.AppendOpenSession(c.out[:0], wire.OpenSession{TID: tid, Flags: flags, Tenant: tenant})
-	resp, err := c.doRoundTrip(wire.TOpenSession, c.out, wire.TSessionOpened)
-	if err != nil {
-		return wire.SessionOpened{}, err
-	}
-	so, err := wire.ParseSessionOpened(resp)
-	if err != nil {
-		return wire.SessionOpened{}, c.fail(err)
-	}
-	return so, nil
+	var so wire.SessionOpened
+	err := c.exchange(wire.TOpenSession, &wire.OpenSession{TID: tid, Flags: flags, Tenant: tenant}, &so)
+	return so, err
+}
+
+// closeSession closes one server-side session. Caller holds c.mu.
+func (c *Client) closeSession(sid uint32) error {
+	return c.call(wire.TCloseSession, &wire.SessionRef{Session: sid}, &wire.SessionRef{})
 }
 
 // Oracle opens a remote oracle over one tenant (a named trace in the
@@ -625,8 +552,7 @@ func (o *Oracle) Close() error {
 	o.closed = true
 	var err error
 	if o.c.state.Load() == stateConnected {
-		o.c.out = wire.AppendCloseSession(o.c.out[:0], o.meta)
-		_, err = o.c.roundTrip(wire.TCloseSession, o.c.out, wire.TSessionClosed)
+		err = o.c.closeSession(o.meta)
 	}
 	o.c.mu.Unlock()
 	if o.owned {
@@ -723,15 +649,8 @@ func (o *Oracle) Health() pythia.Health {
 	o.flushAll()
 	c := o.c
 	c.mu.Lock()
-	c.out = wire.AppendHealth(c.out[:0], o.tenant)
-	resp, err := c.roundTrip(wire.THealth, c.out, wire.THealthInfo)
 	var hi wire.HealthInfo
-	if err == nil {
-		hi, err = wire.ParseHealthInfo(resp)
-		if err != nil {
-			err = c.fail(err)
-		}
-	}
+	err := c.call(wire.THealth, &wire.TenantRef{Tenant: o.tenant}, &hi)
 	c.mu.Unlock()
 
 	var h pythia.Health
@@ -767,14 +686,9 @@ func (o *Oracle) ModelInfo() (pythia.ModelInfo, error) {
 	c := o.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.out = wire.AppendModelInfo(c.out[:0], o.tenant)
-	resp, err := c.roundTrip(wire.TModelInfo, c.out, wire.TModelInfoR)
-	if err != nil {
+	var wmi wire.ModelInfo
+	if err := c.call(wire.TModelInfo, &wire.TenantRef{Tenant: o.tenant}, &wmi); err != nil {
 		return pythia.ModelInfo{}, err
-	}
-	wmi, err := wire.ParseModelInfoR(resp)
-	if err != nil {
-		return pythia.ModelInfo{}, c.fail(err)
 	}
 	mi := pythia.ModelInfo{
 		Enabled:           wmi.Enabled,
@@ -798,39 +712,21 @@ func (o *Oracle) ModelInfo() (pythia.ModelInfo, error) {
 // Promote forces a promotion of this tenant's shadow model on the server.
 // A refusal (learning disabled, no shadow candidate yet) comes back as a
 // *RemoteError with CodeLifecycle; the connection stays usable.
-func (o *Oracle) Promote() (uint64, error) {
-	o.flushAll()
-	c := o.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.out = wire.AppendPromote(c.out[:0], o.tenant)
-	resp, err := c.roundTrip(wire.TPromote, c.out, wire.TPromoted)
-	if err != nil {
-		return 0, err
-	}
-	gen, err := wire.ParsePromoted(resp)
-	if err != nil {
-		return 0, c.fail(err)
-	}
-	return gen, nil
-}
+func (o *Oracle) Promote() (uint64, error) { return o.mint(wire.TPromote) }
 
 // Rollback forces a rollback to the previous generation on the server.
-func (o *Oracle) Rollback() (uint64, error) {
+func (o *Oracle) Rollback() (uint64, error) { return o.mint(wire.TRollback) }
+
+// mint runs a forced lifecycle transition (Promote or Rollback) and returns
+// the generation it minted. Pending submissions are flushed first.
+func (o *Oracle) mint(t wire.Type) (uint64, error) {
 	o.flushAll()
 	c := o.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.out = wire.AppendRollback(c.out[:0], o.tenant)
-	resp, err := c.roundTrip(wire.TRollback, c.out, wire.TRolledBack)
-	if err != nil {
-		return 0, err
-	}
-	gen, err := wire.ParseRolledBack(resp)
-	if err != nil {
-		return 0, c.fail(err)
-	}
-	return gen, nil
+	var gen wire.Uint64
+	err := c.call(t, &wire.TenantRef{Tenant: o.tenant}, &gen)
+	return gen.V, err
 }
 
 // stateFromWire maps a wire degradation state back onto the library's.
@@ -964,12 +860,10 @@ func (t *Thread) flushLocked(c *Client) {
 		t.pmu.Unlock()
 		return
 	}
-	c.out = wire.AppendSubmitBatch(c.out[:0], t.sid, t.pending)
+	c.conn.Out = wire.AppendSubmitBatch(c.conn.Out[:0], t.sid, t.pending)
 	t.pending = t.pending[:0]
 	t.pmu.Unlock()
-	if err := c.writeOneWay(wire.TSubmitBatch, c.out); err != nil {
-		c.note(err)
-	}
+	c.writeOneWay(wire.TSubmitBatch, c.conn.Out)
 }
 
 // syncLocked is flushLocked for paths that run on the submitting
@@ -993,8 +887,8 @@ func (t *Thread) Flush() {
 	c.mu.Lock()
 	t.syncLocked(c)
 	if c.state.Load() == stateConnected {
-		if err := c.bw.Flush(); err != nil {
-			c.note(err)
+		if err := c.conn.BW.Flush(); err != nil {
+			c.disconnectLocked(err)
 		}
 	}
 	c.mu.Unlock()
@@ -1084,8 +978,7 @@ func (t *Thread) restartLocked() (hadRing bool) {
 		t.startFlag = true
 		return false
 	}
-	c.out = wire.AppendCloseSession(c.out[:0], t.sid)
-	if _, err := c.roundTrip(wire.TCloseSession, c.out, wire.TSessionClosed); err != nil {
+	if err := c.closeSession(t.sid); err != nil {
 		t.inert.Store(true)
 		t.o.noteOpenErr(err)
 		return false
@@ -1113,14 +1006,15 @@ func (t *Thread) PredictAt(distance int) (pythia.Prediction, bool) {
 	if !t.ensureOpen(c) {
 		return pythia.Prediction{}, false
 	}
-	c.out = wire.AppendPredictAt(c.out[:0], t.sid, distance)
-	resp, err := c.roundTrip(wire.TPredictAt, c.out, wire.TPrediction)
-	if err != nil {
+	// The query path keeps the hand-written codec: it must not allocate.
+	c.conn.Out = wire.AppendPredictAt(c.conn.Out[:0], t.sid, distance)
+	resp, err := c.conn.RoundTrip(wire.TPredictAt, c.conn.Out, c.cfg.RequestTimeout)
+	if c.settle(err) != nil {
 		return pythia.Prediction{}, false
 	}
 	pr, ok, perr := wire.ParsePrediction(resp)
 	if perr != nil {
-		c.note(perr)
+		c.disconnectLocked(perr)
 		return pythia.Prediction{}, false
 	}
 	return pr, ok
@@ -1140,17 +1034,11 @@ func (t *Thread) PredictSequence(n int) []pythia.Prediction {
 	if !t.ensureOpen(c) {
 		return nil
 	}
-	c.out = wire.AppendPredictSequence(c.out[:0], t.sid, n)
-	resp, err := c.roundTrip(wire.TPredictSequence, c.out, wire.TPredictions)
-	if err != nil {
+	var resp wire.Predictions
+	if c.call(wire.TPredictSequence, &wire.SessionArg{Session: t.sid, Arg: uint32(n)}, &resp) != nil {
 		return nil
 	}
-	preds, perr := wire.ParsePredictions(resp)
-	if perr != nil {
-		c.note(perr)
-		return nil
-	}
-	return preds
+	return resp.Preds
 }
 
 // PredictDurationUntil predicts the time until the next occurrence of the

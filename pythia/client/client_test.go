@@ -43,7 +43,7 @@ func fakeDaemon(t *testing.T) string {
 			fail(err)
 			return
 		}
-		if err := wire.WriteFrame(bw, wire.THelloOK, wire.AppendHelloOK(nil)); err != nil {
+		if err := wire.WriteFrame(bw, wire.THelloOK, wire.Append(nil, &wire.HelloOK{Version: wire.Version})); err != nil {
 			fail(err)
 			return
 		}
@@ -56,7 +56,7 @@ func fakeDaemon(t *testing.T) string {
 			return
 		}
 		so := wire.SessionOpened{Session: 0, Events: []string{"a", "b"}}
-		if err := wire.WriteFrame(bw, wire.TSessionOpened, wire.AppendSessionOpened(nil, so)); err != nil {
+		if err := wire.WriteFrame(bw, wire.TSessionOpened, wire.Append(nil, &so)); err != nil {
 			fail(err)
 			return
 		}
@@ -154,12 +154,12 @@ func TestFlushShipsToSocket(t *testing.T) {
 			}
 			switch typ {
 			case wire.THello:
-				if !reply(wire.THelloOK, wire.AppendHelloOK(nil)) {
+				if !reply(wire.THelloOK, wire.Append(nil, &wire.HelloOK{Version: wire.Version})) {
 					return
 				}
 			case wire.TOpenSession:
-				o, err := wire.ParseOpenSession(payload)
-				if err != nil {
+				var o wire.OpenSession
+				if err := wire.Decode(typ, payload, &o); err != nil {
 					return
 				}
 				sid := uint32(0)
@@ -167,7 +167,7 @@ func TestFlushShipsToSocket(t *testing.T) {
 					sid = 1
 				}
 				so := wire.SessionOpened{Session: sid, Events: []string{"a", "b"}}
-				if !reply(wire.TSessionOpened, wire.AppendSessionOpened(nil, so)) {
+				if !reply(wire.TSessionOpened, wire.Append(nil, &so)) {
 					return
 				}
 			case wire.TSubmitBatch:
@@ -291,12 +291,12 @@ func loopDaemon(t *testing.T) (addr string, accepts *atomic.Int32, stop func()) 
 					}
 					switch typ {
 					case wire.THello:
-						if !reply(wire.THelloOK, wire.AppendHelloOK(nil)) {
+						if !reply(wire.THelloOK, wire.Append(nil, &wire.HelloOK{Version: wire.Version})) {
 							return
 						}
 					case wire.TOpenSession:
-						o, err := wire.ParseOpenSession(payload)
-						if err != nil {
+						var o wire.OpenSession
+						if err := wire.Decode(typ, payload, &o); err != nil {
 							return
 						}
 						sid := uint32(0)
@@ -304,7 +304,7 @@ func loopDaemon(t *testing.T) (addr string, accepts *atomic.Int32, stop func()) 
 							sid = 1
 						}
 						so := wire.SessionOpened{Session: sid, Events: []string{"a", "b"}}
-						if !reply(wire.TSessionOpened, wire.AppendSessionOpened(nil, so)) {
+						if !reply(wire.TSessionOpened, wire.Append(nil, &so)) {
 							return
 						}
 					case wire.TPredictAt:

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -36,17 +35,14 @@ func (c *Client) disconnect(err error) {
 // it latches err as the outage cause (first failure wins), closes the dead
 // connection, strips every thread's shared-memory fast path, and spawns
 // the reconnect goroutine. Repeated failures while already reconnecting
-// (or after Close) only return the existing cause. Caller holds c.mu.
-func (c *Client) disconnectLocked(err error) error {
+// (or after Close) change nothing. Caller holds c.mu.
+func (c *Client) disconnectLocked(err error) {
 	if c.state.Load() != stateConnected {
-		if c.cause != nil {
-			return c.cause
-		}
-		return err
+		return
 	}
 	c.cause = err
 	c.state.Store(stateReconnecting)
-	_ = c.nc.Close()
+	_ = c.conn.NC.Close()
 	// Drop the shared-memory tier. The old segment's mapping is leaked on
 	// purpose: a submitting goroutine may be mid-TryPush into a stale ring
 	// pointer, and writing into an orphaned mapping is harmless while
@@ -64,7 +60,6 @@ func (c *Client) disconnectLocked(err error) error {
 	}
 	c.wg.Add(1)
 	go c.reconnectLoop()
-	return c.cause
 }
 
 // reconnectLoop redials until the client is reconnected or closed. The
@@ -126,11 +121,8 @@ func (c *Client) tryReconnect() bool {
 // loop is done; on failure the candidate is closed and the loop keeps the
 // original outage cause.
 func (c *Client) adopt(nc net.Conn, network string) bool {
-	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
-	token, window, err := handshakeConn(nc, br, bw, c.cfg)
+	conn, token, err := handshake(nc, c.cfg)
 	if err != nil {
-		_ = nc.Close()
 		return false
 	}
 
@@ -141,12 +133,10 @@ func (c *Client) adopt(nc net.Conn, network string) bool {
 		return true
 	}
 	oldToken := c.resumeToken
-	c.nc, c.br, c.bw, c.network = nc, br, bw, network
-	c.resumeToken = token
-	c.resumeWindow = time.Duration(window) * time.Millisecond
+	c.conn, c.network, c.resumeToken = conn, network, token
 
 	resumed := false
-	if oldToken != 0 && !c.cfg.DisableResume {
+	if oldToken != 0 {
 		ok, rerr := c.tryResume(oldToken)
 		if rerr != nil {
 			_ = nc.Close()
@@ -175,28 +165,23 @@ func (c *Client) adopt(nc net.Conn, network string) bool {
 // to reopenFresh, while a transport error aborts this candidate
 // connection. Caller holds c.mu.
 func (c *Client) tryResume(token uint64) (ok bool, err error) {
-	c.out = wire.AppendResume(c.out[:0], token)
-	resp, err := c.doRoundTrip(wire.TResume, c.out, wire.TResumed)
-	if err != nil {
+	var rs wire.Resumed
+	if err := c.exchange(wire.TResume, &wire.Uint64{V: token}, &rs); err != nil {
 		var re *RemoteError
 		if errors.As(err, &re) {
 			return false, nil
 		}
 		return false, err
 	}
-	rs, err := wire.ParseResumed(resp)
-	if err != nil {
-		return false, err
-	}
 	// The session count is server-controlled; clamp the map size hint so a
 	// hostile frame cannot demand an oversized allocation (entries beyond
 	// the hint still insert, just without preallocation).
-	hint := len(rs)
+	hint := len(rs.Sessions)
 	if hint > 1024 {
 		hint = 1024
 	}
 	applied := make(map[uint32]uint64, hint)
-	for _, r := range rs {
+	for _, r := range rs.Sessions {
 		applied[r.Session] = r.Applied
 	}
 	for _, o := range c.oracles {
@@ -369,19 +354,13 @@ func (t *Thread) replayLocked(c *Client) {
 		for s := lo; s <= hi; s++ {
 			t.replayBuf = append(t.replayBuf, t.shadow[(s-1)&t.shadowMask])
 		}
-		c.out = wire.AppendReplay(c.out[:0], t.sid, lo-t.sessBase, t.replayBuf)
-		resp, err := c.roundTrip(wire.TReplay, c.out, wire.TReplayed)
-		if err != nil {
+		var done wire.SessionApplied
+		if c.call(wire.TReplay, &wire.Replay{Session: t.sid, Base: lo - t.sessBase, IDs: t.replayBuf}, &done) != nil {
 			// Disconnected again mid-replay (or refused): keep needReplay
 			// so the next reconnect picks up from the server's counter.
 			return
 		}
-		if _, applied, perr := wire.ParseReplayed(resp); perr != nil {
-			c.note(perr)
-			return
-		} else {
-			t.resumeApplied = t.sessBase + applied
-		}
+		t.resumeApplied = t.sessBase + done.Applied
 		lo = hi + 1
 	}
 	t.needReplay = false

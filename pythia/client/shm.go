@@ -39,7 +39,7 @@ type clientShm struct {
 // only if the server maps it. Every failure falls open to the socket
 // transport the connection already has. Caller holds c.mu (Dial before
 // the client is shared, or the reconnect goroutine mid-adoption — hence
-// doRoundTrip, which skips the connection-state gate).
+// exchange, which skips the connection-state gate).
 func (c *Client) negotiateShm() {
 	g := transport.Geometry{Rings: shmRings, Slots: shmSlots, PredCap: shmPredCap}
 	seg, err := transport.CreateSegment(c.cfg.ShmDir, g.SegmentSize())
@@ -50,38 +50,30 @@ func (c *Client) negotiateShm() {
 	rings, err := transport.MapRings(seg.Bytes(), g)
 	if err != nil {
 		if cerr := seg.Close(); cerr != nil {
-			c.note(cerr)
+			c.disconnectLocked(cerr)
 		}
 		return
 	}
-	c.out = wire.AppendShmSetup(c.out[:0], wire.ShmSetup{
+	err = c.exchange(wire.TShmSetup, &wire.ShmSetup{
 		Rings:   uint32(g.Rings),
 		Slots:   uint32(g.Slots),
 		PredCap: uint32(g.PredCap),
 		SegSize: uint64(g.SegmentSize()),
 		Path:    seg.Path(),
-	})
-	resp, err := c.doRoundTrip(wire.TShmSetup, c.out, wire.TShmSetupOK)
+	}, &wire.ShmSetupOK{})
 	if err != nil {
 		// A CodeShmSetup refusal is the designed fallback (server on
 		// another platform, unmappable path, …): keep the socket. A failed
 		// unmap of the just-created segment is not — latch it.
 		if cerr := seg.Close(); cerr != nil {
-			c.note(cerr)
-		}
-		return
-	}
-	if _, err := wire.ParseShmSetupOK(resp); err != nil {
-		c.note(err)
-		if cerr := seg.Close(); cerr != nil {
-			c.note(cerr)
+			c.disconnectLocked(cerr)
 		}
 		return
 	}
 	// The server holds its own mapping now; drop the directory entry so a
 	// crash on either side leaves nothing in /dev/shm.
 	if err := seg.Unlink(); err != nil {
-		c.note(err)
+		c.disconnectLocked(err)
 	}
 	c.shm.Store(&clientShm{seg: seg, rings: rings, used: make([]bool, len(rings))})
 }
@@ -136,13 +128,8 @@ func (c *Client) reserveRing(t *Thread) (int, *transport.Ring, *clientShm) {
 	if idx < 0 {
 		return 0, nil, nil // rings exhausted: this thread stays on socket batching
 	}
-	c.out = wire.AppendShmBind(c.out[:0], t.sid, uint32(idx))
-	resp, err := c.roundTrip(wire.TShmBind, c.out, wire.TShmBound)
-	if err != nil {
-		return 0, nil, nil
-	}
-	if _, _, err := wire.ParseShmBound(resp); err != nil {
-		c.note(err)
+	bind := &wire.SessionArg{Session: t.sid, Arg: uint32(idx)}
+	if c.call(wire.TShmBind, bind, &wire.SessionArg{}) != nil {
 		return 0, nil, nil
 	}
 	sh.used[idx] = true
@@ -218,20 +205,11 @@ func (t *Thread) Subscribe(horizon, every int) error {
 	c := t.o.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.out = wire.AppendSubscribe(c.out[:0], wire.Subscribe{
+	return c.call(wire.TSubscribe, &wire.Subscribe{
 		Session: t.sid,
 		Horizon: uint32(horizon),
 		Every:   uint32(every),
-	})
-	resp, err := c.roundTrip(wire.TSubscribe, c.out, wire.TSubscribed)
-	if err != nil {
-		return err
-	}
-	if _, err := wire.ParseSubscribed(resp); err != nil {
-		c.note(err)
-		return err
-	}
-	return nil
+	}, &wire.SessionRef{})
 }
 
 // Latest reads the most recently published subscription predictions into

@@ -19,6 +19,10 @@
 #   8. pythia-vet   — the repo's own static-analysis pass, all nine
 #                     analyzers; stale baseline entries fail the run
 #                     (see cmd/pythia-vet for the exit contract)
+#   9. benchmark    — go vet and go test inside bench/. It is a module of
+#                     its own, so ./... sweeps skip it, yet it builds
+#                     against internal/wire, internal/server and
+#                     pythia/client: a change there can break it unseen
 #
 # With --chaos, additionally runs the fault-injection chaos suite
 # (internal/faultinject) under the race detector: injected panics, resource
@@ -33,11 +37,8 @@
 # rollback state machine and learner (core), the lifecycle wire ops and
 # reconnect-across-promotion (server), the lineage journal round trips
 # (tracefile), and the promotion crash/SIGKILL matrix (faultinject).
-# With --bench, additionally runs
-# scripts/bench.sh (hot-path benchmarks, refreshing BENCH_PR2.json),
-# scripts/bench-transport.sh (the tcp/unix/shm serving matrix, refreshing
-# BENCH_PR7.json) and scripts/bench-learn.sh (the learning-Submit hot path
-# plus the frozen-vs-learning drift A/B, refreshing BENCH_PR9.json).
+# With --bench, additionally runs the repo's benchmark, every workload
+# (bash bench/run.sh --workload all; see BENCHMARK.json and bench/README.md).
 # With --cluster, additionally runs the pythia-cluster suites under the
 # race detector: shard-map placement and token buckets (internal/cluster),
 # the wire ops / epoch gossip / migration / replication / QoS suites and
@@ -128,6 +129,11 @@ step "vet fixtures (go vet per fixture module)" check_fixture_modules
 
 step "pythia-vet" go run ./cmd/pythia-vet ./...
 
+check_bench_module() {
+    (cd bench && go vet . && go test .)
+}
+step "benchmark module (go vet + go test in bench/)" check_bench_module
+
 if [ "${run_chaos}" -eq 1 ]; then
     step "chaos (fault injection + crash/kill matrix, -race)" \
         go test -race -count=1 ./internal/faultinject/
@@ -159,9 +165,7 @@ if [ "${run_cluster}" -eq 1 ]; then
 fi
 
 if [ "${run_bench}" -eq 1 ]; then
-    step "bench (non-gating)" ./scripts/bench.sh
-    step "bench transport matrix (non-gating)" ./scripts/bench-transport.sh
-    step "bench learning matrix (non-gating)" ./scripts/bench-learn.sh
+    step "benchmark, every workload (non-gating)" bash bench/run.sh --workload all
 fi
 
 if [ "${run_serve}" -eq 1 ]; then
