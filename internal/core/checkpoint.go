@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/model"
 	"repro/internal/recorder"
 	"repro/internal/tracefile"
@@ -62,37 +63,91 @@ func (p CheckpointPolicy) snapEvery() int64 {
 	return DefaultCheckpointEvents
 }
 
-// ckptEntry is the latest snapshot offered by one recording thread. seq
-// orders offers so the materialization cache can tell fresh from stale.
-type ckptEntry struct {
+// snapCollector gathers the latest snapshot each recording thread offers
+// and turns them into a trace set on demand. Both background consumers of
+// snapshots embed one: the checkpointer writes what it collects to the
+// journal, the learner publishes it as the shadow candidate.
+type snapCollector struct {
+	reg *events.Registry
+
+	// mu guards the offer side. Offers come from recording threads at their
+	// snapshot cadence; seq counts them, so a snapshot's seq tells fresh
+	// from stale and seq != taken means something changed since the last
+	// collect.
+	mu    sync.Mutex
+	snaps map[int32]snapEntry
+	seq   uint64
+	taken uint64
+
+	// mat caches each thread's materialized snapshot: collect re-runs the
+	// timing replay only for threads that advanced. Collects are serialized
+	// by the owner (checkpointer.flushMu, learner.opMu).
+	mat map[int32]matEntry
+}
+
+type snapEntry struct {
 	snap recorder.Checkpoint
 	seq  uint64
 }
 
-// matEntry caches the materialized artifact of one snapshot: flush only
-// re-runs the timing replay for threads that actually advanced.
 type matEntry struct {
 	seq uint64
 	tt  *model.ThreadTrace
 }
 
+func newSnapCollector(reg *events.Registry) snapCollector {
+	return snapCollector{reg: reg, snaps: make(map[int32]snapEntry), mat: make(map[int32]matEntry)}
+}
+
+// offer records the latest snapshot of one thread.
+func (sc *snapCollector) offer(tid int32, snap recorder.Checkpoint) {
+	sc.mu.Lock()
+	sc.seq++
+	sc.snaps[tid] = snapEntry{snap: snap, seq: sc.seq}
+	sc.mu.Unlock()
+}
+
+// collect builds a trace set from the latest snapshot of every thread. It
+// returns nil when no thread has offered one yet, or — unless force is set —
+// when none has since the previous collect.
+func (sc *snapCollector) collect(force bool) *model.TraceSet {
+	sc.mu.Lock()
+	if len(sc.snaps) == 0 || (!force && sc.seq == sc.taken) {
+		sc.mu.Unlock()
+		return nil
+	}
+	sc.taken = sc.seq
+	snaps := make(map[int32]snapEntry, len(sc.snaps))
+	for tid, e := range sc.snaps {
+		snaps[tid] = e
+	}
+	sc.mu.Unlock()
+
+	threads := make(map[int32]*model.ThreadTrace, len(snaps))
+	for tid, e := range snaps {
+		m, ok := sc.mat[tid]
+		if !ok || m.seq != e.seq {
+			m = matEntry{seq: e.seq, tt: e.snap.Materialize()}
+			sc.mat[tid] = m
+		}
+		threads[tid] = m.tt
+	}
+	// The registry read happens after the snapshots were taken, so the
+	// descriptor table is always a superset of the ids any grammar uses.
+	return &model.TraceSet{Events: sc.reg.Names(), Threads: threads}
+}
+
 // checkpointer owns the journal and the background write loop of one
 // recording session.
 type checkpointer struct {
+	snapCollector
+
 	sess *Session
 	pol  CheckpointPolicy
 	j    *tracefile.Journal
 
-	// mu guards the offer side: latest per-thread snapshots and the dirty
-	// mark. Offers come from recording threads, reads from flushes.
-	mu    sync.Mutex
-	snaps map[int32]ckptEntry
-	seq   uint64
-	dirty bool
-
 	// flushMu serializes flushes (the background loop and CheckpointNow).
 	flushMu sync.Mutex
-	mat     map[int32]matEntry
 
 	notify    chan struct{} // event-count write trigger (cap 1)
 	stop      chan struct{}
@@ -122,14 +177,13 @@ func newCheckpointer(s *Session, pol CheckpointPolicy) *checkpointer {
 		return nil
 	}
 	c := &checkpointer{
-		sess:   s,
-		pol:    pol,
-		j:      j,
-		snaps:  make(map[int32]ckptEntry),
-		mat:    make(map[int32]matEntry),
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		snapCollector: newSnapCollector(s.reg),
+		sess:          s,
+		pol:           pol,
+		j:             j,
+		notify:        make(chan struct{}, 1),
+		stop:          make(chan struct{}),
+		done:          make(chan struct{}),
 	}
 	go c.run()
 	return c
@@ -139,11 +193,7 @@ func newCheckpointer(s *Session, pol CheckpointPolicy) *checkpointer {
 // writes on event count, nudges the background loop. Called from recording
 // threads at their snapshot cadence — off the per-event hot path.
 func (c *checkpointer) offer(tid int32, snap recorder.Checkpoint) {
-	c.mu.Lock()
-	c.seq++
-	c.snaps[tid] = ckptEntry{snap: snap, seq: c.seq}
-	c.dirty = true
-	c.mu.Unlock()
+	c.snapCollector.offer(tid, snap)
 	if c.pol.EveryEvents > 0 {
 		select {
 		case c.notify <- struct{}{}:
@@ -188,40 +238,15 @@ func (c *checkpointer) run() {
 }
 
 // flush writes one generation holding the latest snapshot of every thread,
-// if anything changed since the previous generation. Threads whose
-// snapshot did not advance reuse their cached materialized artifact.
+// if anything changed since the previous generation.
 func (c *checkpointer) flush() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 
-	c.mu.Lock()
-	if !c.dirty {
-		c.mu.Unlock()
+	ts := c.collect(false)
+	if ts == nil {
 		return nil
 	}
-	c.dirty = false
-	snaps := make(map[int32]ckptEntry, len(c.snaps))
-	for tid, e := range c.snaps {
-		snaps[tid] = e
-	}
-	c.mu.Unlock()
-	if len(snaps) == 0 {
-		return nil
-	}
-
-	threads := make(map[int32]*model.ThreadTrace, len(snaps))
-	for tid, e := range snaps {
-		if m, ok := c.mat[tid]; ok && m.seq == e.seq {
-			threads[tid] = m.tt
-			continue
-		}
-		tt := e.snap.Materialize()
-		c.mat[tid] = matEntry{seq: e.seq, tt: tt}
-		threads[tid] = tt
-	}
-	// The registry read happens after the snapshots were taken, so the
-	// descriptor table is always a superset of the ids any grammar uses.
-	ts := &model.TraceSet{Events: c.sess.reg.Names(), Threads: threads}
 
 	var err error
 	for attempt := 0; attempt < maxWriteAttempts; attempt++ {

@@ -26,9 +26,9 @@ const (
 	// ModePredict tracks submitted events against a reference trace and
 	// answers prediction queries (PYTHIA-PREDICT).
 	ModePredict
-	// ModeOnline does both at once: predictions come from the reference
-	// trace while the current execution is re-recorded (see
-	// NewOnlineSession).
+	// ModeOnline does both at once: predictions come from the serving
+	// model while the current execution is re-recorded as its shadow (see
+	// NewLearningSession).
 	ModeOnline
 )
 
@@ -200,16 +200,12 @@ func (s *Session) createThread(tid int32) *Thread {
 		}
 	case ModeOnline:
 		t.rec = recorder.New(s.recorderOptions(tid)...)
-		if s.learn != nil {
-			// Learning sessions serve from the current generation, which may
-			// already be ahead of the seed reference trace.
-			t.learn = &threadLearn{l: s.learn}
-			g := s.learn.serving.Load()
-			t.learn.gen = g
-			if tr := g.ts.Trace(tid); tr != nil {
-				t.pred = predictor.New(tr, s.pcfg)
-			}
-		} else if tr := s.ref.Trace(tid); tr != nil {
+		// Learning sessions serve from the current generation, which may
+		// already be ahead of the seed reference trace.
+		t.learn = &threadLearn{l: s.learn}
+		g := s.learn.serving.Load()
+		t.learn.gen = g
+		if tr := g.ts.Trace(tid); tr != nil {
 			t.pred = predictor.New(tr, s.pcfg)
 		}
 	}

@@ -300,6 +300,8 @@ type ModelInfo struct {
 // generation journal, and the background manager goroutine that judges
 // epochs and performs promotions and rollbacks.
 type learner struct {
+	snapCollector // the shadow snapshots; collects run under opMu
+
 	sess *Session
 	pol  LearnPolicy
 	j    *tracefile.Journal // nil in memory-only mode (or after open failure)
@@ -309,12 +311,9 @@ type learner struct {
 	serving atomic.Pointer[generation]
 	rival   atomic.Pointer[rivalSpec]
 
-	// mu guards the offer side: latest per-thread shadow snapshots and the
-	// epoch score aggregate. Threads write here at their flush cadence.
-	mu       sync.Mutex
-	snaps    map[int32]ckptEntry
-	seq      uint64
-	candSeq  uint64 // snapshot seq the published candidate covers
+	// aggMu guards the epoch score aggregate. Threads write here at their
+	// flush cadence.
+	aggMu    sync.Mutex
 	aggSpec  *rivalSpec
 	aggServ  int64
 	aggRival int64
@@ -325,7 +324,6 @@ type learner struct {
 	opMu sync.Mutex
 	lin  lineage
 	sm   lifecycle
-	mat  map[int32]matEntry
 
 	epochs atomic.Uint64
 
@@ -341,13 +339,12 @@ type learner struct {
 // fail-open contract; learning itself never depends on the disk.
 func newLearner(s *Session, pol LearnPolicy, ref *model.TraceSet) *learner {
 	l := &learner{
-		sess:   s,
-		pol:    pol.withDefaults(),
-		snaps:  make(map[int32]ckptEntry),
-		mat:    make(map[int32]matEntry),
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		snapCollector: newSnapCollector(s.reg),
+		sess:          s,
+		pol:           pol.withDefaults(),
+		notify:        make(chan struct{}, 1),
+		stop:          make(chan struct{}),
+		done:          make(chan struct{}),
 	}
 	l.sm = newLifecycle(l.pol)
 	seedNum := uint64(1)
@@ -381,10 +378,7 @@ func newLearner(s *Session, pol LearnPolicy, ref *model.TraceSet) *learner {
 // depends on this yield on single-P hosts). Called from recording threads
 // at their snapshot cadence.
 func (l *learner) offer(tid int32, snap recorder.Checkpoint) {
-	l.mu.Lock()
-	l.seq++
-	l.snaps[tid] = ckptEntry{snap: snap, seq: l.seq}
-	l.mu.Unlock()
+	l.snapCollector.offer(tid, snap)
 	l.nudge()
 	runtime.Gosched()
 }
@@ -405,14 +399,14 @@ func (l *learner) nudge() {
 // events) before the judge ever gets scheduled, smearing many epochs into
 // one. One Gosched per completed epoch is far off the hot path.
 func (l *learner) score(spec *rivalSpec, servHits, rivalHits, n int64) {
-	l.mu.Lock()
+	l.aggMu.Lock()
 	if spec == l.aggSpec {
 		l.aggServ += servHits
 		l.aggRival += rivalHits
 		l.aggN += n
 	}
 	full := l.aggN >= l.pol.EpochEvents
-	l.mu.Unlock()
+	l.aggMu.Unlock()
 	if full {
 		l.nudge()
 		runtime.Gosched()
@@ -440,13 +434,13 @@ func (l *learner) step() {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
 
-	l.mu.Lock()
+	l.aggMu.Lock()
 	servH, rivH, n := l.aggServ, l.aggRival, l.aggN
 	judge := n >= l.pol.EpochEvents
 	if judge {
 		l.aggServ, l.aggRival, l.aggN = 0, 0, 0
 	}
-	l.mu.Unlock()
+	l.aggMu.Unlock()
 
 	if judge {
 		l.epochs.Add(1)
@@ -480,53 +474,20 @@ func (l *learner) step() {
 	// would starve the epoch clock whenever the snapshot cadence divides
 	// the epoch length.
 	if !l.sm.watching && (judge || l.rival.Load() == nil) {
-		if cand := l.materializeLocked(false); cand != nil {
+		if cand := l.collect(false); cand != nil {
 			l.publishRival(cand)
 		}
 	}
-}
-
-// materializeLocked builds the candidate trace set from the latest shadow
-// snapshots, reusing cached per-thread artifacts for threads that did not
-// advance. It returns nil when there is nothing new to publish (unless
-// force is set, which rebuilds from whatever snapshots exist). Caller
-// holds opMu.
-func (l *learner) materializeLocked(force bool) *model.TraceSet {
-	l.mu.Lock()
-	if len(l.snaps) == 0 || (!force && l.seq == l.candSeq) {
-		l.mu.Unlock()
-		return nil
-	}
-	l.candSeq = l.seq
-	snaps := make(map[int32]ckptEntry, len(l.snaps))
-	for tid, e := range l.snaps {
-		snaps[tid] = e
-	}
-	l.mu.Unlock()
-
-	threads := make(map[int32]*model.ThreadTrace, len(snaps))
-	for tid, e := range snaps {
-		if m, ok := l.mat[tid]; ok && m.seq == e.seq {
-			threads[tid] = m.tt
-			continue
-		}
-		tt := e.snap.Materialize()
-		l.mat[tid] = matEntry{seq: e.seq, tt: tt}
-		threads[tid] = tt
-	}
-	// Registry read after the snapshots: the descriptor table is always a
-	// superset of the ids any snapshot grammar uses.
-	return &model.TraceSet{Events: l.sess.reg.Names(), Threads: threads}
 }
 
 // publishRival installs a new scoring target and resets the aggregate —
 // scores measured against different rivals must never be mixed.
 func (l *learner) publishRival(ts *model.TraceSet) {
 	spec := &rivalSpec{ts: ts}
-	l.mu.Lock()
+	l.aggMu.Lock()
 	l.aggSpec = spec
 	l.aggServ, l.aggRival, l.aggN = 0, 0, 0
-	l.mu.Unlock()
+	l.aggMu.Unlock()
 	l.rival.Store(spec)
 }
 
@@ -608,7 +569,7 @@ func (l *learner) forcePromote() (uint64, error) {
 		}
 	}
 	if cand == nil {
-		cand = l.materializeLocked(true)
+		cand = l.collect(true)
 	}
 	if cand == nil {
 		return 0, fmt.Errorf("core: no shadow candidate to promote yet")

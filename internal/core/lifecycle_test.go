@@ -384,3 +384,89 @@ func TestLearningSessionGuards(t *testing.T) {
 	ls.Close()
 	ls.Close()
 }
+
+// buildReference records 100 repetitions of a, b with timestamps.
+func buildReference(t *testing.T) *model.TraceSet {
+	t.Helper()
+	s := NewRecordSession()
+	a := s.Registry().Intern("a")
+	b := s.Registry().Intern("b")
+	th := s.Thread(0)
+	var now int64
+	for i := 0; i < 100; i++ {
+		th.SubmitAt(a, now)
+		now += 10
+		th.SubmitAt(b, now)
+		now += 20
+	}
+	return mustFinishRecord(t, s)
+}
+
+// TestOnlineSessionPredictsAndRecords: a ModeOnline session — which is what
+// NewLearningSession builds — answers from the reference while it
+// re-records the live run.
+func TestOnlineSessionPredictsAndRecords(t *testing.T) {
+	ref := buildReference(t)
+	on, err := NewLearningSession(ref, predictor.Config{}, LearnPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Mode() != ModeOnline || on.Mode().String() != "online" {
+		t.Fatalf("mode = %v", on.Mode())
+	}
+	a := on.Registry().Lookup("a")
+	b := on.Registry().Lookup("b")
+	th := on.Thread(0)
+	th.StartAtBeginning()
+
+	var now int64
+	correct, total := 0, 0
+	for i := 0; i < 100; i++ {
+		for _, e := range []events.ID{a, b} {
+			if pred, ok := th.PredictAt(1); ok {
+				total++
+				if pred.EventID == int32(e) {
+					correct++
+				}
+			}
+			th.SubmitAt(e, now)
+			now += 15
+		}
+	}
+	if total == 0 || correct != total {
+		t.Fatalf("online prediction accuracy %d/%d", correct, total)
+	}
+
+	// The session also recorded the fresh execution.
+	fresh := mustFinishRecord(t, on)
+	if fresh.Threads[0].Grammar.EventCount != 200 {
+		t.Fatalf("fresh trace has %d events, want 200", fresh.Threads[0].Grammar.EventCount)
+	}
+	if fresh.Threads[0].Timing == nil {
+		t.Fatal("fresh trace lost its timing model")
+	}
+}
+
+func TestOnlineSessionNewEventsExtendRegistry(t *testing.T) {
+	ref := buildReference(t)
+	on, err := NewLearningSession(ref, predictor.Config{}, LearnPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A brand-new event must get an id beyond the reference table.
+	nu := on.Registry().Intern("brand-new")
+	if int(nu) < len(ref.Events) {
+		t.Fatalf("new event id %d collides with reference table (%d entries)", nu, len(ref.Events))
+	}
+	th := on.Thread(0)
+	th.Submit(on.Registry().Lookup("a"))
+	th.Submit(nu) // unexpected for the predictor, recorded all the same
+	th.Submit(on.Registry().Lookup("b"))
+	fresh := mustFinishRecord(t, on)
+	if fresh.Threads[0].Grammar.EventCount != 3 {
+		t.Fatalf("events = %d, want 3", fresh.Threads[0].Grammar.EventCount)
+	}
+	if fresh.Events[nu] != "brand-new" {
+		t.Fatalf("descriptor table not extended: %v", fresh.Events)
+	}
+}

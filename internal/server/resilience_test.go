@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -554,7 +559,6 @@ func TestRemoteBitIdenticalFleetFailover(t *testing.T) {
 	c, err := client.Dial(assignment[0]+","+assignment[1], client.Config{
 		ReconnectMinDelay: 2 * time.Millisecond,
 		RequestTimeout:    2 * time.Second,
-		ShadowEvents:      4096, // must cover the whole stream for a fresh reopen
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -600,5 +604,358 @@ func TestRemoteBitIdenticalFleetFailover(t *testing.T) {
 	}
 	if st.Reconnects == 0 {
 		t.Fatal("the partition never forced a reconnect")
+	}
+}
+
+// frameLog is a listener wrapper that records, per accepted connection, the
+// bytes the server reads from it — the client→server half of the
+// conversation, framed exactly as the client wrote it.
+type frameLog struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*loggedConn
+}
+
+type loggedConn struct {
+	net.Conn
+	log *frameLog
+	in  []byte // guarded by log.mu
+}
+
+func (l *frameLog) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	lc := &loggedConn{Conn: nc, log: l}
+	l.mu.Lock()
+	l.conns = append(l.conns, lc)
+	l.mu.Unlock()
+	return lc, nil
+}
+
+func (c *loggedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.log.mu.Lock()
+	c.in = append(c.in, p[:n]...)
+	c.log.mu.Unlock()
+	return n, err
+}
+
+// cut severs every connection accepted so far, daemon side first.
+func (l *frameLog) cut(t *testing.T) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		if err := c.Conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+			t.Errorf("cutting: %v", err)
+		}
+	}
+}
+
+// frames returns the frame types the server has read on the i-th accepted
+// connection. Everything up to the client's latest completed round trip is
+// in; a frame written to a connection already cut is not.
+func (l *frameLog) frames(t *testing.T, i int) []wire.Type {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i >= len(l.conns) {
+		t.Fatalf("connection %d never arrived (%d accepted)", i, len(l.conns))
+	}
+	br := bufio.NewReader(bytes.NewReader(l.conns[i].in))
+	var types []wire.Type
+	var buf []byte
+	for {
+		typ, _, err := wire.ReadFrame(br, &buf)
+		if err != nil {
+			return types
+		}
+		types = append(types, typ)
+	}
+}
+
+// serveLogged starts a daemon over dir on addr behind a frameLog.
+func serveLogged(t *testing.T, dir, addr string) (*Server, *frameLog) {
+	t.Helper()
+	ln, err := transport.Listen(addr)
+	if err != nil {
+		t.Fatalf("listen %s: %v", addr, err)
+	}
+	log := &frameLog{Listener: ln}
+	srv := New(Config{TraceDir: dir, DrainTimeout: 100 * time.Millisecond})
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(log) }()
+	t.Cleanup(func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-errc; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return srv, log
+}
+
+// waitParked blocks until the daemon has parked n dead connections, so a
+// client that redials afterwards is certain to find its sessions.
+func waitParked(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		srv.parkMu.Lock()
+		parked := len(srv.parked)
+		srv.parkMu.Unlock()
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections parked, want %d", parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// redial makes the client notice its dead connection (one failed round
+// trip, written to a socket nobody reads) and waits, without touching the
+// wire again, until the connect pipeline has replaced it.
+func redial(t *testing.T, c *client.Client, th *client.Thread) {
+	t.Helper()
+	prev := c.Stats().Reconnects
+	if _, ok := th.PredictAt(1); ok {
+		t.Fatal("PredictAt answered over a cut connection")
+	}
+	awaitReconnect(t, c, prev)
+}
+
+// awaitReconnect waits for the client's reconnect count to pass prev.
+func awaitReconnect(t *testing.T, c *client.Client, prev uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Reconnects == prev {
+		if time.Now().After(deadline) {
+			t.Fatalf("no reconnect (err %v)", c.Err())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestConnectPipelineFrames is the connect pipeline's specification: the
+// exact frames the client sends, connection by connection, for a first
+// connect, a resume, a reopen from scratch and a shared-memory negotiation.
+// The round trips a host pays for are these and no others.
+func TestConnectPipelineFrames(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "bt", 8)
+	sockDir, err := os.MkdirTemp("", "pythia-uds")
+	if err != nil {
+		t.Fatalf("socket dir: %v", err)
+	}
+	defer os.RemoveAll(sockDir)
+	unixAddr := "unix://" + filepath.Join(sockDir, "d.sock")
+
+	// open dials, opens the tenant and takes thread 0 through its first
+	// Submit and PredictAt.
+	open := func(t *testing.T, addr string, cfg client.Config) (*client.Client, *client.Oracle, *client.Thread) {
+		t.Helper()
+		cfg.RequestTimeout = 2 * time.Second
+		cfg.ReconnectMinDelay = 2 * time.Millisecond
+		c, err := client.Dial(addr, cfg)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		o, err := c.Oracle("bt")
+		if err != nil {
+			t.Fatalf("oracle: %v", err)
+		}
+		th := o.Thread(0)
+		th.Submit(o.Intern(names[0]))
+		if _, ok := th.PredictAt(1); !ok {
+			t.Fatal("no prediction on the first connection")
+		}
+		return c, o, th
+	}
+	// step submits one more event and asks again; on a replaced connection
+	// this is the thread's first activity, so it carries the replay.
+	step := func(t *testing.T, o *client.Oracle, th *client.Thread) {
+		t.Helper()
+		th.Submit(o.Intern(names[1]))
+		if _, ok := th.PredictAt(1); !ok {
+			t.Fatalf("no prediction after recovery (err %v)", o.Health().Cause)
+		}
+	}
+	expect := func(t *testing.T, log *frameLog, conn int, want ...wire.Type) {
+		t.Helper()
+		if got := log.frames(t, conn); !slices.Equal(got, want) {
+			t.Errorf("connection %d: client sent %v, want %v", conn, got, want)
+		}
+	}
+	first := []wire.Type{wire.THello, wire.TOpenSession, wire.TOpenSession, wire.TSubmitBatch, wire.TPredictAt}
+
+	t.Run("first connect", func(t *testing.T) {
+		_, log := serveLogged(t, dir, "127.0.0.1:0")
+		c, _, _ := open(t, log.Addr().String(), client.Config{})
+		defer c.Close()
+		expect(t, log, 0, first...)
+	})
+
+	t.Run("cut, resume, replay", func(t *testing.T) {
+		srv, log := serveLogged(t, dir, "127.0.0.1:0")
+		c, o, th := open(t, log.Addr().String(), client.Config{})
+		defer c.Close()
+		log.cut(t)
+		waitParked(t, srv, 1)
+		redial(t, c, th)
+		step(t, o, th)
+		expect(t, log, 0, first...)
+		expect(t, log, 1, wire.THello, wire.TResume, wire.TReplay, wire.TPredictAt)
+	})
+
+	t.Run("daemon restart, reopen, replay", func(t *testing.T) {
+		srv1, log1 := serveLogged(t, dir, unixAddr)
+		c, o, th := open(t, unixAddr, client.Config{})
+		defer c.Close()
+		// Shutdown closes the listener and sweeps the park table; the next
+		// daemon on the same socket knows no tokens.
+		if err := srv1.Shutdown(); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		_, log2 := serveLogged(t, dir, unixAddr)
+		redial(t, c, th)
+		step(t, o, th)
+		expect(t, log1, 0, first...)
+		expect(t, log2, 0, wire.THello, wire.TResume, wire.TOpenSession,
+			wire.TOpenSession, wire.TReplay, wire.TPredictAt)
+	})
+
+	t.Run("shm negotiate", func(t *testing.T) {
+		_, log := serveLogged(t, dir, unixAddr)
+		c, _, _ := open(t, unixAddr, client.Config{SharedMem: true})
+		defer c.Close()
+		if got := c.Transport(); got != "shm" {
+			t.Fatalf("transport %q, want shm", got)
+		}
+		// The first Submit binds a ring and travels through it: no
+		// SubmitBatch frame.
+		expect(t, log, 0, wire.THello, wire.TShmSetup, wire.TOpenSession,
+			wire.TOpenSession, wire.TShmBind, wire.TPredictAt)
+	})
+}
+
+// TestResumeClosesUnclaimedSessions: an oracle closed while the client was
+// offline cannot close its sessions; if they come back in a resume, the
+// restore pass must close them rather than leave them charged to the
+// daemon's budgets for the life of the new connection.
+func TestResumeClosesUnclaimedSessions(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "bt", 8)
+	synthTrace(t, dir, "cg", 8)
+	srv, log := serveLogged(t, dir, "127.0.0.1:0")
+	c, err := client.Dial(log.Addr().String(), client.Config{
+		RequestTimeout:    2 * time.Second,
+		ReconnectMinDelay: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	var ths []*client.Thread
+	var os []*client.Oracle
+	for _, tenant := range []string{"bt", "cg"} {
+		o, err := c.Oracle(tenant)
+		if err != nil {
+			t.Fatalf("oracle: %v", err)
+		}
+		th := o.Thread(0)
+		th.Submit(o.Intern(names[0]))
+		if _, ok := th.PredictAt(1); !ok {
+			t.Fatal("no prediction")
+		}
+		os, ths = append(os, o), append(ths, th)
+	}
+	if got := srv.Sessions(); got != 4 {
+		t.Fatalf("%d sessions open, want 4 (two metas, two threads)", got)
+	}
+	log.cut(t)
+	waitParked(t, srv, 1)
+	if _, ok := ths[0].PredictAt(1); ok {
+		t.Fatal("PredictAt answered over a cut connection")
+	}
+	prev := c.Stats().Reconnects
+	if err := os[0].Close(); err != nil { // offline: nothing it can send
+		t.Fatalf("close while offline: %v", err)
+	}
+	awaitReconnect(t, c, prev)
+	if got := srv.Sessions(); got != 2 {
+		t.Fatalf("%d sessions open after the resume, want the live oracle's 2", got)
+	}
+	if _, ok := ths[1].PredictAt(1); !ok {
+		t.Fatal("the surviving oracle lost its session")
+	}
+}
+
+// TestReconnectRefusesChangedEventTable: a daemon that comes back serving a
+// different trace under the tenant's name must not be predicted from — the
+// oracle's interned ids would mean other events. The reopen disables that
+// oracle (fail-open, the cause in Health) and keeps the connection.
+func TestReconnectRefusesChangedEventTable(t *testing.T) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	names := synthTrace(t, dir1, "bt", 8)
+	other := pythia.NewRecordOracle(pythia.WithoutTimestamps())
+	for i := 0; i < 8; i++ {
+		other.Thread(0).Submit(other.Intern("something:else"))
+	}
+	ts, err := other.Finish()
+	if err != nil {
+		t.Fatalf("finishing the other trace: %v", err)
+	}
+	if err := pythia.SaveTraceSet(filepath.Join(dir2, "bt.pythia"), ts); err != nil {
+		t.Fatalf("saving the other trace: %v", err)
+	}
+	sockDir, err := os.MkdirTemp("", "pythia-uds")
+	if err != nil {
+		t.Fatalf("socket dir: %v", err)
+	}
+	defer os.RemoveAll(sockDir)
+	addr := "unix://" + filepath.Join(sockDir, "d.sock")
+
+	srv1, _ := serveLogged(t, dir1, addr)
+	c, err := client.Dial(addr, client.Config{
+		RequestTimeout:    2 * time.Second,
+		ReconnectMinDelay: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	o, err := c.Oracle("bt")
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	th := o.Thread(0)
+	th.Submit(o.Intern(names[0]))
+	if _, ok := th.PredictAt(1); !ok {
+		t.Fatal("no prediction before the restart")
+	}
+	if err := srv1.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	srv2, _ := serveLogged(t, dir2, addr)
+	redial(t, c, th)
+
+	th.Submit(o.Intern(names[1]))
+	if _, ok := th.PredictAt(1); ok {
+		t.Fatal("predicted from a trace with a different event table")
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("the connection itself must be healthy: %v", err)
+	}
+	h := o.Health()
+	if h.State != pythia.Degraded || !strings.Contains(h.Cause, "event table changed") {
+		t.Fatalf("health = %s %q, want degraded by the event-table check", h.State, h.Cause)
+	}
+	if got := srv2.Sessions(); got != 1 {
+		t.Fatalf("%d sessions on the new daemon, want only the meta session", got)
 	}
 }

@@ -69,8 +69,11 @@ type Config struct {
 	// DefaultResumeWindow, negative disables session resume entirely.
 	ResumeWindow time.Duration
 	// Keepalive, when positive, reaps connections that send no frame for
-	// the given window. Clients on the shared-memory tier (which submits
-	// without socket frames) must heartbeat within it.
+	// the given window. That includes a client on the shared-memory tier
+	// that only submits (ring traffic is not a frame): its sessions are
+	// parked, and the client — which finds out at its next request, or when
+	// its ring stalls — reconnects, resumes and replays. A THeartbeat
+	// frame inside the window avoids the detour.
 	Keepalive time.Duration
 	// MaxParked caps concurrently parked connections awaiting resume;
 	// beyond it a dropped connection releases immediately. 0 means

@@ -161,17 +161,16 @@ func (t *tenant) unregister(o *pythia.Oracle) {
 	t.mu.Unlock()
 }
 
-// healthInfo folds the degradation state of every live oracle serving this
-// tenant into one wire report: the worst state wins (Degraded dominates,
-// then Quarantined), counters sum, and the first non-empty cause is kept.
-func (t *tenant) healthInfo() wire.HealthInfo {
+// foldHealth folds the degradation state of every live oracle serving this
+// tenant into a wire report — one tenant's or the whole server's: the worst
+// state wins (Degraded dominates, then Quarantined), counters sum, and the
+// first non-empty cause is kept.
+func (t *tenant) foldHealth(hi *wire.HealthInfo) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var hi wire.HealthInfo
 	for o := range t.oracles {
-		foldHealth(&hi, o.Health())
+		foldHealth(hi, o.Health())
 	}
-	return hi
 }
 
 // foldHealth merges one oracle's health snapshot into an aggregate.
@@ -242,7 +241,9 @@ func (s *store) healthOf(name string) (wire.HealthInfo, bool) {
 	if t.err != nil {
 		return wire.HealthInfo{}, false
 	}
-	return t.healthInfo(), true
+	var hi wire.HealthInfo
+	t.foldHealth(&hi)
+	return hi, true
 }
 
 // serverHealth folds every loaded tenant into one server-wide report.
@@ -265,20 +266,7 @@ func (s *store) serverHealth() wire.HealthInfo {
 			if t.err != nil {
 				continue
 			}
-			th := t.healthInfo()
-			hi.Oracles += th.Oracles
-			hi.PanicsContained += th.PanicsContained
-			hi.BudgetBreaches += th.BudgetBreaches
-			hi.QuarantinedThreads += th.QuarantinedThreads
-			hi.CheckpointFailures += th.CheckpointFailures
-			hi.Promotions += th.Promotions
-			hi.Rollbacks += th.Rollbacks
-			if worseState(th.State, hi.State) {
-				hi.State = th.State
-			}
-			if hi.Cause == "" && th.Cause != "" {
-				hi.Cause = th.Cause
-			}
+			t.foldHealth(&hi)
 		}
 	}
 	return hi

@@ -17,14 +17,16 @@
 // a no-op, predictions return ok=false, and Health reports Degraded with
 // the transport cause.
 //
-// Unlike earlier versions, a transport failure is no longer permanent: the
-// client keeps a bounded per-thread shadow buffer of recent submissions and
-// a background goroutine redials the address list with jittered exponential
-// backoff. When the daemon comes back — or a fallback address answers — the
-// client resumes its parked server sessions (or reopens them) and replays
-// the unacknowledged tail, so the server-side model converges back to the
-// exact stream the host produced. While disconnected, Submit stays a cheap
-// no-op and Health reports Degraded with the reconnect cause.
+// A transport failure is not permanent. Every connection — the first one
+// inside Dial and each replacement after a failure — is made by the same
+// pipeline (reconnect.go): walk the address list, dial, handshake, resume
+// the parked server sessions or open them afresh, negotiate shared memory,
+// mark the threads for replay. The client keeps a bounded per-thread shadow
+// buffer of recent submissions, so once a background goroutine has redialed
+// (jittered exponential backoff) each thread replays its unacknowledged
+// tail and the server-side model converges back to the exact stream the
+// host produced. While disconnected, Submit stays a cheap no-op and Health
+// reports Degraded with the reconnect cause.
 //
 // Submissions are pipelined: Thread.Submit buffers locally and ships a
 // one-way SubmitBatch frame when the buffer fills or a prediction needs the
@@ -35,7 +37,7 @@ package client
 import (
 	"errors"
 	"fmt"
-	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,8 +55,12 @@ const (
 	DefaultDialTimeout       = 5 * time.Second
 	DefaultRequestTimeout    = 10 * time.Second
 	DefaultSubmitFlush       = 64
-	DefaultShadowEvents      = 4096
 	DefaultReconnectMinDelay = 50 * time.Millisecond
+
+	// shadowEvents is the per-thread capacity (a power of two) of the shadow
+	// buffer that makes post-reconnect replay possible.
+	shadowEvents = 4096
+	shadowMask   = shadowEvents - 1
 
 	// maxReconnectDelay caps the exponential backoff between redials.
 	maxReconnectDelay = 2 * time.Second
@@ -84,23 +90,10 @@ type Config struct {
 	// ShmDir is where the segment file is created ("" = /dev/shm when
 	// present, else the system temp directory). Only read with SharedMem.
 	ShmDir string
-	// Heartbeat, when positive, round-trips a keepalive frame on that
-	// interval from a background goroutine, detecting half-open
-	// connections that would otherwise surface only at the next request.
-	// 0 disables heartbeats.
-	Heartbeat time.Duration
-	// ShadowEvents is the per-thread capacity (rounded up to a power of
-	// two) of the shadow buffer that makes post-reconnect replay possible.
-	// 0 means DefaultShadowEvents; negative disables the shadow buffer
-	// entirely, so every event in flight at a disconnect is dropped.
-	ShadowEvents int
 	// ReconnectMinDelay is the first redial backoff step; each failed
 	// attempt doubles it up to an internal cap, with jitter. 0 means
 	// DefaultReconnectMinDelay.
 	ReconnectMinDelay time.Duration
-	// Predict is accepted for constructor symmetry with the in-process
-	// oracle; prediction tuning lives server-side, so it is ignored.
-	Predict pythia.Config
 }
 
 // RemoteError is a protocol Error frame returned by the server as the
@@ -137,7 +130,7 @@ type Stats struct {
 // visible through Err until a reconnect succeeds.
 type Client struct {
 	cfg   Config
-	addrs []string // fallback list, parsed once at Dial, reused on redial
+	addrs []string // fallback list, parsed once at Dial, walked by every connect
 
 	// state is the connection lifecycle, readable without the lock.
 	state atomic.Int32
@@ -165,8 +158,8 @@ type Client struct {
 	// submitting goroutine may still be mid-TryPush into it.
 	shm atomic.Pointer[clientShm]
 
-	quit chan struct{}  // closed by Close; stops background goroutines
-	wg   sync.WaitGroup // joins the reconnect and heartbeat goroutines
+	quit chan struct{}  // closed by Close; stops the reconnect goroutine
+	wg   sync.WaitGroup // joins the reconnect goroutine
 }
 
 // Transport reports the tier this connection actually negotiated:
@@ -210,9 +203,9 @@ func (c *Client) ShardMap(cachedEpoch uint64) (cluster.Map, error) {
 // list tried in order, which is how a co-located client spells the
 // uds → tcp fallback: "unix:///run/pythiad.sock,127.0.0.1:9137". With
 // Config.SharedMem set, a unix connection is upgraded to shared-memory
-// rings when the daemon accepts (the shm → uds half of the chain). The
-// same list, in the same order, is what the reconnect loop redials after
-// a transport failure.
+// rings when the daemon accepts (the shm → uds half of the chain). Dial
+// runs the connect pipeline once, synchronously; the reconnect loop runs
+// the same pipeline over the same list after a transport failure.
 func Dial(addr string, cfg Config) (*Client, error) {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = DefaultDialTimeout
@@ -223,73 +216,25 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	if cfg.SubmitFlush <= 0 {
 		cfg.SubmitFlush = DefaultSubmitFlush
 	}
-	if cfg.ShadowEvents == 0 {
-		cfg.ShadowEvents = DefaultShadowEvents
-	}
 	if cfg.ReconnectMinDelay <= 0 {
 		cfg.ReconnectMinDelay = DefaultReconnectMinDelay
 	}
-	var addrs []string
+	c := &Client{cfg: cfg, quit: make(chan struct{})}
 	for _, a := range strings.Split(addr, ",") {
 		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
+			c.addrs = append(c.addrs, a)
 		}
 	}
-	if len(addrs) == 0 {
+	if len(c.addrs) == 0 {
 		return nil, fmt.Errorf("client: no address in %q", addr)
 	}
-	var errs []error
-	for _, a := range addrs {
-		c, err := dialOne(a, addrs, cfg)
-		if err == nil {
-			return c, nil
-		}
-		errs = append(errs, err)
-	}
-	return nil, errors.Join(errs...)
-}
-
-// dialOne connects to a single transport address.
-func dialOne(addr string, addrs []string, cfg Config) (*Client, error) {
-	nc, network, err := transport.Dial(addr, cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dialing %s: %w", addr, err)
-	}
-	conn, token, err := handshake(nc, cfg)
-	if err != nil {
+	// A first connect is a reconnect with nothing to restore: no token, no
+	// oracles, no threads.
+	c.state.Store(stateReconnecting)
+	if err := c.connect(); err != nil {
 		return nil, err
 	}
-	c := &Client{
-		cfg:         cfg,
-		addrs:       addrs,
-		network:     network,
-		conn:        conn,
-		resumeToken: token,
-		quit:        make(chan struct{}),
-	}
-	if cfg.SharedMem && network == transport.NetUnix {
-		c.mu.Lock()
-		c.negotiateShm()
-		c.mu.Unlock()
-	}
-	if cfg.Heartbeat > 0 {
-		c.wg.Add(1)
-		go c.heartbeatLoop()
-	}
 	return c, nil
-}
-
-// handshake wraps a fresh connection and performs the Hello exchange on it,
-// asking for a resume token (0 when the server grants none). It touches no
-// client state, so the reconnect goroutine can try a candidate connection
-// without holding the client lock; a connection that fails is closed.
-func handshake(nc net.Conn, cfg Config) (*wire.Conn, uint64, error) {
-	conn := wire.NewConn(nc)
-	grant, err := conn.Handshake(wire.HelloFlagResume, cfg.DialTimeout)
-	if err != nil {
-		return nil, 0, errors.Join(fmt.Errorf("client: %w", err), nc.Close())
-	}
-	return conn, grant.Token, nil
 }
 
 // Close detaches from the daemon (so the server releases rather than parks
@@ -401,9 +346,9 @@ func (c *Client) call(t wire.Type, req, resp wire.Message) error {
 	return c.exchange(t, req, resp)
 }
 
-// exchange is call without the connection-state gate; the reconnect
-// goroutine uses it to talk over a connection that is still being
-// established. Caller holds c.mu.
+// exchange is call without the connection-state gate; the connect pipeline
+// uses it to talk over a connection that is still being established.
+// Caller holds c.mu.
 func (c *Client) exchange(t wire.Type, req, resp wire.Message) error {
 	return c.settle(c.conn.Exchange(t, req, resp, c.cfg.RequestTimeout))
 }
@@ -426,31 +371,8 @@ func (c *Client) settle(err error) error {
 	return c.fail(err)
 }
 
-// heartbeatLoop round-trips a keepalive frame on the configured interval,
-// turning a half-open connection into a detected failure (and so a
-// reconnect) without waiting for the next real request.
-func (c *Client) heartbeatLoop() {
-	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.Heartbeat)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-tick.C:
-		}
-		c.mu.Lock()
-		if c.state.Load() == stateConnected {
-			// A failed exchange has already latched the cause and started
-			// the reconnect loop; there is nothing more to do with it here.
-			_ = c.exchange(wire.THeartbeat, &wire.Empty{}, &wire.Empty{})
-		}
-		c.mu.Unlock()
-	}
-}
-
 // openSession opens one (tenant, tid) session. Caller holds c.mu and has
-// checked the connection state (the reconnect goroutine calls this on a
+// checked the connection state (the connect pipeline calls this on a
 // connection that is still being established).
 func (c *Client) openSession(tenant string, tid int32, flags uint8) (wire.SessionOpened, error) {
 	var so wire.SessionOpened
@@ -472,25 +394,9 @@ func (c *Client) Oracle(tenant string) (*Oracle, error) {
 	if err := c.offlineErr(); err != nil {
 		return nil, err
 	}
-	// The meta session (tid -1) pins the tenant in the daemon's store for
-	// the life of this connection and fetches the event table the trace
-	// was recorded with, so local interning assigns the same IDs the
-	// server-side registry holds.
-	so, err := c.openSession(tenant, -1, wire.FlagWantEvents)
-	if err != nil {
+	o := &Oracle{c: c, tenant: tenant, threads: make(map[int32]*Thread)}
+	if err := o.open(); err != nil {
 		return nil, err
-	}
-	reg, err := events.FromNames(so.Events)
-	if err != nil {
-		return nil, c.fail(fmt.Errorf("client: tenant %q event table: %w", tenant, err))
-	}
-	o := &Oracle{
-		c:          c,
-		tenant:     tenant,
-		reg:        reg,
-		eventNames: append([]string(nil), so.Events...),
-		meta:       so.Session,
-		threads:    make(map[int32]*Thread),
 	}
 	c.oracles = append(c.oracles, o)
 	return o, nil
@@ -523,19 +429,48 @@ type Oracle struct {
 	tenant string
 	reg    *events.Registry
 	// eventNames is the server's event table at open time, kept verbatim
-	// so a fresh reconnect can verify the (possibly restarted) daemon
-	// still serves the same trace vocabulary.
+	// for the check in open.
 	eventNames []string
 	owned      bool // Connect-created: Close closes the client too
 
 	// meta is the tenant-pinning session id; rewritten under c.mu when a
-	// fresh reconnect reopens it.
-	meta   uint32
-	closed bool // guarded by c.mu; reconnects skip closed oracles
+	// reconnect reopens it.
+	meta uint32
 
 	mu      sync.Mutex
 	threads map[int32]*Thread
+	closed  bool  // Close ran: threads created from here on are inert
 	openErr error // first session-open refusal, surfaced via Health
+}
+
+// errEventTable marks a tenant whose event table no longer matches the one
+// the oracle interned against.
+var errEventTable = errors.New("event table changed; oracle disabled")
+
+// open opens the tenant's meta session (tid -1) on the current connection.
+// The meta session pins the tenant in the daemon's store for the life of
+// the connection and fetches the event table the trace was recorded with.
+// The first open builds the registry from it, so local interning assigns
+// the same IDs the server-side registry holds; a reopen after a reconnect
+// verifies the (possibly restarted) daemon still serves that vocabulary —
+// a different trace under the same name would silently corrupt interning.
+// Caller holds c.mu.
+func (o *Oracle) open() error {
+	so, err := o.c.openSession(o.tenant, -1, wire.FlagWantEvents)
+	if err != nil {
+		return err
+	}
+	o.meta = so.Session
+	switch {
+	case o.reg == nil:
+		if o.reg, err = events.FromNames(so.Events); err != nil {
+			return o.c.fail(fmt.Errorf("client: tenant %q event table: %w", o.tenant, err))
+		}
+		o.eventNames = so.Events
+	case !slices.Equal(so.Events, o.eventNames):
+		return errEventTable
+	}
+	return nil
 }
 
 // Tenant returns the tenant name this oracle serves.
@@ -545,21 +480,43 @@ func (o *Oracle) Tenant() string { return o.tenant }
 // ("tcp", "unix", or "shm").
 func (o *Oracle) Transport() string { return o.c.Transport() }
 
-// Close closes the oracle's meta session (releasing the daemon-side tenant
-// pin) and, for Connect-created oracles, the underlying connection.
+// Close closes every session the oracle opened — its threads' and the meta
+// session, releasing the daemon-side session budget, ring slots and tenant
+// pin — unlinks the oracle from the client and, for Connect-created
+// oracles, closes the underlying connection. The oracle's threads fail open
+// from here on. Closing twice is a no-op.
 func (o *Oracle) Close() error {
-	o.c.mu.Lock()
-	o.closed = true
+	c := o.c
+	c.mu.Lock()
 	var err error
-	if o.c.state.Load() == stateConnected {
-		err = o.c.closeSession(o.meta)
-	}
-	o.c.mu.Unlock()
-	if o.owned {
-		cerr := o.c.Close()
-		if err == nil {
-			err = cerr
+	if i := slices.Index(c.oracles, o); i >= 0 {
+		c.oracles = slices.Delete(c.oracles, i, i+1)
+		o.mu.Lock()
+		o.closed = true
+		o.mu.Unlock()
+		var sids []uint32
+		for _, t := range o.threadList() {
+			t.inert.Store(true)
+			if t.opened {
+				t.opened = false
+				t.releaseRingLocked(c)
+				t.ring.Store(nil)
+				sids = append(sids, t.sid)
+			}
 		}
+		// The meta session goes last: it is the tenant pin. Offline there is
+		// nothing to close — the sessions died with the connection, or
+		// restore closes them as unclaimed if they come back in a resume.
+		for _, sid := range append(sids, o.meta) {
+			if c.state.Load() != stateConnected {
+				break
+			}
+			err = errors.Join(err, c.closeSession(sid))
+		}
+	}
+	c.mu.Unlock()
+	if o.owned {
+		err = errors.Join(err, c.Close())
 	}
 	return err
 }
@@ -586,13 +543,26 @@ func (o *Oracle) EventName(id pythia.ID) string { return o.reg.Name(id) }
 // predict.
 func (o *Oracle) Recording() bool { return false }
 
-// noteOpenErr records the first session-open refusal for Health.
+// noteOpenErr records the first session-open refusal for Health; nil
+// clears it (service restored).
 func (o *Oracle) noteOpenErr(err error) {
 	o.mu.Lock()
-	if o.openErr == nil {
+	if err == nil || o.openErr == nil {
 		o.openErr = err
 	}
 	o.mu.Unlock()
+}
+
+// threadList snapshots the oracle's threads, so the caller can walk them
+// under c.mu alone — the lock all per-thread session state is written under.
+func (o *Oracle) threadList() []*Thread {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	threads := make([]*Thread, 0, len(o.threads))
+	for _, t := range o.threads {
+		threads = append(threads, t)
+	}
+	return threads
 }
 
 // Thread returns the oracle handle for thread tid, creating it on first
@@ -608,15 +578,9 @@ func (o *Oracle) Thread(tid int32) *Thread {
 		o:       o,
 		tid:     tid,
 		pending: make([]int32, 0, o.c.cfg.SubmitFlush),
+		shadow:  make([]int32, shadowEvents),
 	}
-	if n := o.c.cfg.ShadowEvents; n > 0 {
-		capPow2 := 1
-		for capPow2 < n {
-			capPow2 <<= 1
-		}
-		t.shadow = make([]int32, capPow2)
-		t.shadowMask = uint64(capPow2 - 1)
-	}
+	t.inert.Store(o.closed)
 	o.threads[tid] = t
 	return t
 }
@@ -626,12 +590,7 @@ func (o *Oracle) Thread(tid int32) *Thread {
 // Health round trip itself pushes the frames onto the socket. Caller must
 // NOT hold c.mu.
 func (o *Oracle) flushAll() {
-	o.mu.Lock()
-	threads := make([]*Thread, 0, len(o.threads))
-	for _, t := range o.threads {
-		threads = append(threads, t)
-	}
-	o.mu.Unlock()
+	threads := o.threadList()
 	c := o.c
 	c.mu.Lock()
 	for _, t := range threads {
@@ -762,13 +721,13 @@ type Thread struct {
 	// session is (re)opened from scratch.
 	sessBase uint64
 
-	// Reconnect recovery, guarded by c.mu. needReplay marks a thread whose
-	// next producer-side flush must replay the shadow tail instead of
-	// shipping pending; resumeFresh selects the reopen-from-scratch path
-	// and resumeApplied is the absolute sequence the server has applied
-	// when the session itself survived (resume).
+	// Reconnect recovery, guarded by c.mu: restore marks, replayLocked
+	// works it off. needReplay marks a thread whose next producer-side
+	// flush must replay the shadow tail instead of shipping pending — after
+	// reopening the session from scratch when opened is false;
+	// resumeApplied is the absolute sequence the server has applied when
+	// the session itself survived (resume).
 	needReplay    bool
-	resumeFresh   bool
 	resumeApplied uint64
 
 	inert atomic.Bool // session refused; fail open
@@ -777,10 +736,9 @@ type Thread struct {
 	// the submitting goroutine (replay runs on that goroutine too, so no
 	// other goroutine ever reads these fields). shadowSeq is the absolute
 	// count of events ever submitted on this thread.
-	shadow     []int32
-	shadowMask uint64
-	shadowSeq  uint64
-	replayBuf  []int32 // scratch for TReplay chunks, allocated on first use
+	shadow    []int32
+	shadowSeq uint64
+	replayBuf []int32 // scratch for TReplay chunks, allocated on first use
 
 	// Shared-memory fast path: once ring is set, Submit becomes a single
 	// TryPush into the mapped ring — no lock, no buffer, no syscall. The
@@ -807,10 +765,7 @@ func (t *Thread) TID() int32 { return t.tid }
 // submitting goroutine on every Submit, before any transport work, so the
 // shadow always holds a superset of what the server might not have seen.
 func (t *Thread) shadowPush(id int32) {
-	if t.shadow == nil {
-		return
-	}
-	t.shadow[t.shadowSeq&t.shadowMask] = id
+	t.shadow[t.shadowSeq&shadowMask] = id
 	t.shadowSeq++
 }
 

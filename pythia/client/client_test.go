@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/pythia"
 )
@@ -433,5 +435,70 @@ func TestDialRefused(t *testing.T) {
 	}
 	if _, err := Dial(addr, Config{DialTimeout: time.Second}); err == nil {
 		t.Fatal("Dial of a closed port succeeded")
+	}
+}
+
+// TestOracleCloseReleasesSessions pins Oracle.Close on a shared client —
+// what Fleet hands out, pooled for the life of the process: every session
+// the oracle opened is closed server-side (so none stays charged to
+// MaxSessions until the connection dies) and the oracle, its threads and
+// their shadow rings are unlinked from the client.
+func TestOracleCloseReleasesSessions(t *testing.T) {
+	dir := t.TempDir()
+	rec := pythia.NewRecordOracle(pythia.WithoutTimestamps())
+	for i := 0; i < 16; i++ {
+		rec.Thread(0).Submit(rec.Intern([]string{"a", "b"}[i%2]))
+	}
+	ts, err := rec.Finish()
+	if err != nil {
+		t.Fatalf("finishing trace: %v", err)
+	}
+	if err := pythia.SaveTraceSet(filepath.Join(dir, "synth.pythia"), ts); err != nil {
+		t.Fatalf("saving trace: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := server.New(server.Config{TraceDir: dir})
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	c, err := Dial(ln.Addr().String(), Config{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	for i := 0; i < 1000; i++ {
+		o, err := c.Oracle("synth")
+		if err != nil {
+			t.Fatalf("cycle %d: oracle: %v", i, err)
+		}
+		th := o.Thread(0)
+		th.Submit(o.Intern("a"))
+		th.PredictAt(1) // opens the thread's session and ships the event
+		if err := o.Close(); err != nil {
+			t.Fatalf("cycle %d: close: %v", i, err)
+		}
+	}
+	if got := srv.Sessions(); got != 0 {
+		t.Errorf("server still counts %d open sessions after every oracle was closed", got)
+	}
+	c.mu.Lock()
+	linked := len(c.oracles)
+	c.mu.Unlock()
+	if linked != 0 {
+		t.Errorf("client still links %d closed oracles", linked)
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("client error: %v", err)
 	}
 }

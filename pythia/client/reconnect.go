@@ -11,18 +11,25 @@ import (
 	"repro/internal/wire"
 )
 
-// Reconnect. A transport failure anywhere in the client funnels into
-// disconnectLocked, which latches the first cause, strips the fast paths
-// (rings, write buffer), and starts one background goroutine that redials
-// the address list with jittered exponential backoff. An established
-// replacement connection tries to resume the parked server sessions with
-// the previous handshake's token; if the server refuses (window expired,
-// daemon restarted, resume disabled) it reopens everything from scratch.
-// Either way each thread is marked needReplay, and the next time its
-// submitting goroutine enters the client it replays the unacknowledged
-// tail of its shadow buffer — the server's per-session applied counter
-// makes the replay idempotent, so the server-side model converges to the
-// exact submitted stream.
+// The connect pipeline. Every connection this client ever has is made by
+// connect, in five steps that end with the threads marked for replay:
+//
+//	resolve addrs → dial → handshake → resume-or-open → negotiate shm → mark threads for replay
+//	└───── connect ────┘   establish   └─ restore ──┘   └ establish ┘   └────── restore ──────┘
+//
+// Dial runs it once, synchronously — a first connect is a restore with no
+// token, no oracles and no threads. A transport failure anywhere in the
+// client funnels into disconnectLocked, which latches the first cause,
+// strips the fast paths (rings, write buffer) and starts one background
+// goroutine that runs the same pipeline with jittered exponential backoff.
+// restore presents the previous handshake's token; whatever sessions the
+// server hands back keep their ids and model state, everything else (all
+// of it, when the server refuses: window expired, daemon restarted) is
+// reopened from scratch. Either way each thread is marked needReplay, and
+// the next time its submitting goroutine enters the client it replays the
+// unacknowledged tail of its shadow buffer — the server's per-session
+// applied counter makes the replay idempotent, so the server-side model
+// converges to the exact submitted stream.
 
 // disconnect is disconnectLocked for callers without the lock.
 func (c *Client) disconnect(err error) {
@@ -40,9 +47,8 @@ func (c *Client) disconnectLocked(err error) {
 	if c.state.Load() != stateConnected {
 		return
 	}
-	c.cause = err
+	c.cause = errors.Join(err, c.conn.NC.Close())
 	c.state.Store(stateReconnecting)
-	_ = c.conn.NC.Close()
 	// Drop the shared-memory tier. The old segment's mapping is leaked on
 	// purpose: a submitting goroutine may be mid-TryPush into a stale ring
 	// pointer, and writing into an orphaned mapping is harmless while
@@ -50,22 +56,22 @@ func (c *Client) disconnectLocked(err error) {
 	// re-delivered by the shadow replay.
 	c.shm.Store(nil)
 	for _, o := range c.oracles {
-		o.mu.Lock()
-		for _, t := range o.threads {
+		for _, t := range o.threadList() {
 			t.ring.Store(nil)
 			t.shmOwner = nil
 			t.shmTried.Store(false)
 		}
-		o.mu.Unlock()
 	}
 	c.wg.Add(1)
 	go c.reconnectLoop()
 }
 
-// reconnectLoop redials until the client is reconnected or closed. The
-// backoff doubles from ReconnectMinDelay up to maxReconnectDelay, and each
-// wait is jittered to half-to-full of the nominal delay so a fleet of
-// clients dropped by one daemon restart does not redial in lockstep.
+// reconnectLoop reruns the connect pipeline until the client is connected
+// or closed. The backoff doubles from ReconnectMinDelay up to
+// maxReconnectDelay, and each wait is jittered to half-to-full of the
+// nominal delay so a fleet of clients dropped by one daemon restart does
+// not redial in lockstep. The outage keeps its original cause; the errors
+// of failed attempts are dropped.
 func (c *Client) reconnectLoop() {
 	defer c.wg.Done()
 	delay := c.cfg.ReconnectMinDelay
@@ -77,7 +83,8 @@ func (c *Client) reconnectLoop() {
 			return
 		case <-timer.C:
 		}
-		if c.tryReconnect() {
+		if c.connect() == nil {
+			c.statReconnects.Add(1)
 			return
 		}
 		if delay *= 2; delay > maxReconnectDelay {
@@ -95,190 +102,124 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)))
 }
 
-// tryReconnect walks the fallback address list — the same list, in the
-// same order, that Dial used — and tries to adopt the first connection
-// that completes a handshake. It reports whether the loop should stop
-// (reconnected, or the client was closed meanwhile).
-func (c *Client) tryReconnect() bool {
+// connect walks the fallback address list in order and establishes the
+// first address that answers. It returns nil once the client is connected;
+// otherwise every address's failure, joined.
+func (c *Client) connect() error {
+	var errs []error
 	for _, a := range c.addrs {
+		if c.state.Load() == stateClosed {
+			return errClosed
+		}
 		nc, network, err := transport.Dial(a, c.cfg.DialTimeout)
 		if err != nil {
+			errs = append(errs, fmt.Errorf("client: dialing %s: %w", a, err))
 			continue
 		}
-		if c.adopt(nc, network) {
-			return true
+		if err = c.establish(nc, network); err == nil {
+			return nil
 		}
-		if c.state.Load() == stateClosed {
-			return true
-		}
+		errs = append(errs, err)
 	}
-	return c.state.Load() == stateClosed
+	return errors.Join(errs...)
 }
 
-// adopt handshakes a candidate connection and, on success, swaps it in as
-// the client's connection, resumes or reopens the server-side sessions,
-// and renegotiates the transport tier. It reports whether the reconnect
-// loop is done; on failure the candidate is closed and the loop keeps the
-// original outage cause.
-func (c *Client) adopt(nc net.Conn, network string) bool {
-	conn, token, err := handshake(nc, c.cfg)
+// establish handshakes a candidate connection and, on success, swaps it in
+// as the client's connection, restores the server-side sessions, and
+// negotiates the transport tier. On failure the candidate is closed and the
+// client is as it was, still disconnected.
+func (c *Client) establish(nc net.Conn, network string) error {
+	// The Hello exchange touches no client state, so it runs without the
+	// lock: a slow candidate never blocks the host's fail-open calls.
+	conn := wire.NewConn(nc)
+	grant, err := conn.Handshake(wire.HelloFlagResume, c.cfg.DialTimeout)
 	if err != nil {
-		return false
+		return errors.Join(fmt.Errorf("client: %w", err), nc.Close())
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state.Load() == stateClosed {
-		_ = nc.Close()
-		return true
+		return errors.Join(errClosed, nc.Close())
 	}
 	oldToken := c.resumeToken
-	c.conn, c.network, c.resumeToken = conn, network, token
-
-	resumed := false
-	if oldToken != 0 {
-		ok, rerr := c.tryResume(oldToken)
-		if rerr != nil {
-			_ = nc.Close()
-			return false
-		}
-		resumed = ok
+	c.conn, c.network, c.resumeToken = conn, network, grant.Token
+	if err = c.restore(oldToken); err == nil && c.cfg.SharedMem && network == transport.NetUnix {
+		err = c.negotiateShm()
 	}
-	if !resumed {
-		if !c.reopenFresh() {
-			_ = nc.Close()
-			return false
-		}
-	}
-	if c.cfg.SharedMem && network == transport.NetUnix {
-		c.negotiateShm()
+	if err != nil {
+		return errors.Join(err, nc.Close())
 	}
 	c.cause = nil
 	c.state.Store(stateConnected)
-	c.statReconnects.Add(1)
-	return true
+	return nil
 }
 
-// tryResume presents the previous connection's token. ok reports whether
-// the server handed the parked sessions back; a RemoteError refusal
-// (expired window, draining, restarted daemon) is the designed fall-through
-// to reopenFresh, while a transport error aborts this candidate
-// connection. Caller holds c.mu.
-func (c *Client) tryResume(token uint64) (ok bool, err error) {
-	var rs wire.Resumed
-	if err := c.exchange(wire.TResume, &wire.Uint64{V: token}, &rs); err != nil {
-		var re *RemoteError
-		if errors.As(err, &re) {
-			return false, nil
+// refusal reports an error that leaves the connection usable: the server
+// answered with an Error frame, or a tenant's event table failed the check.
+// Anything else is a transport failure.
+func refusal(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re) || errors.Is(err, errEventTable)
+}
+
+// restore rebuilds the client's server-side state on the connection just
+// swapped in, and is the one place a thread's recovery state is written.
+// It presents the previous connection's token; applied then holds, for
+// every session the server handed back, how many events it has applied. A
+// refusal (expired window, draining, restarted daemon) — or having no token
+// to present — leaves applied empty, which is the reopen-from-scratch case:
+// every oracle reopens its meta session and every thread its own. It fails
+// only on a transport error; a per-oracle refusal degrades that oracle but
+// keeps the connection. Caller holds c.mu.
+func (c *Client) restore(token uint64) error {
+	applied := make(map[uint32]uint64)
+	if token != 0 {
+		var rs wire.Resumed
+		if err := c.exchange(wire.TResume, &wire.Uint64{V: token}, &rs); err == nil {
+			for _, r := range rs.Sessions {
+				applied[r.Session] = r.Applied
+			}
+		} else if !refusal(err) {
+			return err
 		}
-		return false, err
 	}
-	// The session count is server-controlled; clamp the map size hint so a
-	// hostile frame cannot demand an oversized allocation (entries beyond
-	// the hint still insert, just without preallocation).
-	hint := len(rs.Sessions)
-	if hint > 1024 {
-		hint = 1024
-	}
-	applied := make(map[uint32]uint64, hint)
-	for _, r := range rs.Sessions {
-		applied[r.Session] = r.Applied
-	}
+	resumed := len(applied) > 0
 	for _, o := range c.oracles {
-		if o.closed {
-			continue
+		var err error
+		if resumed {
+			delete(applied, o.meta)
+		} else if err = o.open(); err != nil {
+			if !refusal(err) {
+				return err
+			}
+			err = fmt.Errorf("client: reconnect: reopening tenant %q: %w", o.tenant, err)
 		}
-		o.mu.Lock()
-		// Service restored: a refusal latched during the outage no longer
-		// describes this oracle (a recurring one re-latches on replay).
-		o.openErr = nil
-		for _, t := range o.threads {
-			t.inert.Store(false)
-			if ap, found := applied[t.sid]; t.opened && found {
-				// The session survived with its id and its server-side
-				// model state; only the unacknowledged tail needs replay.
-				t.needReplay = true
-				t.resumeFresh = false
+		// Service restored clears a refusal latched during the outage (a
+		// recurring one re-latches on replay); a refused oracle's threads
+		// fail open, their events still landing in the shadow buffer in
+		// case a later reconnect restores service.
+		o.noteOpenErr(err)
+		for _, t := range o.threadList() {
+			// A session that survived keeps its id and its server-side
+			// model state, so only the unacknowledged tail needs replay;
+			// any other is reopened on first producer activity.
+			ap, survived := applied[t.sid]
+			if t.opened = t.opened && survived && err == nil; t.opened {
+				delete(applied, t.sid)
 				t.resumeApplied = t.sessBase + ap
-			} else {
-				// Never opened, or the session was not among the parked
-				// ones: reopen from scratch on first producer activity.
-				t.opened = false
-				t.needReplay = true
-				t.resumeFresh = true
 			}
-		}
-		o.mu.Unlock()
-	}
-	return true, nil
-}
-
-// reopenFresh rebuilds the client's server-side state on a connection with
-// no parked sessions to adopt: each oracle's tenant-pinning meta session
-// is reopened and its event table verified against the one the oracle was
-// built with (a restarted daemon serving a different trace would silently
-// corrupt interning otherwise). Threads are marked for fresh reopen +
-// replay. It reports false only on a transport error — a per-oracle
-// refusal degrades that oracle but keeps the connection. Caller holds
-// c.mu.
-func (c *Client) reopenFresh() bool {
-	for _, o := range c.oracles {
-		if o.closed {
-			continue
-		}
-		so, err := c.openSession(o.tenant, -1, wire.FlagWantEvents)
-		if err != nil {
-			var re *RemoteError
-			if errors.As(err, &re) {
-				o.noteOpenErr(fmt.Errorf("client: reconnect reopen tenant %q: %w", o.tenant, err))
-				o.latchThreadsInert()
-				continue
-			}
-			return false
-		}
-		if !sameEventTable(so.Events, o.eventNames) {
-			o.noteOpenErr(fmt.Errorf("client: reconnect: tenant %q event table changed; oracle disabled", o.tenant))
-			o.latchThreadsInert()
-			continue
-		}
-		o.meta = so.Session
-		o.mu.Lock()
-		o.openErr = nil // tenant reopened cleanly; stale refusals don't apply
-		for _, t := range o.threads {
-			t.inert.Store(false)
-			t.opened = false
-			t.needReplay = true
-			t.resumeFresh = true
-		}
-		o.mu.Unlock()
-	}
-	return true
-}
-
-// latchThreadsInert fails an oracle's threads open after a reconnect-time
-// refusal; their events keep landing in the shadow buffer in case a later
-// reconnect restores service.
-func (o *Oracle) latchThreadsInert() {
-	o.mu.Lock()
-	for _, t := range o.threads {
-		t.inert.Store(true)
-		t.needReplay = false
-	}
-	o.mu.Unlock()
-}
-
-// sameEventTable reports whether a reopened tenant's event table matches
-// the one this oracle interned against.
-func sameEventTable(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
+			t.needReplay = err == nil
+			t.inert.Store(err != nil)
 		}
 	}
-	return true
+	// Sessions nobody claims belong to oracles closed during the outage.
+	for sid := range applied {
+		if err := c.exchange(wire.TCloseSession, &wire.SessionRef{Session: sid}, &wire.SessionRef{}); err != nil && !refusal(err) {
+			return err
+		}
+	}
+	return nil
 }
 
 // replayLocked delivers the thread's unacknowledged shadow tail to the
@@ -296,23 +237,20 @@ func (t *Thread) replayLocked(c *Client) {
 
 	seq := t.shadowSeq
 	oldest := uint64(1)
-	if n := uint64(len(t.shadow)); t.shadow != nil && seq > n {
-		oldest = seq - n + 1
+	if seq > shadowEvents {
+		oldest = seq - shadowEvents + 1
 	}
 
-	if t.resumeFresh || !t.opened {
-		if seq == 0 && !t.opened {
+	if !t.opened {
+		if seq == 0 {
 			// Nothing ever submitted: nothing to reopen or replay.
 			t.needReplay = false
-			t.resumeFresh = false
 			return
 		}
 		prevBase := t.sessBase
-		t.opened = false
 		if !t.ensureOpen(c) {
 			// Refused or offline again; ensureOpen latched what matters.
 			t.needReplay = false
-			t.resumeFresh = false
 			return
 		}
 		// Re-anchor: the fresh session's first event is server sequence 1.
@@ -326,15 +264,7 @@ func (t *Thread) replayLocked(c *Client) {
 		if t.sessBase > prevBase {
 			c.statDropped.Add(t.sessBase - prevBase)
 		}
-		t.resumeFresh = false
 		t.resumeApplied = t.sessBase
-	}
-	if t.shadow == nil {
-		// Shadow disabled: the stream restarts at the current position and
-		// everything in flight at the disconnect is dropped (uncounted —
-		// without a shadow the client cannot know how much was unacked).
-		t.needReplay = false
-		return
 	}
 
 	start := t.resumeApplied + 1
@@ -352,7 +282,7 @@ func (t *Thread) replayLocked(c *Client) {
 		}
 		t.replayBuf = t.replayBuf[:0]
 		for s := lo; s <= hi; s++ {
-			t.replayBuf = append(t.replayBuf, t.shadow[(s-1)&t.shadowMask])
+			t.replayBuf = append(t.replayBuf, t.shadow[(s-1)&shadowMask])
 		}
 		var done wire.SessionApplied
 		if c.call(wire.TReplay, &wire.Replay{Session: t.sid, Base: lo - t.sessBase, IDs: t.replayBuf}, &done) != nil {

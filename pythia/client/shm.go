@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/transport"
@@ -36,23 +37,22 @@ type clientShm struct {
 
 // negotiateShm attempts the shared-memory upgrade over a freshly
 // handshaken unix connection: create the segment, offer it, and keep it
-// only if the server maps it. Every failure falls open to the socket
-// transport the connection already has. Caller holds c.mu (Dial before
-// the client is shared, or the reconnect goroutine mid-adoption — hence
-// exchange, which skips the connection-state gate).
-func (c *Client) negotiateShm() {
+// only if the server maps it. Failing to get one — no segment, a server
+// that refuses it — falls open to the socket transport the connection
+// already has and is no error; a transport failure, or a segment that
+// cannot be cleaned up, fails the connection being established. Caller
+// holds c.mu, mid-establish — hence exchange, which skips the
+// connection-state gate.
+func (c *Client) negotiateShm() error {
 	g := transport.Geometry{Rings: shmRings, Slots: shmSlots, PredCap: shmPredCap}
 	seg, err := transport.CreateSegment(c.cfg.ShmDir, g.SegmentSize())
 	if err != nil {
-		return
+		return nil
 	}
 	transport.WriteHeader(seg.Bytes(), g)
 	rings, err := transport.MapRings(seg.Bytes(), g)
 	if err != nil {
-		if cerr := seg.Close(); cerr != nil {
-			c.disconnectLocked(cerr)
-		}
-		return
+		return seg.Close()
 	}
 	err = c.exchange(wire.TShmSetup, &wire.ShmSetup{
 		Rings:   uint32(g.Rings),
@@ -63,77 +63,60 @@ func (c *Client) negotiateShm() {
 	}, &wire.ShmSetupOK{})
 	if err != nil {
 		// A CodeShmSetup refusal is the designed fallback (server on
-		// another platform, unmappable path, …): keep the socket. A failed
-		// unmap of the just-created segment is not — latch it.
-		if cerr := seg.Close(); cerr != nil {
-			c.disconnectLocked(cerr)
+		// another platform, unmappable path, …): keep the socket.
+		if refusal(err) {
+			err = nil
 		}
-		return
+		return errors.Join(err, seg.Close())
 	}
 	// The server holds its own mapping now; drop the directory entry so a
 	// crash on either side leaves nothing in /dev/shm.
 	if err := seg.Unlink(); err != nil {
-		c.disconnectLocked(err)
+		return errors.Join(err, seg.Close())
 	}
 	c.shm.Store(&clientShm{seg: seg, rings: rings, used: make([]bool, len(rings))})
+	return nil
 }
 
 // bindRing tries once per connection epoch to put this thread on a free
-// shm ring; on any failure the thread keeps the socket batching path.
-// Runs on the submitting goroutine before the first event is buffered, so
-// a bound thread never has socket-buffered events that could be reordered
-// behind ring entries.
+// shm ring: it claims a slot and binds it to the thread's session on the
+// server; on any failure the thread keeps the socket batching path. Runs on
+// the submitting goroutine before the first event is buffered, so a bound
+// thread never has socket-buffered events that could be reordered behind
+// ring entries — and any pending post-reconnect replay happens here, before
+// the ring engages: ring traffic must never overtake the replayed tail.
 func (t *Thread) bindRing() {
 	t.shmTried.Store(true)
-	idx, r, owner := t.o.c.reserveRing(t)
-	if r == nil {
-		return
-	}
-	t.ringIdx = idx
-	t.shmOwner = owner
-	t.ring.Store(r)
-}
-
-// reserveRing claims a free ring slot and binds it to t's session on the
-// server; it returns the mapped ring (plus the segment it belongs to), or
-// nil when the thread should keep the socket path. Runs on the submitting
-// goroutine, so any pending post-reconnect replay happens here, before
-// the ring engages — ring traffic must never overtake the replayed tail.
-func (c *Client) reserveRing(t *Thread) (int, *transport.Ring, *clientShm) {
+	c := t.o.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state.Load() != stateConnected {
-		return 0, nil, nil
+		return
 	}
 	sh := c.shm.Load()
 	if sh == nil {
-		return 0, nil, nil
+		return
 	}
 	if t.needReplay {
 		t.replayLocked(c)
 		if t.needReplay || c.state.Load() != stateConnected {
-			return 0, nil, nil
+			return
 		}
 	}
 	if !t.ensureOpen(c) {
-		return 0, nil, nil
+		return
 	}
-	idx := -1
-	for i, u := range sh.used {
-		if !u {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(sh.used, false)
 	if idx < 0 {
-		return 0, nil, nil // rings exhausted: this thread stays on socket batching
+		return // rings exhausted: this thread stays on socket batching
 	}
 	bind := &wire.SessionArg{Session: t.sid, Arg: uint32(idx)}
 	if c.call(wire.TShmBind, bind, &wire.SessionArg{}) != nil {
-		return 0, nil, nil
+		return
 	}
 	sh.used[idx] = true
-	return idx, &sh.rings[idx], sh
+	t.ringIdx, t.shmOwner = idx, sh
+	t.ring.Store(&sh.rings[idx])
 }
 
 // releaseRingLocked returns the thread's ring slot to the free list

@@ -31,7 +31,8 @@
 # torn writes, and under a real SIGKILL) and whose journals must salvage.
 # It also runs the network chaos leg: the full chaosnet matrix
 # (PYTHIA_CHAOS=1 — resets, torn frames, drops, stalls over tcp/unix/shm)
-# plus the reconnect, resume, and keepalive suites, all under -race.
+# plus the reconnect, resume, keepalive and connect-pipeline suites, all
+# under -race.
 # CI gates on this in its own job. With --learn, additionally runs the
 # model-lifecycle suites under the race detector: the scored-promotion /
 # rollback state machine and learner (core), the lifecycle wire ops and
@@ -139,9 +140,9 @@ if [ "${run_chaos}" -eq 1 ]; then
         go test -race -count=1 ./internal/faultinject/
     step "chaos (chaosnet proxy suite, -race)" \
         go test -race -count=1 ./internal/chaosnet/
-    step "chaos (network: chaos matrix + reconnect/resume/keepalive, -race)" \
+    step "chaos (network: chaos matrix + reconnect/resume/keepalive/pipeline, -race)" \
         env PYTHIA_CHAOS=1 go test -race -count=1 \
-        -run 'Chaos|Reconnect|Resume|Keepalive|Fallback' \
+        -run 'Chaos|Reconnect|Resume|Keepalive|Fallback|Pipeline|OracleClose' \
         ./internal/server/ ./pythia/client/
 fi
 
