@@ -6,6 +6,7 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -69,19 +70,20 @@ const MaxContextDepth = 4
 // sequence as a compact map key. refs is ordered topmost-first, as
 // progress.Position frames are; depth selects the suffix length.
 func SuffixKey(refs []grammar.UserRef, depth int) string {
-	if depth > len(refs) {
-		depth = len(refs)
+	var b [MaxContextDepth * 8]byte
+	return string(b[:putSuffix(&b, refs, depth)])
+}
+
+// putSuffix writes the key bytes of the last depth (at most
+// MaxContextDepth) runs of refs to the front of b and returns their number.
+// The key of a shorter suffix is a tail of the key of a longer one.
+func putSuffix(b *[MaxContextDepth * 8]byte, refs []grammar.UserRef, depth int) int {
+	depth = min(depth, len(refs), MaxContextDepth)
+	for i, r := range refs[len(refs)-depth:] {
+		binary.LittleEndian.PutUint32(b[8*i:], uint32(r.Rule))
+		binary.LittleEndian.PutUint32(b[8*i+4:], uint32(r.Pos))
 	}
-	if depth > MaxContextDepth {
-		depth = MaxContextDepth
-	}
-	buf := make([]byte, 0, depth*8)
-	for _, r := range refs[len(refs)-depth:] {
-		buf = append(buf,
-			byte(r.Rule), byte(r.Rule>>8), byte(r.Rule>>16), byte(r.Rule>>24),
-			byte(r.Pos), byte(r.Pos>>8), byte(r.Pos>>16), byte(r.Pos>>24))
-	}
-	return string(buf)
+	return 8 * depth
 }
 
 // Timing is the per-context duration model of paper section II-C: the mean
@@ -127,17 +129,18 @@ func (t *Timing) AddPath(refs []grammar.UserRef, eventID int32, ns int64) {
 
 // MeanForPath returns the expected duration preceding the event at the given
 // progress sequence, using the deepest recorded suffix and falling back to
-// shallower suffixes, the per-event mean, and finally zero.
+// shallower suffixes, the per-event mean, and finally zero. It does not
+// allocate: the keys tried are slices of one stack buffer, and a map lookup
+// by string(bytes) does not copy them.
+// pythia:hotpath — one call per hypothesis per look-ahead step.
 func (t *Timing) MeanForPath(refs []grammar.UserRef, eventID int32) float64 {
 	if t == nil {
 		return 0
 	}
-	maxDepth := len(refs)
-	if maxDepth > MaxContextDepth {
-		maxDepth = MaxContextDepth
-	}
-	for d := maxDepth; d >= 1; d-- {
-		if s, ok := t.BySuffix[SuffixKey(refs, d)]; ok && s.Count > 0 {
+	var b [MaxContextDepth * 8]byte
+	n := putSuffix(&b, refs, MaxContextDepth)
+	for from := 0; from < n; from += 8 {
+		if s, ok := t.BySuffix[string(b[from:n])]; ok && s.Count > 0 {
 			return s.Mean()
 		}
 	}

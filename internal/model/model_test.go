@@ -102,6 +102,30 @@ func TestTimingAddPathAndLookup(t *testing.T) {
 	}
 }
 
+// TestMeanForPathZeroAlloc: the lookup every predicting session makes once
+// per window step allocates on none of its paths — a hit at full depth, a
+// miss chain ending at the per-event mean, a deep path cut to the context
+// depth, and a nil model.
+func TestMeanForPathZeroAlloc(t *testing.T) {
+	tm := NewTiming()
+	hit := []grammar.UserRef{{Rule: 0, Pos: 0}, {Rule: 1, Pos: 2}, {Rule: 4, Pos: 1}, {Rule: 6, Pos: 0}}
+	deep := append([]grammar.UserRef{{Rule: 0, Pos: 3}, {Rule: 2, Pos: 1}}, hit...)
+	miss := []grammar.UserRef{{Rule: 9, Pos: 9}, {Rule: 8, Pos: 8}, {Rule: 7, Pos: 7}}
+	tm.AddPath(hit, 7, 100)
+	var nilT *Timing
+	var sum float64
+	allocs := testing.AllocsPerRun(100, func() {
+		sum += tm.MeanForPath(hit, 7) + tm.MeanForPath(deep, 7) + tm.MeanForPath(miss, 7) +
+			tm.MeanForPath(miss, 8) + nilT.MeanForPath(hit, 7)
+	})
+	if allocs != 0 {
+		t.Fatalf("MeanForPath allocates %.1f times per five lookups, want 0", allocs)
+	}
+	if sum != 101*300 {
+		t.Fatalf("lookups sum to %v, want %v (hit, deep and the per-event fallback at 100 each)", sum, 101*300)
+	}
+}
+
 func TestTraceValidate(t *testing.T) {
 	f := freeze([]int32{0, 1, 0, 1})
 	good := &Trace{Grammar: f, Events: []string{"a", "b"}}

@@ -60,14 +60,14 @@ type predCache struct {
 // outside the fast paths (re-anchor, branching, Reset, StartAtBeginning).
 func (p *Predictor) invalidate() {
 	p.cache.valid = false
-	p.liveOK = false
+	p.look.valid = false
 }
 
 // cacheUsable reports whether queries may be served from the incremental
 // cache, (re)building it at the current position if needed. The cache
 // serves a lone, non-pending hypothesis with caching enabled.
 func (p *Predictor) cacheUsable() bool {
-	if p.cfg.DisableCache || p.pending || len(p.cands) != 1 {
+	if p.cfg.DisableCache || p.pending || p.cands.Len() != 1 {
 		return false
 	}
 	if !p.cache.valid {
@@ -84,7 +84,7 @@ func (p *Predictor) buildCache() {
 	c.means = c.means[:0]
 	c.head = 0
 	c.state = cacheExtendable
-	c.end.Reset(p.f, p.cands[0].Pos)
+	c.end.Reset(p.f, p.cands.View(0))
 	c.valid = true
 }
 
@@ -148,31 +148,24 @@ func (p *Predictor) consumeCache() {
 	}
 }
 
-// observeSingle advances the lone hypothesis in place through its unique
-// successor, the tracking fast path. It reports false when the advance
-// would branch, leaving the predictor untouched so the caller falls
-// through to the general machinery.
+// observeSingle advances the lone hypothesis through its unique successor,
+// the tracking fast path: the candidate set stays a single hypothesis of
+// weight 1 and the window slides instead of being rebuilt. It reports false
+// when the advance would branch, leaving the predictor untouched so the
+// caller falls through to the general step.
 // pythia:hotpath — zero allocations per observation in steady state.
 func (p *Predictor) observeSingle(eventID int32) bool {
-	if !p.liveOK {
-		p.live.Reset(p.f, p.cands[0].Pos)
-		p.liveOK = true
-	}
-	switch p.live.Advance() {
-	case progress.AdvanceBranch:
+	ev, res := p.cands.AdvanceLone(p.f, p.spare)
+	if res == progress.AdvanceBranch {
 		return false
-	case progress.AdvanceEnd:
-		// No successor: same outcome as an empty Successors set.
-		p.reAnchor(eventID)
-		return true
 	}
-	if p.live.Terminal() != eventID {
-		// The walk is branch-free, so no other successor can match.
+	if res == progress.AdvanceEnd || ev != eventID {
+		// No successor, the outcome of an empty general step; or one that
+		// is not the event, and a branch-free walk has no other.
 		p.reAnchor(eventID)
 		return true
 	}
 	p.stats.Followed++
-	p.cands[0] = progress.Branch{Pos: p.live.PosView(), Weight: 1}
 	p.consumeCache()
 	return true
 }

@@ -3,6 +3,7 @@ package predictor
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/grammar"
@@ -37,10 +38,30 @@ func timedTraceOf(seq []int32) *model.Trace {
 	return &model.Trace{Grammar: f, Events: names, Timing: timing}
 }
 
+// oracle is what a differential schedule drives: the engine predictor, with
+// or without its caching layers, and the allocating reference.
+type oracle interface {
+	StartAtBeginning()
+	Reset()
+	Observe(eventID int32)
+	PredictAt(distance int) (Prediction, bool)
+	PredictSequence(n int) []Prediction
+	PredictDurationUntil(eventID int32, maxDistance int) (Prediction, bool)
+	PredictDistribution(distance int) []Alternative
+	ExpectedPath(maxDistance int) []PathStep
+	Stats() Stats
+	Tracking() bool
+	Anchored() bool
+	Candidates() int
+	Confidence() float64
+}
+
 // diffOp is one step of a differential schedule: an observation or a query
 // applied identically to both predictors.
 type diffOp struct {
-	kind    int // 0 observe, 1 PredictAt, 2 PredictSequence, 3 PredictDurationUntil, 4 StartAtBeginning, 5 Reset
+	// 0 observe, 1 PredictAt, 2 PredictSequence, 3 PredictDurationUntil,
+	// 4 StartAtBeginning, 5 Reset, 6 PredictDistribution, 7 ExpectedPath
+	kind    int
 	event   int32
 	arg     int
 	queryEv int32
@@ -71,72 +92,106 @@ func buildSchedule(rng *rand.Rand, seq []int32, maxID int32, steps int) []diffOp
 			i = 0
 		case r < 0.77:
 			ops = append(ops, diffOp{kind: 5}) // Reset
-		case r < 0.87:
-			ops = append(ops, diffOp{kind: 1, arg: 1 + rng.Intn(80)})
-		case r < 0.94:
-			ops = append(ops, diffOp{kind: 2, arg: 1 + rng.Intn(40)})
 		default:
-			ops = append(ops, diffOp{kind: 3, arg: 1 + rng.Intn(60), queryEv: int32(rng.Intn(int(maxID) + 2))})
+			ops = append(ops, randomQuery(rng, maxID))
 		}
 	}
 	return ops
 }
 
-// runDifferential executes the schedule against a cached and a cache-disabled
-// predictor and fails on the first observable divergence. Every query result
-// must be byte-identical (reflect.DeepEqual on the Prediction values,
-// including ExpectedNs at full float64 precision), and the tracking state
+// randomQuery draws one query of any kind, PredictAt most often.
+func randomQuery(rng *rand.Rand, maxID int32) diffOp {
+	switch r := rng.Float64(); {
+	case r < 0.40:
+		return diffOp{kind: 1, arg: 1 + rng.Intn(80)}
+	case r < 0.60:
+		return diffOp{kind: 2, arg: 1 + rng.Intn(40)}
+	case r < 0.80:
+		return diffOp{kind: 3, arg: 1 + rng.Intn(60), queryEv: int32(rng.Intn(int(maxID) + 2))}
+	case r < 0.92:
+		return diffOp{kind: 6, arg: 1 + rng.Intn(24)}
+	default:
+		return diffOp{kind: 7, arg: 1 + rng.Intn(24)}
+	}
+}
+
+// runDifferential executes the schedule against two predictors and fails on
+// the first observable divergence. Every query result must be byte-identical
+// (reflect.DeepEqual on the values, including ExpectedNs and Probability at
+// full float64 precision and nil against empty), and the tracking state
 // (Stats, Tracking, Anchored, Candidates, Confidence) must match after every
-// step.
-func runDifferential(t *testing.T, tr *model.Trace, ops []diffOp) {
+// step. It returns how many queries ran and how many of them with more than
+// one hypothesis tracked.
+func runDifferential(t testing.TB, got, want oracle, ops []diffOp) (queries, multi int) {
 	t.Helper()
-	cached := New(tr, Config{})
-	ref := New(tr, Config{DisableCache: true})
 	for step, op := range ops {
+		var g, w any
 		switch op.kind {
 		case 0:
-			cached.Observe(op.event)
-			ref.Observe(op.event)
+			got.Observe(op.event)
+			want.Observe(op.event)
 		case 1:
-			gp, gok := cached.PredictAt(op.arg)
-			wp, wok := ref.PredictAt(op.arg)
-			if gok != wok || !reflect.DeepEqual(gp, wp) {
-				t.Fatalf("step %d: PredictAt(%d) diverged:\ncached: %+v %v\nref:    %+v %v",
-					step, op.arg, gp, gok, wp, wok)
-			}
+			gp, gok := got.PredictAt(op.arg)
+			wp, wok := want.PredictAt(op.arg)
+			g, w = []any{gp, gok}, []any{wp, wok}
 		case 2:
-			gs := cached.PredictSequence(op.arg)
-			ws := ref.PredictSequence(op.arg)
-			if !reflect.DeepEqual(gs, ws) {
-				t.Fatalf("step %d: PredictSequence(%d) diverged:\ncached: %+v\nref:    %+v",
-					step, op.arg, gs, ws)
-			}
+			g, w = got.PredictSequence(op.arg), want.PredictSequence(op.arg)
 		case 3:
-			gp, gok := cached.PredictDurationUntil(op.queryEv, op.arg)
-			wp, wok := ref.PredictDurationUntil(op.queryEv, op.arg)
-			if gok != wok || !reflect.DeepEqual(gp, wp) {
-				t.Fatalf("step %d: PredictDurationUntil(%d,%d) diverged:\ncached: %+v %v\nref:    %+v %v",
-					step, op.queryEv, op.arg, gp, gok, wp, wok)
-			}
+			gp, gok := got.PredictDurationUntil(op.queryEv, op.arg)
+			wp, wok := want.PredictDurationUntil(op.queryEv, op.arg)
+			g, w = []any{gp, gok}, []any{wp, wok}
 		case 4:
-			cached.StartAtBeginning()
-			ref.StartAtBeginning()
+			got.StartAtBeginning()
+			want.StartAtBeginning()
 		case 5:
-			cached.Reset()
-			ref.Reset()
+			got.Reset()
+			want.Reset()
+		case 6:
+			g, w = got.PredictDistribution(op.arg), want.PredictDistribution(op.arg)
+		case 7:
+			g, w = got.ExpectedPath(op.arg), want.ExpectedPath(op.arg)
 		}
-		if cached.Stats() != ref.Stats() {
-			t.Fatalf("step %d (op %d): stats diverged: cached %+v, ref %+v",
-				step, op.kind, cached.Stats(), ref.Stats())
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("step %d: query %+v diverged:\ngot:  %+v\nwant: %+v", step, op, g, w)
 		}
-		if cached.Tracking() != ref.Tracking() || cached.Anchored() != ref.Anchored() ||
-			cached.Candidates() != ref.Candidates() || cached.Confidence() != ref.Confidence() {
-			t.Fatalf("step %d (op %d): tracking state diverged: cached (%v,%v,%d,%v), ref (%v,%v,%d,%v)",
+		if g != nil {
+			queries++
+			if want.Candidates() > 1 {
+				multi++
+			}
+		}
+		if got.Stats() != want.Stats() {
+			t.Fatalf("step %d (op %d): stats diverged: got %+v, want %+v",
+				step, op.kind, got.Stats(), want.Stats())
+		}
+		if got.Tracking() != want.Tracking() || got.Anchored() != want.Anchored() ||
+			got.Candidates() != want.Candidates() || got.Confidence() != want.Confidence() {
+			t.Fatalf("step %d (op %d): tracking state diverged: got (%v,%v,%d,%v), want (%v,%v,%d,%v)",
 				step, op.kind,
-				cached.Tracking(), cached.Anchored(), cached.Candidates(), cached.Confidence(),
-				ref.Tracking(), ref.Anchored(), ref.Candidates(), ref.Confidence())
+				got.Tracking(), got.Anchored(), got.Candidates(), got.Confidence(),
+				want.Tracking(), want.Anchored(), want.Candidates(), want.Confidence())
 		}
 	}
+	return queries, multi
+}
+
+// motifTraces are the reference executions of the noisy-replay schedules:
+// loops with shared prefixes, so that a re-anchor is ambiguous for a while.
+func motifTraces() (seqs [][]int32, maxIDs []int32) {
+	for _, motif := range [][]int32{
+		{0, 1, 2, 1, 2, 3},
+		{0, 1, 0, 2, 0, 1, 0, 3},
+		{5, 5, 5, 1, 2, 5, 5, 5, 1, 2},
+		{0, 1, 2, 3, 4, 5, 6, 7},
+	} {
+		var seq []int32
+		for r := 0; r < 60; r++ {
+			seq = append(seq, motif...)
+		}
+		seqs = append(seqs, seq)
+		maxIDs = append(maxIDs, slices.Max(seq))
+	}
+	return seqs, maxIDs
 }
 
 // TestDifferentialCachedVsReference pins the central property of the
@@ -144,28 +199,13 @@ func runDifferential(t *testing.T, tr *model.Trace, ops []diffOp) {
 // observationally identical on noisy replays — same predictions bit for bit,
 // same tracking statistics — across many randomized schedules.
 func TestDifferentialCachedVsReference(t *testing.T) {
-	motifs := [][]int32{
-		{0, 1, 2, 1, 2, 3},
-		{0, 1, 0, 2, 0, 1, 0, 3},
-		{5, 5, 5, 1, 2, 5, 5, 5, 1, 2},
-		{0, 1, 2, 3, 4, 5, 6, 7},
-	}
-	for mi, motif := range motifs {
-		var seq []int32
-		for r := 0; r < 60; r++ {
-			seq = append(seq, motif...)
-		}
-		maxID := int32(0)
-		for _, e := range seq {
-			if e > maxID {
-				maxID = e
-			}
-		}
+	seqs, maxIDs := motifTraces()
+	for mi, seq := range seqs {
 		tr := timedTraceOf(seq)
 		for seed := int64(0); seed < 8; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(mi)))
-			ops := buildSchedule(rng, seq, maxID, 600)
-			runDifferential(t, tr, ops)
+			ops := buildSchedule(rng, seq, maxIDs[mi], 600)
+			runDifferential(t, New(tr, Config{}), New(tr, Config{DisableCache: true}), ops)
 		}
 	}
 }

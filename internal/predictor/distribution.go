@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/grammar"
-	"repro/internal/progress"
 )
 
 // Alternative is one entry of a predicted event distribution.
@@ -18,39 +17,25 @@ type Alternative struct {
 // across several possible futures (e.g. pre-posting receives for every
 // likely sender) use this instead of PredictAt.
 func (p *Predictor) PredictDistribution(distance int) []Alternative {
-	if distance <= 0 || len(p.cands) == 0 {
+	if distance <= 0 || p.cands.Len() == 0 {
 		return nil
 	}
-	cur := p.seedSim()
-	for step := 1; step <= distance; step++ {
-		var nxt []sim
-		if step == 1 && p.pending {
-			nxt = cur
-		} else {
-			for _, s := range cur {
-				for _, b := range progress.Successors(p.f, s.br.Pos, s.br.Weight) {
-					nxt = append(nxt, sim{br: b})
-				}
-			}
-		}
-		if len(nxt) == 0 {
-			return nil
-		}
-		cur = mergeCapSim(nxt, p.cfg.MaxLookahead)
+	// The frontier at exactly this step is wanted: a memo already past it
+	// starts over.
+	p.openWalk()
+	if len(p.look.steps) > distance {
+		p.startWalk(false)
 	}
-	byEvent := make(map[int32]float64, 8)
-	var total float64
-	for _, s := range cur {
-		byEvent[s.br.Pos.Terminal(p.f)] += s.br.Weight
-		total += s.br.Weight
+	if p.walk(false, distance) < distance {
+		return nil
 	}
-	out := make([]Alternative, 0, len(byEvent))
-	for ev, w := range byEvent {
-		prob := 0.0
+	total := p.sumByEvent()
+	out := make([]Alternative, len(p.look.sums))
+	for i, s := range p.look.sums {
+		out[i].EventID = s.ev
 		if total > 0 {
-			prob = w / total
+			out[i].Probability = s.w / total
 		}
-		out = append(out, Alternative{EventID: ev, Probability: prob})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Probability != out[j].Probability {
@@ -61,53 +46,28 @@ func (p *Predictor) PredictDistribution(distance int) []Alternative {
 	return out
 }
 
-// seedSim converts the live candidate set into simulation branches. When a
-// fresh start is pending, candidates already designate the next event.
-func (p *Predictor) seedSim() []sim {
-	out := make([]sim, 0, len(p.cands))
-	for _, c := range p.cands {
-		out = append(out, sim{br: c})
-	}
-	return out
-}
-
-// ExpectedPath returns the most likely next terminal run positions as far as
-// maxDistance, for diagnostics: each element is the dominant position's
-// grammar reference and event.
+// PathStep is one step of ExpectedPath: the dominant position's grammar
+// reference and event.
 type PathStep struct {
 	Distance int
 	EventID  int32
 	Ref      grammar.UserRef
 }
 
-// ExpectedPath simulates forward and records, per step, the dominant
-// branch's position.
+// ExpectedPath returns the most likely next terminal run positions as far as
+// maxDistance, for diagnostics: per step, the heaviest branch's position.
 func (p *Predictor) ExpectedPath(maxDistance int) []PathStep {
-	if maxDistance <= 0 || len(p.cands) == 0 {
+	if maxDistance <= 0 || p.cands.Len() == 0 {
 		return nil
 	}
-	cur := p.seedSim()
+	// The frontier at every step is wanted: walk afresh from the first.
+	p.startWalk(false)
 	var out []PathStep
-	for step := 1; step <= maxDistance; step++ {
-		var nxt []sim
-		if step == 1 && p.pending {
-			nxt = cur
-		} else {
-			for _, s := range cur {
-				for _, b := range progress.Successors(p.f, s.br.Pos, s.br.Weight) {
-					nxt = append(nxt, sim{br: b})
-				}
-			}
-		}
-		if len(nxt) == 0 {
-			return out
-		}
-		cur = mergeCapSim(nxt, p.cfg.MaxLookahead)
-		best := cur[0]
+	for step := 1; step <= maxDistance && p.walk(false, step) == step; step++ {
 		out = append(out, PathStep{
 			Distance: step,
-			EventID:  best.br.Pos.Terminal(p.f),
-			Ref:      best.br.Pos.Ref(),
+			EventID:  p.look.at.Terminal(p.f, 0),
+			Ref:      p.look.at.Ref(0),
 		})
 	}
 	return out

@@ -13,8 +13,6 @@
 package predictor
 
 import (
-	"sort"
-
 	"repro/internal/grammar"
 	"repro/internal/model"
 	"repro/internal/progress"
@@ -28,11 +26,12 @@ type Config struct {
 	// MaxLookahead caps the number of branches kept at each step of a
 	// prediction simulation. Zero selects the default (256).
 	MaxLookahead int
-	// DisableCache turns off the incremental prediction cache and the
-	// in-place single-hypothesis advance: every query then re-simulates
-	// from scratch and every observation goes through the general
-	// hypothesis machinery. It is the reference implementation that the
-	// differential tests and the cache ablation compare against.
+	// DisableCache turns off every form of memoisation: no incremental
+	// prediction cache, no per-observation look-ahead memo, no in-place
+	// single-hypothesis advance. Every query is then a fresh walk and every
+	// observation a general step of the frontier engine. It is what the
+	// cache ablation and the caching layers' differential tests compare
+	// against.
 	DisableCache bool
 	// WatchdogWindow is the divergence watchdog's observation window: the
 	// number of recent observations over which the prediction hit-rate is
@@ -102,27 +101,27 @@ type Predictor struct {
 	f      *grammar.Frozen
 	timing *model.Timing
 	cfg    Config
-	cands  []progress.Branch
+	// cands is the tracked hypothesis set, heaviest first, and spare the
+	// buffer the next step of either cands or the look-ahead is built in;
+	// a completed step swaps its result in (see engine.go).
+	cands, spare *progress.Frontier
 	// pending marks that the candidate set designates the *next* event to
 	// be observed rather than the last observed one (after
 	// StartAtBeginning).
 	pending bool
 	stats   Stats
-	scratch []progress.Branch
-
-	// live advances the lone hypothesis in place on the tracking fast
-	// path; while liveOK is true, cands[0].Pos aliases live's internal
-	// buffer (package-internal discipline: positions handed out of the
-	// predictor are never views of live).
-	live   progress.Stepper
-	liveOK bool
+	// merger is the scratch of every merge of cands, spare or look.at.
+	merger progress.Merger
+	// look is the per-observation look-ahead (see engine.go).
+	look lookahead
 	// cache is the incremental prediction cache (see cache.go).
 	cache predCache
-	// refsBuf is the reusable path buffer for timing lookups on the
-	// cached query path.
+	// refsBuf is the reusable path buffer for timing lookups.
 	refsBuf []grammar.UserRef
 	// wd is the divergence watchdog (see watchdog.go).
 	wd watchdog
+	// bufs backs cands, spare and look.at.
+	bufs [3]progress.Frontier
 }
 
 // New returns a predictor for the reference trace. The candidate set starts
@@ -132,6 +131,7 @@ type Predictor struct {
 // evaluation does).
 func New(tr *model.Trace, cfg Config) *Predictor {
 	p := &Predictor{f: tr.Grammar, timing: tr.Timing, cfg: cfg.withDefaults()}
+	p.cands, p.spare, p.look.at = &p.bufs[0], &p.bufs[1], &p.bufs[2]
 	p.wd.init(p.cfg)
 	return p
 }
@@ -141,9 +141,7 @@ func New(tr *model.Trace, cfg Config) *Predictor {
 func (p *Predictor) StartAtBeginning() {
 	p.invalidate()
 	p.wd.reset()
-	p.cands = p.cands[:0]
-	if pos, ok := progress.Start(p.f); ok {
-		p.cands = append(p.cands, progress.Branch{Pos: pos, Weight: 1})
+	if p.cands.SetStart(p.f) {
 		p.pending = true
 	}
 }
@@ -168,76 +166,58 @@ func (p *Predictor) Observe(eventID int32) {
 // pythia:hotpath — one call per submitted event in predict mode.
 func (p *Predictor) track(eventID int32) {
 	p.stats.Observed++
+	p.look.valid = false
 	if p.pending {
+		// The candidates designate the next event directly.
 		p.pending = false
-		if len(p.cands) == 1 && !p.cfg.DisableCache {
-			// Single-hypothesis fast path: the candidate designates the
-			// next event directly; nothing to merge or renormalise.
-			if p.cands[0].Pos.Terminal(p.f) == eventID {
+		if p.cands.Len() == 1 && !p.cfg.DisableCache {
+			// Nothing to merge or renormalise.
+			if p.cands.Terminal(p.f, 0) == eventID {
 				p.stats.Followed++
 				return
 			}
 			p.reAnchor(eventID)
 			return
 		}
-		kept := p.scratch[:0]
-		for _, c := range p.cands {
-			if c.Pos.Terminal(p.f) == eventID {
-				kept = append(kept, c)
-			}
-		}
-		if len(kept) > 0 {
-			p.stats.Followed++
-			p.setCands(kept)
-			return
-		}
+		p.cands.KeepEvent(p.f, eventID)
+		p.follow(eventID)
+		return
+	}
+	if p.cands.Len() == 0 {
 		p.reAnchor(eventID)
 		return
 	}
-	if len(p.cands) == 0 {
-		p.reAnchor(eventID)
+	if p.cands.Len() == 1 && !p.cfg.DisableCache && p.observeSingle(eventID) {
 		return
 	}
-	if len(p.cands) == 1 && !p.cfg.DisableCache && p.observeSingle(eventID) {
-		return
-	}
-	next := p.scratch[:0]
-	for _, c := range p.cands {
-		for _, s := range progress.Successors(p.f, c.Pos, c.Weight) {
-			if s.Pos.Terminal(p.f) == eventID {
-				next = append(next, s)
-			}
-		}
-	}
-	if len(next) == 0 {
+	p.spare.Step(p.f, p.cands)
+	p.spare.KeepEvent(p.f, eventID)
+	p.cands, p.spare = p.spare, p.cands
+	p.follow(eventID)
+}
+
+// follow installs the hypotheses that matched eventID — merged, capped and
+// renormalised — or re-anchors when none did.
+func (p *Predictor) follow(eventID int32) {
+	if p.cands.Len() == 0 {
 		p.reAnchor(eventID)
 		return
 	}
 	p.stats.Followed++
-	p.setCands(next)
+	p.cands.MergeCap(&p.merger, p.cfg.MaxCandidates, true)
+	p.invalidate()
 }
 
 // reAnchor rebuilds the hypothesis set from the grammar occurrences of
 // eventID.
 func (p *Predictor) reAnchor(eventID int32) {
-	occ := progress.Occurrences(p.f, eventID)
-	if len(occ) == 0 {
+	p.invalidate()
+	if !p.cands.SetOccurrences(p.f, eventID) {
 		p.stats.Unknown++
-		p.invalidate()
-		p.cands = p.cands[:0]
 		return
 	}
 	p.stats.ReAnchored++
-	p.setCands(occ)
-}
-
-// setCands merges duplicates, caps, renormalises and installs the set.
-func (p *Predictor) setCands(branches []progress.Branch) {
-	merged := mergeCap(branches, p.cfg.MaxCandidates, true)
-	// Reuse the previous candidate slice as the next scratch buffer.
-	p.scratch = p.cands[:0]
-	p.cands = merged
-	p.invalidate()
+	p.cands.MergeCap(&p.merger, p.cfg.MaxCandidates, true)
 }
 
 // Stats returns tracking counters.
@@ -245,23 +225,23 @@ func (p *Predictor) Stats() Stats { return p.stats }
 
 // Tracking reports whether the predictor currently holds at least one
 // hypothesis.
-func (p *Predictor) Tracking() bool { return len(p.cands) > 0 }
+func (p *Predictor) Tracking() bool { return p.cands.Len() > 0 }
 
 // Anchored reports whether the dominant hypothesis is anchored at the
 // grammar root, i.e. the position in the reference trace is fully known.
 func (p *Predictor) Anchored() bool {
-	return len(p.cands) > 0 && p.cands[0].Pos.Anchored()
+	return p.cands.Len() > 0 && p.cands.Anchored(0)
 }
 
 // Candidates returns the current number of hypotheses.
-func (p *Predictor) Candidates() int { return len(p.cands) }
+func (p *Predictor) Candidates() int { return p.cands.Len() }
 
 // Confidence returns the weight of the dominant hypothesis (0 when lost).
 func (p *Predictor) Confidence() float64 {
-	if len(p.cands) == 0 {
+	if p.cands.Len() == 0 {
 		return 0
 	}
-	return p.cands[0].Weight
+	return p.cands.Weight(0)
 }
 
 // Prediction is one predicted future event.
@@ -284,10 +264,10 @@ type Prediction struct {
 // has no hypothesis or every hypothesis ends before the horizon.
 // pythia:hotpath — the paper's per-query budget is ~0.05-2 µs (Fig. 9).
 func (p *Predictor) PredictAt(distance int) (Prediction, bool) {
-	if p.wd.quarantined {
+	if p.wd.quarantined || distance < 1 {
 		return Prediction{}, false
 	}
-	if distance >= 1 && p.cacheUsable() {
+	if p.cacheUsable() {
 		if got := p.ensureWindow(distance); got >= distance {
 			c := &p.cache
 			idx := c.head + distance - 1
@@ -304,23 +284,23 @@ func (p *Predictor) PredictAt(distance int) (Prediction, bool) {
 			// prediction, exactly as a fresh walk would conclude.
 			return Prediction{}, false
 		}
-		// Branched beyond the window: the general machinery decides.
+		// Branched beyond the window: the frontier engine decides.
 	}
-	preds, ok := p.simulate(distance, nil)
-	if !ok || len(preds) < distance {
+	p.openWalk()
+	if p.walkTo(distance) < distance {
 		return Prediction{}, false
 	}
-	return preds[distance-1], true
+	return p.look.prediction(distance), true
 }
 
 // PredictSequence predicts the next n events, returning one Prediction per
 // step (step i has Distance i+1). The slice may be shorter than n if every
 // hypothesis reaches the end of the reference trace.
 func (p *Predictor) PredictSequence(n int) []Prediction {
-	if p.wd.quarantined {
+	if p.wd.quarantined || n < 1 {
 		return nil
 	}
-	if n >= 1 && p.cacheUsable() {
+	if p.cacheUsable() {
 		got := p.ensureWindow(n)
 		if got >= n || p.cache.state == cacheEnded {
 			if got > n {
@@ -339,18 +319,26 @@ func (p *Predictor) PredictSequence(n int) []Prediction {
 			return out
 		}
 	}
-	preds, _ := p.simulate(n, nil)
-	return preds
+	p.openWalk()
+	got := min(p.walkTo(n), n)
+	if got == 0 && !p.look.lone {
+		return nil
+	}
+	out := make([]Prediction, got)
+	for i := range out {
+		out[i] = p.look.prediction(i + 1)
+	}
+	return out
 }
 
 // PredictDurationUntil predicts the elapsed time from now until the next
 // occurrence of eventID, searching at most maxDistance events ahead.
 // ok is false when the event is not predicted within the horizon.
 func (p *Predictor) PredictDurationUntil(eventID int32, maxDistance int) (Prediction, bool) {
-	if p.wd.quarantined {
+	if p.wd.quarantined || maxDistance < 1 {
 		return Prediction{}, false
 	}
-	if maxDistance >= 1 && p.cacheUsable() {
+	if p.cacheUsable() {
 		got := p.ensureWindow(maxDistance)
 		if got >= maxDistance || p.cache.state == cacheEnded {
 			c := &p.cache
@@ -369,219 +357,16 @@ func (p *Predictor) PredictDurationUntil(eventID int32, maxDistance int) (Predic
 			}
 			return Prediction{}, false
 		}
-		// Branched before the horizon: the general machinery decides.
+		// Branched before the horizon: the frontier engine decides.
 	}
-	var hit Prediction
-	found := false
-	p.simulate(maxDistance, func(pr Prediction) bool {
-		if pr.EventID == eventID {
-			hit = pr
-			found = true
-			return false
-		}
-		return true
-	})
-	return hit, found
-}
-
-// sim is one weighted look-ahead branch with its accumulated expected time.
-type sim struct {
-	br  progress.Branch
-	acc float64
-}
-
-// simulate advances a copy of the hypothesis set up to horizon steps,
-// producing the dominant prediction of every step. When stop is non-nil it
-// is called with each step's dominant prediction and may halt the walk.
-//
-// The walk cost grows linearly with the horizon (paper Fig. 9): each step
-// advances every kept branch by one terminal.
-func (p *Predictor) simulate(horizon int, stop func(Prediction) bool) ([]Prediction, bool) {
-	if horizon <= 0 || len(p.cands) == 0 {
-		return nil, false
-	}
-	if len(p.cands) == 1 {
-		// Fast path: a single hypothesis usually has exactly one successor
-		// per step (always, when anchored at the root) — no branching,
-		// merging or aggregation needed. This is the common case on a
-		// faithful replay and what keeps per-query cost near the paper's
-		// (Fig. 9). If the walk does branch (a partial hypothesis leaving
-		// its known context), fall back to the general machinery; the stop
-		// callback must therefore be a pure decision function, which all
-		// callers' are.
-		if preds, ok, done := p.simulateSingle(horizon, stop); done {
-			return preds, ok
+	// Walk only as far as the first hit.
+	p.openWalk()
+	for d := 1; d <= maxDistance && p.walkTo(d) >= d; d++ {
+		if p.look.steps[d-1].ev == eventID {
+			return p.look.prediction(d), true
 		}
 	}
-	var preds []Prediction
-	var cur []sim
-	for step := 1; step <= horizon; step++ {
-		var nxt []sim
-		switch {
-		case step == 1 && p.pending:
-			// Fresh start: the candidates already designate the next event.
-			for _, c := range p.cands {
-				nxt = append(nxt, sim{br: c})
-			}
-		case step == 1:
-			for _, c := range p.cands {
-				for _, b := range progress.Successors(p.f, c.Pos, c.Weight) {
-					nxt = append(nxt, sim{br: b})
-				}
-			}
-		default:
-			for _, s := range cur {
-				for _, b := range progress.Successors(p.f, s.br.Pos, s.br.Weight) {
-					nxt = append(nxt, sim{br: b, acc: s.acc})
-				}
-			}
-		}
-		if len(nxt) == 0 {
-			return preds, len(preds) > 0
-		}
-		if p.timing != nil {
-			var refs []grammar.UserRef
-			for i := range nxt {
-				refs = nxt[i].br.Pos.AppendRefs(refs[:0])
-				nxt[i].acc += p.timing.MeanForPath(refs, nxt[i].br.Pos.Terminal(p.f))
-			}
-		}
-		cur = mergeCapSim(nxt, p.cfg.MaxLookahead)
-		pr := dominant(p.f, cur, step)
-		preds = append(preds, pr)
-		if stop != nil && !stop(pr) {
-			return preds, true
-		}
-	}
-	return preds, true
-}
-
-// simulateSingle is the branch-free simulate: one hypothesis advanced one
-// terminal at a time. done is false when the walk branched and the caller
-// must redo the query with the general machinery.
-func (p *Predictor) simulateSingle(horizon int, stop func(Prediction) bool) (preds []Prediction, ok, done bool) {
-	pos := p.cands[0].Pos
-	var acc float64
-	var refs []grammar.UserRef
-	preds = make([]Prediction, 0, horizon)
-	for step := 1; step <= horizon; step++ {
-		if step == 1 && p.pending {
-			// The candidate already designates the next event.
-		} else {
-			brs := progress.Successors(p.f, pos, 1)
-			if len(brs) == 0 {
-				return preds, len(preds) > 0, true
-			}
-			if len(brs) > 1 {
-				// Partial hypothesis left its known context: branch.
-				return nil, false, false
-			}
-			pos = brs[0].Pos
-		}
-		ev := pos.Terminal(p.f)
-		if p.timing != nil {
-			refs = pos.AppendRefs(refs[:0])
-			acc += p.timing.MeanForPath(refs, ev)
-		}
-		pr := Prediction{EventID: ev, Probability: 1, Distance: step, ExpectedNs: acc}
-		preds = append(preds, pr)
-		if stop != nil && !stop(pr) {
-			return preds, true, true
-		}
-	}
-	return preds, true, true
-}
-
-// dominant aggregates branch weights per event id and returns the heaviest
-// event of the step, with its probability and weighted expected time.
-func dominant(f *grammar.Frozen, branches []sim, step int) Prediction {
-	type agg struct {
-		w   float64
-		acc float64
-	}
-	byEvent := make(map[int32]agg, 8)
-	var total float64
-	for _, s := range branches {
-		ev := s.br.Pos.Terminal(f)
-		a := byEvent[ev]
-		a.w += s.br.Weight
-		a.acc += s.br.Weight * s.acc
-		byEvent[ev] = a
-		total += s.br.Weight
-	}
-	best := Prediction{EventID: -1, Distance: step}
-	bestW := -1.0
-	for ev, a := range byEvent {
-		if a.w > bestW || (a.w == bestW && ev < best.EventID) {
-			bestW = a.w
-			best.EventID = ev
-			if a.w > 0 {
-				best.ExpectedNs = a.acc / a.w
-			}
-		}
-	}
-	if total > 0 {
-		best.Probability = bestW / total
-	}
-	return best
-}
-
-// mergeCap merges branches with identical positions, sorts by descending
-// weight and keeps at most max, optionally renormalising weights to sum
-// to 1.
-func mergeCap(branches []progress.Branch, max int, renorm bool) []progress.Branch {
-	byKey := make(map[string]int, len(branches))
-	out := make([]progress.Branch, 0, len(branches))
-	for _, b := range branches {
-		k := b.Pos.Key()
-		if i, ok := byKey[k]; ok {
-			out[i].Weight += b.Weight
-			continue
-		}
-		byKey[k] = len(out)
-		out = append(out, b)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Weight > out[j].Weight })
-	if len(out) > max {
-		out = out[:max]
-	}
-	if renorm {
-		var total float64
-		for _, b := range out {
-			total += b.Weight
-		}
-		if total > 0 {
-			for i := range out {
-				out[i].Weight /= total
-			}
-		}
-	}
-	return out
-}
-
-// mergeCapSim is mergeCap for look-ahead branches, merging accumulated
-// durations by weighted average.
-func mergeCapSim(branches []sim, max int) []sim {
-	byKey := make(map[string]int, len(branches))
-	out := make([]sim, 0, len(branches))
-	for _, s := range branches {
-		k := s.br.Pos.Key()
-		if i, ok := byKey[k]; ok {
-			w1, w2 := out[i].br.Weight, s.br.Weight
-			if w1+w2 > 0 {
-				out[i].acc = (out[i].acc*w1 + s.acc*w2) / (w1 + w2)
-			}
-			out[i].br.Weight += w2
-			continue
-		}
-		byKey[k] = len(out)
-		out = append(out, s)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].br.Weight > out[j].br.Weight })
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
+	return Prediction{}, false
 }
 
 // Reset clears all hypotheses and counters; the predictor behaves as freshly
@@ -590,7 +375,7 @@ func mergeCapSim(branches []sim, max int) []sim {
 func (p *Predictor) Reset() {
 	p.invalidate()
 	p.wd.reset()
-	p.cands = p.cands[:0]
+	p.cands.Clear()
 	p.pending = false
 	p.stats = Stats{}
 }

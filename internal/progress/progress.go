@@ -6,6 +6,13 @@
 // inner rule and grows upward as subsequent events disambiguate the context,
 // branching into weighted alternatives when several contexts remain
 // possible.
+//
+// The package has three forms of the same transitions. Position with Start,
+// Occurrences and Successors (this file) is the plain one: immutable values,
+// a fresh stack per step — what tests, tools and the reference predictor
+// read, and what the other two are checked against. Stepper advances one
+// branch-free position in place; Frontier advances a whole weighted set of
+// hypotheses in a frame arena. Runtime paths use only the latter two.
 package progress
 
 import (
@@ -78,8 +85,8 @@ func (p Position) Terminal(f *grammar.Frozen) int32 {
 	return f.RunAt(p.Ref()).Sym.Event()
 }
 
-// Key returns a compact comparable encoding of the position, used to merge
-// duplicate hypotheses.
+// Key returns a comparable encoding of the position: the reference form of
+// "same hypothesis", which Frontier.MergeCap decides by comparing frames.
 func (p Position) Key() string {
 	var b strings.Builder
 	b.Grow(len(p.frames) * 12)
@@ -122,7 +129,6 @@ func Start(f *grammar.Frozen) (Position, bool) {
 
 // descend extends the stack downward until the top frame designates a
 // terminal run, entering each nested rule at its first run.
-// pythia:hotpath — advances run on every tracked event.
 func descend(f *grammar.Frozen, stack []Frame) (Position, bool) {
 	for depth := 0; ; depth++ {
 		if depth > len(f.Rules)+1 {
@@ -183,8 +189,8 @@ func Occurrences(f *grammar.Frozen, eventID int32) []Branch {
 // Successors returns every position the trace can be at one terminal after
 // p, with weights summing to at most w (weight is lost when the trace can
 // end here). Anchored positions yield at most one successor; partial
-// positions may branch during upward extension.
-// pythia:hotpath — the oracle advance: one call per observed event per hypothesis.
+// positions may branch during upward extension. Every call allocates the
+// stacks it returns; Stepper.Advance and Frontier.Step are the in-place forms.
 func Successors(f *grammar.Frozen, p Position, w float64) []Branch {
 	if !p.Valid() {
 		return nil
@@ -205,7 +211,6 @@ func Successors(f *grammar.Frozen, p Position, w float64) []Branch {
 // climb resolves "the run at the top of stack just finished its last
 // repetition": it advances to the next run, re-enters a repeating parent, or
 // extends the context upward, appending resulting terminal positions to out.
-// pythia:hotpath — rule-boundary advance; appends go to the caller's buffer.
 func climb(f *grammar.Frozen, stack []Frame, w float64, out *[]Branch) {
 	if w <= 0 {
 		return

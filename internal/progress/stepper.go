@@ -14,16 +14,16 @@ const (
 	// AdvanceBranch: the advance is not branch-free — more than one
 	// successor is possible (a partial hypothesis leaving its known
 	// context, or a repeated unknown parent run) — or the walk cannot
-	// continue in place. The caller must fall back to Successors.
+	// continue in place. The caller must fall back to Frontier.Step.
 	AdvanceBranch
 )
 
 // Stepper advances a single-hypothesis position one terminal at a time
 // without allocating in steady state. It is the engine behind the
-// predictor's incremental prediction cache and its in-place tracking fast
-// path: where Successors clones the frame stack and returns fresh Branch
-// slices on every call, a Stepper mutates an internal double-buffered
-// stack and only ever reports the branch-free successor.
+// predictor's incremental prediction cache and every root-anchored walk
+// (timing replay, trace diff): where Successors clones the frame stack and
+// returns fresh Branch slices on every call, a Stepper mutates an internal
+// double-buffered stack and only ever reports the branch-free successor.
 //
 // The contract mirrors Successors exactly on the branch-free subset: when
 // Advance returns AdvanceOK, the new position is the one Successors would
@@ -41,6 +41,23 @@ type Stepper struct {
 func (s *Stepper) Reset(f *grammar.Frozen, p Position) {
 	s.f = f
 	s.stack = append(s.stack[:0], p.frames...)
+}
+
+// Start seeds the stepper at the first terminal of the trace, anchored at
+// the root; false for an empty grammar. A walk from there never branches:
+// Advance returns AdvanceOK until AdvanceEnd.
+func (s *Stepper) Start(f *grammar.Frozen) bool {
+	s.f = f
+	s.stack = s.stack[:0]
+	if len(f.Rules) == 0 || len(f.Rules[0].Body) == 0 {
+		return false
+	}
+	out, res := descendFrames(f, append(s.stack, Frame{}))
+	if res != AdvanceOK {
+		return false
+	}
+	s.stack = out
+	return true
 }
 
 // Live reports whether the stepper currently holds a position.

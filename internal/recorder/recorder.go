@@ -302,18 +302,15 @@ func buildThreadTrace(frozen *grammar.Frozen, deltas []int64, truncated bool, dr
 		return th
 	}
 	timing := model.NewTiming()
-	pos, ok := progress.Start(frozen)
+	// Root-anchored tracking over the grammar's own expansion is
+	// deterministic: exactly one successor until the trace ends.
+	var walk progress.Stepper
 	var refs []grammar.UserRef
+	ok := walk.Start(frozen)
 	for i := 0; ok && i < len(deltas); i++ {
-		refs = pos.AppendRefs(refs[:0])
-		timing.AddPath(refs, pos.Terminal(frozen), deltas[i])
-		brs := progress.Successors(frozen, pos, 1)
-		if len(brs) == 0 {
-			break
-		}
-		// Root-anchored tracking over the grammar's own expansion is
-		// deterministic: exactly one successor until the trace ends.
-		pos = brs[0].Pos
+		refs = walk.AppendRefs(refs[:0])
+		timing.AddPath(refs, walk.Terminal(), deltas[i])
+		ok = walk.Advance() == progress.AdvanceOK
 	}
 	th.Timing = timing
 	return th

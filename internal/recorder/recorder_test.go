@@ -98,11 +98,11 @@ func TestTimingPerContextGranularity(t *testing.T) {
 	// the two b contexts: ~10ns before the b followed by c, ~1000ns before
 	// the b followed by d (paper Fig 6).
 	var lo, hi bool
-	pos, ok := progress.Start(th.Grammar)
+	var walk progress.Stepper
 	var refs []grammar.UserRef
-	for ok {
-		if pos.Terminal(th.Grammar) == 1 {
-			refs = pos.AppendRefs(refs[:0])
+	for ok := walk.Start(th.Grammar); ok; ok = walk.Advance() == progress.AdvanceOK {
+		if walk.Terminal() == 1 {
+			refs = walk.AppendRefs(refs[:0])
 			m := th.Timing.MeanForPath(refs, 1)
 			if m < 50 {
 				lo = true
@@ -111,14 +111,52 @@ func TestTimingPerContextGranularity(t *testing.T) {
 				hi = true
 			}
 		}
-		brs := progress.Successors(th.Grammar, pos, 1)
-		if len(brs) == 0 {
-			break
-		}
-		pos = brs[0].Pos
 	}
 	if !lo || !hi {
 		t.Fatalf("per-context stats did not separate the two contexts (lo=%v hi=%v)", lo, hi)
+	}
+}
+
+// TestTimingReplayMatchesPositionWalk: buildThreadTrace replays the deltas
+// through the grammar with an in-place Stepper; on a nested-loop trace the
+// Timing it yields is the one the allocating Position walk (progress.Start,
+// progress.Successors) yields, key for key.
+func TestTimingReplayMatchesPositionWalk(t *testing.T) {
+	var now int64
+	r := New(WithClock(func() int64 { return now }))
+	record := func(id events.ID, dt int64) {
+		r.RecordAt(id, now)
+		now += dt
+	}
+	for outer := 0; outer < 12; outer++ {
+		record(0, 7)
+		for mid := 0; mid < 3+outer%2; mid++ {
+			record(1, 11+int64(mid))
+			for inner := 0; inner < 4; inner++ {
+				record(2, 13)
+				record(3, 17+int64(inner*outer))
+			}
+		}
+		record(4, 19)
+	}
+	th := r.Finish()
+	f, deltas := th.Grammar, r.deltas
+	want := model.NewTiming()
+	pos, ok := progress.Start(f)
+	var refs []grammar.UserRef
+	for i := 0; ok && i < len(deltas); i++ {
+		refs = pos.AppendRefs(refs[:0])
+		want.AddPath(refs, pos.Terminal(f), deltas[i])
+		brs := progress.Successors(f, pos, 1)
+		if ok = len(brs) > 0; ok {
+			pos = brs[0].Pos
+		}
+	}
+	if len(want.BySuffix) < 10 {
+		t.Fatalf("only %d timing contexts: the trace is not nested", len(want.BySuffix))
+	}
+	if !reflect.DeepEqual(th.Timing, want) {
+		t.Fatalf("stepper replay and position walk disagree:\n%+v\n%+v", th.Timing, want)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/grammar"
 	"repro/internal/model"
 	"repro/internal/progress"
 )
@@ -83,8 +82,8 @@ func Compare(a, b *model.TraceSet) *Diff {
 	return out
 }
 
-// compareThread walks both grammars' unfoldings in lockstep via progress
-// positions, comparing event *descriptors* (ids may differ between sets).
+// compareThread walks both grammars' unfoldings in lockstep with in-place
+// steppers, comparing event *descriptors* (ids may differ between sets).
 func compareThread(tid int32, a, b *model.TraceSet, ta, tb *model.ThreadTrace) ThreadDiff {
 	d := ThreadDiff{
 		TID:       tid,
@@ -94,39 +93,31 @@ func compareThread(tid int32, a, b *model.TraceSet, ta, tb *model.ThreadTrace) T
 		RulesB:    len(tb.Grammar.Rules),
 		DivergeAt: -1,
 	}
-	posA, okA := progress.Start(ta.Grammar)
-	posB, okB := progress.Start(tb.Grammar)
+	var walkA, walkB progress.Stepper
+	okA, okB := walkA.Start(ta.Grammar), walkB.Start(tb.Grammar)
 	var idx int64
 	for okA && okB {
-		na := name(a, ta.Grammar, posA)
-		nb := name(b, tb.Grammar, posB)
+		na := name(a, walkA.Terminal())
+		nb := name(b, walkB.Terminal())
 		if na != nb {
 			d.DivergeAt = idx
 			d.EventA, d.EventB = na, nb
 			return d
 		}
-		posA, okA = advance(ta.Grammar, posA)
-		posB, okB = advance(tb.Grammar, posB)
+		// A root-anchored walk never branches: it advances until it ends.
+		okA = walkA.Advance() == progress.AdvanceOK
+		okB = walkB.Advance() == progress.AdvanceOK
 		idx++
 	}
 	d.Identical = !okA && !okB && d.LenA == d.LenB
 	return d
 }
 
-func name(ts *model.TraceSet, f *grammar.Frozen, pos progress.Position) string {
-	id := pos.Terminal(f)
+func name(ts *model.TraceSet, id int32) string {
 	if int(id) < len(ts.Events) {
 		return ts.Events[id]
 	}
 	return fmt.Sprintf("?%d", id)
-}
-
-func advance(f *grammar.Frozen, pos progress.Position) (progress.Position, bool) {
-	brs := progress.Successors(f, pos, 1)
-	if len(brs) == 0 {
-		return progress.Position{}, false
-	}
-	return brs[0].Pos, true
 }
 
 func usedEvents(ts *model.TraceSet) map[string]bool {
