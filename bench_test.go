@@ -18,11 +18,13 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/events"
 	"repro/internal/grammar"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/ompsim"
 	"repro/internal/predictor"
+	"repro/internal/recorder"
 	"repro/pythia"
 )
 
@@ -335,6 +337,40 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkFinish measures the end of a timed recording: Freeze plus the
+// replay of the timestamp log through the grammar into the per-context
+// timing model (recorder.Finish), over a three-level loop nest of about
+// 100 000 events. ns/op divided by the events/op metric is the per-event
+// price of finishing.
+func BenchmarkFinish(b *testing.B) {
+	var now int64
+	r := recorder.New(recorder.WithClock(func() int64 { return now }))
+	rec := func(id events.ID) {
+		r.RecordAt(id, now)
+		now += 1000 + now%613
+	}
+	for outer := 0; outer < 1000; outer++ {
+		rec(0)
+		for mid := 0; mid < 6; mid++ {
+			rec(1)
+			for inner := 0; inner < 5; inner++ {
+				rec(2)
+				rec(3)
+				rec(4)
+			}
+		}
+		rec(5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finishSink = r.Finish()
+	}
+	b.ReportMetric(float64(r.EventCount()), "events/op")
+}
+
+var finishSink *model.ThreadTrace
+
 // BenchmarkSubmitCheckpointed is BenchmarkSubmitThroughput with crash-safe
 // checkpointing enabled: the per-event cost must be indistinguishable — the
 // snapshot cadence amortizes the Freeze and all journal I/O happens on the
@@ -347,6 +383,10 @@ func BenchmarkSubmitCheckpointed(b *testing.B) {
 			EveryEvents: 50_000,
 		}),
 	)
+	// Registered after TempDir's removal, so it runs before it: the
+	// background checkpoint writer has stopped creating journal files by
+	// the time the directory is deleted.
+	b.Cleanup(o.Close)
 	ids := []pythia.ID{
 		o.Intern("a"), o.Intern("b"), o.Intern("c"), o.Intern("d"),
 	}
@@ -386,6 +426,7 @@ func BenchmarkSubmitLearning(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(o.Close) // stops the lifecycle manager goroutine
 	motif := []pythia.ID{
 		o.Intern(names[0]), o.Intern(names[1]), o.Intern(names[2]),
 		o.Intern(names[1]), o.Intern(names[2]), o.Intern(names[3]),

@@ -29,7 +29,7 @@ type Grammar struct {
 	// re-validated on use.
 	nodePool []*node
 
-	// rulePool recycles deleted rules (guard node and users map included):
+	// rulePool recycles deleted rules (guard node included):
 	// periodic traces constantly create rules in match that drainPending
 	// inlines moments later, making rule churn the dominant allocation of
 	// record mode.
@@ -198,7 +198,7 @@ func (g *Grammar) noteNewNode(n *node) {
 	}
 	r := g.ruleOf(n.sym)
 	r.uses += int64(n.count)
-	r.users[n] = struct{}{}
+	r.linkUser(n)
 }
 
 // noteCountDelta adjusts usage accounting after n.count changed by delta.
@@ -220,7 +220,7 @@ func (g *Grammar) noteRemoveNode(n *node) {
 	}
 	r := g.ruleOf(n.sym)
 	r.uses -= int64(n.count)
-	delete(r.users, n)
+	r.unlinkUser(n)
 	if r.uses <= 1 {
 		g.maybeDying(r)
 	}
@@ -431,11 +431,8 @@ func (g *Grammar) drainPending() {
 
 // inline expands the single remaining use of rule r in place and deletes r.
 func (g *Grammar) inline(r *rule) {
-	var u *node
-	for n := range r.users {
-		u = n
-		break
-	}
+	// uses == 1: the list holds exactly one node, of run count one.
+	u := r.users
 	if u == nil || !u.alive() {
 		return
 	}
@@ -529,19 +526,18 @@ func (g *Grammar) allocRule() *rule {
 }
 
 // freeRule retires a deleted rule, returning it to the pool. The caller has
-// already emptied the body (or spliced it elsewhere) and released all
-// references, so only the bookkeeping needs resetting.
+// already emptied the body (or spliced it elsewhere) and removed every
+// referencing run (the user list is empty), so only the bookkeeping needs
+// resetting.
 // pythia:hotpath — the pool append is capacity-bounded.
 func (g *Grammar) freeRule(r *rule) {
 	g.rules[r.idx] = nil
 	g.liveRules--
 	g.free = append(g.free, r.idx)
 	if len(g.rulePool) >= 256 {
-		r.users = nil
 		return
 	}
 	r.uses = 0
-	clear(r.users)
 	r.guard.prev, r.guard.next = r.guard, r.guard
 	g.rulePool = append(g.rulePool, r)
 }

@@ -451,6 +451,41 @@ func BenchmarkAppendNestedLoops(b *testing.B) {
 	}
 }
 
+// TestAppendSteadyStateZeroAlloc: once a periodic nested-loop stream has
+// warmed the node and rule pools, the digram table and the pending stack,
+// an Append allocates nothing — each iteration's rule churn (match creates a
+// rule, drainPending inlines it moments later) is served from the pools, and
+// registering a rule's users is pointer writes on the nodes themselves.
+func TestAppendSteadyStateZeroAlloc(t *testing.T) {
+	// One period: a { b (c d)^3 e }^4 f, 34 events.
+	var period []int32
+	period = append(period, 0)
+	for mid := 0; mid < 4; mid++ {
+		period = append(period, 1)
+		for inner := 0; inner < 3; inner++ {
+			period = append(period, 2, 3)
+		}
+		period = append(period, 4)
+	}
+	period = append(period, 5)
+
+	g := New()
+	i := 0
+	next := func() { g.Append(period[i%len(period)]); i++ }
+	for i < 200*len(period) {
+		next()
+	}
+	if allocs := testing.AllocsPerRun(50*len(period), next); allocs != 0 {
+		t.Fatalf("steady-state Append allocates %v times per event, want 0", allocs)
+	}
+	if err := g.CheckInvariantsStrict(); err != nil {
+		t.Fatal(err)
+	}
+	if g.RuleCount() > 8 {
+		t.Fatalf("periodic stream reduced to %d rules: not the steady state this test is about", g.RuleCount())
+	}
+}
+
 // TestAppendRunEquivalence: AppendRun(e, k) must produce a grammar that
 // unfolds identically to k successive Append(e) calls, whatever the
 // surrounding sequence.
@@ -484,5 +519,60 @@ func TestAppendRunZeroIsNoop(t *testing.T) {
 	g.AppendRun(1, 0)
 	if g.EventCount() != 0 {
 		t.Fatal("AppendRun(_, 0) recorded events")
+	}
+}
+
+// TestCheckInvariantsUserList: each way a rule's user list can go wrong is
+// reported — a referencing run missing, asymmetric links, a foreign node
+// listed, and links left on pooled nodes and rules.
+func TestCheckInvariantsUserList(t *testing.T) {
+	// Two nested loops: several rules, each with at least two users, plus
+	// pooled nodes and rules from the churn on the way there.
+	var seq []int32
+	for i := 0; i < 6; i++ {
+		seq = append(seq, 0, 1, 2, 0, 1, 3, 4, 2, 4, 3)
+	}
+	// A rule (not the root) with two or more distinct user nodes.
+	shared := func(g *Grammar) *rule {
+		for _, r := range g.rules[1:] {
+			if r != nil && r.users != nil && r.users.userNext != nil {
+				return r
+			}
+		}
+		t.Fatal("no rule with two user nodes")
+		return nil
+	}
+	for name, corrupt := range map[string]func(g *Grammar){
+		"dropped user": func(g *Grammar) {
+			r := shared(g)
+			r.unlinkUser(r.users)
+		},
+		"asymmetric links": func(g *Grammar) {
+			shared(g).users.userNext.userPrev = nil
+		},
+		"foreign node listed": func(g *Grammar) {
+			r := shared(g)
+			r.linkUser(g.root().first())
+		},
+		"pooled node linked": func(g *Grammar) {
+			if len(g.nodePool) == 0 {
+				t.Fatal("empty node pool")
+			}
+			g.nodePool[0].userNext = g.root().first()
+		},
+		"pooled rule listed": func(g *Grammar) {
+			if len(g.rulePool) == 0 {
+				t.Fatal("empty rule pool")
+			}
+			g.rulePool[0].users = g.root().first()
+		},
+	} {
+		g := buildChecked(t, seq)
+		corrupt(g)
+		if err := g.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants did not notice", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
 	}
 }

@@ -8,8 +8,9 @@ import "fmt"
 //
 // Checked invariants:
 //  1. rule utility — every non-root rule is referenced at least twice
-//     (counting run exponents), and the recorded usage counters match a
-//     recount from scratch;
+//     (counting run exponents), the recorded usage counters match a recount
+//     from scratch, and each rule's user list holds exactly the live runs
+//     that reference it, once each, with symmetric links;
 //  2. digram uniqueness — every ordered pair of adjacent symbols appears at
 //     most once across all rule bodies, and the digram index maps each pair
 //     to its single occurrence;
@@ -36,6 +37,7 @@ func (g *Grammar) checkInvariants(strict bool) error {
 	}
 
 	uses := make(map[int32]int64)
+	users := make(map[int32]int) // referencing body nodes per rule, recounted
 	seen := make(map[digram]*node)
 
 	for idx, r := range g.rules {
@@ -63,9 +65,9 @@ func (g *Grammar) checkInvariants(strict bool) error {
 					return fmt.Errorf("grammar: R%d references deleted rule R%d", r.idx, ref)
 				}
 				uses[ref] += int64(n.count)
-				if _, ok := g.rules[ref].users[n]; !ok {
-					return fmt.Errorf("grammar: R%d user set missing node from R%d", ref, r.idx)
-				}
+				users[ref]++
+			} else if n.userPrev != nil || n.userNext != nil {
+				return fmt.Errorf("grammar: terminal run %v in R%d carries user links", n.sym, r.idx)
 			}
 			if !n.next.guard {
 				if n.sym == n.next.sym {
@@ -101,10 +103,36 @@ func (g *Grammar) checkInvariants(strict bool) error {
 		if r.uses < 2 {
 			return fmt.Errorf("grammar: rule utility violated for R%d (uses=%d)", idx, r.uses)
 		}
-		for n := range r.users {
+		// Every listed node is a live run of this rule's symbol; symmetric
+		// links mean the walk visits no node twice (and so ends), so a
+		// length equal to the recount means every referencing body node is
+		// listed exactly once.
+		listed := 0
+		var prev *node
+		for n := r.users; n != nil; prev, n = n, n.userNext {
+			if n.userPrev != prev {
+				return fmt.Errorf("grammar: asymmetric user links in the list of R%d", idx)
+			}
 			if !n.alive() || n.sym != r.sym() {
 				return fmt.Errorf("grammar: stale user node registered for R%d", idx)
 			}
+			listed++
+		}
+		if listed != users[int32(idx)] {
+			return fmt.Errorf("grammar: R%d lists %d users, recount %d", idx, listed, users[int32(idx)])
+		}
+	}
+	if g.root().users != nil {
+		return fmt.Errorf("grammar: root rule has a user list")
+	}
+	for _, n := range g.nodePool {
+		if n.userPrev != nil || n.userNext != nil {
+			return fmt.Errorf("grammar: pooled node carries user links")
+		}
+	}
+	for _, r := range g.rulePool {
+		if r.users != nil {
+			return fmt.Errorf("grammar: pooled rule has a user list")
 		}
 	}
 

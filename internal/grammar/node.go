@@ -10,6 +10,12 @@ type node struct {
 	next  *node
 	rule  *rule // owning rule; nil once the node is unlinked (dead)
 	guard bool  // sentinel marker
+
+	// userPrev/userNext thread a run whose symbol is a non-terminal through
+	// the user list of the rule it refers to (rule.users); nil on terminal
+	// runs, guards and pooled nodes.
+	userPrev *node
+	userNext *node
 }
 
 // alive reports whether the node is still linked into a rule body.
@@ -22,17 +28,45 @@ type rule struct {
 	idx   int32
 	guard *node
 	uses  int64
-	// users is the set of live nodes whose symbol refers to this rule.
-	users map[*node]struct{}
+	// users heads the list of live nodes whose symbol refers to this rule,
+	// most recently linked first, threaded through node.userPrev/userNext.
+	// Membership is all the engine needs — inline reads the list only when
+	// uses == 1, when it holds exactly one node — so link and unlink are a
+	// few pointer writes where a set would hash.
+	users *node
 }
 
 func newRule(idx int32) *rule {
-	r := &rule{idx: idx, users: make(map[*node]struct{})}
+	r := &rule{idx: idx}
 	g := &node{guard: true}
 	g.prev, g.next = g, g
 	g.rule = r
 	r.guard = g
 	return r
+}
+
+// linkUser puts n, a freshly linked run of r's symbol, on r's user list.
+// pythia:hotpath — once per non-terminal run created.
+func (r *rule) linkUser(n *node) {
+	n.userNext = r.users
+	if r.users != nil {
+		r.users.userPrev = n
+	}
+	r.users = n
+}
+
+// unlinkUser takes n off r's user list.
+// pythia:hotpath — once per non-terminal run removed.
+func (r *rule) unlinkUser(n *node) {
+	if n.userPrev != nil {
+		n.userPrev.userNext = n.userNext
+	} else {
+		r.users = n.userNext
+	}
+	if n.userNext != nil {
+		n.userNext.userPrev = n.userPrev
+	}
+	n.userPrev, n.userNext = nil, nil
 }
 
 // sym returns the non-terminal symbol referring to this rule.

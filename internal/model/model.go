@@ -110,7 +110,10 @@ func NewTiming() *Timing {
 }
 
 // AddPath records one observation for the event with the given progress
-// sequence (refs topmost-first, last entry is the terminal run).
+// sequence (refs topmost-first, last entry is the terminal run). It is the
+// plain form — a key string and a map read and write per depth — that tests
+// build models with and check TimingBuilder against; the recorder's replay
+// of a whole trace goes through TimingBuilder.
 func (t *Timing) AddPath(refs []grammar.UserRef, eventID int32, ns int64) {
 	maxDepth := len(refs)
 	if maxDepth > MaxContextDepth {

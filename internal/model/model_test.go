@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +206,34 @@ func TestStatMergeCommutative(t *testing.T) {
 	want := mk(1, 5, 3, 9, 2)
 	if ab != want {
 		t.Fatalf("merge = %+v, want %+v", ab, want)
+	}
+}
+
+// TestTimingBuilderRandomPaths: over random progress sequences of every
+// length from 1 past MaxContextDepth — thousands of distinct contexts, so the
+// slot table doubles many times, and sparse event ids — the builder's Timing
+// equals an AddPath loop's.
+func TestTimingBuilderRandomPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var b TimingBuilder
+	want := NewTiming()
+	for i := 0; i < 40_000; i++ {
+		refs := make([]grammar.UserRef, 1+rng.Intn(MaxContextDepth+2))
+		for j := range refs {
+			refs[j] = grammar.UserRef{Rule: int32(rng.Intn(6)), Pos: int32(rng.Intn(4))}
+		}
+		id, ns := int32(rng.Intn(5)*7), int64(rng.Intn(50))
+		b.Add(refs, id, ns)
+		want.AddPath(refs, id, ns)
+	}
+	if len(want.BySuffix) < 5000 {
+		t.Fatalf("only %d contexts", len(want.BySuffix))
+	}
+	if got := b.Timing(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("builder and AddPath disagree: %d/%d suffixes, %d/%d events",
+			len(got.BySuffix), len(want.BySuffix), len(got.ByEvent), len(want.ByEvent))
+	}
+	if got := new(TimingBuilder).Timing(); !reflect.DeepEqual(got, NewTiming()) {
+		t.Fatalf("empty builder yields %+v", got)
 	}
 }

@@ -4,7 +4,9 @@
 // on the fly and, optionally, logs event timestamps. At the end of the run,
 // Finish freezes the grammar and replays the timestamp log through the
 // deterministic progress tracker to build the per-context timing model of
-// section II-C.
+// section II-C. The replay costs one in-place Stepper advance and at most
+// model.MaxContextDepth probes of model.TimingBuilder's slot table per
+// recorded event; it allocates per distinct timing context, not per event.
 package recorder
 
 import (
@@ -301,7 +303,7 @@ func buildThreadTrace(frozen *grammar.Frozen, deltas []int64, truncated bool, dr
 	if len(deltas) == 0 {
 		return th
 	}
-	timing := model.NewTiming()
+	var timing model.TimingBuilder
 	// Root-anchored tracking over the grammar's own expansion is
 	// deterministic: exactly one successor until the trace ends.
 	var walk progress.Stepper
@@ -309,9 +311,9 @@ func buildThreadTrace(frozen *grammar.Frozen, deltas []int64, truncated bool, dr
 	ok := walk.Start(frozen)
 	for i := 0; ok && i < len(deltas); i++ {
 		refs = walk.AppendRefs(refs[:0])
-		timing.AddPath(refs, walk.Terminal(), deltas[i])
+		timing.Add(refs, walk.Terminal(), deltas[i])
 		ok = walk.Advance() == progress.AdvanceOK
 	}
-	th.Timing = timing
+	th.Timing = timing.Timing()
 	return th
 }
