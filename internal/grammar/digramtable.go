@@ -15,8 +15,8 @@ package grammar
 //     (match/inline/deleteUnused constantly retire digrams) never degrades
 //     lookups the way tombstones would.
 //
-// The map-based reference implementation is kept behind the IndexGoMap
-// ablation flag (see NewIndexed) and cross-checked by FuzzDigramIndexDiff.
+// FuzzDigramIndexDiff holds the table to a plain Go map through random
+// put/get/del/forEach sequences that force growth and backward shifts.
 
 // pack encodes a digram as the table key. The bit patterns of both symbols
 // are preserved, so distinct digrams map to distinct keys.

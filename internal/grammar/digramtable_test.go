@@ -110,62 +110,65 @@ func TestDigramTableBackwardShift(t *testing.T) {
 	}
 }
 
-// TestNewIndexedKinds checks both index kinds build the same grammar for the
-// same input.
-func TestNewIndexedKinds(t *testing.T) {
-	seq := []int32{0, 1, 2, 1, 2, 3, 0, 1, 2, 1, 2, 3, 0, 1, 2}
-	a := NewIndexed(IndexOpenAddress)
-	b := NewIndexed(IndexGoMap)
-	for _, e := range seq {
-		a.Append(e)
-		b.Append(e)
-	}
-	if err := a.CheckInvariantsStrict(); err != nil {
-		t.Fatalf("open-address grammar: %v", err)
-	}
-	if err := b.CheckInvariantsStrict(); err != nil {
-		t.Fatalf("map grammar: %v", err)
-	}
-	if da, db := a.Dump(nil), b.Dump(nil); da != db {
-		t.Fatalf("index kinds diverged:\nopen-address:\n%s\nmap:\n%s", da, db)
-	}
-}
-
-// FuzzDigramIndexDiff builds two grammars from the same byte-derived event
-// stream — one on the open-addressed digram table, one on the map reference —
-// and requires byte-identical structure plus strict invariants on both. Any
-// behavioural difference between the index implementations (lost entries,
-// wrong occupant after robin-hood displacement or backward-shift deletion)
-// surfaces as a structural divergence.
+// FuzzDigramIndexDiff drives a digramTable and a plain map through the same
+// byte-derived sequence of put/get/del/forEach and requires identical
+// contents at every step. Each operation takes two bytes: the first picks
+// the operation (and the value for a put), the second the key among 256
+// digrams. Up to 256 live keys grow the table from 32 to 512 slots, and the
+// deletes that follow shift robin-hood clusters backwards — the paths a lost
+// entry or a wrong occupant would come from.
 func FuzzDigramIndexDiff(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 1, 0, 1, 0, 1})
-	f.Add([]byte{0x80, 0x81, 0x80, 0x81})
-	f.Add([]byte{1, 2, 3, 1, 2, 3, 1, 2, 3})
-	f.Add([]byte{0, 1, 2, 0, 1, 2, 4, 0, 1, 2, 0, 1, 2, 4})
+	f.Add([]byte{0x00, 1, 0x40, 1, 0x80, 1, 0x40, 1})
+	f.Add([]byte{0x00, 0, 0x00, 16, 0x00, 32, 0x00, 48, 0x80, 0, 0x40, 16, 0x40, 48})
+	grow := make([]byte, 0, 4*256)
+	for k := 0; k < 256; k++ {
+		grow = append(grow, byte(k&0x3f), byte(k))
+	}
+	for k := 0; k < 256; k += 3 {
+		grow = append(grow, 0x80, byte(k), 0x40, byte(k+1))
+	}
+	f.Add(grow)
+	f.Add([]byte{0x01, 7, 0x02, 7, 0xc0, 0, 0x80, 7, 0x40, 7, 0xc0, 0})
+	nodes := refNodes(64)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events := decodeFuzzEvents(data)
-		open := NewIndexed(IndexOpenAddress)
-		gomap := NewIndexed(IndexGoMap)
-		for i, id := range events {
-			open.Append(id)
-			gomap.Append(id)
-			if (i+1)%fuzzCheckEvery == 0 {
-				if do, dm := open.Dump(nil), gomap.Dump(nil); do != dm {
-					t.Fatalf("after %d/%d events, grammars diverged:\nopen-address:\n%s\nmap:\n%s",
-						i+1, len(events), do, dm)
+		var tab digramTable
+		ref := map[uint64]*node{}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, kb := data[i], data[i+1]
+			k := digram{Terminal(int32(kb & 15)), nonTerminal(int32(1 + kb>>4))}.pack()
+			switch op >> 6 {
+			case 0:
+				v := nodes[op&0x3f]
+				tab.put(k, v)
+				ref[k] = v
+			case 1:
+				if got, want := tab.get(k), ref[k]; got != want {
+					t.Fatalf("op %d: get(%x) = %p, want %p", i/2, k, got, want)
+				}
+			case 2:
+				tab.del(k)
+				delete(ref, k)
+			case 3:
+				seen := 0
+				tab.forEach(func(d digram, n *node) {
+					seen++
+					if ref[d.pack()] != n {
+						t.Fatalf("op %d: forEach visits (%v,%v) -> %p, want %p", i/2, d.a, d.b, n, ref[d.pack()])
+					}
+				})
+				if seen != len(ref) {
+					t.Fatalf("op %d: forEach visited %d entries, want %d", i/2, seen, len(ref))
 				}
 			}
+			if tab.count != len(ref) {
+				t.Fatalf("op %d: count %d, want %d", i/2, tab.count, len(ref))
+			}
 		}
-		if err := open.CheckInvariantsStrict(); err != nil {
-			t.Fatalf("open-address grammar after %d events: %v", len(events), err)
-		}
-		if err := gomap.CheckInvariantsStrict(); err != nil {
-			t.Fatalf("map grammar after %d events: %v", len(events), err)
-		}
-		if do, dm := open.Dump(nil), gomap.Dump(nil); do != dm {
-			t.Fatalf("grammars diverged after %d events:\nopen-address:\n%s\nmap:\n%s",
-				len(events), do, dm)
+		for k, v := range ref {
+			if got := tab.get(k); got != v {
+				t.Fatalf("after %d ops: get(%x) = %p, want %p", len(data)/2, k, got, v)
+			}
 		}
 	})
 }

@@ -17,6 +17,7 @@ type NameFunc func(eventID int32) string
 //
 // The root rule is always first; the remaining rules follow in index order.
 func (g *Grammar) Dump(name NameFunc) string {
+	g.settle()
 	var b strings.Builder
 	idxs := make([]int, 0, len(g.rules))
 	for i, r := range g.rules {

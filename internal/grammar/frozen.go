@@ -50,6 +50,7 @@ type Frozen struct {
 // Freeze compacts the live rules of g into a Frozen snapshot. The grammar
 // may continue to evolve afterwards; the snapshot is unaffected.
 func (g *Grammar) Freeze() *Frozen {
+	g.settle()
 	// Dense re-indexing of live rules, root first, ascending old index.
 	remap := make(map[int32]int32, len(g.rules))
 	var live []*rule

@@ -11,12 +11,8 @@ type Grammar struct {
 	rules []*rule // rules[0] is the root; entries may be nil after deletion
 	free  []int32 // recycled rule indexes
 
-	// The digram index has two interchangeable implementations: the
-	// open-addressed digramTable (default, see digramtable.go) and the
-	// original Go map kept as the IndexGoMap ablation reference. mapIndex
-	// is nil unless the grammar was built with NewIndexed(IndexGoMap).
-	tab      digramTable
-	mapIndex map[digram]*node
+	// tab is the digram index (see digramtable.go).
+	tab digramTable
 
 	// pending holds rule indexes whose usage count may have dropped to one;
 	// they are inlined (rule-utility invariant) once the current structural
@@ -38,32 +34,15 @@ type Grammar struct {
 	eventCount int64 // number of terminals appended so far
 	liveRules  int   // non-nil entries of rules, maintained by alloc/free
 	liveNodes  int   // linked body nodes (guards excluded), maintained by newNode/recycle
+
+	// cf counts the repetitions of a verified loop instead of reducing
+	// them (see confirm.go).
+	cf confirmer
 }
 
-// IndexKind selects the digram-index implementation.
-type IndexKind int
-
-const (
-	// IndexOpenAddress is the default open-addressed robin-hood table.
-	IndexOpenAddress IndexKind = iota
-	// IndexGoMap is the original map[digram]*node, kept for ablation and
-	// differential testing against the open-addressed table.
-	IndexGoMap
-)
-
-// New returns an empty grammar ready to accept events, using the default
-// open-addressed digram index.
-func New() *Grammar { return NewIndexed(IndexOpenAddress) }
-
-// NewIndexed returns an empty grammar using the given digram-index
-// implementation. Both kinds are observationally identical (the fuzz target
-// FuzzDigramIndexDiff pins this down); IndexGoMap exists only as the
-// reference for ablation.
-func NewIndexed(kind IndexKind) *Grammar {
+// New returns an empty grammar ready to accept events.
+func New() *Grammar {
 	g := &Grammar{}
-	if kind == IndexGoMap {
-		g.mapIndex = make(map[digram]*node)
-	}
 	g.rules = append(g.rules, newRule(0))
 	g.liveRules = 1
 	return g
@@ -73,43 +52,15 @@ func NewIndexed(kind IndexKind) *Grammar {
 
 // ixGet returns the indexed occurrence of d, or nil.
 // pythia:hotpath — one lookup per append.
-func (g *Grammar) ixGet(d digram) *node {
-	if g.mapIndex != nil {
-		return g.mapIndex[d]
-	}
-	return g.tab.get(d.pack())
-}
+func (g *Grammar) ixGet(d digram) *node { return g.tab.get(d.pack()) }
 
 // ixPut makes n the indexed occurrence of d.
 // pythia:hotpath — index maintenance on every structural edit.
-func (g *Grammar) ixPut(d digram, n *node) {
-	if g.mapIndex != nil {
-		g.mapIndex[d] = n
-		return
-	}
-	g.tab.put(d.pack(), n)
-}
+func (g *Grammar) ixPut(d digram, n *node) { g.tab.put(d.pack(), n) }
 
 // ixDel removes the index entry for d.
 // pythia:hotpath — index maintenance on every structural edit.
-func (g *Grammar) ixDel(d digram) {
-	if g.mapIndex != nil {
-		delete(g.mapIndex, d)
-		return
-	}
-	g.tab.del(d.pack())
-}
-
-// ixForEach visits every index entry (order unspecified; not the hot path).
-func (g *Grammar) ixForEach(fn func(digram, *node)) {
-	if g.mapIndex != nil {
-		for d, n := range g.mapIndex {
-			fn(d, n)
-		}
-		return
-	}
-	g.tab.forEach(fn)
-}
+func (g *Grammar) ixDel(d digram) { g.tab.del(d.pack()) }
 
 // root returns the root rule (always rules[0]).
 func (g *Grammar) root() *rule { return g.rules[0] }
@@ -122,15 +73,27 @@ func (g *Grammar) ruleOf(s Sym) *rule { return g.rules[s.RuleIndex()] }
 func (g *Grammar) EventCount() int64 { return g.eventCount }
 
 // RuleCount returns the number of live rules, including the root. O(1):
-// record-mode budget checks read it on every append.
+// record-mode budget checks read it on every append. Inside a counted
+// repetition it is the count the reduction would have reached.
 // pythia:hotpath — one budget comparison per recorded event.
-func (g *Grammar) RuleCount() int { return g.liveRules }
+func (g *Grammar) RuleCount() int {
+	if c := &g.cf; c.pos > 0 {
+		return int(c.loop[c.pos-1].rules)
+	}
+	return g.liveRules
+}
 
 // NodeCount returns the number of live body nodes across all rules (guard
 // nodes excluded) — with RuleCount, the grammar's memory footprint measure
-// that record-mode budgets cap. O(1).
+// that record-mode budgets cap. O(1), and like RuleCount exact inside a
+// counted repetition.
 // pythia:hotpath — one budget comparison per recorded event.
-func (g *Grammar) NodeCount() int { return g.liveNodes }
+func (g *Grammar) NodeCount() int {
+	if c := &g.cf; c.pos > 0 {
+		return int(c.loop[c.pos-1].nodes)
+	}
+	return g.liveNodes
+}
 
 // Append records one occurrence of the terminal event id at the end of the
 // trace, restoring all grammar invariants before returning.
@@ -143,9 +106,25 @@ func (g *Grammar) AppendRun(eventID int32, count uint32) {
 	if count == 0 {
 		return
 	}
+	if g.cf.arm != nil {
+		if count == 1 && g.confirmNext(eventID) {
+			return
+		}
+		g.diverge()
+	}
+	g.reduce(eventID, count)
+}
+
+// reduce is the reduction proper: it appends eventID^count to the root and
+// restores every invariant, then lets the confirmer look at the result.
+// pythia:hotpath — one call per event the confirmer does not count.
+func (g *Grammar) reduce(eventID int32, count uint32) {
 	g.eventCount += int64(count)
 	g.appendSym(Terminal(eventID), count)
 	g.drainPending()
+	if !g.cf.off {
+		g.watchRoot(count)
+	}
 }
 
 // appendSym appends the run s^c to the root body, enforcing run merging and
@@ -184,6 +163,9 @@ func (g *Grammar) newNode(s Sym, c uint32) *node {
 // pythia:hotpath — the pool append is capacity-bounded.
 func (g *Grammar) recycle(n *node) {
 	g.liveNodes--
+	if n.watched {
+		g.cf.unwatch(n)
+	}
 	if len(g.nodePool) < 1024 {
 		g.nodePool = append(g.nodePool, n)
 	}
@@ -309,6 +291,11 @@ func (g *Grammar) mergeInto(left, right *node) {
 func (g *Grammar) match(l, m *node) {
 	r := l.next
 	m2 := m.next
+	if l.watched || r.watched || m.watched || m2.watched {
+		// The counts read below make this edit depend on a watched run's
+		// exponent; the confirmer must not count repetitions that do this.
+		g.cf.touch(l, r, m, m2)
+	}
 	a := minU32(l.count, m.count)
 	b := minU32(r.count, m2.count)
 

@@ -484,6 +484,54 @@ func TestAppendSteadyStateZeroAlloc(t *testing.T) {
 	if g.RuleCount() > 8 {
 		t.Fatalf("periodic stream reduced to %d rules: not the steady state this test is about", g.RuleCount())
 	}
+
+	// The confirming fast path on a CG-shaped loop, P = [2^2 3 4 5]^12 6 7,
+	// in cycles of P^140 and a noise event: a cycle is longer than the
+	// longest loop the fast path counts, so every cycle re-arms P afresh
+	// after the noise. A window starts with a structure read mid-repetition
+	// — Walk, which disarms the loop exactly as Freeze does without
+	// allocating a snapshot — and spans one cycle: the resumption, counted
+	// completions, the divergence at the noise, a new snapshot and a fresh
+	// arming. Once the confirmer's buffers have grown, none of it
+	// allocates.
+	var cycle []int32
+	for p := 0; p < 140; p++ {
+		for i := 0; i < 12; i++ {
+			cycle = append(cycle, 2, 2, 3, 4, 5)
+		}
+		cycle = append(cycle, 6, 7)
+	}
+	cycle = append(cycle, 9)
+	if len(cycle) <= confirmMaxLen {
+		t.Fatalf("a %d-event cycle is short enough to be counted as one loop", len(cycle))
+	}
+	g = New()
+	i = 0
+	feed := func(n int) {
+		for end := i + n; i < end; i++ {
+			g.Append(cycle[i%len(cycle)])
+		}
+	}
+	stop := func(int32) bool { return false }
+	window := func() {
+		g.Walk(stop)
+		feed(len(cycle))
+		if g.cf.pos == 0 {
+			t.Fatalf("window ends between repetitions: the next has nothing to resume")
+		}
+	}
+	feed(3*len(cycle) + 1000)
+	g.Freeze() // the first window resumes after a Freeze
+	confirmed := g.cf.confirmed
+	if allocs := testing.AllocsPerRun(4, window); allocs != 0 {
+		t.Fatalf("the armed loop allocates %v times per cycle, want 0", allocs)
+	}
+	if n := g.cf.confirmed - confirmed; n < int64(5*len(cycle))*9/10 {
+		t.Fatalf("five cycles counted %d of %d events: the loop is not armed", n, 5*len(cycle))
+	}
+	if err := g.CheckInvariantsStrict(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAppendRunEquivalence: AppendRun(e, k) must produce a grammar that

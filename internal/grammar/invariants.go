@@ -18,7 +18,12 @@ import "fmt"
 //     run has a positive count;
 //  4. structure — rule bodies are consistently linked, non-root bodies have
 //     at least two runs, all referenced rules exist, and the grammar is
-//     acyclic.
+//     acyclic;
+//  5. confirmer — every watched run is a live root run, and no other node
+//     carries the watched flag.
+//
+// Like every structure reader, it first reduces the events of a counted
+// repetition that is under way (see confirm.go).
 func (g *Grammar) CheckInvariants() error { return g.checkInvariants(false) }
 
 // CheckInvariantsStrict runs CheckInvariants plus the strict digram-index
@@ -32,6 +37,7 @@ func (g *Grammar) CheckInvariants() error { return g.checkInvariants(false) }
 func (g *Grammar) CheckInvariantsStrict() error { return g.checkInvariants(true) }
 
 func (g *Grammar) checkInvariants(strict bool) error {
+	g.settle()
 	if len(g.rules) == 0 || g.rules[0] == nil {
 		return fmt.Errorf("grammar: missing root rule")
 	}
@@ -143,7 +149,7 @@ func (g *Grammar) checkInvariants(strict bool) error {
 	// means some edit path forgot to unindex.
 	if strict {
 		var staleErr error
-		g.ixForEach(func(d digram, n *node) {
+		g.tab.forEach(func(d digram, n *node) {
 			if staleErr != nil {
 				return
 			}
@@ -186,7 +192,7 @@ func (g *Grammar) checkInvariants(strict bool) error {
 	if nodes != g.liveNodes {
 		return fmt.Errorf("grammar: liveNodes counter %d, recount %d", g.liveNodes, nodes)
 	}
-	return nil
+	return g.checkWatches()
 }
 
 func (g *Grammar) checkAcyclic() error {

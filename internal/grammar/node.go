@@ -10,6 +10,9 @@ type node struct {
 	next  *node
 	rule  *rule // owning rule; nil once the node is unlinked (dead)
 	guard bool  // sentinel marker
+	// watched marks a root run the confirmer follows (confirm.go); match
+	// and recycle test it instead of searching the watch list.
+	watched bool
 
 	// userPrev/userNext thread a run whose symbol is a non-terminal through
 	// the user list of the rule it refers to (rule.users); nil on terminal
@@ -34,11 +37,14 @@ type rule struct {
 	// uses == 1, when it holds exactly one node — so link and unlink are a
 	// few pointer writes where a set would hash.
 	users *node
+	// sentinel is the storage guard points at: one allocation per rule.
+	sentinel node
 }
 
 func newRule(idx int32) *rule {
 	r := &rule{idx: idx}
-	g := &node{guard: true}
+	g := &r.sentinel
+	g.guard = true
 	g.prev, g.next = g, g
 	g.rule = r
 	r.guard = g

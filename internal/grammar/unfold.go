@@ -16,6 +16,7 @@ func (g *Grammar) Unfold() []int32 {
 // Walk calls fn for every terminal of the unfolded trace in order, stopping
 // early if fn returns false.
 func (g *Grammar) Walk(fn func(eventID int32) bool) {
+	g.settle()
 	g.walkRule(g.root(), fn)
 }
 
@@ -42,6 +43,7 @@ func (g *Grammar) walkRule(r *rule, fn func(int32) bool) bool {
 // ExpandedLength returns the number of terminals one expansion of rule idx
 // unfolds to. ExpandedLength(0) equals EventCount().
 func (g *Grammar) ExpandedLength(idx int32) int64 {
+	g.settle()
 	memo := make(map[int32]int64)
 	return g.expandedLength(idx, memo)
 }

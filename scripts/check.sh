@@ -11,9 +11,11 @@
 #                     (core, the public API, the transport rings/seqlock,
 #                     and the serving path)
 #   6. fuzz smoke   — FuzzGrammarInvariants, FuzzDigramIndexDiff,
-#                     FuzzFrontierDiff, FuzzPredictNoisy, FuzzRecoverJournal,
-#                     FuzzWireDecode, FuzzRingDecode, FuzzFlowGuards and
-#                     FuzzModelLifecycle briefly
+#                     FuzzConfirmDiff (10s: the recorder's confirming fast
+#                     path against the reduction alone), FuzzFrontierDiff,
+#                     FuzzPredictNoisy, FuzzRecoverJournal, FuzzWireDecode,
+#                     FuzzRingDecode, FuzzFlowGuards and FuzzModelLifecycle
+#                     briefly
 #   7. vet fixtures — gofmt/go vet inside the analyzer fixture mini-modules
 #                     (separate modules, so ./... sweeps skip them)
 #   8. pythia-vet   — the repo's own static-analysis pass, all nine
@@ -99,6 +101,8 @@ step "fuzz smoke (FuzzGrammarInvariants)" \
     go test -fuzz FuzzGrammarInvariants -fuzztime=5s -run '^$' ./internal/grammar/
 step "fuzz smoke (FuzzDigramIndexDiff)" \
     go test -fuzz FuzzDigramIndexDiff -fuzztime=5s -run '^$' ./internal/grammar/
+step "fuzz smoke (FuzzConfirmDiff)" \
+    go test -fuzz FuzzConfirmDiff -fuzztime=10s -run '^$' ./internal/grammar/
 step "fuzz smoke (FuzzFrontierDiff)" \
     go test -fuzz FuzzFrontierDiff -fuzztime=5s -run '^$' ./internal/predictor/
 step "fuzz smoke (FuzzPredictNoisy)" \
