@@ -7,20 +7,21 @@ import (
 )
 
 // TimingBuilder accumulates the observations of one timing replay (the
-// recorder's end-of-run walk over the recorded trace) and yields the Timing
-// that feeding the same observations to Timing.AddPath would yield — without
-// AddPath's per-observation cost of a heap key and a map read and write for
-// every context depth.
+// recorder's end-of-run walk over the recorded trace, see Replay) and yields
+// the Timing that feeding the same observations to Timing.AddPath would
+// yield — without AddPath's per-observation cost of a heap key and a map
+// read and write for every context depth.
 //
 // Each distinct context suffix is interned once into a dense slot. The slot
 // of a depth-d suffix is found from the slot of its depth-(d-1) tail and the
-// one run it adds on the outside, so an observation costs at most
-// MaxContextDepth probes of a small open-addressed table and as many Stat
-// updates in a flat slice; the SuffixKey strings and the two maps are built
-// once per distinct context by Timing. A Stat is four integers (count, sum,
-// min, max), all order-independent, so the result is identical to AddPath's
-// whatever order either side accumulates in. AddPath stays as the reference
-// the tests compare this against.
+// one run it adds on the outside, so resolving a context costs at most
+// MaxContextDepth probes of a small open-addressed table, and the deepest
+// slot names the whole chain; Stats live in a flat slice, and the SuffixKey
+// strings and the two maps are built once per distinct context by Timing. A
+// Stat is four integers (count, sum, min, max), all order-independent, so
+// the result is identical to AddPath's whatever order either side
+// accumulates in. AddPath stays as the reference the tests compare this
+// against.
 //
 // The zero value is an empty builder ready for use.
 type TimingBuilder struct {
@@ -34,6 +35,10 @@ type TimingBuilder struct {
 	shift uint
 	// byEvent is the context-free statistic, indexed by event id.
 	byEvent []Stat
+	// memo is Replay's reusable memo, at most memoCap events long.
+	memo memo
+	// memoised counts the events Replay folded from a memo.
+	memoised int64
 }
 
 // timingCtx is one interned context suffix.
@@ -43,25 +48,34 @@ type timingCtx struct {
 	stat Stat
 }
 
-// Add records one observation for the event with the given progress
-// sequence (refs topmost-first, last entry is the terminal run), like
-// Timing.AddPath. eventID must be non-negative.
-// pythia:hotpath — one call per event of the replayed trace.
-func (b *TimingBuilder) Add(refs []grammar.UserRef, eventID int32, ns int64) {
+// chain returns the deepest slot of the context chain of a progress
+// sequence (refs topmost-first, last entry is the terminal run), interning
+// the suffixes not seen before.
+// pythia:hotpath — at most MaxContextDepth probes per terminal run walked.
+func (b *TimingBuilder) chain(refs []grammar.UserRef) int32 {
 	slot := int32(-1)
 	for i, outermost := len(refs)-1, max(0, len(refs)-MaxContextDepth); i >= outermost; i-- {
 		slot = b.slot(slot, refs[i])
-		b.ctxs[slot].stat.Add(ns)
+	}
+	return slot
+}
+
+// merge folds s into every context of the chain ending in slot and into the
+// statistic of event eventID (non-negative).
+// pythia:hotpath — one call per terminal run walked and per memo entry.
+func (b *TimingBuilder) merge(slot, eventID int32, s Stat) {
+	for ; slot >= 0; slot = b.ctxs[slot].tail {
+		b.ctxs[slot].stat.Merge(s)
 	}
 	if int(eventID) >= len(b.byEvent) {
 		b.growEvents(eventID)
 	}
-	b.byEvent[eventID].Add(ns)
+	b.byEvent[eventID].Merge(s)
 }
 
 // slot returns the slot of the suffix made of ref in front of the suffix
 // tail, interning it on first sight.
-// pythia:hotpath — one probe sequence per context depth per event.
+// pythia:hotpath — one probe sequence per context depth per chain resolved.
 func (b *TimingBuilder) slot(tail int32, ref grammar.UserRef) int32 {
 	if len(b.cells) != 0 {
 		mask := uint64(len(b.cells) - 1)

@@ -21,9 +21,10 @@ const (
 // Stepper advances a single-hypothesis position one terminal at a time
 // without allocating in steady state. It is the engine behind the
 // predictor's incremental prediction cache and every root-anchored walk
-// (timing replay, trace diff): where Successors clones the frame stack and
-// returns fresh Branch slices on every call, a Stepper mutates an internal
-// double-buffered stack and only ever reports the branch-free successor.
+// (trace diff, the timing replay's test reference): where Successors clones
+// the frame stack and returns fresh Branch slices on every call, a Stepper
+// mutates an internal double-buffered stack and only ever reports the
+// branch-free successor.
 //
 // The contract mirrors Successors exactly on the branch-free subset: when
 // Advance returns AdvanceOK, the new position is the one Successors would

@@ -2,11 +2,14 @@
 // reference execution of a program, the runtime system notifies the recorder
 // of events; the recorder reduces each thread's event stream into a grammar
 // on the fly and, optionally, logs event timestamps. At the end of the run,
-// Finish freezes the grammar and replays the timestamp log through the
-// deterministic progress tracker to build the per-context timing model of
-// section II-C. The replay costs one in-place Stepper advance and at most
-// model.MaxContextDepth probes of model.TimingBuilder's slot table per
-// recorded event; it allocates per distinct timing context, not per event.
+// Finish freezes the grammar and replays the timestamp log through it to
+// build the per-context timing model of section II-C. The replay
+// (model.TimingBuilder.Replay) expands the frozen grammar once: a terminal
+// run resolves its context at most model.MaxContextDepth slot probes deep and
+// folds its deltas into one merge, and a repeated loop body is walked once
+// and its later iterations folded from a memo, so the cost tracks the
+// grammar and the distinct contexts more than the recorded events. It
+// allocates per distinct timing context, not per event.
 package recorder
 
 import (
@@ -16,7 +19,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/grammar"
 	"repro/internal/model"
-	"repro/internal/progress"
 )
 
 // Clock returns a monotonically non-decreasing time in nanoseconds. Real
@@ -304,16 +306,7 @@ func buildThreadTrace(frozen *grammar.Frozen, deltas []int64, truncated bool, dr
 		return th
 	}
 	var timing model.TimingBuilder
-	// Root-anchored tracking over the grammar's own expansion is
-	// deterministic: exactly one successor until the trace ends.
-	var walk progress.Stepper
-	var refs []grammar.UserRef
-	ok := walk.Start(frozen)
-	for i := 0; ok && i < len(deltas); i++ {
-		refs = walk.AppendRefs(refs[:0])
-		timing.Add(refs, walk.Terminal(), deltas[i])
-		ok = walk.Advance() == progress.AdvanceOK
-	}
+	timing.Replay(frozen, deltas)
 	th.Timing = timing.Timing()
 	return th
 }

@@ -2,7 +2,9 @@ package recorder_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/apps"
@@ -197,4 +199,210 @@ func TestBuildThreadTraceAllocsByContexts(t *testing.T) {
 		t.Errorf("replay allocs grew with the trace: %.0f for %d events (%d contexts), %.0f for %d events (%d contexts)",
 			short, n, contexts, long, longN, longContexts)
 	}
+}
+
+// memoCap mirrors the longest loop body the replay memoises (memoCap in
+// internal/model): FuzzTimingReplayDiff builds bodies just under and over it.
+const memoCap = 8192
+
+// replayStream builds an event stream from data, one piece per byte (its low
+// two bits choose the kind, the rest and the next bytes parametrise it),
+// until data or a 40 000-event budget runs out:
+//   - noise: one event of 64;
+//   - a terminal run: one of 8 events, 1..64 times;
+//   - a loop nest 1..7 levels deep (deeper than MaxContextDepth): each level
+//     a header, 1..4 iterations of the next level and a trailer, the
+//     innermost two events, one fuzz-chosen innermost pass with an extra
+//     noise event;
+//   - a cap loop (the first one only): 2 or 3 iterations of a body of
+//     memoCap-2, memoCap or memoCap+2 events — a header, (x y)^k, a trailer.
+func replayStream(data []byte) []events.ID {
+	const budget = 40_000
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	var s []events.ID
+	capped := false
+	for len(data) > 0 && len(s) < budget {
+		b := next()
+		switch b & 3 {
+		case 0:
+			s = append(s, events.ID(b>>2))
+		case 1:
+			for n := 1 + next()%64; n > 0; n-- {
+				s = append(s, events.ID(64+(b>>2)%8))
+			}
+		case 2:
+			depth := 1 + (b>>2)%7
+			iters := make([]int, depth)
+			for i := range iters {
+				iters[i] = 1 + next()%4
+			}
+			noisy, pass := next(), 0
+			var level func(d int)
+			level = func(d int) {
+				s = append(s, events.ID(80+d))
+				if d == depth {
+					s = append(s, 96, 97)
+					if pass == noisy {
+						s = append(s, events.ID(98+pass%4))
+					}
+					pass++
+				} else {
+					for range iters[d] {
+						level(d + 1)
+					}
+				}
+				s = append(s, events.ID(88+d))
+			}
+			level(0)
+		case 3:
+			if capped {
+				continue
+			}
+			capped = true
+			length := memoCap + 2*((b>>2)%3-1)
+			for range 2 + (b>>4)%2 {
+				s = append(s, 104)
+				for range length/2 - 1 {
+					s = append(s, 105, 106)
+				}
+				s = append(s, 107)
+			}
+		}
+	}
+	return s
+}
+
+// replayCuts returns the prefix lengths of an n-event trace f to replay:
+// every one for a short trace; else the first and last 64, and around the
+// start and end of the first three and last two iterations of every run in
+// the root body and in the bodies of those iterations (one event either
+// side: inside the run or iteration, at its edge, past it), thinned evenly
+// to at most 256.
+func replayCuts(f *grammar.Frozen, n int) []int {
+	if n <= 512 {
+		cuts := make([]int, n+1)
+		for k := range cuts {
+			cuts[k] = k
+		}
+		return cuts
+	}
+	set := map[int]bool{}
+	add := func(at int64) {
+		for k := int(at) - 1; k <= int(at)+1; k++ {
+			if k >= 0 && k <= n {
+				set[k] = true
+			}
+		}
+	}
+	for k := 0; k <= 64; k++ {
+		add(int64(k))
+		add(int64(n - k))
+	}
+	var walk func(rule int32, at int64, depth int)
+	walk = func(rule int32, at int64, depth int) {
+		for _, run := range f.Rules[rule].Body {
+			l, c := f.SymLen(run.Sym), int64(run.Count)
+			for j := int64(0); j < c; j++ {
+				if j < 3 || j >= c-2 {
+					add(at + j*l)
+					if depth < 2 && !run.Sym.IsTerminal() {
+						walk(run.Sym.RuleIndex(), at+j*l, depth+1)
+					}
+				}
+			}
+			at += c * l
+			add(at)
+		}
+	}
+	walk(0, 0, 0)
+	cuts := make([]int, 0, len(set))
+	for k := range set {
+		cuts = append(cuts, k)
+	}
+	sort.Ints(cuts)
+	if len(cuts) > 256 {
+		thin := make([]int, 0, 256)
+		for i := 0; i < 256; i++ {
+			thin = append(thin, cuts[i*len(cuts)/256])
+		}
+		cuts = thin
+	}
+	return cuts
+}
+
+// replaySeeds: loop nests cut everywhere, deep and noisy nests, the two
+// sides of the memo cap and a mix.
+var replaySeeds = [][]byte{
+	// A 3-level nest (3, 2, 3 iterations) replayed at every prefix: cuts
+	// inside a memoised body's first iteration and part way through its
+	// later ones, where a replay that interned contexts ahead of their
+	// observations emits zero-count BySuffix entries.
+	{0x0a, 0x02, 0x01, 0x02, 0xff},
+	// A 7-level nest with noise in the fifth innermost pass, then noise.
+	{0x1a, 0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x04, 0x10, 0x14},
+	// Three iterations of a body of exactly memoCap events.
+	{0x13},
+	// Two iterations of a body of memoCap+2 events, a terminal run, noise.
+	{0x0b, 0x05, 0x20, 0x08},
+	// Terminal runs and noise around a 2-level nest with its noise pass.
+	{0x05, 0x03, 0x0d, 0x40, 0x04, 0x06, 0x03, 0x01, 0x02, 0x0c, 0x11, 0x07},
+}
+
+// FuzzTimingReplayDiff holds the memoised, folding timing replay to the
+// per-event AddPath reference: Finish and a half-way Checkpoint.Materialize
+// as checkReplay checks them, then TimingBuilder.Replay of every cut of the
+// delta log through the final grammar (the exhaustion case: fewer deltas
+// than the trace unfolds to), as Timing values and as trace-file bytes.
+func FuzzTimingReplayDiff(f *testing.F) {
+	for _, s := range replaySeeds {
+		f.Add(s)
+	}
+	names := make([]string, 128)
+	for i := range names {
+		names[i] = fmt.Sprintf("e%d", i)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stream := replayStream(data)
+		if len(stream) < 2 { // checkReplay checkpoints half way
+			return
+		}
+		checkReplay(t, "fuzz", names, stream)
+
+		r := recorder.New(recorder.WithoutTimestamps())
+		for _, id := range stream {
+			r.Record(id)
+		}
+		g := r.Finish().Grammar
+		deltas := make([]int64, len(stream))
+		for i := 1; i < len(deltas); i++ {
+			deltas[i] = tick(i)
+		}
+		want := model.NewTiming()
+		var walk progress.Stepper
+		var refs []grammar.UserRef
+		ok, i := walk.Start(g), 0
+		for _, k := range replayCuts(g, len(stream)) {
+			for ; ok && i < k; i++ {
+				refs = walk.AppendRefs(refs[:0])
+				want.AddPath(refs, walk.Terminal(), deltas[i])
+				ok = walk.Advance() == progress.AdvanceOK
+			}
+			var b model.TimingBuilder
+			b.Replay(g, deltas[:k])
+			got := b.Timing()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay of %d of %d deltas and the reference disagree:\n%+v\n%+v", k, len(deltas), got, want)
+			}
+			if !bytes.Equal(encode(t, names, g, got), encode(t, names, g, want)) {
+				t.Fatalf("replay of %d of %d deltas and the reference encode to different trace files", k, len(deltas))
+			}
+		}
+	})
 }

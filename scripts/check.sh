@@ -12,7 +12,10 @@
 #                     and the serving path)
 #   6. fuzz smoke   — FuzzGrammarInvariants, FuzzDigramIndexDiff,
 #                     FuzzConfirmDiff (10s: the recorder's confirming fast
-#                     path against the reduction alone), FuzzFrontierDiff,
+#                     path against the reduction alone),
+#                     FuzzTimingReplayDiff (10s: the memoised timing replay
+#                     against the per-event reference at every prefix of
+#                     the delta log), FuzzFrontierDiff,
 #                     FuzzPredictNoisy, FuzzRecoverJournal, FuzzWireDecode,
 #                     FuzzRingDecode, FuzzFlowGuards and FuzzModelLifecycle
 #                     briefly
@@ -103,6 +106,8 @@ step "fuzz smoke (FuzzDigramIndexDiff)" \
     go test -fuzz FuzzDigramIndexDiff -fuzztime=5s -run '^$' ./internal/grammar/
 step "fuzz smoke (FuzzConfirmDiff)" \
     go test -fuzz FuzzConfirmDiff -fuzztime=10s -run '^$' ./internal/grammar/
+step "fuzz smoke (FuzzTimingReplayDiff)" \
+    go test -fuzz FuzzTimingReplayDiff -fuzztime=10s -run '^$' ./internal/recorder/
 step "fuzz smoke (FuzzFrontierDiff)" \
     go test -fuzz FuzzFrontierDiff -fuzztime=5s -run '^$' ./internal/predictor/
 step "fuzz smoke (FuzzPredictNoisy)" \
