@@ -461,7 +461,7 @@ func BenchmarkObserveThroughput(b *testing.B) {
 
 // BenchmarkPredictAtCached measures the steady-state oracle loop: one
 // Observe plus one PredictAt(64) per event on a faithful replay — the
-// amortized-O(1) case the incremental prediction cache targets.
+// amortized-O(1) case the prediction window serves.
 func BenchmarkPredictAtCached(b *testing.B) {
 	const dist = 64
 	seq, tr := hotpathTrace(1000)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/ompsim"
-	"repro/pythia"
 )
 
 func TestSummarise(t *testing.T) {
@@ -101,16 +100,13 @@ func TestFig8LoopBoundaryDegradation(t *testing.T) {
 	}
 }
 
-// TestFig9CostGrowsWithDistance checks the Fig. 9 experiment in two parts.
-// What Fig9 reports is checked for shape only: on the serving path PredictAt
-// is answered from the prediction window and the look-ahead memo, so a
-// faithful replay costs the same ~1 µs at distance 1 and 64, and the order of
-// two 16-sample wall-clock means is decided by whatever else runs on the
-// host. The paper's claim, that cost grows with the distance, is about the
-// walk, so it is checked with the memoisation off (Config.DisableCache):
-// every query then walks the grammar, 64 steps against one, and summed over
-// a few hundred query points the costs differ by far more than the factor
-// of two asserted — a margin scheduling noise does not close.
+// TestFig9CostGrowsWithDistance checks what the Fig. 9 experiment reports,
+// for shape only: on the serving path PredictAt is answered from the
+// prediction window, so a faithful replay costs about the same at distance
+// 1 and 64, and the order of two 16-sample wall-clock means is decided by
+// whatever else runs on the host. The paper's claim, that cost grows with
+// the distance, is about the walk, and is checked where the frontier walk
+// runs per query: predictor.TestWalkCostGrowsWithDistance.
 func TestFig9CostGrowsWithDistance(t *testing.T) {
 	rows, err := Fig9(Fig9Config{Apps: []string{"CG"}, Distances: []int{1, 64}, MaxSamples: 16})
 	if err != nil {
@@ -129,42 +125,6 @@ func TestFig9CostGrowsWithDistance(t *testing.T) {
 	WriteFig9(&sb, []int{1, 64}, rows)
 	if !strings.Contains(sb.String(), "CG") {
 		t.Fatal("rendered figure missing app")
-	}
-
-	app, err := apps.ByName("CG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := RunMPIApp(app, apps.Small, true, 42)
-	streams := CaptureStreams(app, apps.Small, 42)
-	tid := sortedThreadIDs(streams)[0]
-	oracle, err := pythia.NewPredictOracle(ref.Trace, pythia.Config{DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := oracle.Thread(tid)
-	th.StartAtBeginning()
-	var near, far time.Duration
-	samples := 0
-	for _, name := range streams[tid] {
-		th.Submit(oracle.Intern(name))
-		if !IsBlockingEvent(name) {
-			continue
-		}
-		samples++
-		start := time.Now()
-		th.PredictAt(1)
-		mid := time.Now()
-		th.PredictAt(64)
-		near += mid.Sub(start)
-		far += time.Since(mid)
-	}
-	if samples < 200 {
-		t.Fatalf("only %d uncached query points", samples)
-	}
-	t.Logf("uncached, %d queries: distance 1 %v, distance 64 %v", samples, near, far)
-	if far < 2*near {
-		t.Errorf("uncached cost over %d queries: distance 64 %v, distance 1 %v, want at least twice", samples, far, near)
 	}
 }
 

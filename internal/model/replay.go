@@ -49,8 +49,8 @@ func (w window) push(ref grammar.UserRef) window {
 // of the trace f unfolds to is observed with deltas[i], in the contexts of
 // its root-anchored progress sequence, until either runs out — a checkpoint
 // view or a truncated recording may hold fewer deltas than the unfold. The
-// Timing is the one a Timing.AddPath per event of a progress.Stepper walk
-// yields.
+// Timing is the one a Timing.AddPath per event of a root-anchored walk
+// (progress.Frontier.AdvanceLone) yields.
 //
 // The walk expands the grammar directly, and a timing context — the
 // innermost MaxContextDepth (Rule, Pos) refs, with no iteration counters —
@@ -135,7 +135,7 @@ func (r *replay) terminal(ev int32, cnt int, w window) bool {
 func (r *replay) repeat(rule int32, count int, w window) bool {
 	fr := &r.f.Rules[rule]
 	if len(fr.Body) == 0 {
-		// A root-anchored Stepper stops where it would enter an empty body.
+		// A root-anchored walk stops where it would enter an empty body.
 		return false
 	}
 	if count < 2 || fr.Len > memoCap {

@@ -20,16 +20,17 @@ import (
 func tick(i int) int64 { return 1000 + int64(i*7919%613) }
 
 // reference is the per-event form of Replay: one Timing.AddPath per event
-// of a root-anchored Stepper walk, pairing event i with deltas[i].
+// of a root-anchored walk, pairing event i with deltas[i].
 func reference(f *grammar.Frozen, deltas []int64) *model.Timing {
 	want := model.NewTiming()
-	var walk progress.Stepper
+	var walk, scratch progress.Frontier
 	var refs []grammar.UserRef
-	ok := walk.Start(f)
+	ok := walk.SetStart(f)
 	for i := 0; ok && i < len(deltas); i++ {
-		refs = walk.AppendRefs(refs[:0])
-		want.AddPath(refs, walk.Terminal(), deltas[i])
-		ok = walk.Advance() == progress.AdvanceOK
+		refs = walk.AppendRefs(0, refs[:0])
+		want.AddPath(refs, walk.Terminal(f, 0), deltas[i])
+		_, res := walk.AdvanceLone(f, &scratch)
+		ok = res == progress.AdvanceOK
 	}
 	return want
 }

@@ -8,11 +8,12 @@ import (
 
 	"repro/internal/grammar"
 	"repro/internal/model"
+	"repro/internal/progress"
 )
 
 // timedTraceOf is traceOf with a synthetic timing model attached: each event
 // id gets a distinct per-site duration so that ExpectedNs differences between
-// the cached and the reference query paths cannot hide behind zeros.
+// the engine and the reference cannot hide behind zeros.
 func timedTraceOf(seq []int32) *model.Trace {
 	g := grammar.New()
 	maxID := int32(0)
@@ -38,8 +39,8 @@ func timedTraceOf(seq []int32) *model.Trace {
 	return &model.Trace{Grammar: f, Events: names, Timing: timing}
 }
 
-// oracle is what a differential schedule drives: the engine predictor, with
-// or without its caching layers, and the allocating reference.
+// oracle is what a differential schedule drives: the engine predictor and
+// the allocating reference.
 type oracle interface {
 	StartAtBeginning()
 	Reset()
@@ -176,7 +177,8 @@ func runDifferential(t testing.TB, got, want oracle, ops []diffOp) (queries, mul
 }
 
 // motifTraces are the reference executions of the noisy-replay schedules:
-// loops with shared prefixes, so that a re-anchor is ambiguous for a while.
+// loops with shared prefixes, so that a re-anchor is ambiguous for a while,
+// and the loop of wideBranchSeq.
 func motifTraces() (seqs [][]int32, maxIDs []int32) {
 	for _, motif := range [][]int32{
 		{0, 1, 2, 1, 2, 3},
@@ -189,14 +191,18 @@ func motifTraces() (seqs [][]int32, maxIDs []int32) {
 			seq = append(seq, motif...)
 		}
 		seqs = append(seqs, seq)
+	}
+	seqs = append(seqs, wideBranchSeq())
+	for _, seq := range seqs {
 		maxIDs = append(maxIDs, slices.Max(seq))
 	}
 	return seqs, maxIDs
 }
 
 // TestDifferentialCachedVsReference pins the central property of the
-// incremental prediction cache: with and without the cache, the predictor is
-// observationally identical on noisy replays — same predictions bit for bit,
+// incremental prediction window, the predictor's cache of future events kept
+// across observations: with it the predictor is observationally identical to
+// the allocating reference on noisy replays — same predictions bit for bit,
 // same tracking statistics — across many randomized schedules.
 func TestDifferentialCachedVsReference(t *testing.T) {
 	seqs, maxIDs := motifTraces()
@@ -205,48 +211,61 @@ func TestDifferentialCachedVsReference(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(mi)))
 			ops := buildSchedule(rng, seq, maxIDs[mi], 600)
-			runDifferential(t, New(tr, Config{}), New(tr, Config{DisableCache: true}), ops)
+			runDifferential(t, New(tr, Config{}), newRef(tr, Config{}), ops)
 		}
 	}
 }
 
+// wideBranchSeq is 3 (0 1 2)^60: the loop body's only user is the repeated
+// run that ends the root. A hypothesis re-anchored inside the body, once it
+// finishes the body, either re-enters it or leaves the run — and leaving
+// ends the trace — so AdvanceLone gives up at a step where Successors(pos,
+// 1) has one successor.
+func wideBranchSeq() []int32 {
+	seq := []int32{3}
+	for r := 0; r < 60; r++ {
+		seq = append(seq, 0, 1, 2)
+	}
+	return seq
+}
+
 // TestDifferentialExactReplay is the dense-query faithful-replay case: after
 // every observation, query every distance up to the remaining trace and
-// beyond. This is where the cache serves nearly every query, so any window
-// bookkeeping bug (off-by-one head, stale end stepper) shows up immediately.
+// beyond. This is where the window serves nearly every query, so any window
+// bookkeeping bug (off-by-one head, stale end position) shows up immediately.
 func TestDifferentialExactReplay(t *testing.T) {
 	var seq []int32
 	for r := 0; r < 40; r++ {
 		seq = append(seq, 0, 1, 2, 1, 2, 3)
 	}
 	tr := timedTraceOf(seq)
-	cached := New(tr, Config{})
-	ref := New(tr, Config{DisableCache: true})
-	cached.StartAtBeginning()
+	p := New(tr, Config{})
+	ref := newRef(tr, Config{})
+	p.StartAtBeginning()
 	ref.StartAtBeginning()
 	for i, e := range seq {
-		cached.Observe(e)
+		p.Observe(e)
 		ref.Observe(e)
 		for _, d := range []int{1, 2, 3, 5, 8, 13, 21, 34, 55, len(seq) - i, len(seq) - i + 1} {
 			if d < 1 {
 				continue
 			}
-			gp, gok := cached.PredictAt(d)
+			gp, gok := p.PredictAt(d)
 			wp, wok := ref.PredictAt(d)
 			if gok != wok || !reflect.DeepEqual(gp, wp) {
-				t.Fatalf("step %d: PredictAt(%d) diverged:\ncached: %+v %v\nref:    %+v %v",
+				t.Fatalf("step %d: PredictAt(%d) diverged:\ngot: %+v %v\nref: %+v %v",
 					i, d, gp, gok, wp, wok)
 			}
 		}
-		gs := cached.PredictSequence(24)
+		gs := p.PredictSequence(24)
 		ws := ref.PredictSequence(24)
 		if !reflect.DeepEqual(gs, ws) {
-			t.Fatalf("step %d: PredictSequence diverged:\ncached: %+v\nref:    %+v", i, gs, ws)
+			t.Fatalf("step %d: PredictSequence diverged:\ngot: %+v\nref: %+v", i, gs, ws)
 		}
 	}
 }
 
-// TestDifferentialQueryPurity checks that queries are pure: two cached
+// TestDifferentialQueryPurity checks that queries are pure: two
 // predictors observing the same stream — one queried heavily at every step,
 // one never queried — must end in the same observable state and produce the
 // same subsequent predictions. This is the regression test for scratch-buffer
@@ -301,5 +320,50 @@ func TestDifferentialQueryPurity(t *testing.T) {
 					seed, step, gp, gok, wp, wok)
 			}
 		}
+	}
+}
+
+// TestWindowTakesWideBranchRule: re-anchored inside the loop of
+// wideBranchSeq, a lone hypothesis reaches a step where AdvanceLone gives up
+// but Successors(pos, 1) leaves one successor. The window walks on through
+// it by that rule to the end of the trace: every PredictAt equals the
+// reference's, and no query runs the frontier walk.
+func TestWindowTakesWideBranchRule(t *testing.T) {
+	seq := wideBranchSeq()
+	tr := timedTraceOf(seq)
+	f := tr.Grammar
+	// The shape: at the body's last event, the in-place advance gives up
+	// and the reference has one successor.
+	occ := progress.Occurrences(f, 2)
+	var at, scratch progress.Frontier
+	if !at.SetOccurrences(f, 2) || at.Len() != 1 || len(occ) != 1 {
+		t.Fatalf("event 2 has %d re-anchor hypotheses, want 1:\n%s", at.Len(), f.Dump(nil))
+	}
+	if _, res := at.AdvanceLone(f, &scratch); res != progress.AdvanceBranch {
+		t.Fatalf("AdvanceLone at the end of the body = %v, want AdvanceBranch", res)
+	}
+	if brs := progress.Successors(f, occ[0].Pos, 1); len(brs) != 1 {
+		t.Fatalf("Successors at the end of the body: %d, want 1", len(brs))
+	}
+
+	p, ref := New(tr, Config{}), newRef(tr, Config{})
+	p.Observe(1)
+	ref.Observe(1)
+	last := 0
+	for d := 1; d <= len(seq); d++ {
+		gp, gok := p.PredictAt(d)
+		wp, wok := ref.PredictAt(d)
+		if gok != wok || !reflect.DeepEqual(gp, wp) {
+			t.Fatalf("PredictAt(%d): got %+v %v, reference %+v %v", d, gp, gok, wp, wok)
+		}
+		if gok {
+			last = d
+		}
+	}
+	if last < 3*50 {
+		t.Fatalf("predictions end at distance %d, want the rest of the loop", last)
+	}
+	if p.look.valid || cap(p.look.steps) != 0 {
+		t.Fatalf("a query ran the frontier walk (%d steps memoised)", len(p.look.steps))
 	}
 }

@@ -22,11 +22,10 @@ func (p *Predictor) PredictDistribution(distance int) []Alternative {
 	}
 	// The frontier at exactly this step is wanted: a memo already past it
 	// starts over.
-	p.openWalk()
 	if len(p.look.steps) > distance {
-		p.startWalk(false)
+		p.startWalk()
 	}
-	if p.walk(false, distance) < distance {
+	if p.walkTo(distance) < distance {
 		return nil
 	}
 	total := p.sumByEvent()
@@ -61,9 +60,9 @@ func (p *Predictor) ExpectedPath(maxDistance int) []PathStep {
 		return nil
 	}
 	// The frontier at every step is wanted: walk afresh from the first.
-	p.startWalk(false)
+	p.startWalk()
 	var out []PathStep
-	for step := 1; step <= maxDistance && p.walk(false, step) == step; step++ {
+	for step := 1; step <= maxDistance && p.walkTo(step) == step; step++ {
 		out = append(out, PathStep{
 			Distance: step,
 			EventID:  p.look.at.Terminal(p.f, 0),

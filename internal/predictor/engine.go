@@ -1,20 +1,25 @@
 package predictor
 
-// The frontier engine (this file) is the general hypothesis machinery:
-// whatever a lone branch-free position cannot answer — tracking several
-// hypotheses after a re-anchor, and every look-ahead that branches — runs
-// on progress.Frontier buffers owned by the predictor and allocates nothing
-// in steady state. Tracking (predictor.go) steps cands into spare and swaps;
-// the look-ahead steps look.at into spare and swaps; both close a step with
-// the same MergeCap.
+// The look-ahead (this file) answers "which event comes d events from now"
+// by walking the hypothesis set forward through the grammar (paper §II-B,
+// Fig. 9). Every query reads it through ahead, which picks one of two walks:
 //
-// The look-ahead is memoised per observation: the dominant prediction of
-// steps 1..k and the frontier at step k stay valid until the next Observe,
-// Reset or StartAtBeginning, so a burst PredictAt(1), (4), (16), (64) walks
-// 64 steps, not 85, and a repeated query is a read. Nothing about it is
-// approximate: every step performs the float operations of the allocating
-// reference (reference_test.go) in the same order, whichever query first
-// asked for it. With Config.DisableCache every query drops the memo first.
+//   - the window, while one hypothesis is tracked — the common case on a
+//     faithful replay: the events of the steps ahead and their expected
+//     durations, grown on demand and slid by one at each followed
+//     observation instead of being rebuilt, so the steady-state loop of one
+//     Observe plus one PredictAt per event is amortized O(1);
+//   - the frontier walk, for several hypotheses or a query at or past the
+//     step where the window branches: progress.Frontier buffers owned by the
+//     predictor, stepped into spare and swapped, each step closed with
+//     MergeCap, as tracking does (predictor.go). Its dominant prediction of
+//     steps 1..k and the frontier at step k stay valid until the next
+//     Observe, Reset or StartAtBeginning, so a burst PredictAt(1), (4),
+//     (16), (64) walks 64 steps, not 85, and a repeated query is a read.
+//
+// Neither is approximate: each performs the float operations of the
+// allocating reference (reference_test.go) in the same order, whichever
+// query first asked for a step. Nothing allocates in steady state.
 
 import (
 	"slices"
@@ -22,8 +27,162 @@ import (
 	"repro/internal/progress"
 )
 
-// lookStep is the dominant prediction of one look-ahead step; its distance
-// is its index plus one.
+// winStep is one step of the window: its event, and the expected duration
+// of that step alone (zero without a timing model).
+type winStep struct {
+	ev   int32
+	mean float64
+}
+
+// window is the look-ahead of a lone hypothesis, kept across observations.
+//
+// It walks by the rule of Successors(pos, 1): a step is taken while exactly
+// one successor exists, and predicted with probability 1 whatever weight the
+// grammar's occurrence counts would leave the hypothesis. Frontier.AdvanceLone
+// takes such a step in place where it can; where it gives up (AdvanceBranch:
+// leaving a context upward, which may still leave one successor), one general
+// Frontier.Step decides.
+//
+// While valid, steps[head+i] is the step i+1 events from now and end is the
+// position of the last step held — the current position while none is.
+// Durations are summed in ascending order on read, so an answer is
+// bit-identical to a walk from the current position.
+type window struct {
+	valid bool
+	// ended: no step follows the last one held. branched: the step after
+	// it has several successors, and queries reaching it are the frontier
+	// walk's.
+	ended, branched bool
+	steps           []winStep
+	head            int
+	// end is the walk's position and next the scratch it advances in.
+	end, next progress.Frontier
+}
+
+// held returns the number of steps the window holds ahead of now.
+func (w *window) held() int { return len(w.steps) - w.head }
+
+// timeTo returns the expected time through step d, summed in order.
+func (w *window) timeTo(d int) (acc float64) {
+	for _, s := range w.steps[w.head : w.head+d] {
+		acc += s.mean
+	}
+	return acc
+}
+
+// slide moves the window past one followed observation. An empty window can
+// no longer move in lockstep with the hypothesis and is dropped; the next
+// query rebuilds it, reusing its buffers.
+// pythia:hotpath — one call per followed observation of a lone hypothesis.
+func (w *window) slide() {
+	if !w.valid {
+		return
+	}
+	if w.held() == 0 {
+		w.valid = false
+		return
+	}
+	w.head++
+	switch {
+	case w.head == len(w.steps):
+		w.steps, w.head = w.steps[:0], 0
+	case w.head >= 1024 && 2*w.head >= len(w.steps):
+		// Compact the consumed prefix so the buffer stops growing.
+		w.steps, w.head = w.steps[:copy(w.steps, w.steps[w.head:])], 0
+	}
+}
+
+// ahead makes steps 1..n of the look-ahead available and returns how many
+// are — fewer than n when the walk ends first — and whether the window holds
+// them; otherwise the frontier walk's memo does.
+// pythia:hotpath — every query starts here.
+func (p *Predictor) ahead(n int) (got int, win bool) {
+	w := &p.win
+	if p.cands.Len() != 1 {
+		return p.walkTo(n), false
+	}
+	if !w.valid {
+		p.openWindow()
+	}
+	for w.held() < n && !w.ended && !w.branched {
+		p.growWindow()
+	}
+	if got = w.held(); got >= n || w.ended {
+		return got, true
+	}
+	return p.walkTo(n), false
+}
+
+// stepAt returns the prediction at distance d of the walk ahead chose. A
+// window read adds the step's duration to *acc, which must hold the time
+// through step d-1.
+// pythia:hotpath — one call per predicted step.
+func (p *Predictor) stepAt(win bool, d int, acc *float64) Prediction {
+	if !win {
+		s := p.look.steps[d-1]
+		return Prediction{EventID: s.ev, Probability: s.prob, Distance: d, ExpectedNs: s.ns}
+	}
+	s := p.win.steps[p.win.head+d-1]
+	*acc += s.mean
+	return Prediction{EventID: s.ev, Probability: 1, Distance: d, ExpectedNs: *acc}
+}
+
+// openWindow starts the window at the lone hypothesis. With a start pending
+// the hypothesis itself is the next event: step 1.
+func (p *Predictor) openWindow() {
+	w := &p.win
+	w.valid, w.ended, w.branched = true, false, false
+	w.steps, w.head = w.steps[:0], 0
+	w.end.Set(p.cands)
+	w.end.SetWeight(0, 1)
+	if p.pending {
+		p.pushStep(w.end.Terminal(p.f, 0))
+	}
+}
+
+// growWindow takes the window's next step, or finds that it ends or
+// branches there.
+// pythia:hotpath — one in-place advance per new window step.
+func (p *Predictor) growWindow() {
+	w := &p.win
+	ev, res := w.end.AdvanceLone(p.f, &w.next)
+	switch res {
+	case progress.AdvanceEnd:
+		w.ended = true
+		return
+	case progress.AdvanceBranch:
+		w.next.Step(p.f, &w.end)
+		if w.next.Len() != 1 {
+			w.ended = w.next.Len() == 0
+			w.branched = !w.ended
+			return
+		}
+		w.end, w.next = w.next, w.end
+		w.end.SetWeight(0, 1)
+		ev = w.end.Terminal(p.f, 0)
+	}
+	p.pushStep(ev)
+}
+
+// pushStep appends the step to event ev that the window's end designates.
+// pythia:hotpath — growth is amortized and ends at the largest distance asked.
+func (p *Predictor) pushStep(ev int32) {
+	w := &p.win
+	s := winStep{ev: ev}
+	if p.timing != nil {
+		p.refsBuf = w.end.AppendRefs(0, p.refsBuf[:0])
+		s.mean = p.timing.MeanForPath(p.refsBuf, ev)
+	}
+	n := len(w.steps)
+	if n == cap(w.steps) {
+		w.steps = slices.Grow(w.steps, 1)
+	}
+	w.steps = w.steps[:n+1]
+	w.steps[n] = s
+}
+
+// lookStep is the dominant prediction of one frontier-walk step; its
+// distance is its index plus one.
 type lookStep struct {
 	ev   int32
 	prob float64
@@ -36,38 +195,20 @@ type eventSum struct {
 	w, acc float64
 }
 
-// lookahead is a walk of the hypothesis set into the future and its memo.
-//
-// A lone hypothesis is walked alone first, as long as each step has exactly
-// one successor: its predictions carry probability 1 whatever weight the
-// grammar's occurrence counts would leave it. Only a query that reaches the
-// step where that walk branches is answered by the frontier walk, then for
-// all of its steps. Which walk answers thus depends on the distance asked;
-// the memo holds one of them at a time and remembers where the lone one
-// branched, so a burst of ascending distances walks each at most once.
+// lookahead is the frontier walk of the hypothesis set and its memo.
 type lookahead struct {
 	// valid: the fields below describe a walk from the current hypothesis
-	// set, in the mode lone says. Observe, Reset and StartAtBeginning clear
-	// it, and nothing else does.
+	// set. Observe, Reset and StartAtBeginning clear it, and nothing else
+	// does.
 	valid bool
-	lone  bool
 	// ended: no hypothesis has a successor beyond the last step.
 	ended bool
-	// branchAt is the step at which the lone walk branches, 0 while that
-	// is not known.
-	branchAt int
 	// steps[i] is the dominant prediction at distance i+1 and at the
 	// frontier after the last of them (a copy of cands before the first).
 	steps []lookStep
 	at    *progress.Frontier
 	// sums is the per-event aggregation scratch of one step.
 	sums []eventSum
-}
-
-// prediction returns the memoised step at distance d.
-func (l *lookahead) prediction(d int) Prediction {
-	s := l.steps[d-1]
-	return Prediction{EventID: s.ev, Probability: s.prob, Distance: d, ExpectedNs: s.ns}
 }
 
 // push records the dominant prediction of the next step.
@@ -81,64 +222,35 @@ func (l *lookahead) push(s lookStep) {
 	l.steps[n] = s
 }
 
-// openWalk begins a query the window cannot answer: with DisableCache
-// nothing survives from the query before.
-func (p *Predictor) openWalk() {
-	if p.cfg.DisableCache {
-		p.look.valid = false
-	}
-}
-
-// walkTo makes look.steps hold the predictions of steps 1..n a query for
-// distance n is answered with, and returns how many it holds: fewer than n
+// walkTo makes look.steps hold the predictions of steps 1..n, starting the
+// walk if the memo is empty, and returns how many it holds: fewer than n
 // when every hypothesis reaches the end of the reference trace first.
 // pythia:hotpath — at most one frontier step per new look-ahead step.
 func (p *Predictor) walkTo(n int) int {
 	l := &p.look
-	branches := l.valid && l.branchAt != 0 && n >= l.branchAt
-	return p.walk(p.cands.Len() == 1 && !branches, n)
-}
-
-// walk extends the walk of the given mode to n steps, starting it over when
-// the memo holds the other one; a lone walk that branches first is redone
-// on the whole frontier.
-// pythia:hotpath — one frontier step per new look-ahead step.
-func (p *Predictor) walk(lone bool, n int) int {
-	l := &p.look
-	if !l.valid || l.lone != lone {
-		p.startWalk(lone)
+	if !l.valid {
+		p.startWalk()
 	}
 	for len(l.steps) < n && !l.ended {
-		if !p.step() {
-			l.branchAt = len(l.steps) + 1
-			p.startWalk(false)
-		}
+		p.step()
 	}
 	return len(l.steps)
 }
 
-// startWalk seeds look.at with the hypothesis set; alone, the hypothesis
-// advances with weight 1, as the reference walks it with Successors(pos, 1).
-func (p *Predictor) startWalk(lone bool) {
+// startWalk seeds look.at with the hypothesis set.
+func (p *Predictor) startWalk() {
 	l := &p.look
-	if !l.valid {
-		l.branchAt = 0
-	}
-	l.valid, l.lone, l.ended = true, lone, false
+	l.valid, l.ended = true, false
 	l.steps = l.steps[:0]
 	l.at.Set(p.cands)
-	if lone {
-		l.at.SetWeight(0, 1)
-	}
 }
 
 // step advances look.at by one terminal — successors, expected time, merge,
-// cap — and records the step's dominant prediction. It reports false, with
-// nothing changed, when a lone walk has more than one successor. The walk
-// cost grows linearly with the horizon (paper Fig. 9): each step advances
-// every kept branch by one terminal.
+// cap — and records the step's dominant prediction. The walk cost grows
+// linearly with the horizon (paper Fig. 9): each step advances every kept
+// branch by one terminal.
 // pythia:hotpath — one call per look-ahead step beyond the window.
-func (p *Predictor) step() bool {
+func (p *Predictor) step() {
 	l := &p.look
 	nxt := p.spare
 	if len(l.steps) == 0 && p.pending {
@@ -149,13 +261,7 @@ func (p *Predictor) step() bool {
 	}
 	if nxt.Len() == 0 {
 		l.ended = true
-		return true
-	}
-	if l.lone {
-		if nxt.Len() > 1 {
-			return false
-		}
-		nxt.SetWeight(0, 1)
+		return
 	}
 	if p.timing != nil {
 		for i := 0; i < nxt.Len(); i++ {
@@ -167,7 +273,6 @@ func (p *Predictor) step() bool {
 	l.at, p.spare = nxt, l.at
 	total := p.sumByEvent()
 	l.push(dominant(l.sums, total))
-	return true
 }
 
 // sumByEvent aggregates the weights of look.at per event id into look.sums,

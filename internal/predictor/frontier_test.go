@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -46,27 +47,22 @@ func ambiguousSchedule(rng *rand.Rand, seq []int32, maxID int32, steps int) []di
 }
 
 // TestDifferentialEngineVsReference is the bit-identity contract of the
-// frontier engine: on noisy replays, the predictor — with its caching layers
-// and without — and the allocating reference (reference_test.go) return the
-// same value for every query of every kind and hold the same tracking state
-// after every step. The schedules must actually live in multi-hypothesis
-// states, or the general path would go unchecked.
+// predictor: on noisy replays, it and the allocating reference
+// (reference_test.go) return the same value for every query of every kind
+// and hold the same tracking state after every step. The schedules must
+// actually live in multi-hypothesis states, or the general path would go
+// unchecked.
 func TestDifferentialEngineVsReference(t *testing.T) {
 	run := func(name string, tr *model.Trace, cfg Config, ops []diffOp) {
-		var queries, multi int
-		for _, disable := range []bool{false, true} {
-			c := cfg
-			c.DisableCache = disable
-			queries, multi = runDifferential(t, New(tr, c), newRef(tr, cfg), ops)
-		}
+		queries, multi := runDifferential(t, New(tr, cfg), newRef(tr, cfg), ops)
 		t.Logf("%s: %d of %d queries with more than one hypothesis", name, multi, queries)
 		if 5*multi < queries {
 			t.Errorf("%s: %d of %d queries with more than one hypothesis, want at least a fifth", name, multi, queries)
 		}
 	}
-	// The noisy schedules of the caching layers' test and the ambiguous one
-	// over the same loops. No floor on ambiguity here: these grammars leave
-	// a re-anchor one or two hypotheses.
+	// The noisy schedules and the ambiguous one over the motif loops. No
+	// floor on ambiguity here: these grammars leave a re-anchor one or two
+	// hypotheses.
 	seqs, maxIDs := motifTraces()
 	for mi, seq := range seqs {
 		tr := timedTraceOf(seq)
@@ -76,9 +72,7 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 				buildSchedule(rng, seq, maxIDs[mi], 600),
 				ambiguousSchedule(rng, seq, maxIDs[mi], 600),
 			} {
-				for _, disable := range []bool{false, true} {
-					runDifferential(t, New(tr, Config{DisableCache: disable}), newRef(tr, Config{}), ops)
-				}
+				runDifferential(t, New(tr, Config{}), newRef(tr, Config{}), ops)
 			}
 		}
 	}
@@ -100,7 +94,7 @@ func TestDifferentialEngineVsReference(t *testing.T) {
 	}
 }
 
-// FuzzFrontierDiff drives the engine and the reference with an arbitrary
+// FuzzFrontierDiff drives the predictor and the reference with an arbitrary
 // schedule over the ambiguous grammar: each input byte is one operation.
 func FuzzFrontierDiff(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 2, 0x90, 0, 1, 0xa3, 0xff, 1, 3, 0xb7, 0xc2})
@@ -136,11 +130,7 @@ func FuzzFrontierDiff(f *testing.F) {
 			}
 		}
 		cfg := Config{MaxCandidates: 1 + len(data)%7, MaxLookahead: 2 + len(data)%11, WatchdogWindow: 16}
-		for _, disable := range []bool{false, true} {
-			c := cfg
-			c.DisableCache = disable
-			runDifferential(t, New(tr, c), newRef(tr, cfg), ops)
-		}
+		runDifferential(t, New(tr, cfg), newRef(tr, cfg), ops)
 	})
 }
 
@@ -196,6 +186,23 @@ func TestMultiHypothesisZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLoneReplayZeroAlloc is the allocation gate of the faithful steady
+// state: once one pass has sized the window, a replay with a timing model —
+// Observe, and PredictAt(1, 4, 16, 64) every 16 events — allocates nothing.
+func TestLoneReplayZeroAlloc(t *testing.T) {
+	seq := ambiguousSeq()
+	p := New(timedTraceOf(seq), Config{})
+	if replayWithBursts(p, seq) == 0 {
+		t.Fatal("no burst answered")
+	}
+	if s := p.Stats(); s.Followed != int64(len(seq)) {
+		t.Fatalf("faithful replay followed %d of %d events", s.Followed, len(seq))
+	}
+	if a := testing.AllocsPerRun(5, func() { replayWithBursts(p, seq) }); a != 0 {
+		t.Fatalf("faithful replay allocates %.1f times per pass, want 0", a)
+	}
+}
+
 // scratchBytes is the memory the engine retains between queries.
 func scratchBytes(p *Predictor) int {
 	n := 0
@@ -248,7 +255,7 @@ func TestEngineScratchSizedByUse(t *testing.T) {
 	}
 }
 
-func benchNoisy(b *testing.B) (*model.Trace, []int32) {
+func benchNoisy(b testing.TB) (*model.Trace, []int32) {
 	b.Helper()
 	seq := ambiguousSeq()
 	return timedTraceOf(seq), noisyReplay(seq, 3)
@@ -286,5 +293,36 @@ func BenchmarkPredictBurstMultiHypothesis(b *testing.B) {
 				b.Fatalf("look-ahead does not branch: %+v %v", pr, ok)
 			}
 		}
+	}
+}
+
+// TestWalkCostGrowsWithDistance is the paper's Fig. 9 claim on the walk that
+// still runs per query. As in BenchmarkPredictBurstMultiHypothesis, the
+// hypothesis sits at the end of the shared "0 1" prefix, so the look-ahead
+// branches at once, and an observation drops the memo before each query:
+// PredictAt(d) then takes exactly d frontier steps, and summed over a few
+// hundred query points distance 64 costs at least twice distance 1 — far
+// less than the walks differ by, a margin scheduling noise does not close.
+func TestWalkCostGrowsWithDistance(t *testing.T) {
+	tr, _ := benchNoisy(t)
+	const points = 256
+	distances := [...]int{1, 64}
+	var cost [len(distances)]time.Duration
+	for k, d := range distances {
+		p := New(tr, Config{})
+		for i := 0; i < points; i++ {
+			p.Observe(0) // after a 1 or at first: a re-anchor
+			p.Observe(1)
+			start := time.Now()
+			_, ok := p.PredictAt(d)
+			cost[k] += time.Since(start)
+			if !ok || len(p.look.steps) != d {
+				t.Fatalf("point %d: PredictAt(%d) = %v walked %d frontier steps, want %d", i, d, ok, len(p.look.steps), d)
+			}
+		}
+	}
+	t.Logf("%d queries: distance 1 %v, distance 64 %v", points, cost[0], cost[1])
+	if cost[1] < 2*cost[0] {
+		t.Errorf("walk cost over %d queries: distance 64 %v, distance 1 %v, want at least twice", points, cost[1], cost[0])
 	}
 }

@@ -10,6 +10,11 @@
 // After an unexpected event the predictor re-anchors on all grammar
 // occurrences of the last seen event and lets subsequent observations narrow
 // the set (tolerance to unexpected events, section II-B2).
+//
+// Queries walk the hypothesis set forward (engine.go): a lone hypothesis
+// through a window of future events kept across observations, anything
+// else through a frontier walk memoised until the next observation. The
+// allocating reference both are held to lives in reference_test.go.
 package predictor
 
 import (
@@ -26,13 +31,6 @@ type Config struct {
 	// MaxLookahead caps the number of branches kept at each step of a
 	// prediction simulation. Zero selects the default (256).
 	MaxLookahead int
-	// DisableCache turns off every form of memoisation: no incremental
-	// prediction cache, no per-observation look-ahead memo, no in-place
-	// single-hypothesis advance. Every query is then a fresh walk and every
-	// observation a general step of the frontier engine. It is what the
-	// cache ablation and the caching layers' differential tests compare
-	// against.
-	DisableCache bool
 	// WatchdogWindow is the divergence watchdog's observation window: the
 	// number of recent observations over which the prediction hit-rate is
 	// measured. Zero selects the default (128); negative disables the
@@ -107,15 +105,15 @@ type Predictor struct {
 	cands, spare *progress.Frontier
 	// pending marks that the candidate set designates the *next* event to
 	// be observed rather than the last observed one (after
-	// StartAtBeginning).
+	// StartAtBeginning, which leaves a single hypothesis).
 	pending bool
 	stats   Stats
 	// merger is the scratch of every merge of cands, spare or look.at.
 	merger progress.Merger
-	// look is the per-observation look-ahead (see engine.go).
+	// win is the look-ahead of a lone hypothesis and look the frontier
+	// walk of every other (see engine.go).
+	win  window
 	look lookahead
-	// cache is the incremental prediction cache (see cache.go).
-	cache predCache
 	// refsBuf is the reusable path buffer for timing lookups.
 	refsBuf []grammar.UserRef
 	// wd is the divergence watchdog (see watchdog.go).
@@ -168,26 +166,22 @@ func (p *Predictor) track(eventID int32) {
 	p.stats.Observed++
 	p.look.valid = false
 	if p.pending {
-		// The candidates designate the next event directly.
+		// The lone candidate designates the next event directly: nothing
+		// to merge or renormalise, and it is the window's first step.
 		p.pending = false
-		if p.cands.Len() == 1 && !p.cfg.DisableCache {
-			// Nothing to merge or renormalise.
-			if p.cands.Terminal(p.f, 0) == eventID {
-				p.stats.Followed++
-				return
-			}
-			p.reAnchor(eventID)
+		if p.cands.Terminal(p.f, 0) == eventID {
+			p.stats.Followed++
+			p.win.slide()
 			return
 		}
-		p.cands.KeepEvent(p.f, eventID)
-		p.follow(eventID)
+		p.reAnchor(eventID)
 		return
 	}
 	if p.cands.Len() == 0 {
 		p.reAnchor(eventID)
 		return
 	}
-	if p.cands.Len() == 1 && !p.cfg.DisableCache && p.observeSingle(eventID) {
+	if p.cands.Len() == 1 && p.observeSingle(eventID) {
 		return
 	}
 	p.spare.Step(p.f, p.cands)
@@ -206,6 +200,35 @@ func (p *Predictor) follow(eventID int32) {
 	p.stats.Followed++
 	p.cands.MergeCap(&p.merger, p.cfg.MaxCandidates, true)
 	p.invalidate()
+}
+
+// observeSingle advances the lone hypothesis through its unique successor,
+// the tracking fast path: the candidate set stays a single hypothesis of
+// weight 1 and the window slides instead of being rebuilt. It reports false
+// when the advance would branch, leaving the predictor untouched so the
+// caller falls through to the general step.
+// pythia:hotpath — zero allocations per observation in steady state.
+func (p *Predictor) observeSingle(eventID int32) bool {
+	ev, res := p.cands.AdvanceLone(p.f, p.spare)
+	if res == progress.AdvanceBranch {
+		return false
+	}
+	if res == progress.AdvanceEnd || ev != eventID {
+		// No successor, the outcome of an empty general step; or one that
+		// is not the event, and a branch-free walk has no other.
+		p.reAnchor(eventID)
+		return true
+	}
+	p.stats.Followed++
+	p.win.slide()
+	return true
+}
+
+// invalidate drops the look-ahead after a hypothesis-set change outside the
+// fast paths (re-anchor, general step, Reset, StartAtBeginning).
+func (p *Predictor) invalidate() {
+	p.win.valid = false
+	p.look.valid = false
 }
 
 // reAnchor rebuilds the hypothesis set from the grammar occurrences of
@@ -267,30 +290,15 @@ func (p *Predictor) PredictAt(distance int) (Prediction, bool) {
 	if p.wd.quarantined || distance < 1 {
 		return Prediction{}, false
 	}
-	if p.cacheUsable() {
-		if got := p.ensureWindow(distance); got >= distance {
-			c := &p.cache
-			idx := c.head + distance - 1
-			var acc float64
-			for _, m := range c.means[c.head : idx+1] {
-				acc += m
-			}
-			return Prediction{
-				EventID: c.evs[idx], Probability: 1,
-				Distance: distance, ExpectedNs: acc,
-			}, true
-		} else if p.cache.state == cacheEnded {
-			// The branch-free walk ends before the horizon: no
-			// prediction, exactly as a fresh walk would conclude.
-			return Prediction{}, false
-		}
-		// Branched beyond the window: the frontier engine decides.
-	}
-	p.openWalk()
-	if p.walkTo(distance) < distance {
+	got, win := p.ahead(distance)
+	if got < distance {
 		return Prediction{}, false
 	}
-	return p.look.prediction(distance), true
+	var acc float64
+	if win {
+		acc = p.win.timeTo(distance - 1)
+	}
+	return p.stepAt(win, distance, &acc), true
 }
 
 // PredictSequence predicts the next n events, returning one Prediction per
@@ -300,33 +308,15 @@ func (p *Predictor) PredictSequence(n int) []Prediction {
 	if p.wd.quarantined || n < 1 {
 		return nil
 	}
-	if p.cacheUsable() {
-		got := p.ensureWindow(n)
-		if got >= n || p.cache.state == cacheEnded {
-			if got > n {
-				got = n
-			}
-			c := &p.cache
-			out := make([]Prediction, got)
-			var acc float64
-			for i := 0; i < got; i++ {
-				acc += c.means[c.head+i]
-				out[i] = Prediction{
-					EventID: c.evs[c.head+i], Probability: 1,
-					Distance: i + 1, ExpectedNs: acc,
-				}
-			}
-			return out
-		}
-	}
-	p.openWalk()
-	got := min(p.walkTo(n), n)
-	if got == 0 && !p.look.lone {
+	got, win := p.ahead(n)
+	got = min(got, n)
+	if got == 0 && !win {
 		return nil
 	}
 	out := make([]Prediction, got)
+	var acc float64
 	for i := range out {
-		out[i] = p.look.prediction(i + 1)
+		out[i] = p.stepAt(win, i+1, &acc)
 	}
 	return out
 }
@@ -338,32 +328,15 @@ func (p *Predictor) PredictDurationUntil(eventID int32, maxDistance int) (Predic
 	if p.wd.quarantined || maxDistance < 1 {
 		return Prediction{}, false
 	}
-	if p.cacheUsable() {
-		got := p.ensureWindow(maxDistance)
-		if got >= maxDistance || p.cache.state == cacheEnded {
-			c := &p.cache
-			if got > maxDistance {
-				got = maxDistance
-			}
-			var acc float64
-			for i := 0; i < got; i++ {
-				acc += c.means[c.head+i]
-				if c.evs[c.head+i] == eventID {
-					return Prediction{
-						EventID: eventID, Probability: 1,
-						Distance: i + 1, ExpectedNs: acc,
-					}, true
-				}
-			}
-			return Prediction{}, false
-		}
-		// Branched before the horizon: the frontier engine decides.
-	}
 	// Walk only as far as the first hit.
-	p.openWalk()
-	for d := 1; d <= maxDistance && p.walkTo(d) >= d; d++ {
-		if p.look.steps[d-1].ev == eventID {
-			return p.look.prediction(d), true
+	var acc float64
+	for d := 1; d <= maxDistance; d++ {
+		got, win := p.ahead(d)
+		if got < d {
+			break
+		}
+		if pr := p.stepAt(win, d, &acc); pr.EventID == eventID {
+			return pr, true
 		}
 	}
 	return Prediction{}, false

@@ -87,10 +87,6 @@ func (fr *Frontier) AppendRefs(i int, buf []grammar.UserRef) []grammar.UserRef {
 	return buf
 }
 
-// View returns hypothesis i as a Position aliasing the arena, valid until
-// the frontier is next written.
-func (fr *Frontier) View(i int) Position { return Position{frames: fr.stack(i)} }
-
 // grow returns s with room for n more elements and a quarter to spare.
 // Doubling would be the usual policy; a daemon holds these buffers once per
 // predictor, thousands of times, and they stop growing at the widest step.

@@ -1,7 +1,9 @@
 package progress
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -152,38 +154,142 @@ func TestFrontierStart(t *testing.T) {
 		t.Fatal("no start")
 	}
 	sameFrontier(t, "start", f, &fr, []Branch{{Pos: pos, Weight: 1}}, []float64{0})
-	var st Stepper
-	if !st.Start(f) || st.Pos().Key() != pos.Key() {
-		t.Fatalf("Stepper.Start at %v, want %v", st.Pos(), pos)
+}
+
+// walkLone walks a one-hypothesis frontier seeded at pos with AdvanceLone,
+// at most steps times, and requires it to take exactly the branch-free
+// subset of Successors(pos, 1): AdvanceOK only for a unique successor, at
+// its position and event, weight 1; AdvanceEnd only where there is none;
+// the hypothesis unmoved on AdvanceEnd and AdvanceBranch; and at every step
+// the run references of the position. Where AdvanceLone gives up the walk
+// resumes on a random reference successor, as the predictor's general step
+// would. It returns how often it gave up and whether the walk ended.
+func walkLone(t *testing.T, what string, f *grammar.Frozen, pos Position, w float64, steps int, rng *rand.Rand) (branched int, ended bool) {
+	t.Helper()
+	var cur, scratch Frontier
+	seed := func(p Position, w float64) {
+		cur.hyps, cur.frames = []hyp{{depth: uint32(p.Depth()), weight: w}}, p.Frames()
+	}
+	seed(pos, w)
+	for step := 0; step < steps; step++ {
+		if got, want := cur.AppendRefs(0, nil), pos.AppendRefs(nil); !slices.Equal(got, want) {
+			t.Fatalf("%s step %d: AppendRefs %v, want %v", what, step, got, want)
+		}
+		want := Successors(f, pos, 1)
+		ev, res := cur.AdvanceLone(f, &scratch)
+		switch {
+		case res == AdvanceOK:
+			if len(want) != 1 {
+				t.Fatalf("%s step %d: AdvanceOK with %d reference successors", what, step, len(want))
+			}
+			if cur.Len() != 1 || cur.View(0).Key() != want[0].Pos.Key() || cur.Weight(0) != 1 || ev != want[0].Pos.Terminal(f) {
+				t.Fatalf("%s step %d: AdvanceLone at %v w=%v ev=%d, want %v ev=%d",
+					what, step, cur.View(0), cur.Weight(0), ev, want[0].Pos, want[0].Pos.Terminal(f))
+			}
+			pos = want[0].Pos
+			continue
+		case res == AdvanceEnd && len(want) != 0:
+			t.Fatalf("%s step %d: AdvanceEnd with %d reference successors", what, step, len(want))
+		case cur.View(0).Key() != pos.Key():
+			t.Fatalf("%s step %d: AdvanceLone = %v moved the hypothesis to %v", what, step, res, cur.View(0))
+		}
+		if len(want) == 0 {
+			return branched, true
+		}
+		branched++
+		pos = want[rng.Intn(len(want))].Pos
+		seed(pos, 1)
+	}
+	return branched, false
+}
+
+// TestFrontierAdvanceLone: on a one-hypothesis frontier seeded at every
+// occurrence of every event, with the occurrence's weight, AdvanceLone takes
+// the branch-free subset of Successors and an OK advance leaves the
+// hypothesis weight 1.
+func TestFrontierAdvanceLone(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	f := freeze(seqOf("abbcbcabbbcbcabbbcbcab"))
+	for e := int32(0); e < 3; e++ {
+		for oi, occ := range Occurrences(f, e) {
+			walkLone(t, fmt.Sprintf("ev %d occ %d", e, oi), f, occ.Pos, occ.Weight, 200, rng)
+		}
 	}
 }
 
-// TestFrontierAdvanceLone: on a one-hypothesis frontier AdvanceLone agrees
-// with Stepper.Advance, and an OK advance leaves the hypothesis weight 1.
-func TestFrontierAdvanceLone(t *testing.T) {
-	f := freeze(seqOf("abbcbcabbbcbcabbbcbcab"))
-	for ev := int32(0); ev < 3; ev++ {
-		for _, b := range Occurrences(f, ev) {
-			var cur, nxt Frontier
-			cur.hyps, cur.frames = []hyp{{depth: uint32(b.Pos.Depth()), weight: b.Weight}}, b.Pos.Frames()
-			var st Stepper
-			st.Reset(f, b.Pos)
-			for {
-				want := st.Advance()
-				gotEv, got := cur.AdvanceLone(f, &nxt)
-				if got != want {
-					t.Fatalf("AdvanceLone = %v, Stepper.Advance = %v", got, want)
-				}
-				if got != AdvanceOK {
-					if cur.View(0).Key() != st.Pos().Key() {
-						t.Fatalf("AdvanceLone = %v moved the hypothesis to %v", got, cur.View(0))
-					}
-					break
-				}
-				if cur.Len() != 1 || cur.View(0).Key() != st.Pos().Key() || cur.Weight(0) != 1 || gotEv != st.Terminal() {
-					t.Fatalf("AdvanceLone at %v w=%v ev=%d, stepper at %v ev=%d", cur.View(0), cur.Weight(0), gotEv, st.Pos(), st.Terminal())
-				}
+// The TestStepper tests are named for the single-hypothesis stepper that
+// Frontier.AdvanceLone replaced; they hold AdvanceLone to the same contracts.
+
+// TestStepperMatchesSuccessorsAnchored walks several traces from the start
+// with AdvanceLone and requires exact agreement with the Successors
+// reference at every step: the walk never gives up and ends with AdvanceEnd
+// exactly where Successors returns none.
+func TestStepperMatchesSuccessorsAnchored(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, s := range []string{
+		"ab",
+		"ababab",
+		"abbcbcabbbcbcabbbcbcab",
+		"abcabcabcabcabc",
+		"aaaabaaaabaaaab",
+		"xyxyzxyxyzxyxyz",
+	} {
+		f := freeze(seqOf(s))
+		pos, ok := Start(f)
+		if !ok {
+			t.Fatalf("%q: no start position", s)
+		}
+		if branched, ended := walkLone(t, s, f, pos, 1, len(s)+1, rng); branched != 0 || !ended {
+			t.Fatalf("%q: anchored walk gave up %d times, ended %v", s, branched, ended)
+		}
+	}
+}
+
+// TestStepperPartialPositions seeds one-hypothesis frontiers at every
+// grammar occurrence of every event (partial, non-anchored hypotheses) and
+// cross-checks each AdvanceLone against Successors: AdvanceOK only when the
+// reference has a unique successor, at the same position; on AdvanceEnd and
+// AdvanceBranch the hypothesis unmoved and the walk resumed on a random
+// reference branch.
+func TestStepperPartialPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, s := range []string{
+		"abbcbcabbbcbcabbbcbcab",
+		"abcabdababcabcabdababc",
+		"aabbaabbaabbaabb",
+	} {
+		f := freeze(seqOf(s))
+		for e := int32(0); e < 4; e++ {
+			for oi, occ := range Occurrences(f, e) {
+				walkLone(t, fmt.Sprintf("%q ev %d occ %d", s, e, oi), f, occ.Pos, 1, 200, rng)
 			}
+		}
+	}
+}
+
+// TestStepperViewsAndRefs checks the accessor contracts along an anchored
+// AdvanceLone walk: View agrees with a durable copy of the hypothesis, the
+// copy does not follow the advance, and AppendRefs matches
+// Position.AppendRefs.
+func TestStepperViewsAndRefs(t *testing.T) {
+	f := freeze(seqOf("abbcbcabbbcbcabbbcbcab"))
+	var cur, scratch Frontier
+	if !cur.SetStart(f) {
+		t.Fatal("no start")
+	}
+	for step := 0; step < 10; step++ {
+		durable := NewPosition(cur.View(0).Frames()...)
+		if durable.Key() != cur.View(0).Key() {
+			t.Fatalf("step %d: View and its copy disagree", step)
+		}
+		if got, want := cur.AppendRefs(0, nil), durable.AppendRefs(nil); !slices.Equal(got, want) {
+			t.Fatalf("step %d: AppendRefs %v, want %v", step, got, want)
+		}
+		if _, res := cur.AdvanceLone(f, &scratch); res != AdvanceOK {
+			break
+		}
+		if durable.Key() == cur.View(0).Key() {
+			t.Fatalf("step %d: durable copy followed the advance", step)
 		}
 	}
 }

@@ -7,12 +7,12 @@
 // branching into weighted alternatives when several contexts remain
 // possible.
 //
-// The package has three forms of the same transitions. Position with Start,
+// The package has two forms of the same transitions. Position with Start,
 // Occurrences and Successors (this file) is the plain one: immutable values,
-// a fresh stack per step — what tests, tools and the reference predictor
-// read, and what the other two are checked against. Stepper advances one
-// branch-free position in place; Frontier advances a whole weighted set of
-// hypotheses in a frame arena. Runtime paths use only the latter two.
+// a fresh stack per step — what tests and the reference predictor read, and
+// what the other form is checked against. Frontier advances a whole weighted
+// set of hypotheses in a frame arena, and with AdvanceLone one branch-free
+// hypothesis in place. Runtime paths use only Frontier.
 package progress
 
 import (
@@ -190,7 +190,8 @@ func Occurrences(f *grammar.Frozen, eventID int32) []Branch {
 // p, with weights summing to at most w (weight is lost when the trace can
 // end here). Anchored positions yield at most one successor; partial
 // positions may branch during upward extension. Every call allocates the
-// stacks it returns; Stepper.Advance and Frontier.Step are the in-place forms.
+// stacks it returns; Frontier.Step and Frontier.AdvanceLone are the in-place
+// forms.
 func Successors(f *grammar.Frozen, p Position, w float64) []Branch {
 	if !p.Valid() {
 		return nil

@@ -98,11 +98,12 @@ func TestTimingPerContextGranularity(t *testing.T) {
 	// the two b contexts: ~10ns before the b followed by c, ~1000ns before
 	// the b followed by d (paper Fig 6).
 	var lo, hi bool
-	var walk progress.Stepper
+	f := th.Grammar
+	var walk, scratch progress.Frontier
 	var refs []grammar.UserRef
-	for ok := walk.Start(th.Grammar); ok; ok = walk.Advance() == progress.AdvanceOK {
-		if walk.Terminal() == 1 {
-			refs = walk.AppendRefs(refs[:0])
+	for ok := walk.SetStart(f); ok; {
+		if walk.Terminal(f, 0) == 1 {
+			refs = walk.AppendRefs(0, refs[:0])
 			m := th.Timing.MeanForPath(refs, 1)
 			if m < 50 {
 				lo = true
@@ -111,6 +112,8 @@ func TestTimingPerContextGranularity(t *testing.T) {
 				hi = true
 			}
 		}
+		_, res := walk.AdvanceLone(f, &scratch)
+		ok = res == progress.AdvanceOK
 	}
 	if !lo || !hi {
 		t.Fatalf("per-context stats did not separate the two contexts (lo=%v hi=%v)", lo, hi)
@@ -118,9 +121,9 @@ func TestTimingPerContextGranularity(t *testing.T) {
 }
 
 // TestTimingReplayMatchesPositionWalk: buildThreadTrace replays the deltas
-// through the grammar with an in-place Stepper; on a nested-loop trace the
-// Timing it yields is the one the allocating Position walk (progress.Start,
-// progress.Successors) yields, key for key.
+// through the grammar; on a nested-loop trace the Timing it yields is the
+// one the allocating Position walk (progress.Start, progress.Successors)
+// yields, key for key.
 func TestTimingReplayMatchesPositionWalk(t *testing.T) {
 	var now int64
 	r := New(WithClock(func() int64 { return now }))
@@ -156,7 +159,7 @@ func TestTimingReplayMatchesPositionWalk(t *testing.T) {
 		t.Fatalf("only %d timing contexts: the trace is not nested", len(want.BySuffix))
 	}
 	if !reflect.DeepEqual(th.Timing, want) {
-		t.Fatalf("stepper replay and position walk disagree:\n%+v\n%+v", th.Timing, want)
+		t.Fatalf("timing replay and position walk disagree:\n%+v\n%+v", th.Timing, want)
 	}
 }
 

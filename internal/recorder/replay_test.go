@@ -22,16 +22,17 @@ import (
 func tick(i int) int64 { return 1000 + int64(i*7919%613) }
 
 // referenceTiming is the documented slow path: one Timing.AddPath per event
-// of a root-anchored Stepper walk, pairing event i with deltas[i].
+// of a root-anchored walk, pairing event i with deltas[i].
 func referenceTiming(f *grammar.Frozen, deltas []int64) *model.Timing {
 	want := model.NewTiming()
-	var walk progress.Stepper
+	var walk, scratch progress.Frontier
 	var refs []grammar.UserRef
-	ok := walk.Start(f)
+	ok := walk.SetStart(f)
 	for i := 0; ok && i < len(deltas); i++ {
-		refs = walk.AppendRefs(refs[:0])
-		want.AddPath(refs, walk.Terminal(), deltas[i])
-		ok = walk.Advance() == progress.AdvanceOK
+		refs = walk.AppendRefs(0, refs[:0])
+		want.AddPath(refs, walk.Terminal(f, 0), deltas[i])
+		_, res := walk.AdvanceLone(f, &scratch)
+		ok = res == progress.AdvanceOK
 	}
 	return want
 }
@@ -39,9 +40,13 @@ func referenceTiming(f *grammar.Frozen, deltas []int64) *model.Timing {
 // maxDepth returns the deepest progress sequence of the trace.
 func maxDepth(f *grammar.Frozen) int {
 	deepest := 0
-	var walk progress.Stepper
-	for ok := walk.Start(f); ok; ok = walk.Advance() == progress.AdvanceOK {
-		deepest = max(deepest, walk.PosView().Depth())
+	var walk, scratch progress.Frontier
+	var refs []grammar.UserRef
+	for ok := walk.SetStart(f); ok; {
+		refs = walk.AppendRefs(0, refs[:0])
+		deepest = max(deepest, len(refs))
+		_, res := walk.AdvanceLone(f, &scratch)
+		ok = res == progress.AdvanceOK
 	}
 	return deepest
 }
@@ -385,14 +390,15 @@ func FuzzTimingReplayDiff(f *testing.F) {
 			deltas[i] = tick(i)
 		}
 		want := model.NewTiming()
-		var walk progress.Stepper
+		var walk, scratch progress.Frontier
 		var refs []grammar.UserRef
-		ok, i := walk.Start(g), 0
+		ok, i := walk.SetStart(g), 0
 		for _, k := range replayCuts(g, len(stream)) {
 			for ; ok && i < k; i++ {
-				refs = walk.AppendRefs(refs[:0])
-				want.AddPath(refs, walk.Terminal(), deltas[i])
-				ok = walk.Advance() == progress.AdvanceOK
+				refs = walk.AppendRefs(0, refs[:0])
+				want.AddPath(refs, walk.Terminal(g, 0), deltas[i])
+				_, res := walk.AdvanceLone(g, &scratch)
+				ok = res == progress.AdvanceOK
 			}
 			var b model.TimingBuilder
 			b.Replay(g, deltas[:k])

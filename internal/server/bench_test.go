@@ -59,7 +59,7 @@ func BenchmarkServeSubmit(b *testing.B) {
 	const reps = 1 << 18
 	c, sid, payloads := benchConn(b, reps)
 	th := c.sessions[sid].th
-	// Warm the prediction cache's window buffers so the timed region is
+	// Warm the prediction window's buffers so the timed region is
 	// pure steady state.
 	for i := 0; i < 1024; i++ {
 		if err := c.handleFrame(wire.TSubmit, payloads[i%len(payloads)]); err != nil {

@@ -82,8 +82,9 @@ func Compare(a, b *model.TraceSet) *Diff {
 	return out
 }
 
-// compareThread walks both grammars' unfoldings in lockstep with in-place
-// steppers, comparing event *descriptors* (ids may differ between sets).
+// compareThread walks both grammars' unfoldings in lockstep, each a lone
+// root-anchored hypothesis advanced in place, comparing event *descriptors*
+// (ids may differ between sets).
 func compareThread(tid int32, a, b *model.TraceSet, ta, tb *model.ThreadTrace) ThreadDiff {
 	d := ThreadDiff{
 		TID:       tid,
@@ -93,20 +94,23 @@ func compareThread(tid int32, a, b *model.TraceSet, ta, tb *model.ThreadTrace) T
 		RulesB:    len(tb.Grammar.Rules),
 		DivergeAt: -1,
 	}
-	var walkA, walkB progress.Stepper
-	okA, okB := walkA.Start(ta.Grammar), walkB.Start(tb.Grammar)
+	fa, fb := ta.Grammar, tb.Grammar
+	// scratch is where each advance is worked out; both walks share it.
+	var walkA, walkB, scratch progress.Frontier
+	okA, okB := walkA.SetStart(fa), walkB.SetStart(fb)
 	var idx int64
 	for okA && okB {
-		na := name(a, walkA.Terminal())
-		nb := name(b, walkB.Terminal())
+		na := name(a, walkA.Terminal(fa, 0))
+		nb := name(b, walkB.Terminal(fb, 0))
 		if na != nb {
 			d.DivergeAt = idx
 			d.EventA, d.EventB = na, nb
 			return d
 		}
 		// A root-anchored walk never branches: it advances until it ends.
-		okA = walkA.Advance() == progress.AdvanceOK
-		okB = walkB.Advance() == progress.AdvanceOK
+		_, resA := walkA.AdvanceLone(fa, &scratch)
+		_, resB := walkB.AdvanceLone(fb, &scratch)
+		okA, okB = resA == progress.AdvanceOK, resB == progress.AdvanceOK
 		idx++
 	}
 	d.Identical = !okA && !okB && d.LenA == d.LenB

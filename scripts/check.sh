@@ -15,10 +15,12 @@
 #                     path against the reduction alone),
 #                     FuzzTimingReplayDiff (10s: the memoised timing replay
 #                     against the per-event reference at every prefix of
-#                     the delta log), FuzzFrontierDiff,
-#                     FuzzPredictNoisy, FuzzRecoverJournal, FuzzWireDecode,
-#                     FuzzRingDecode, FuzzFlowGuards and FuzzModelLifecycle
-#                     briefly
+#                     the delta log), FuzzFrontierDiff (10s: the predictor —
+#                     its window and its frontier walk — against the
+#                     allocating reference), FuzzPredictNoisy (fail-open, and
+#                     answers independent of earlier queries),
+#                     FuzzRecoverJournal, FuzzWireDecode, FuzzRingDecode,
+#                     FuzzFlowGuards and FuzzModelLifecycle briefly
 #   7. vet fixtures — gofmt/go vet inside the analyzer fixture mini-modules
 #                     (separate modules, so ./... sweeps skip them)
 #   8. pythia-vet   — the repo's own static-analysis pass, all nine
@@ -109,7 +111,7 @@ step "fuzz smoke (FuzzConfirmDiff)" \
 step "fuzz smoke (FuzzTimingReplayDiff)" \
     go test -fuzz FuzzTimingReplayDiff -fuzztime=10s -run '^$' ./internal/recorder/
 step "fuzz smoke (FuzzFrontierDiff)" \
-    go test -fuzz FuzzFrontierDiff -fuzztime=5s -run '^$' ./internal/predictor/
+    go test -fuzz FuzzFrontierDiff -fuzztime=10s -run '^$' ./internal/predictor/
 step "fuzz smoke (FuzzPredictNoisy)" \
     go test -fuzz FuzzPredictNoisy -fuzztime=5s -run '^$' ./pythia/
 step "fuzz smoke (FuzzRecoverJournal)" \
