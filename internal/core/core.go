@@ -334,6 +334,29 @@ func (t *Thread) Submit(id events.ID) {
 		return
 	}
 	defer t.sess.Contain("Thread.Submit")
+	t.apply(id)
+}
+
+// SubmitBatch is Submit for a run of events, in order: one fail-open check
+// and one containment frame for the whole run, while recording, tracking
+// and health accounting stay per event — so a budget breach or a quarantine
+// transition is noted exactly where per-event Submit calls would note it. A
+// contained panic drops the rest of the run, as it drops every later Submit.
+// pythia:hotpath — the daemon feeds every drained ring chunk and every
+// SubmitBatch frame through here.
+func (t *Thread) SubmitBatch(ids []events.ID) {
+	if t.sess.Failed() {
+		return
+	}
+	defer t.sess.Contain("Thread.SubmitBatch")
+	for _, id := range ids {
+		t.apply(id)
+	}
+}
+
+// apply records and tracks one event and folds the health transitions it
+// caused; the exported Submit variants run it under containment.
+func (t *Thread) apply(id events.ID) {
 	if t.rec != nil {
 		t.rec.Record(id)
 	}

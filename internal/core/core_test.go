@@ -225,6 +225,91 @@ func TestTotalEventsDuringRecord(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchMatchesSubmit holds SubmitBatch to per-event Submit on a
+// predicting session driven into watchdog quarantine and back: after every
+// chunk the two sessions report the same health and the same prediction.
+func TestSubmitBatchMatchesSubmit(t *testing.T) {
+	rs := NewRecordSession(WithRecorderOptions(recorder.WithoutTimestamps()))
+	reg := rs.Registry()
+	a, b, c := reg.Intern("phaseA"), reg.Intern("phaseB"), reg.Intern("barrier")
+	seq := appSequence(a, b, c)
+	for _, e := range seq {
+		rs.Thread(0).Submit(e)
+	}
+	set := mustFinishRecord(t, rs)
+
+	var stream []events.ID
+	for i := 0; i < 4; i++ {
+		stream = append(stream, seq...)
+	}
+	for i := 0; i < 600; i++ {
+		stream = append(stream, c, c, a) // off the reference: the watchdog trips
+	}
+	for i := 0; i < 8; i++ {
+		stream = append(stream, seq...)
+	}
+
+	one, err := NewPredictSession(set, predictor.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := NewPredictSession(set, predictor.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot, bt := one.Thread(0), batched.Thread(0)
+	ot.StartAtBeginning()
+	bt.StartAtBeginning()
+	quarantined := false
+	for lo := 0; lo < len(stream); lo += 7 {
+		hi := min(lo+7, len(stream))
+		for _, e := range stream[lo:hi] {
+			ot.Submit(e)
+		}
+		bt.SubmitBatch(stream[lo:hi])
+		oh, bh := one.Health(), batched.Health()
+		if oh != bh {
+			t.Fatalf("events [%d,%d): health %+v per event, %+v batched", lo, hi, oh, bh)
+		}
+		quarantined = quarantined || oh.State == StateQuarantined
+		op, ook := ot.PredictAt(1)
+		bp, bok := bt.PredictAt(1)
+		if ook != bok || op.EventID != bp.EventID {
+			t.Fatalf("events [%d,%d): prediction %d/%v per event, %d/%v batched", lo, hi, op.EventID, ook, bp.EventID, bok)
+		}
+	}
+	if !quarantined {
+		t.Fatal("the off-reference stretch never quarantined the thread; the test lost its point")
+	}
+
+	// A degraded session drops the whole batch.
+	batched.InjectFailure("test", "injected")
+	before := bt.Predictor().Stats()
+	bt.SubmitBatch(seq)
+	if bt.Predictor().Stats() != before {
+		t.Fatal("SubmitBatch on a degraded session still observed events")
+	}
+}
+
+// TestSubmitBatchBudgetBreach: a record budget breached mid-batch is noted
+// once, as per-event Submit notes it.
+func TestSubmitBatchBudgetBreach(t *testing.T) {
+	s := NewRecordSession(WithRecorderOptions(recorder.WithoutTimestamps(), recorder.WithMaxEvents(10)))
+	a := s.Registry().Intern("a")
+	batch := make([]events.ID, 40)
+	for i := range batch {
+		batch[i] = a
+	}
+	s.Thread(0).SubmitBatch(batch)
+	if h := s.Health(); h.State != StateDegraded || h.BudgetBreaches != 1 {
+		t.Fatalf("health = %+v, want degraded with one breach", h)
+	}
+	ts := mustFinishRecord(t, s)
+	if !ts.Threads[0].Truncated || ts.Threads[0].Dropped != 30 {
+		t.Fatalf("trace truncated=%v dropped=%d", ts.Threads[0].Truncated, ts.Threads[0].Dropped)
+	}
+}
+
 func TestSubmitAtVirtualTimestamps(t *testing.T) {
 	s := NewRecordSession() // timestamps on by default
 	a := s.Registry().Intern("x")

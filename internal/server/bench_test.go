@@ -2,10 +2,16 @@ package server
 
 import (
 	"net"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/apps"
+	"repro/internal/harness"
 	"repro/internal/wire"
+	"repro/pythia"
+	"repro/pythia/client"
 )
 
 // nopConn is a no-op net.Conn for driving the frame handler in-memory:
@@ -174,4 +180,78 @@ func TestServeSubmitBatchMatchesSubmit(t *testing.T) {
 	if aok != bok || !samePrediction(a, b) {
 		t.Fatalf("batched path diverged: %+v/%v vs %+v/%v", a, aok, b, bok)
 	}
+}
+
+// BenchmarkShmRankStream replays one LU rank (class medium, seed 42: about
+// two thousand events) over the shared-memory tier the way the serving
+// benchmark streams it, and splits each replay into its phases: restart
+// (StartAtBeginning, one OpenSession round trip), bind (the first Submit,
+// which binds a ring), subscribe, push (Submit into the ring plus a Latest
+// read every 16 events) and fence (the PredictAt round trip the daemon
+// answers only after draining the ring). Each phase is reported per replay,
+// push per event.
+func BenchmarkShmRankStream(b *testing.B) {
+	app, err := apps.ByName("LU")
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := harness.CaptureStreams(app, apps.Medium, 42)[0]
+	var now atomic.Int64
+	rec := pythia.NewRecordOracle(pythia.WithClock(func() int64 { return now.Add(1000) }))
+	for _, name := range stream {
+		rec.Thread(0).Submit(rec.Intern(name))
+	}
+	ts, err := rec.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := pythia.SaveTraceSet(filepath.Join(dir, "lu.pythia"), ts); err != nil {
+		b.Fatal(err)
+	}
+	_, _, unixAddr := startServerTransports(b, Config{TraceDir: dir})
+	o, err := client.Connect(unixAddr, "lu", client.Config{SharedMem: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer o.Close()
+	if got := o.Transport(); got != "shm" {
+		b.Fatalf("transport %q, want shm", got)
+	}
+	th := o.Thread(0)
+	var buf []pythia.Prediction
+	var restart, bind, subscribe, push, fence time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		th.StartAtBeginning()
+		t1 := time.Now()
+		th.Submit(o.Intern(stream[0]))
+		t2 := time.Now()
+		if err := th.Subscribe(16, 16); err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		for j := 1; j < len(stream); j++ {
+			th.Submit(o.Intern(stream[j]))
+			if (j+1)%16 == 0 {
+				buf, _ = th.Latest(buf)
+			}
+		}
+		t4 := time.Now()
+		th.PredictAt(16) // at the end of the reference: the answer is "none"
+		t5 := time.Now()
+		restart += t1.Sub(t0)
+		bind += t2.Sub(t1)
+		subscribe += t3.Sub(t2)
+		push += t4.Sub(t3)
+		fence += t5.Sub(t4)
+	}
+	n := float64(b.N)
+	us := func(d time.Duration) float64 { return float64(d.Microseconds()) / n }
+	b.ReportMetric(us(restart), "restart_us")
+	b.ReportMetric(us(bind), "bind_us")
+	b.ReportMetric(us(subscribe), "subscribe_us")
+	b.ReportMetric(float64(push.Nanoseconds())/n/float64(len(stream)-1), "push_ns/event")
+	b.ReportMetric(us(fence), "fence_us")
 }

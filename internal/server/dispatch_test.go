@@ -48,10 +48,11 @@ func TestHandlerTableMatchesFrameTable(t *testing.T) {
 }
 
 // TestSessionSlotsAreReused pins the slot-table bound: closing and
-// re-opening sessions on one connection, however often, leaves the table at
-// the high-water mark of concurrently open sessions — and an id that
-// outlived its session is refused, fatally, even after its slot has a new
-// tenant.
+// re-opening sessions on one connection, or restarting them by reopening
+// without a close (last open wins, as the client's StartAtBeginning does),
+// however often, leaves the table at the high-water mark of concurrently
+// open sessions — and an id that outlived its session is refused, fatally,
+// even after its slot has a new tenant.
 func TestSessionSlotsAreReused(t *testing.T) {
 	dir := t.TempDir()
 	synthTrace(t, dir, "synth", 4)
@@ -76,10 +77,15 @@ func TestSessionSlotsAreReused(t *testing.T) {
 	const highWater = 4
 	first := sids[0]
 	seen := map[uint32]bool{first: true}
-	for i := 0; i < 10000; i++ {
+	const cycles = 20000
+	for i := 0; i < cycles; i++ {
 		tid := int32(i % 3)
-		if err := closeSession(sids[tid]); err != nil {
-			t.Fatalf("cycle %d: closing %#x: %v", i, sids[tid], err)
+		// Even cycles close and reopen; odd ones are restarts, a reopen
+		// with no close.
+		if i%2 == 0 {
+			if err := closeSession(sids[tid]); err != nil {
+				t.Fatalf("cycle %d: closing %#x: %v", i, sids[tid], err)
+			}
 		}
 		sids[tid] = open(tid)
 		if tid == 0 {
@@ -90,8 +96,8 @@ func TestSessionSlotsAreReused(t *testing.T) {
 		}
 	}
 	if len(c.sessions) != highWater || len(c.free) != 0 {
-		t.Fatalf("after 10000 close/re-open cycles the slot table holds %d slots (%d free), want the high-water mark %d",
-			len(c.sessions), len(c.free), highWater)
+		t.Fatalf("after %d close/re-open and restart cycles the slot table holds %d slots (%d free), want the high-water mark %d",
+			cycles, len(c.sessions), len(c.free), highWater)
 	}
 	if got := srv.Sessions(); got != highWater {
 		t.Fatalf("server counts %d open sessions, want %d", got, highWater)

@@ -367,6 +367,10 @@ type conn struct {
 	shm    *connShm
 	ringOf map[uint32]int
 
+	// ids is the SubmitBatch decode scratch (scratchChunk ids, allocated at
+	// the first batch).
+	ids []pythia.ID
+
 	// resumeToken is the token granted at Hello time (0 when the client did
 	// not ask or resume is disabled). While nonzero, teardown parks the
 	// connection's sessions instead of releasing them (see park.go).
@@ -562,8 +566,17 @@ func (c *conn) handleFrame(t wire.Type, payload []byte) error {
 		if perr != nil {
 			return perr
 		}
-		for i, n := 0, batch.Len(); i < n; i++ {
-			s.th.Submit(pythia.ID(batch.At(i)))
+		// Decode into the connection's scratch, a chunk at a time, and hand
+		// each chunk to the oracle as one SubmitBatch.
+		if c.ids == nil {
+			c.ids = make([]pythia.ID, scratchChunk)
+		}
+		for lo, n := 0, batch.Len(); lo < n; lo += scratchChunk {
+			ids := c.ids[:min(n-lo, scratchChunk)]
+			for i := range ids {
+				ids[i] = pythia.ID(batch.At(lo + i))
+			}
+			s.th.SubmitBatch(ids)
 		}
 		*s.applied += uint64(batch.Len())
 		release()
@@ -736,6 +749,25 @@ func (c *conn) detach(*wire.Empty) (wire.Message, error) {
 // openSession admits one session under the drain flag and session budget,
 // then binds it to a (tenant, thread) oracle.
 func (c *conn) openSession(o *wire.OpenSession) (wire.Message, error) {
+	key := sessKey{tenant: o.Tenant, tid: o.TID}
+	if o.TID >= 0 {
+		if old, dup := c.byKey[key]; dup {
+			// Last open wins. A client restarting a thread (StartAtBeginning)
+			// reopens it this way, in one round trip; a client whose
+			// OpenSession (or CloseSession) response was lost to the network
+			// resumes with a stale view in which this thread is unopened, and
+			// refusing the reopen would wedge it permanently. The orphaned
+			// slot can hold no unacknowledged client state — the client never
+			// learned its id — so retiring it and letting the shadow replay
+			// rebuild the stream converges. Retiring comes before every
+			// admission check, so a refused reopen ends where a close and a
+			// refused open end: the old session gone, its ring drained and
+			// free to bind again.
+			if perr := c.retireSession(c.sessionOf(old)); perr != nil {
+				return nil, perr
+			}
+		}
+	}
 	if c.srv.draining.Load() {
 		return nil, &protoErr{code: wire.CodeDraining, msg: "server draining; no new sessions"}
 	}
@@ -748,20 +780,6 @@ func (c *conn) openSession(o *wire.OpenSession) (wire.Message, error) {
 	}
 	if max := int64(c.srv.cfg.MaxSessions); max > 0 && c.srv.sessions.Load() >= max {
 		return nil, &protoErr{code: wire.CodeSessionLimit, msg: "session limit reached; retry later"}
-	}
-	key := sessKey{tenant: o.Tenant, tid: o.TID}
-	if o.TID >= 0 {
-		if old, dup := c.byKey[key]; dup {
-			// Last open wins. A client whose OpenSession (or CloseSession)
-			// response was lost to the network resumes with a stale view in
-			// which this thread is unopened; refusing the reopen would wedge
-			// it permanently. The orphaned slot can hold no unacknowledged
-			// client state — the client never learned its id — so retiring
-			// it and letting the shadow replay rebuild the stream converges.
-			if perr := c.retireSession(c.sessionOf(old)); perr != nil {
-				return nil, perr
-			}
-		}
 	}
 	ct, perr := c.tenantOf(o.Tenant)
 	if perr != nil {

@@ -191,7 +191,7 @@ func diffResults(t *testing.T, tid int32, local, remote replayResult) {
 // startServerTransports serves one Server on both a TCP and a unix
 // listener, returning the TCP address and the unix address (scheme-
 // prefixed, ready for client.Dial).
-func startServerTransports(t *testing.T, cfg Config) (*Server, string, string) {
+func startServerTransports(t testing.TB, cfg Config) (*Server, string, string) {
 	t.Helper()
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

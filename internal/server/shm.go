@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -249,9 +250,17 @@ func (c *conn) shmTeardown() {
 	c.shm = nil
 }
 
+// asIDs views decoded ring ids as event ids. pythia.ID is an int32, so the
+// view shares the memory: a drained chunk reaches the oracle with no
+// per-event conversion.
+func asIDs(ids []int32) []pythia.ID {
+	return unsafe.Slice((*pythia.ID)(unsafe.SliceData(ids)), len(ids))
+}
+
 // drainRingLocked is the server-side batch decode: it consumes everything
-// the ring currently holds into the bound session, in scratch-sized chunks,
-// and refreshes the subscription slot on cadence. Caller holds r.mu and has
+// the ring currently holds into the bound session, in scratch-sized chunks
+// — each one SubmitBatch, so one containment frame per chunk — and
+// refreshes the subscription slot on cadence. Caller holds r.mu and has
 // checked r.th != nil (or accepts the nil no-op).
 func drainRingLocked(r *shmRing) (int, error) {
 	if r.th == nil {
@@ -266,9 +275,7 @@ func drainRingLocked(r *shmRing) (int, error) {
 		if n == 0 {
 			break
 		}
-		for _, id := range r.scratch[:n] {
-			r.th.Submit(pythia.ID(id))
-		}
+		r.th.SubmitBatch(asIDs(r.scratch[:n]))
 		if r.applied != nil {
 			*r.applied += uint64(n)
 		}

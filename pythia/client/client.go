@@ -905,8 +905,8 @@ func (t *Thread) Submit(id pythia.ID) {
 func (t *Thread) StartAtBeginning() {
 	if t.restartLocked() {
 		// Drop the thread's ring pointer after the locked section: the
-		// server unbound its side while closing the session, so the slot
-		// is free for whoever binds next.
+		// server unbound its side while retiring the old session, so the
+		// slot is free for whoever binds next.
 		t.ring.Store(nil)
 		t.shmTried.Store(false)
 	}
@@ -922,8 +922,11 @@ func (t *Thread) restartLocked() (hadRing bool) {
 		t.startFlag = true
 		return false
 	}
-	// Mid-stream restart: flush what came before, then close and reopen
-	// the session with the start flag. The daemon keeps one oracle thread
+	// Mid-stream restart: flush what came before, then reopen the session
+	// with the start flag — one round trip. The daemon's last-open-wins
+	// OpenSession retires the old session first, exactly as CloseSession
+	// would: it drains and unbinds the old session's ring, and a refused
+	// reopen leaves no session behind. The daemon keeps one oracle thread
 	// per (tenant, tid) per connection, so the reopened session continues
 	// on the same thread — exactly the in-process StartAtBeginning.
 	t.syncLocked(c)
@@ -933,13 +936,9 @@ func (t *Thread) restartLocked() (hadRing bool) {
 		t.startFlag = true
 		return false
 	}
-	if err := c.closeSession(t.sid); err != nil {
-		t.inert.Store(true)
-		t.o.noteOpenErr(err)
-		return false
-	}
-	// The server unbound the session's ring while closing it; release the
-	// client-side slot so the reopened session (or another thread) can
+	// Whatever the reopen's outcome, the old session's ring binding is gone
+	// — retired by the daemon, or torn down with a failed connection: release
+	// the client-side slot so the reopened session (or another thread) can
 	// rebind on its next Submit.
 	hadRing = t.releaseRingLocked(c)
 	t.opened = false

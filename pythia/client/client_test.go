@@ -502,3 +502,76 @@ func TestOracleCloseReleasesSessions(t *testing.T) {
 		t.Errorf("client error: %v", err)
 	}
 }
+
+// TestInternHitZeroAlloc gates the event-table hit path of both oracles:
+// Intern and Lookup of a known event, with 0, 1 and 2 payload args,
+// allocate nothing — in process and on the client, whose table is the
+// daemon's.
+func TestInternHitZeroAlloc(t *testing.T) {
+	dir := t.TempDir()
+	rec := pythia.NewRecordOracle(pythia.WithoutTimestamps())
+	for i := 0; i < 8; i++ {
+		th := rec.Thread(0)
+		th.Submit(rec.Intern("MPI_Barrier"))
+		th.Submit(rec.Intern("MPI_Send", 3))
+		th.Submit(rec.Intern("MPI_Reduce", 2, 7))
+	}
+	ts, err := rec.Finish()
+	if err != nil {
+		t.Fatalf("finishing trace: %v", err)
+	}
+	if err := pythia.SaveTraceSet(filepath.Join(dir, "mpi.pythia"), ts); err != nil {
+		t.Fatalf("saving trace: %v", err)
+	}
+	local, err := pythia.NewPredictOracle(ts, pythia.Config{})
+	if err != nil {
+		t.Fatalf("local oracle: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := server.New(server.Config{TraceDir: dir})
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-serveErr; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	remote, err := Connect(ln.Addr().String(), "mpi", Config{})
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer remote.Close()
+
+	// Concrete calls, not an interface: a variadic call through an
+	// interface method cannot keep its args slice on the stack.
+	for _, tc := range []struct {
+		name string
+		hit  func() pythia.ID
+	}{
+		{"pythia.Oracle Intern/0", func() pythia.ID { return local.Intern("MPI_Barrier") }},
+		{"pythia.Oracle Intern/1", func() pythia.ID { return local.Intern("MPI_Send", 3) }},
+		{"pythia.Oracle Intern/2", func() pythia.ID { return local.Intern("MPI_Reduce", 2, 7) }},
+		{"pythia.Oracle Lookup/0", func() pythia.ID { return local.Lookup("MPI_Barrier") }},
+		{"pythia.Oracle Lookup/1", func() pythia.ID { return local.Lookup("MPI_Send", 3) }},
+		{"pythia.Oracle Lookup/2", func() pythia.ID { return local.Lookup("MPI_Reduce", 2, 7) }},
+		{"client.Oracle Intern/0", func() pythia.ID { return remote.Intern("MPI_Barrier") }},
+		{"client.Oracle Intern/1", func() pythia.ID { return remote.Intern("MPI_Send", 3) }},
+		{"client.Oracle Intern/2", func() pythia.ID { return remote.Intern("MPI_Reduce", 2, 7) }},
+		{"client.Oracle Lookup/0", func() pythia.ID { return remote.Lookup("MPI_Barrier") }},
+		{"client.Oracle Lookup/1", func() pythia.ID { return remote.Lookup("MPI_Send", 3) }},
+		{"client.Oracle Lookup/2", func() pythia.ID { return remote.Lookup("MPI_Reduce", 2, 7) }},
+	} {
+		if id := tc.hit(); id < 0 {
+			t.Fatalf("%s: event unknown (%d)", tc.name, id)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { tc.hit() }); allocs != 0 {
+			t.Errorf("%s hit allocates %v/op, want 0", tc.name, allocs)
+		}
+	}
+}

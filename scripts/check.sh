@@ -8,8 +8,8 @@
 #   3. go build     — everything compiles
 #   4. go test      — the full unit suite
 #   5. go test -race — concurrency-sensitive packages under the race detector
-#                     (core, the public API, the transport rings/seqlock,
-#                     and the serving path)
+#                     (core, the public API, the lock-free event table, the
+#                     transport rings/seqlock, and the serving path)
 #   6. fuzz smoke   — FuzzGrammarInvariants, FuzzDigramIndexDiff,
 #                     FuzzConfirmDiff (10s: the recorder's confirming fast
 #                     path against the reduction alone),
@@ -100,8 +100,8 @@ step "gofmt" check_gofmt
 step "go vet" go vet ./...
 step "go build" go build ./...
 step "go test" go test ./...
-step "go test -race (core + public API + transport + server)" \
-    go test -race ./internal/core/... ./pythia/... ./internal/transport/ ./internal/server/
+step "go test -race (core + public API + events + transport + server)" \
+    go test -race ./internal/core/... ./pythia/... ./internal/events/ ./internal/transport/ ./internal/server/
 step "fuzz smoke (FuzzGrammarInvariants)" \
     go test -fuzz FuzzGrammarInvariants -fuzztime=5s -run '^$' ./internal/grammar/
 step "fuzz smoke (FuzzDigramIndexDiff)" \
