@@ -1,53 +1,57 @@
-// Command pythia-loadgen drives a pythiad daemon with a closed-loop replay
-// workload and reports throughput and latency:
+// Command pythia-loadgen drives a pythiad daemon with replayed application
+// streams and checks that the serving stack comes through — the driver of
+// scripts/serve-smoke.sh:
 //
 //	pythia-record -app EP -class small -o traces/EP.pythia
 //	pythiad -listen 127.0.0.1:9137 -traces traces/ &
-//	pythia-loadgen -addr 127.0.0.1:9137 -tenant EP -app EP -class small -clients 8 -o report.json
+//	pythia-loadgen -addr 127.0.0.1:9137 -tenant EP -app EP -class small -clients 8
 //
 // Each client opens its own connection, replays every rank's event stream
-// of the chosen application through pythia/client, and issues a timed
-// PredictAt round trip every -predict-every events. The run fails (exit 1)
-// if any client sees a protocol or transport error.
+// of the chosen application (captured with seed 42) through pythia/client,
+// and queries the oracle every -predict-every events. The run fails (exit
+// 1) if any client sees a protocol or transport error. It times nothing:
+// the serve-* workloads of the benchmark (bench/) measure the request path.
 //
 // -transport selects the tier under test: "tcp" (default), "unix" (pass a
 // unix:///path address), or "shm" — the shared-memory rings negotiated over
 // a unix connection. In shm mode each thread subscribes with
-// Subscribe(-distance, -predict-every) and the timed operation is a Latest
-// read of the streamed predictions instead of a PredictAt round trip. The
-// run fails if the requested tier did not actually engage, so a fallback
-// can never masquerade as a measurement.
+// Subscribe(-distance, -predict-every) and the query is a Latest read of
+// the streamed predictions instead of a PredictAt round trip. The run fails
+// if the requested tier did not actually engage, so a fallback can never
+// pass for the tier under test.
 //
 // -chaos routes every connection through an in-process chaosnet proxy that
 // injects a sparse deterministic schedule of resets and torn frames
 // (-chaos-seed picks the schedule), exercising the client's reconnect and
-// replay machinery under load. Faults stop once every client finishes its
-// replay, the clients are given a convergence window, and the JSON report's
-// reconnects / dropped_events / retry_later counters show what the run
-// survived.
+// replay machinery. Faults stop once every client finishes its replay, and
+// the clients are given a convergence window before their errors are
+// judged. -repeat N replays the streams N times per client.
 //
-// -drift replays the captured streams normally (phase 1) and then replays
-// them reversed (phase 2) — a workload phase shift the recorded model
-// mispredicts. The timed query becomes a next-event self-check, so the
-// report carries per-phase prediction accuracy; against a pythiad -learn
-// daemon, phase-2 accuracy recovering is the online-learning lifecycle
-// visibly adopting the drifted workload, and the report's promotions /
-// rollbacks / shadow_epochs counters come from the ModelInfo wire op.
-// -force-promote N forces a promotion N phase-2 events in, and
-// -force-rollback M forces a rollback M events after that — the operator
-// override and regression paths, exercised end to end by serve-smoke.sh.
+// -drift replays the captured streams and then replays them reversed — a
+// workload phase shift the recorded model mispredicts, which a pythiad
+// -learn daemon adopts. -force-promote N forces a promotion N reversed
+// events in, and -force-rollback M forces a rollback M events after that —
+// the operator override and regression paths. The lifecycle counters come
+// from the ModelInfo wire op.
 //
 // -daemons addr1,addr2,... drives a pythiad fleet instead of a single
-// daemon: the shard map is fetched once, -tenants N spreads the clients
-// over N tenants named <tenant>-00..<tenant>-NN, and each client dials its
-// tenant's assignment (owner first, replicas as reconnect fallbacks). The
-// report gains a per-daemon breakdown — events/s, p50/p99, retry-later per
-// fleet member. Fleet mode excludes -chaos, -drift, and shm (those exercise
-// a single connection's machinery).
+// daemon: the shard map is fetched once and every client dials the
+// tenant's assignment (owner first, replicas as reconnect fallbacks). Fleet
+// mode excludes -chaos, -drift, and shm (those exercise a single
+// connection's machinery).
+//
+// Stdout carries the counters the smoke asserts on:
+//
+//	EP.small via 127.0.0.1:9137 [tcp]: 8 clients, 3840 events, 960 predictions (960 answered)
+//	resilience: 0 reconnects, 0 dropped events, 0 retry-later
+//	lifecycle: 2 promotions, 2 rollbacks, 31 shadow epochs
+//	client 3 oracle health: degraded (...)
+//
+// The lifecycle line appears with -drift, a health line for every client
+// whose oracle is not Healthy at the end of the run.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -86,128 +90,62 @@ func (p *printer) printf(format string, args ...any) {
 	}
 }
 
-// clientResult is one load client's contribution to the aggregate.
+// clientResult is one client's share of the printed counters.
 type clientResult struct {
-	daemon      string // fleet mode: owner daemon this client's load lands on
 	events      int64
 	predictions int64
 	answered    int64
-	latencies   []time.Duration
 	err         error
 	health      pythia.Health
 	stats       client.Stats
-	// Drift-mode extras: per-phase next-event self-check tallies and the
-	// final ModelInfo snapshot of this connection's oracle.
-	checked [2]int64
-	correct [2]int64
-	model   pythia.ModelInfo
-	modelOK bool
+	model       pythia.ModelInfo // -drift: the oracle's lifecycle counters
 }
 
-// driftRun carries the -drift configuration shared by every client: the
-// reversed phase-2 streams and the forced-lifecycle schedule.
-type driftRun struct {
-	rev           map[int32][]string
-	forcePromote  int64 // force a promotion after this many phase-2 events (0 = off)
+// replay is the workload every client runs.
+type replay struct {
+	transport    string
+	tenant       string
+	predictEvery int
+	distance     int
+	repeat       int
+	chaos        bool
+	// phases holds the captured streams, then with -drift their reversal.
+	phases        []map[int32][]string
+	tids          []int32
+	forcePromote  int64 // force a promotion after this many reversed events (0 = off)
 	forceRollback int64 // then force a rollback this many events later (0 = off)
+	// replayed counts clients down as they finish replaying; under chaos it
+	// is the barrier that mutes the proxy.
+	replayed sync.WaitGroup
 }
 
-// lifecycleCtl is one client's progress through the forced-lifecycle
-// schedule; each connection serves its own learning oracle, so each client
-// drives its own promote/rollback.
-type lifecycleCtl struct {
-	phase2Events int64
-	promoted     bool
-	rolledBack   bool
-}
-
-// driftReport is the drift-mode section of the JSON report: per-phase
-// self-check accuracy plus the lifecycle counters summed over every
-// client's oracle.
-type driftReport struct {
-	Phase1Checked  int64   `json:"phase1_checked"`
-	Phase1Correct  int64   `json:"phase1_correct"`
-	Phase1Accuracy float64 `json:"phase1_accuracy"`
-	Phase2Checked  int64   `json:"phase2_checked"`
-	Phase2Correct  int64   `json:"phase2_correct"`
-	Phase2Accuracy float64 `json:"phase2_accuracy"`
-	Promotions     uint64  `json:"promotions"`
-	Rollbacks      uint64  `json:"rollbacks"`
-	ShadowEpochs   uint64  `json:"shadow_epochs"`
-}
-
-// daemonReport is one fleet member's share of a multi-daemon run.
-type daemonReport struct {
-	Addr         string  `json:"addr"`
-	Clients      int     `json:"clients"`
-	Events       int64   `json:"events"`
-	EventsPerS   float64 `json:"events_per_s"`
-	LatencyP50Us float64 `json:"latency_p50_us"`
-	LatencyP99Us float64 `json:"latency_p99_us"`
-	RetryLater   uint64  `json:"retry_later"`
-}
-
-// benchReport is the layout of the -o JSON report.
-type benchReport struct {
-	Config struct {
-		App          string   `json:"app"`
-		Class        string   `json:"class"`
-		Tenant       string   `json:"tenant"`
-		Transport    string   `json:"transport"`
-		Clients      int      `json:"clients"`
-		PredictEvery int      `json:"predict_every"`
-		Distance     int      `json:"distance"`
-		Seed         int64    `json:"seed"`
-		Chaos        bool     `json:"chaos,omitempty"`
-		ChaosSeed    int64    `json:"chaos_seed,omitempty"`
-		Repeat       int      `json:"repeat,omitempty"`
-		Drift        bool     `json:"drift,omitempty"`
-		ForcePromote int64    `json:"force_promote,omitempty"`
-		ForceRollbk  int64    `json:"force_rollback,omitempty"`
-		Daemons      []string `json:"daemons,omitempty"`
-		Tenants      int      `json:"tenants,omitempty"`
-	} `json:"config"`
-	Results struct {
-		WallS          float64 `json:"wall_s"`
-		Events         int64   `json:"events"`
-		Predictions    int64   `json:"predictions"`
-		Answered       int64   `json:"answered"`
-		EventsPerS     float64 `json:"events_per_s"`
-		PredictsPerS   float64 `json:"predictions_per_s"`
-		LatencyP50Us   float64 `json:"latency_p50_us"`
-		LatencyP99Us   float64 `json:"latency_p99_us"`
-		LatencyMaxUs   float64 `json:"latency_max_us"`
-		ProtocolErrors int     `json:"protocol_errors"`
-		Reconnects     uint64  `json:"reconnects"`
-		DroppedEvents  uint64  `json:"dropped_events"`
-		RetryLater     uint64  `json:"retry_later"`
-
-		PerDaemon []daemonReport `json:"per_daemon,omitempty"`
-		Drift     *driftReport   `json:"drift,omitempty"`
-	} `json:"results"`
+// lifecycle is one client's progress through the forced-lifecycle schedule;
+// each connection serves its own learning oracle, so each client drives its
+// own promote/rollback.
+type lifecycle struct {
+	events     int64 // reversed events submitted so far
+	promoted   bool
+	rolledBack bool
 }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pythia-loadgen", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:9137", "pythiad address (host:port or unix:///path)")
-		transp       = fs.String("transport", "tcp", "transport tier to measure: tcp, unix, or shm")
+		transp       = fs.String("transport", "tcp", "transport tier to drive: tcp, unix, or shm")
 		tenant       = fs.String("tenant", "", "tenant (trace name) to query (default: -app)")
 		appName      = fs.String("app", "EP", "application whose event streams to replay")
 		classFlag    = fs.String("class", "small", "working set to replay (small|medium|large)")
-		seed         = fs.Int64("seed", 42, "seed for the replayed execution")
 		clients      = fs.Int("clients", 8, "concurrent client connections")
-		predictEvery = fs.Int("predict-every", 16, "issue a timed PredictAt every N submitted events")
-		distance     = fs.Int("distance", 16, "prediction distance for the timed queries")
-		out          = fs.String("o", "", "write a JSON report to this file")
+		predictEvery = fs.Int("predict-every", 16, "query the oracle every N submitted events")
+		distance     = fs.Int("distance", 16, "prediction distance of the queries")
 		chaos        = fs.Bool("chaos", false, "inject deterministic network faults between the clients and the daemon")
 		chaosSeed    = fs.Int64("chaos-seed", 1, "seed for the chaos fault schedule")
 		repeat       = fs.Int("repeat", 1, "replay the captured streams this many times per client (lengthens the run)")
-		drift        = fs.Bool("drift", false, "after the normal replay, replay the streams reversed (a workload phase shift) and self-check per-phase accuracy")
-		forceProm    = fs.Int64("force-promote", 0, "with -drift: force a promotion after N phase-2 events per client (0 = scored promotion only)")
+		drift        = fs.Bool("drift", false, "after the normal replay, replay the streams reversed (a workload phase shift)")
+		forceProm    = fs.Int64("force-promote", 0, "with -drift: force a promotion after N reversed events per client (0 = scored promotion only)")
 		forceRoll    = fs.Int64("force-rollback", 0, "with -drift: force a rollback N events after the forced promotion (0 = off)")
 		daemons      = fs.String("daemons", "", "comma-separated pythiad fleet addresses: shard-map-routed multi-daemon mode (excludes -chaos/-drift/shm)")
-		tenants      = fs.Int("tenants", 1, "with -daemons: spread clients over N tenants named <tenant>-00..")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -223,97 +161,61 @@ func run(args []string, stdout io.Writer) error {
 	if *tenant == "" {
 		*tenant = app.Name
 	}
-	if *clients < 1 {
+	switch {
+	case *clients < 1:
 		return fmt.Errorf("-clients must be >= 1")
-	}
-	if *predictEvery < 1 {
+	case *predictEvery < 1:
 		return fmt.Errorf("-predict-every must be >= 1")
-	}
-	if *repeat < 1 {
+	case *repeat < 1:
 		return fmt.Errorf("-repeat must be >= 1")
-	}
-	switch *transp {
-	case "tcp", "unix", "shm":
-	default:
+	case *transp != "tcp" && *transp != "unix" && *transp != "shm":
 		return fmt.Errorf("-transport must be tcp, unix, or shm (got %q)", *transp)
-	}
-	if (*forceProm != 0 || *forceRoll != 0) && !*drift {
+	case (*forceProm != 0 || *forceRoll != 0) && !*drift:
 		return fmt.Errorf("-force-promote/-force-rollback require -drift")
-	}
-	if *forceRoll != 0 && *forceProm == 0 {
+	case *forceRoll != 0 && *forceProm == 0:
 		return fmt.Errorf("-force-rollback requires -force-promote")
-	}
-	if *forceProm < 0 || *forceRoll < 0 {
+	case *forceProm < 0 || *forceRoll < 0:
 		return fmt.Errorf("-force-promote/-force-rollback must be >= 0")
-	}
-	if *drift && *transp == "shm" {
-		// The self-check needs a synchronous PredictAt(1) round trip; the
-		// shm tier streams predictions at a fixed distance instead.
+	case *drift && *transp == "shm":
+		// The learn leg is a socket-tier check: its forced lifecycle ops and
+		// queries are round trips, which the shm tier's Latest reads are not.
 		return fmt.Errorf("-drift requires a socket transport (tcp or unix)")
-	}
-	// In fleet mode -tenant may itself be a comma-separated list of tenant
-	// names (client i uses list[i%len]); -tenants N instead derives N names
-	// as <tenant>-00... The explicit list lets a caller hand-pick a tenant
-	// set (e.g. one the shard map spreads evenly — see pythia-shardplan).
-	tenantList := []string{*tenant}
-	if strings.Contains(*tenant, ",") {
-		tenantList = tenantList[:0]
-		for _, t := range strings.Split(*tenant, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				tenantList = append(tenantList, t)
-			}
-		}
-		if len(tenantList) == 0 {
-			return fmt.Errorf("-tenant lists no tenant names")
-		}
-	}
-	if *daemons != "" {
-		if *chaos || *drift {
-			return fmt.Errorf("-daemons excludes -chaos and -drift")
-		}
-		if *transp == "shm" {
-			return fmt.Errorf("-daemons requires a socket transport (tcp or unix)")
-		}
-		if *tenants < 1 {
-			return fmt.Errorf("-tenants must be >= 1")
-		}
-		if *tenants > 1 && len(tenantList) > 1 {
-			return fmt.Errorf("-tenants and a -tenant list are mutually exclusive")
-		}
-	} else {
-		if *tenants != 1 {
-			return fmt.Errorf("-tenants requires -daemons")
-		}
-		if len(tenantList) > 1 {
-			return fmt.Errorf("a -tenant list requires -daemons")
-		}
+	case *daemons != "" && (*chaos || *drift):
+		return fmt.Errorf("-daemons excludes -chaos and -drift")
+	case *daemons != "" && *transp == "shm":
+		return fmt.Errorf("-daemons requires a socket transport (tcp or unix)")
 	}
 
 	// One deterministic capture, replayed read-only by every client.
-	streams := harness.CaptureStreams(app, class, *seed)
-	tids := make([]int32, 0, len(streams))
+	streams := harness.CaptureStreams(app, class, 42)
+	rp := &replay{
+		transport:     *transp,
+		tenant:        *tenant,
+		predictEvery:  *predictEvery,
+		distance:      *distance,
+		repeat:        *repeat,
+		chaos:         *chaos,
+		phases:        []map[int32][]string{streams},
+		forcePromote:  *forceProm,
+		forceRollback: *forceRoll,
+	}
 	for tid := range streams {
-		tids = append(tids, tid)
+		rp.tids = append(rp.tids, tid)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-
-	var dr *driftRun
+	sort.Slice(rp.tids, func(i, j int) bool { return rp.tids[i] < rp.tids[j] })
 	if *drift {
-		dr = &driftRun{
-			rev:           make(map[int32][]string, len(streams)),
-			forcePromote:  *forceProm,
-			forceRollback: *forceRoll,
-		}
+		rev := make(map[int32][]string, len(streams))
 		for tid, stream := range streams {
-			rev := make([]string, len(stream))
+			r := make([]string, len(stream))
 			for i, name := range stream {
-				rev[len(stream)-1-i] = name
+				r[len(stream)-1-i] = name
 			}
-			dr.rev[tid] = rev
+			rev[tid] = r
 		}
+		rp.phases = append(rp.phases, rev)
 	}
 
-	dialAddr := *addr
+	target, where := *addr, *addr
 	var proxy *chaosnet.Proxy
 	if *chaos {
 		// Sparse schedule: frequent enough to force reconnects under load,
@@ -331,323 +233,161 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintln(os.Stderr, "pythia-loadgen: closing chaos proxy:", cerr)
 			}
 		}()
-		dialAddr = proxy.Addr()
+		target = proxy.Addr()
 	}
-
-	// Fleet mode: fetch the shard map once and route each client's tenant
-	// to its assignment — owner first, warm replicas as reconnect
-	// fallbacks. Every client still opens its own connection so the
-	// per-daemon breakdown attributes load connection by connection.
-	var fleet *client.Fleet
 	if *daemons != "" {
-		fleet, err = client.DialFleet(*daemons, client.Config{})
-		if err != nil {
-			return fmt.Errorf("fleet: %w", err)
+		// Fleet mode: route the tenant by the shard map once — owner first,
+		// warm replicas as reconnect fallbacks.
+		fleet, ferr := client.DialFleet(*daemons, client.Config{})
+		if ferr != nil {
+			return fmt.Errorf("fleet: %w", ferr)
 		}
-		defer func() {
-			if cerr := fleet.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "pythia-loadgen: closing fleet:", cerr)
-			}
-		}()
+		target, where = strings.Join(fleet.Route(*tenant), ","), *daemons
+		if cerr := fleet.Close(); cerr != nil {
+			return fmt.Errorf("closing fleet: %w", cerr)
+		}
 	}
 
 	results := make([]clientResult, *clients)
-	start := time.Now()
-	var wg, replayWG sync.WaitGroup
-	replayWG.Add(*clients)
-	if *chaos {
+	rp.replayed.Add(*clients)
+	if proxy != nil {
 		// Once every client has finished its replay, stop injecting faults
 		// so the convergence phase (final replays, Err drain) settles.
 		go func() {
-			replayWG.Wait()
+			rp.replayed.Wait()
 			proxy.ClearFaults()
 		}()
 	}
-	for ci := 0; ci < *clients; ci++ {
-		target, ct := dialAddr, *tenant
-		if fleet != nil {
-			if len(tenantList) > 1 {
-				ct = tenantList[ci%len(tenantList)]
-			} else if *tenants > 1 {
-				ct = fmt.Sprintf("%s-%02d", *tenant, ci%*tenants)
-			}
-			route := fleet.Route(ct)
-			target = strings.Join(route, ",")
-			results[ci].daemon = route[0]
-		}
+	var wg sync.WaitGroup
+	for i := range results {
 		wg.Add(1)
-		go func(res *clientResult, target, ct string) {
+		go func(res *clientResult) {
 			defer wg.Done()
-			runClient(res, target, ct, *transp, streams, tids, *predictEvery, *distance, *repeat, *chaos, dr, &replayWG)
-		}(&results[ci], target, ct)
+			rp.runClient(res, target)
+		}(&results[i])
 	}
 	wg.Wait()
-	wall := time.Since(start)
 
-	var rep benchReport
-	rep.Config.App = app.Name
-	rep.Config.Class = class.String()
-	rep.Config.Tenant = *tenant
-	rep.Config.Transport = *transp
-	rep.Config.Clients = *clients
-	rep.Config.PredictEvery = *predictEvery
-	rep.Config.Distance = *distance
-	rep.Config.Seed = *seed
-	rep.Config.Chaos = *chaos
-	rep.Config.ChaosSeed = *chaosSeed
-	if !*chaos {
-		rep.Config.ChaosSeed = 0
-	}
-	if *repeat > 1 {
-		rep.Config.Repeat = *repeat
-	}
-	rep.Config.Drift = *drift
-	rep.Config.ForcePromote = *forceProm
-	rep.Config.ForceRollbk = *forceRoll
-	if fleet != nil {
-		rep.Config.Daemons = fleet.Map().Daemons
-		if len(rep.Config.Daemons) == 0 {
-			rep.Config.Daemons = strings.Split(*daemons, ",")
-		}
-		rep.Config.Tenants = *tenants
-		if len(tenantList) > 1 {
-			rep.Config.Tenants = len(tenantList)
-		}
-	}
-
-	var all []time.Duration
+	var sum clientResult
+	failed := 0
 	var firstErr error
 	for i := range results {
 		r := &results[i]
-		rep.Results.Events += r.events
-		rep.Results.Predictions += r.predictions
-		rep.Results.Answered += r.answered
-		rep.Results.Reconnects += r.stats.Reconnects
-		rep.Results.DroppedEvents += r.stats.DroppedEvents
-		rep.Results.RetryLater += r.stats.RetryLater
-		all = append(all, r.latencies...)
+		sum.events += r.events
+		sum.predictions += r.predictions
+		sum.answered += r.answered
+		sum.stats.Reconnects += r.stats.Reconnects
+		sum.stats.DroppedEvents += r.stats.DroppedEvents
+		sum.stats.RetryLater += r.stats.RetryLater
+		sum.model.Promotions += r.model.Promotions
+		sum.model.Rollbacks += r.model.Rollbacks
+		sum.model.ShadowEpochs += r.model.ShadowEpochs
 		if r.err != nil {
-			rep.Results.ProtocolErrors++
+			failed++
 			if firstErr == nil {
 				firstErr = r.err
 			}
 		}
 	}
-	rep.Results.WallS = wall.Seconds()
-	if wall > 0 {
-		rep.Results.EventsPerS = float64(rep.Results.Events) / wall.Seconds()
-		rep.Results.PredictsPerS = float64(rep.Results.Predictions) / wall.Seconds()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	rep.Results.LatencyP50Us = quantileUs(all, 0.50)
-	rep.Results.LatencyP99Us = quantileUs(all, 0.99)
-	if len(all) > 0 {
-		rep.Results.LatencyMaxUs = float64(all[len(all)-1].Nanoseconds()) / 1e3
-	}
-	if fleet != nil {
-		byDaemon := make(map[string][]*clientResult)
-		for i := range results {
-			byDaemon[results[i].daemon] = append(byDaemon[results[i].daemon], &results[i])
-		}
-		addrs := make([]string, 0, len(byDaemon))
-		for a := range byDaemon {
-			addrs = append(addrs, a)
-		}
-		sort.Strings(addrs)
-		for _, a := range addrs {
-			d := daemonReport{Addr: a}
-			var lats []time.Duration
-			for _, r := range byDaemon[a] {
-				d.Clients++
-				d.Events += r.events
-				d.RetryLater += r.stats.RetryLater
-				lats = append(lats, r.latencies...)
-			}
-			if wall > 0 {
-				d.EventsPerS = float64(d.Events) / wall.Seconds()
-			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			d.LatencyP50Us = quantileUs(lats, 0.50)
-			d.LatencyP99Us = quantileUs(lats, 0.99)
-			rep.Results.PerDaemon = append(rep.Results.PerDaemon, d)
-		}
-	}
-	if *drift {
-		d := &driftReport{}
-		for i := range results {
-			r := &results[i]
-			d.Phase1Checked += r.checked[0]
-			d.Phase1Correct += r.correct[0]
-			d.Phase2Checked += r.checked[1]
-			d.Phase2Correct += r.correct[1]
-			if r.modelOK {
-				d.Promotions += r.model.Promotions
-				d.Rollbacks += r.model.Rollbacks
-				d.ShadowEpochs += r.model.ShadowEpochs
-			}
-		}
-		if d.Phase1Checked > 0 {
-			d.Phase1Accuracy = float64(d.Phase1Correct) / float64(d.Phase1Checked)
-		}
-		if d.Phase2Checked > 0 {
-			d.Phase2Accuracy = float64(d.Phase2Correct) / float64(d.Phase2Checked)
-		}
-		rep.Results.Drift = d
-	}
 
-	where := *addr
-	if fleet != nil {
-		where = *daemons
-	}
 	p := &printer{w: stdout}
-	p.printf("%s.%s via %s [%s]: %d clients, %d events, %d predictions (%d answered) in %.2fs\n",
-		app.Name, class, where, *transp, *clients, rep.Results.Events, rep.Results.Predictions,
-		rep.Results.Answered, rep.Results.WallS)
-	p.printf("throughput: %.0f events/s, %.0f predictions/s\n",
-		rep.Results.EventsPerS, rep.Results.PredictsPerS)
-	p.printf("predict latency: p50 %.1fus  p99 %.1fus  max %.1fus\n",
-		rep.Results.LatencyP50Us, rep.Results.LatencyP99Us, rep.Results.LatencyMaxUs)
-	if *chaos || rep.Results.Reconnects+rep.Results.DroppedEvents+rep.Results.RetryLater > 0 {
-		p.printf("resilience: %d reconnects, %d dropped events, %d retry-later\n",
-			rep.Results.Reconnects, rep.Results.DroppedEvents, rep.Results.RetryLater)
-	}
-	for _, d := range rep.Results.PerDaemon {
-		p.printf("daemon %s: %d clients, %d events (%.0f events/s), p50 %.1fus p99 %.1fus, %d retry-later\n",
-			d.Addr, d.Clients, d.Events, d.EventsPerS, d.LatencyP50Us, d.LatencyP99Us, d.RetryLater)
-	}
-	if d := rep.Results.Drift; d != nil {
-		p.printf("drift accuracy: phase1 %.1f%% (%d/%d), phase2 %.1f%% (%d/%d)\n",
-			100*d.Phase1Accuracy, d.Phase1Correct, d.Phase1Checked,
-			100*d.Phase2Accuracy, d.Phase2Correct, d.Phase2Checked)
+	p.printf("%s.%s via %s [%s]: %d clients, %d events, %d predictions (%d answered)\n",
+		app.Name, class, where, *transp, *clients, sum.events, sum.predictions, sum.answered)
+	p.printf("resilience: %d reconnects, %d dropped events, %d retry-later\n",
+		sum.stats.Reconnects, sum.stats.DroppedEvents, sum.stats.RetryLater)
+	if *drift {
 		p.printf("lifecycle: %d promotions, %d rollbacks, %d shadow epochs\n",
-			d.Promotions, d.Rollbacks, d.ShadowEpochs)
+			sum.model.Promotions, sum.model.Rollbacks, sum.model.ShadowEpochs)
 	}
 	for i := range results {
 		if h := results[i].health; h.State != pythia.Healthy {
 			p.printf("client %d oracle health: %s (%s)\n", i, h.State, h.Cause)
 		}
 	}
-
-	if *out != "" {
-		blob, merr := json.MarshalIndent(&rep, "", "  ")
-		if merr != nil {
-			return fmt.Errorf("encoding report: %w", merr)
-		}
-		blob = append(blob, '\n')
-		if werr := os.WriteFile(*out, blob, 0o644); werr != nil {
-			return fmt.Errorf("writing report: %w", werr)
-		}
-		p.printf("report -> %s\n", *out)
-	}
 	if firstErr != nil {
-		return fmt.Errorf("%d of %d clients saw protocol errors, first: %w",
-			rep.Results.ProtocolErrors, *clients, firstErr)
+		return fmt.Errorf("%d of %d clients saw protocol errors, first: %w", failed, *clients, firstErr)
 	}
 	return p.err
 }
 
-// runClient replays every rank's stream over one connection. On the socket
-// tiers the timed operation is a PredictAt round trip every predictEvery
-// events; on shm it is a Latest read of the streamed predictions the server
-// pushes at the same cadence. Under chaos the replay tolerates transient
-// failures (reconnect and replay cover them) and a convergence window after
-// the stream drains the client back to a clean Err. In drift mode the whole
-// replay runs twice — recorded streams, then reversed streams — with the
-// timed operation swapped for a next-event self-check, and the connection's
-// ModelInfo snapshot is taken at the end.
-func runClient(res *clientResult, addr, tenant, transp string, streams map[int32][]string, tids []int32, predictEvery, distance, repeat int, chaos bool, dr *driftRun, replayWG *sync.WaitGroup) {
+// retrySetup runs one connection-setup round trip. Under chaos the faults
+// hit setup too, so it retries until the exchange slips between them.
+func retrySetup[T any](chaos bool, op func() (T, error)) (T, error) {
+	for attempt := 0; ; attempt++ {
+		v, err := op()
+		if err == nil || !chaos || attempt >= 200 {
+			return v, err
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// runClient replays every phase over one connection. Under chaos the replay
+// tolerates transient failures (reconnect and replay cover them) and a
+// convergence window after the stream drains the client back to a clean
+// Err. With -drift the connection's ModelInfo is read at the end.
+func (rp *replay) runClient(res *clientResult, addr string) {
 	replayDone := false
 	defer func() {
 		if !replayDone {
-			replayWG.Done()
+			rp.replayed.Done()
 		}
 	}()
-	cfg := client.Config{SharedMem: transp == "shm"}
-	if chaos {
+	cfg := client.Config{SharedMem: rp.transport == "shm"}
+	if rp.chaos {
 		cfg.ReconnectMinDelay = 5 * time.Millisecond
 	}
-	// Under chaos the faults hit the setup round trips too; retry until the
-	// handshake slips between them.
-	var c *client.Client
-	var err error
-	for attempt := 0; ; attempt++ {
-		c, err = client.Dial(addr, cfg)
-		if err == nil {
-			break
-		}
-		if !chaos || attempt >= 200 {
-			res.err = err
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	c, err := retrySetup(rp.chaos, func() (*client.Client, error) { return client.Dial(addr, cfg) })
+	if err != nil {
+		res.err = err
+		return
 	}
 	defer func() {
 		if cerr := c.Close(); cerr != nil && res.err == nil {
 			res.err = cerr
 		}
 	}()
-	// A fallback tier must not masquerade as the one under test.
-	if got := c.Transport(); got != transp {
-		res.err = fmt.Errorf("negotiated transport %q, want %q", got, transp)
+	// A fallback tier must not pass for the one under test.
+	if got := c.Transport(); got != rp.transport {
+		res.err = fmt.Errorf("negotiated transport %q, want %q", got, rp.transport)
 		return
 	}
-	var o *client.Oracle
-	for attempt := 0; ; attempt++ {
-		o, err = c.Oracle(tenant)
-		if err == nil {
-			break
-		}
-		if !chaos || attempt >= 200 {
-			res.err = err
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	o, err := retrySetup(rp.chaos, func() (*client.Oracle, error) { return c.Oracle(rp.tenant) })
+	if err != nil {
+		res.err = err
+		return
 	}
-	var predBuf []pythia.Prediction
-	phases := 1
-	if dr != nil {
-		phases = 2
-	}
-	var lc lifecycleCtl
-	for phase := 0; phase < phases; phase++ {
-		src := streams
-		if phase == 1 {
-			src = dr.rev
-		}
-		for r := 0; r < repeat; r++ {
-			for _, tid := range tids {
-				runThread(res, c, o, tid, src[tid], transp, predictEvery, distance, chaos, dr, phase, &lc, &predBuf)
+	var lc lifecycle
+	for phase, streams := range rp.phases {
+		for r := 0; r < rp.repeat; r++ {
+			for _, tid := range rp.tids {
+				rp.runThread(res, c, o, tid, streams[tid], phase == 1, &lc)
 				if res.err != nil {
 					return
 				}
 			}
 		}
 	}
-	if dr != nil {
+	if len(rp.phases) > 1 {
 		if mi, merr := o.ModelInfo(); merr == nil {
 			res.model = mi
-			res.modelOK = true
-		} else if !chaos {
+		} else if !rp.chaos {
 			res.err = fmt.Errorf("model info: %w", merr)
 			return
 		}
 	}
 	replayDone = true
-	replayWG.Done()
-	if chaos {
-		// Faults stop once every client reaches this point (the replayWG
-		// barrier mutes the proxy); give the reconnect/replay machinery a
-		// window to converge before judging Err.
-		replayWG.Wait()
+	rp.replayed.Done()
+	if rp.chaos {
+		// Faults stop once every client reaches this point; give the
+		// reconnect/replay machinery a window to converge before judging Err.
+		rp.replayed.Wait()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			for _, tid := range tids {
+			for _, tid := range rp.tids {
 				o.Thread(tid).Flush()
 			}
-			if c.Err() == nil {
-				break
-			}
-			if time.Now().After(deadline) {
+			if c.Err() == nil || time.Now().After(deadline) {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -658,68 +398,51 @@ func runClient(res *clientResult, addr, tenant, transp string, streams map[int32
 	res.stats = c.Stats()
 }
 
-// runThread replays one rank's stream once, issuing the timed operation on
-// the predictEvery cadence. Under chaos the replay is paced while the client
-// is offline: fail-open Submits cost nanoseconds, so without the pacing an
-// outage longer than the stream would race past unreplayed. In drift mode
-// the timed operation is a PredictAt(1) round trip checked against the next
-// event the replay is about to submit, and phase-2 events drive the forced
-// promote/rollback schedule.
-func runThread(res *clientResult, c *client.Client, o *client.Oracle, tid int32, stream []string, transp string, predictEvery, distance int, chaos bool, dr *driftRun, phase int, lc *lifecycleCtl, predBuf *[]pythia.Prediction) {
+// runThread replays one rank's stream once, querying the oracle on the
+// predictEvery cadence. Under chaos the replay is paced while the client is
+// offline: fail-open Submits cost nanoseconds, so without the pacing an
+// outage longer than the stream would race past unreplayed. Reversed
+// (drifted) events drive the forced promote/rollback schedule.
+func (rp *replay) runThread(res *clientResult, c *client.Client, o *client.Oracle, tid int32, stream []string, drifted bool, lc *lifecycle) {
 	th := o.Thread(tid)
 	th.StartAtBeginning()
 	subscribed := false
+	var buf []pythia.Prediction
 	for i, name := range stream {
-		if chaos && c.Err() != nil {
+		if rp.chaos && c.Err() != nil {
 			time.Sleep(time.Millisecond)
 		}
 		th.Submit(o.Intern(name))
 		res.events++
-		if dr != nil && phase == 1 {
-			lc.phase2Events++
-			if err := stepLifecycle(o, dr, lc); err != nil {
-				if !chaos {
-					res.err = err
-					return
-				}
+		if drifted {
+			lc.events++
+			if err := rp.stepLifecycle(o, lc); err != nil && !rp.chaos {
+				res.err = err
+				return
 			}
 		}
-		if transp == "shm" && !subscribed {
-			// The first Submit bound the thread's ring; from here the
-			// server streams PredictSequence(distance) every
-			// predictEvery events into the shared slot.
-			if serr := th.Subscribe(distance, predictEvery); serr != nil {
-				if !chaos {
-					res.err = serr
-					return
-				}
-				// Offline or mid-rebind: retry on a later event.
-			} else {
+		if rp.transport == "shm" && !subscribed {
+			// The first Submit bound the thread's ring; from here the server
+			// streams PredictSequence(distance) every predictEvery events
+			// into the shared slot. Offline or mid-rebind under chaos: retry
+			// on a later event.
+			if serr := th.Subscribe(rp.distance, rp.predictEvery); serr == nil {
 				subscribed = true
+			} else if !rp.chaos {
+				res.err = serr
+				return
 			}
 		}
-		if (i+1)%predictEvery != 0 {
+		if (i+1)%rp.predictEvery != 0 {
 			continue
 		}
-		t0 := time.Now()
 		var ok bool
-		switch {
-		case dr != nil:
-			pred, got := th.PredictAt(1)
-			ok = got
-			if i+1 < len(stream) {
-				res.checked[phase]++
-				if got && pred.EventID == int32(o.Intern(stream[i+1])) {
-					res.correct[phase]++
-				}
-			}
-		case transp == "shm":
-			*predBuf, ok = th.Latest(*predBuf)
-			ok = ok && len(*predBuf) > 0
-		default:
-			_, ok = th.PredictAt(distance)
+		if rp.transport == "shm" {
+			buf, ok = th.Latest(buf)
+			ok = ok && len(buf) > 0
+		} else {
+			_, ok = th.PredictAt(rp.distance)
 		}
-		res.latencies = append(res.latencies, time.Since(t0))
 		res.predictions++
 		if ok {
 			res.answered++
@@ -728,19 +451,19 @@ func runThread(res *clientResult, c *client.Client, o *client.Oracle, tid int32,
 }
 
 // stepLifecycle advances the forced promote/rollback schedule after one
-// phase-2 event: promote once at forcePromote events, roll back once
+// reversed event: promote once at forcePromote events, roll back once
 // forceRollback events later.
-func stepLifecycle(o *client.Oracle, dr *driftRun, lc *lifecycleCtl) error {
-	if dr.forcePromote > 0 && !lc.promoted && lc.phase2Events >= dr.forcePromote {
+func (rp *replay) stepLifecycle(o *client.Oracle, lc *lifecycle) error {
+	if rp.forcePromote > 0 && !lc.promoted && lc.events >= rp.forcePromote {
 		lc.promoted = true
-		if _, err := forceOp(o.Promote); err != nil {
+		if err := forceOp(o.Promote); err != nil {
 			return fmt.Errorf("force-promote: %w", err)
 		}
 	}
-	if dr.forceRollback > 0 && lc.promoted && !lc.rolledBack &&
-		lc.phase2Events >= dr.forcePromote+dr.forceRollback {
+	if rp.forceRollback > 0 && lc.promoted && !lc.rolledBack &&
+		lc.events >= rp.forcePromote+rp.forceRollback {
 		lc.rolledBack = true
-		if _, err := forceOp(o.Rollback); err != nil {
+		if err := forceOp(o.Rollback); err != nil {
 			return fmt.Errorf("force-rollback: %w", err)
 		}
 	}
@@ -753,24 +476,15 @@ func stepLifecycle(o *client.Oracle, dr *driftRun, lc *lifecycleCtl) error {
 // right at the epoch boundary can race the server's judge by a few
 // milliseconds. Any other error — and a refusal that persists past the
 // window — is returned as-is.
-func forceOp(op func() (uint64, error)) (uint64, error) {
+func forceOp(op func() (uint64, error)) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		gen, err := op()
+		_, err := op()
 		var re *client.RemoteError
 		if err == nil || !errors.As(err, &re) || re.Code != wire.CodeLifecycle ||
 			time.Now().After(deadline) {
-			return gen, err
+			return err
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// quantileUs returns the q-quantile of sorted latencies in microseconds.
-func quantileUs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return float64(sorted[idx].Nanoseconds()) / 1e3
 }

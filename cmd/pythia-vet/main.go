@@ -20,6 +20,11 @@
 //	                     annotated pythia:detached
 //	lock-order           no AB/BA lock acquisition cycles through the call graph
 //
+// lock-discipline, atomic-mix and lock-order read one set of lock regions,
+// computed once per function body: a region ends at the first matching
+// release at the same or a shallower block depth, so an early-return
+// Unlock inside an if does not end it for the code that follows.
+//
 // Exit contract (scripts and CI depend on it):
 //
 //	0  clean — no findings beyond the baseline, and no stale baseline entries

@@ -12,12 +12,14 @@
 // Clients on a unix listener may additionally negotiate the shared-memory
 // ring transport (see client.Config.SharedMem).
 //
-// Clients connect with the pythia/client package (or drive a replay with
-// pythia-loadgen). Each trace file <name>.pythia in the trace directory is
-// one tenant, addressed by name. SIGTERM/SIGINT drain the daemon
-// gracefully: in-flight requests are answered, new sessions refused, and
-// the process exits once every connection has wound down (bounded by
-// -drain-timeout). Draining also removes any unix socket files.
+// Clients connect with the pythia/client package; pythia-loadgen, the
+// driver of scripts/serve-smoke.sh, replays recorded streams through it and
+// checks that the daemon comes through. Each trace file <name>.pythia in
+// the trace directory is one tenant, addressed by name. SIGTERM/SIGINT
+// drain the daemon gracefully: in-flight requests are answered, new
+// sessions refused, and the process exits once every connection has wound
+// down (bounded by -drain-timeout). Draining also removes any unix socket
+// files.
 //
 // Serving resilience is tunable: a dead connection's sessions stay parked
 // for -resume-window awaiting the client's resume token, -keepalive reaps

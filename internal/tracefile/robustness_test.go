@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -66,19 +67,21 @@ func TestTruncatedFlagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadVersion1 hand-writes a version-1 payload (no per-thread flags
-// field) and checks the current reader still accepts it — traces recorded
-// before the format bump must stay loadable.
-func TestReadVersion1(t *testing.T) {
-	ts := makeTraceSet(t)
+// traceFile frames a payload as a trace file: magic, payload, CRC.
+func traceFile(payload []byte) []byte {
+	raw := append(append([]byte{}, Magic[:]...), payload...)
+	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+}
 
-	var raw bytes.Buffer
-	raw.Write(Magic[:])
-	crc := crc32.NewIEEE()
-	payload := &bytes.Buffer{}
-	pw := bufio.NewWriter(payload)
+// oldPayload hand-writes a pre-v5 payload of ts: version 1 thread records
+// carry no flags, version 2 adds them, and neither has anything after the
+// thread records.
+func oldPayload(t *testing.T, ts *model.TraceSet, version uint64) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	pw := bufio.NewWriter(&payload)
 	e := &encoder{w: pw}
-	e.uvarint(1) // version 1: thread records carry no flags
+	e.uvarint(version)
 	e.uvarint(uint64(len(ts.Events)))
 	for _, name := range ts.Events {
 		e.bytes([]byte(name))
@@ -88,6 +91,10 @@ func TestReadVersion1(t *testing.T) {
 	for _, tid := range tids {
 		th := ts.Threads[tid]
 		e.svarint(int64(tid))
+		if version >= 2 {
+			e.uvarint(threadFlagTruncated)
+			e.uvarint(uint64(th.Dropped))
+		}
 		e.grammar(th.Grammar)
 		e.timing(th.Timing)
 	}
@@ -97,75 +104,48 @@ func TestReadVersion1(t *testing.T) {
 	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	crc.Write(payload.Bytes())
-	raw.Write(payload.Bytes())
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	raw.Write(sum[:])
+	return payload.Bytes()
+}
 
-	got, err := Read(&raw)
-	if err != nil {
-		t.Fatalf("reading version-1 file: %v", err)
-	}
-	if got.TotalEvents() != ts.TotalEvents() {
-		t.Fatalf("v1 read lost events: %d, want %d", got.TotalEvents(), ts.TotalEvents())
-	}
-	for tid, th := range got.Threads {
-		if th.Truncated || th.Dropped != 0 {
-			t.Fatalf("thread %d: v1 file decoded as truncated", tid)
-		}
+// wantUnsupported checks that raw fails to read with the unsupported-version
+// error for version — no panic, no partial trace set.
+func wantUnsupported(t *testing.T, version uint64, raw []byte) {
+	t.Helper()
+	got, err := Read(bytes.NewReader(raw))
+	want := fmt.Sprintf("tracefile: unsupported version %d", version)
+	if err == nil || err.Error() != want || got != nil {
+		t.Errorf("version %d: Read = (%v, %v), want (nil, %q)", version, got, err, want)
 	}
 }
 
-// TestReadVersion2 hand-writes a version-2 payload (per-thread flags, no
-// provenance trailer) and checks the current reader still accepts it with
-// nil Provenance.
-func TestReadVersion2(t *testing.T) {
-	ts := truncatedTraceSet(t)
+// TestReadVersion1: Read accepts Version only, so a hand-written version-1
+// file (no per-thread flags) is refused.
+func TestReadVersion1(t *testing.T) {
+	wantUnsupported(t, 1, traceFile(oldPayload(t, makeTraceSet(t), 1)))
+}
 
-	var raw bytes.Buffer
-	raw.Write(Magic[:])
-	crc := crc32.NewIEEE()
-	payload := &bytes.Buffer{}
-	pw := bufio.NewWriter(payload)
-	e := &encoder{w: pw}
-	e.uvarint(2) // version 2: thread flags, nothing after the thread records
-	e.uvarint(uint64(len(ts.Events)))
-	for _, name := range ts.Events {
-		e.bytes([]byte(name))
-	}
-	tids := ts.ThreadIDs()
-	e.uvarint(uint64(len(tids)))
-	for _, tid := range tids {
-		th := ts.Threads[tid]
-		e.svarint(int64(tid))
-		e.uvarint(threadFlagTruncated)
-		e.uvarint(uint64(th.Dropped))
-		e.grammar(th.Grammar)
-		e.timing(th.Timing)
-	}
-	if e.err != nil {
-		t.Fatal(e.err)
-	}
-	if err := pw.Flush(); err != nil {
+// TestReadVersion2: a hand-written version-2 file (thread flags, no
+// provenance record) is refused.
+func TestReadVersion2(t *testing.T) {
+	wantUnsupported(t, 2, traceFile(oldPayload(t, truncatedTraceSet(t), 2)))
+}
+
+// TestReadRefusesOtherVersions: the current payload relabelled 3, 4 and 6
+// fails with the unsupported-version error, while the same payload under
+// Version reads.
+func TestReadRefusesOtherVersions(t *testing.T) {
+	var cur bytes.Buffer
+	if err := Write(&cur, truncatedTraceSet(t)); err != nil {
 		t.Fatal(err)
 	}
-	crc.Write(payload.Bytes())
-	raw.Write(payload.Bytes())
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	raw.Write(sum[:])
-
-	got, err := Read(&raw)
-	if err != nil {
-		t.Fatalf("reading version-2 file: %v", err)
+	// The payload after its one-byte version field.
+	body := cur.Bytes()[len(Magic)+1 : cur.Len()-4]
+	relabel := func(version byte) []byte { return append([]byte{version}, body...) }
+	if _, err := Read(bytes.NewReader(traceFile(relabel(Version)))); err != nil {
+		t.Fatalf("the current payload, reframed, does not read: %v", err)
 	}
-	th := got.Threads[0]
-	if !th.Truncated || th.Dropped != ts.Threads[0].Dropped {
-		t.Fatalf("v2 read lost truncation: truncated=%v dropped=%d", th.Truncated, th.Dropped)
-	}
-	if got.Provenance != nil {
-		t.Fatalf("v2 file decoded with provenance %+v, want nil", got.Provenance)
+	for _, version := range []byte{3, 4, 6} {
+		wantUnsupported(t, uint64(version), traceFile(relabel(version)))
 	}
 }
 

@@ -8,7 +8,7 @@
 // zig-zag varints):
 //
 //	magic   [8]byte  "PYTHIA1\n"
-//	version uvarint  (currently 1)
+//	version uvarint  (Version)
 //	payload          (sections below)
 //	crc32   4 bytes  little-endian IEEE CRC of the payload
 //
@@ -17,27 +17,23 @@
 //	eventCount, then each descriptor as (len, bytes)
 //	threadCount, then per thread:
 //	  tid      (zig-zag)
-//	  flags    uvarint (version >= 2; bit 0: truncated by a record budget);
+//	  flags    uvarint (bit 0: truncated by a record budget);
 //	           if truncated: dropped event count (uvarint)
 //	  ruleCount, then per rule: runCount, then per run (sym zig-zag, count)
 //	  timingFlag (0/1); if 1:
 //	    suffixCount, per entry: (keyLen, keyBytes, stat)
 //	    eventStatCount, per entry: (eventID zig-zag, stat)
 //	  where stat = (count, sum zig-zag, min zig-zag, max zig-zag)
-//	provenanceFlag (version >= 3, 0/1); if 1:
+//	provenanceFlag (0/1); if 1:
 //	  generation uvarint
 //	  provFlags  uvarint (bit 0: salvaged by recovery; bit 1: lineage follows;
 //	             bit 2: replicated-from follows)
-//	  if lineage (version >= 4):
+//	  if lineage:
 //	    kind      uvarint (checkpoint/promotion/rollback)
 //	    parent    uvarint (generation this one descends from)
 //	    unixNanos svarint (mint time, 0 when unrecorded)
-//	  if replicated (version >= 5):
+//	  if replicated:
 //	    replicatedFrom (len, bytes) — source daemon address
-//
-// Version 1 files (no per-thread flags), version 2 files (no provenance
-// record), version 3 files (no lineage) and version 4 files (no
-// replication origin) remain readable.
 package tracefile
 
 import (
@@ -60,13 +56,11 @@ import (
 // Magic identifies Pythia trace files.
 var Magic = [8]byte{'P', 'Y', 'T', 'H', 'I', 'A', '1', '\n'}
 
-// Version is the current format version. Version 2 added per-thread flags
-// (truncation marks from record-mode resource budgets); version 3 added the
-// optional provenance record (checkpoint generation and salvage mark);
-// version 4 added optional generation lineage (kind, parent, mint time) for
-// journals written by the online-learning model lifecycle; version 5 added
-// the optional replication origin (source daemon address) stamped on
-// generations shipped between daemons by cluster migration/replication.
+// Version is the format version Write emits and the only one Read accepts.
+// Its optional provenance record carries the checkpoint generation and
+// salvage mark, the generation lineage (kind, parent, mint time) written by
+// the online-learning model lifecycle, and the replication origin (source
+// daemon address) stamped on generations shipped between daemons.
 const Version = 5
 
 // threadFlagTruncated marks a thread trace frozen by a record budget.
@@ -177,7 +171,7 @@ func Read(r io.Reader) (*model.TraceSet, error) {
 	d := &decoder{r: br, crc: crc}
 
 	version := d.uvarint()
-	if d.err == nil && (version < 1 || version > Version) {
+	if d.err == nil && version != Version {
 		return nil, fmt.Errorf("tracefile: unsupported version %d", version)
 	}
 	nEvents := d.uvarint()
@@ -196,16 +190,13 @@ func Read(r io.Reader) (*model.TraceSet, error) {
 	for i := uint64(0); i < nThreads && d.err == nil; i++ {
 		tid := int32(d.svarint())
 		th := &model.ThreadTrace{}
-		if version >= 2 {
-			flags := d.uvarint()
-			if flags&threadFlagTruncated != 0 {
-				th.Truncated = true
-				dropped := d.uvarint()
-				if dropped > maxReasonable {
-					return nil, fmt.Errorf("tracefile: absurd dropped-event count %d", dropped)
-				}
-				th.Dropped = int64(dropped)
+		if d.uvarint()&threadFlagTruncated != 0 {
+			th.Truncated = true
+			dropped := d.uvarint()
+			if dropped > maxReasonable {
+				return nil, fmt.Errorf("tracefile: absurd dropped-event count %d", dropped)
 			}
+			th.Dropped = int64(dropped)
 		}
 		g, err := d.grammar()
 		if err != nil {
@@ -215,21 +206,19 @@ func Read(r io.Reader) (*model.TraceSet, error) {
 		th.Timing = d.timing()
 		ts.Threads[tid] = th
 	}
-	if version >= 3 && d.err == nil {
-		if d.uvarint() != 0 {
-			p := &model.Provenance{Generation: d.uvarint()}
-			pf := d.uvarint()
-			p.Salvaged = pf&provFlagSalvaged != 0
-			if pf&provFlagLineage != 0 {
-				p.Kind = model.ProvKind(d.uvarint())
-				p.Parent = d.uvarint()
-				p.UnixNanos = d.svarint()
-			}
-			if version >= 5 && pf&provFlagReplicated != 0 {
-				p.ReplicatedFrom = string(d.bytes())
-			}
-			ts.Provenance = p
+	if d.uvarint() != 0 {
+		p := &model.Provenance{Generation: d.uvarint()}
+		pf := d.uvarint()
+		p.Salvaged = pf&provFlagSalvaged != 0
+		if pf&provFlagLineage != 0 {
+			p.Kind = model.ProvKind(d.uvarint())
+			p.Parent = d.uvarint()
+			p.UnixNanos = d.svarint()
 		}
+		if pf&provFlagReplicated != 0 {
+			p.ReplicatedFrom = string(d.bytes())
+		}
+		ts.Provenance = p
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("tracefile: decode: %w", d.err)

@@ -1,11 +1,9 @@
 package vet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -104,7 +102,7 @@ func (am *atomicMixer) checkField(pass *Pass, display string, accs []fieldAccess
 			}
 			pass.Reportf(a.pos,
 				"field %s is accessed via sync/atomic at %s but by a plain %s here (one discipline per field)",
-				display, am.relPos(firstAtomic.pkg, firstAtomic.pos), kind)
+				display, am.relPos(firstAtomic), kind)
 		}
 		return // rule 2 would double-report the same sites
 	}
@@ -178,7 +176,7 @@ func (am *atomicMixer) checkField(pass *Pass, display string, accs []fieldAccess
 	for i := range accs {
 		a := &accs[i]
 		if !a.unpublished && a.write && covs[i] != nil && !covs[i].universal && covs[i].m[best.class] {
-			example = am.relPos(a.pkg, a.pos)
+			example = am.relPos(a)
 			break
 		}
 	}
@@ -207,7 +205,7 @@ func (am *atomicMixer) collectAccesses(pkg *Package, fd *ast.FuncDecl, fn *types
 
 	var visit func(body *ast.BlockStmt, topLevel bool)
 	visit = func(body *ast.BlockStmt, topLevel bool) {
-		regions := am.regionsOf(pkg, body)
+		regions := am.facts.lockRegions(pkg, body)
 		atomicSels := make(map[*ast.SelectorExpr]bool)
 		writeSels := make(map[*ast.SelectorExpr]bool)
 		markWrite := func(e ast.Expr) {
@@ -320,12 +318,8 @@ func packageStructFields(pkg *Package) map[*types.Var]string {
 // isSyncType reports a type declared in sync or sync/atomic (Mutex,
 // WaitGroup, Once, atomic.Bool, ...): these synchronize themselves.
 func isSyncType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	p := named.Obj().Pkg().Path()
-	return p == "sync" || p == "sync/atomic"
+	tn := typeName(t)
+	return tn != nil && (tn.Pkg().Path() == "sync" || tn.Pkg().Path() == "sync/atomic")
 }
 
 // isAtomicCall reports a call to a sync/atomic package function.
@@ -396,11 +390,12 @@ func (s *classSet) intersect(o *classSet) *classSet {
 	return &classSet{m: m}
 }
 
-// classesCovering returns the classes whose regions cover pos.
+// classesCovering returns the classes whose regions cover pos. A local
+// mutex has no class: it guards nothing outside its function.
 func classesCovering(regions []lockRegion, pos token.Pos) *classSet {
 	var m map[string]bool
 	for _, r := range regions {
-		if r.covers(pos) {
+		if r.class != "" && r.covers(pos) {
 			if m == nil {
 				m = make(map[string]bool)
 			}
@@ -416,7 +411,6 @@ func classesCovering(regions []lockRegion, pos token.Pos) *classSet {
 // atomicMixer carries the per-module caches of the analyzer.
 type atomicMixer struct {
 	facts   *ModuleFacts
-	regions map[*ast.BlockStmt][]lockRegion
 	unpub   map[*ast.FuncDecl]map[*types.Var]bool
 	cov     map[*types.Func]*classSet
 	onStack map[*types.Func]bool
@@ -425,20 +419,10 @@ type atomicMixer struct {
 func newAtomicMixer(facts *ModuleFacts) *atomicMixer {
 	return &atomicMixer{
 		facts:   facts,
-		regions: make(map[*ast.BlockStmt][]lockRegion),
 		unpub:   make(map[*ast.FuncDecl]map[*types.Var]bool),
 		cov:     make(map[*types.Func]*classSet),
 		onStack: make(map[*types.Func]bool),
 	}
-}
-
-func (am *atomicMixer) regionsOf(pkg *Package, body *ast.BlockStmt) []lockRegion {
-	if got, ok := am.regions[body]; ok {
-		return got
-	}
-	r := lockRegionsIn(pkg, body)
-	am.regions[body] = r
-	return r
 }
 
 // fnCoverage computes the lock classes guaranteed to be held whenever fn
@@ -473,7 +457,7 @@ func (am *atomicMixer) fnCoverage(fn *types.Func) *classSet {
 			sc = universalSet
 		default:
 			caller := site.Caller
-			sc = classesCovering(am.regionsOf(caller.Pkg, caller.Decl.Body), site.Pos)
+			sc = classesCovering(am.facts.lockRegions(caller.Pkg, caller.Decl.Body), site.Pos)
 			sc = sc.union(am.fnCoverage(caller.Fn))
 		}
 		cov = cov.intersect(sc)
@@ -575,12 +559,7 @@ func (am *atomicMixer) unpublishedLocals(pkg *Package, fd *ast.FuncDecl) map[*ty
 	return out
 }
 
-// relPos formats a cross-reference position as root-relative file:line.
-func (am *atomicMixer) relPos(pkg *Package, pos token.Pos) string {
-	p := pkg.Fset.Position(pos)
-	file := p.Filename
-	if rel, err := filepath.Rel(am.facts.Mod.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return fmt.Sprintf("%s:%d", file, p.Line)
+// relPos formats an access as a root-relative file:line cross-reference.
+func (am *atomicMixer) relPos(a *fieldAccess) string {
+	return relPosition(am.facts.Mod.Root, a.pkg.Fset.Position(a.pos))
 }

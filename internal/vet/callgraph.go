@@ -210,6 +210,10 @@ type ModuleFacts struct {
 
 	graph *CallGraph
 
+	// regions caches the lock regions of every function body, shared by
+	// lock-discipline, atomic-mix and lock-order (see lockorder.go).
+	regions map[*ast.BlockStmt][]lockRegion
+
 	// lockOrderDiags caches the module-wide lock-order computation, keyed
 	// by package path (see lockorder.go).
 	lockOrderDiags map[string][]Diagnostic

@@ -159,16 +159,8 @@ func allowlisted(pass *Pass, call *ast.CallExpr) bool {
 // *bytes.Buffer or a hash.Hash variant — writers documented to never return
 // a non-nil error.
 func isSafeWriter(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-		switch n.Obj().Pkg().Path() + "." + n.Obj().Name() {
+	if tn := typeName(info.Types[e].Type); tn != nil {
+		switch tn.Pkg().Path() + "." + tn.Name() {
 		case "strings.Builder", "bytes.Buffer", "hash.Hash", "hash.Hash32", "hash.Hash64":
 			return true
 		}

@@ -171,8 +171,8 @@ func goroutineTie(pass *Pass, fd *ast.FuncDecl, gs *ast.GoStmt) int {
 	if body == nil {
 		return tieNone // body invisible: require the annotation
 	}
-	if callsWaitGroupDone(bodyPkg, body) &&
-		(callsWaitGroupAdd(pass.Pkg, fd.Body) || callsWaitGroupAdd(bodyPkg, body)) {
+	if callsWaitGroupMethod(bodyPkg, body, "Done") &&
+		(callsWaitGroupMethod(pass.Pkg, fd.Body, "Add") || callsWaitGroupMethod(bodyPkg, body, "Add")) {
 		return tieJoined
 	}
 	if signalsJoin(pass, bodyPkg, body, fd, gs) {
@@ -209,14 +209,6 @@ func receivesFromChannel(pkg *Package, body *ast.BlockStmt) bool {
 	return found
 }
 
-func callsWaitGroupDone(pkg *Package, body *ast.BlockStmt) bool {
-	return callsWaitGroupMethod(pkg, body, "Done")
-}
-
-func callsWaitGroupAdd(pkg *Package, body *ast.BlockStmt) bool {
-	return callsWaitGroupMethod(pkg, body, "Add")
-}
-
 func callsWaitGroupMethod(pkg *Package, body *ast.BlockStmt, method string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -235,15 +227,8 @@ func callsWaitGroupMethod(pkg *Package, body *ast.BlockStmt, method string) bool
 
 // isWaitGroup reports sync.WaitGroup (possibly behind a pointer).
 func isWaitGroup(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
+	tn := typeName(t)
+	return tn != nil && tn.Pkg().Path() == "sync" && tn.Name() == "WaitGroup"
 }
 
 // signalsJoin reports that the goroutine closes or sends on a channel

@@ -3,12 +3,9 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // LockOrder flags cross-function lock-order inversions: somewhere in the
@@ -45,21 +42,36 @@ func runLockOrder(pass *Pass) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared lock-region machinery (also used by atomic-mix).
+// Shared lock-region machinery (also used by lock-discipline and atomic-mix).
 
 // lockRegion is one held span of a mutex inside one function body.
 // Function literals are separate execution contexts and get their own
 // region lists.
 type lockRegion struct {
-	class string    // module-wide identity, e.g. "server.Server.mu"
-	base  string    // receiver spelling, e.g. "s" (same-instance hint)
-	rlock bool      // RLock/RUnlock region
-	start token.Pos // acquisition site
-	end   token.Pos // matching release, or scope end for deferred/missing
+	class    string    // module-wide identity, e.g. "server.Server.mu"; "" for a local mutex
+	recv     string    // receiver spelling, e.g. "s.mu"
+	rlock    bool      // RLock/RUnlock region
+	deferred bool      // the acquisition itself is deferred to function exit
+	released bool      // a matching release follows the acquisition or is deferred
+	start    token.Pos // acquisition site
+	end      token.Pos // matching release, or scope end for deferred/missing
 }
 
 // covers reports whether pos falls inside the held span.
 func (r lockRegion) covers(pos token.Pos) bool { return pos > r.start && pos < r.end }
+
+// lockRegions returns the held regions of body, computing them on first use.
+func (f *ModuleFacts) lockRegions(pkg *Package, body *ast.BlockStmt) []lockRegion {
+	if got, ok := f.regions[body]; ok {
+		return got
+	}
+	if f.regions == nil {
+		f.regions = make(map[*ast.BlockStmt][]lockRegion)
+	}
+	r := lockRegionsIn(pkg, body)
+	f.regions[body] = r
+	return r
+}
 
 // lockRegionsIn computes the held regions of body, treating nested
 // function literals as opaque (their regions belong to the literal, not
@@ -97,7 +109,7 @@ func lockRegionsIn(pkg *Package, body *ast.BlockStmt) []lockRegion {
 		pos      token.Pos
 		depth    int
 		class    string
-		base     string
+		recv     string
 		kind     string // "Lock", "RLock", "Unlock", "RUnlock"
 		deferred bool
 	}
@@ -121,15 +133,11 @@ func lockRegionsIn(pkg *Package, body *ast.BlockStmt) []lockRegion {
 					if !isSyncMutex(pkg.Info.Types[sel.X].Type) {
 						return true
 					}
-					class, ok := lockClassOf(pkg, sel.X)
-					if !ok {
-						return true
-					}
 					ops = append(ops, acquireRelease{
 						pos:      c.Pos(),
 						depth:    depthOf(c.Pos()),
-						class:    class,
-						base:     exprString(pkg, baseOf(sel.X)),
+						class:    lockClassOf(pkg, sel.X),
+						recv:     exprString(pkg, sel.X),
 						kind:     sel.Sel.Name,
 						deferred: deferred,
 					})
@@ -154,11 +162,19 @@ func lockRegionsIn(pkg *Package, body *ast.BlockStmt) []lockRegion {
 		}
 		end := token.NoPos
 		var lastDeep token.Pos
+		released := false
 		for _, rel := range ops {
-			if rel.kind != want || rel.class != op.class || rel.base != op.base ||
-				rel.deferred || rel.pos <= op.pos {
+			if rel.kind != want || rel.class != op.class || rel.recv != op.recv {
 				continue
 			}
+			if rel.deferred {
+				released = true
+				continue
+			}
+			if rel.pos <= op.pos {
+				continue
+			}
+			released = true
 			if rel.depth <= op.depth {
 				end = rel.pos
 				break
@@ -172,46 +188,35 @@ func lockRegionsIn(pkg *Package, body *ast.BlockStmt) []lockRegion {
 			}
 		}
 		regions = append(regions, lockRegion{
-			class: op.class,
-			base:  op.base,
-			rlock: op.kind == "RLock",
-			start: op.pos,
-			end:   end,
+			class:    op.class,
+			recv:     op.recv,
+			rlock:    op.kind == "RLock",
+			deferred: op.deferred,
+			released: released,
+			start:    op.pos,
+			end:      end,
 		})
 	}
 	return regions
 }
 
 // lockClassOf names the module-wide identity class of a mutex expression:
-// "pkg.Type.field" for struct-field mutexes, "pkg.var" for package-level
-// mutexes. Local mutex variables have no stable cross-function identity
-// and yield ok=false.
-func lockClassOf(pkg *Package, e ast.Expr) (string, bool) {
+// "pkg.Type.field" for struct-field mutexes, "pkg.var" for the package's
+// own package-level mutexes. Any other mutex (a local variable, another
+// package's variable) has no class the analyzers track: "".
+func lockClassOf(pkg *Package, e ast.Expr) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		// Field mutex: identify by the declaring struct type.
-		t := pkg.Info.Types[e.X].Type
-		if t == nil {
-			return "", false
-		}
-		if p, ok := t.Underlying().(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-			return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + e.Sel.Name, true
-		}
-		// Qualified package-level mutex (pkg.mu).
-		if id, ok := e.X.(*ast.Ident); ok {
-			if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
-				return pn.Imported().Name() + "." + e.Sel.Name, true
-			}
+		if tn := typeName(pkg.Info.Types[e.X].Type); tn != nil {
+			return tn.Pkg().Name() + "." + tn.Name() + "." + e.Sel.Name
 		}
 	case *ast.Ident:
 		if v, ok := pkg.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Name() + "." + e.Name, true
+			return v.Pkg().Name() + "." + e.Name
 		}
 	}
-	return "", false
+	return ""
 }
 
 // baseOf returns the receiver base of a selector chain (s.mu -> s,
@@ -221,16 +226,6 @@ func baseOf(e ast.Expr) ast.Expr {
 		return sel.X
 	}
 	return e
-}
-
-// exprString renders an expression using the package's file set (the
-// *Pass-free counterpart of Pass.ExprString, for module-level passes).
-func exprString(pkg *Package, e ast.Expr) string {
-	var b strings.Builder
-	if err := printer.Fprint(&b, pkg.Fset, e); err != nil {
-		return "?"
-	}
-	return b.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -266,8 +261,10 @@ func computeLockOrder(facts *ModuleFacts) map[string][]Diagnostic {
 		onStack[fn] = true
 		defer func() { onStack[fn] = false }()
 		out := make(map[string]bool)
-		for _, r := range lockRegionsIn(node.Pkg, node.Decl.Body) {
-			out[r.class] = true
+		for _, r := range facts.lockRegions(node.Pkg, node.Decl.Body) {
+			if r.class != "" {
+				out[r.class] = true
+			}
 		}
 		for i := range node.Calls {
 			site := &node.Calls[i]
@@ -286,10 +283,13 @@ func computeLockOrder(facts *ModuleFacts) map[string][]Diagnostic {
 	// acquired inside it — directly or via a static call.
 	var pairs []lockPair
 	for _, node := range nodes {
-		regions := lockRegionsIn(node.Pkg, node.Decl.Body)
+		regions := facts.lockRegions(node.Pkg, node.Decl.Body)
 		for _, held := range regions {
+			if held.class == "" {
+				continue // a local mutex orders nothing outside its function
+			}
 			for _, inner := range regions {
-				if inner.class != held.class && held.covers(inner.start) {
+				if inner.class != "" && inner.class != held.class && held.covers(inner.start) {
 					pairs = append(pairs, lockPair{
 						held: held.class, acquired: inner.class,
 						pos: inner.start, pkg: node.Pkg,
@@ -328,11 +328,6 @@ func computeLockOrder(facts *ModuleFacts) map[string][]Diagnostic {
 
 	out := make(map[string][]Diagnostic)
 	emit := func(p, q lockPair) {
-		qpos := q.pkg.Fset.Position(q.pos)
-		file := qpos.Filename
-		if rel, err := filepath.Rel(facts.Mod.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = filepath.ToSlash(rel)
-		}
 		via := ""
 		if p.via != "" {
 			via = fmt.Sprintf(" (via call to %s)", p.via)
@@ -340,8 +335,8 @@ func computeLockOrder(facts *ModuleFacts) map[string][]Diagnostic {
 		d := Diagnostic{
 			Pos: p.pkg.Fset.Position(p.pos),
 			Message: fmt.Sprintf(
-				"lock-order inversion: %s acquired while holding %s%s, but %s:%d acquires %s while holding %s",
-				p.acquired, p.held, via, file, qpos.Line, p.held, p.acquired),
+				"lock-order inversion: %s acquired while holding %s%s, but %s acquires %s while holding %s",
+				p.acquired, p.held, via, relPosition(facts.Mod.Root, q.pkg.Fset.Position(q.pos)), p.held, p.acquired),
 		}
 		out[p.pkg.Path] = append(out[p.pkg.Path], d)
 	}

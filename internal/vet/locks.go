@@ -2,14 +2,14 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
 // LockDiscipline checks mutex usage in every package that locks a
 // sync.Mutex / sync.RWMutex (internal/core, internal/events, the simulated
-// runtimes). Two rules:
+// runtimes). Two rules, both over the lock regions atomic-mix and
+// lock-order use (lockRegionsIn):
 //
 //  1. pairing — every Lock()/RLock() must have a matching same-function
 //     Unlock()/RUnlock() on the same receiver, either deferred or called
@@ -17,9 +17,11 @@ import (
 //  2. no submission under a lock — calling back into the oracle
 //     (core.Thread Submit/SubmitAt) while holding a lock couples the
 //     caller's locking protocol to the oracle's per-event cost and is a
-//     deadlock hazard once the oracle itself synchronises; the region held
-//     by a lock is taken to extend to the matching unlock (or to the end of
-//     the function for deferred unlocks).
+//     deadlock hazard once the oracle itself synchronises. The held region
+//     ends at the first matching release at the same or a shallower block
+//     depth, so an early-return `if done { mu.Unlock(); return }` does not
+//     end it for the fall-through path (a deferred or missing release runs
+//     it to the end of the function).
 //
 // Function literals are independent scopes: a goroutine body must satisfy
 // the discipline on its own.
@@ -29,161 +31,63 @@ var LockDiscipline = &Analyzer{
 	Run:  runLockDiscipline,
 }
 
-// lockOp is one mutex or submit call site within a function scope.
-type lockOp struct {
-	pos      token.Pos
-	end      token.Pos // end of the enclosing scope (for defers)
-	kind     string    // "Lock", "RLock", "Unlock", "RUnlock", "submit"
-	recv     string    // receiver spelling, e.g. "rt.mu"
-	deferred bool
-	name     string // callee name for submit ops
-}
-
 func runLockDiscipline(pass *Pass) {
 	for _, fd := range funcDecls(pass.Pkg) {
-		if fd.Body == nil {
-			continue
+		if fd.Body != nil {
+			checkLockScope(pass, fd.Name.Name, fd.Body)
 		}
-		checkLockScope(pass, fd.Name.Name, fd.Body)
 	}
 }
 
 // checkLockScope analyses one function-like body, recursing into nested
 // function literals as separate scopes.
 func checkLockScope(pass *Pass, name string, body *ast.BlockStmt) {
-	var ops []lockOp
-	var collect func(n ast.Node, deferred bool)
-	collect = func(n ast.Node, deferred bool) {
-		ast.Inspect(n, func(c ast.Node) bool {
-			switch c := c.(type) {
-			case *ast.FuncLit:
-				checkLockScope(pass, name+" (func literal)", c.Body)
-				return false
-			case *ast.DeferStmt:
-				collect(c.Call, true)
-				return false
-			case *ast.CallExpr:
-				if op, ok := classifyLockCall(pass, c); ok {
-					op.deferred = deferred
-					op.end = body.End()
-					ops = append(ops, op)
-				}
-			}
-			return true
-		})
-	}
-	collect(body, false)
-
-	// Rule 1: pairing.
-	for _, op := range ops {
-		var want string
-		switch op.kind {
-		case "Lock":
-			want = "Unlock"
-		case "RLock":
-			want = "RUnlock"
-		default:
-			continue
-		}
-		if op.deferred {
-			pass.Reportf(op.pos, "%s: deferred %s.%s() acquires a lock at function exit", name, op.recv, op.kind)
-			continue
-		}
-		matched := false
-		for _, rel := range ops {
-			if rel.kind == want && rel.recv == op.recv && (rel.deferred || rel.pos > op.pos) {
-				matched = true
-				break
+	var submits []*ast.SelectorExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			checkLockScope(pass, name+" (func literal)", n.Body)
+			return false
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if ok && (sel.Sel.Name == "Submit" || sel.Sel.Name == "SubmitAt") &&
+				isOracleThread(pass.Pkg.Info.Types[sel.X].Type) {
+				submits = append(submits, sel)
 			}
 		}
-		if !matched {
-			pass.Reportf(op.pos, "%s: %s.%s() without a matching same-function %s", name, op.recv, op.kind, want)
+		return true
+	})
+	for _, r := range pass.Facts.lockRegions(pass.Pkg, body) {
+		lock, unlock := "Lock", "Unlock"
+		if r.rlock {
+			lock, unlock = "RLock", "RUnlock"
 		}
-	}
-
-	// Rule 2: no Submit while a lock is held. The held region runs from the
-	// acquire to the first matching release after it (or to the end of the
-	// scope when the release is deferred or missing).
-	for _, op := range ops {
-		var want string
-		switch op.kind {
-		case "Lock":
-			want = "Unlock"
-		case "RLock":
-			want = "RUnlock"
-		default:
-			continue
+		switch {
+		case r.deferred:
+			pass.Reportf(r.start, "%s: deferred %s.%s() acquires a lock at function exit", name, r.recv, lock)
+		case !r.released:
+			pass.Reportf(r.start, "%s: %s.%s() without a matching same-function %s", name, r.recv, lock, unlock)
 		}
-		regionEnd := op.end
-		for _, rel := range ops {
-			if rel.kind != want || rel.recv != op.recv || rel.deferred {
-				continue
-			}
-			if rel.pos > op.pos && rel.pos < regionEnd {
-				regionEnd = rel.pos
-			}
-		}
-		for _, sub := range ops {
-			if sub.kind == "submit" && sub.pos > op.pos && sub.pos < regionEnd {
-				pass.Reportf(sub.pos, "%s: %s called while holding %s (no oracle submission under a lock)", name, sub.name, op.recv)
+		for _, sub := range submits {
+			if r.covers(sub.Pos()) {
+				pass.Reportf(sub.Pos(), "%s: Thread.%s called while holding %s (no oracle submission under a lock)",
+					name, sub.Sel.Name, r.recv)
 			}
 		}
 	}
-}
-
-// classifyLockCall recognises mutex method calls and oracle submissions.
-func classifyLockCall(pass *Pass, call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockOp{}, false
-	}
-	info := pass.Pkg.Info
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-		if recvType := info.Types[sel.X].Type; isSyncMutex(recvType) {
-			return lockOp{pos: call.Pos(), kind: sel.Sel.Name, recv: pass.ExprString(sel.X)}, true
-		}
-	case "Submit", "SubmitAt":
-		if isOracleThread(info.Types[sel.X].Type) {
-			return lockOp{pos: call.Pos(), kind: "submit", name: "Thread." + sel.Sel.Name}, true
-		}
-	}
-	return lockOp{}, false
 }
 
 // isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly via
 // pointer).
 func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	if n.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
+	tn := typeName(t)
+	return tn != nil && tn.Pkg().Path() == "sync" && (tn.Name() == "Mutex" || tn.Name() == "RWMutex")
 }
 
 // isOracleThread reports whether t is the oracle thread handle
 // (internal/core.Thread, aliased as pythia.Thread), possibly via pointer.
 func isOracleThread(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	pkg := n.Obj().Pkg().Path()
-	return n.Obj().Name() == "Thread" &&
-		(strings.HasSuffix(pkg, "internal/core") || strings.HasSuffix(pkg, "/pythia"))
+	tn := typeName(t)
+	return tn != nil && tn.Name() == "Thread" &&
+		(strings.HasSuffix(tn.Pkg().Path(), "internal/core") || strings.HasSuffix(tn.Pkg().Path(), "/pythia"))
 }

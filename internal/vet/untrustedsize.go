@@ -222,15 +222,7 @@ func untrustedSource(pass *Pass, call *ast.CallExpr) (string, bool) {
 // wire codec decodes it: a type declared in a package named "wire" with the
 // codec's field-walk method.
 func isWireMessage(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Name() != "wire" {
-		return false
-	}
-	return types.NewMethodSet(types.NewPointer(n)).Lookup(n.Obj().Pkg(), "walk") != nil
+	tn := typeName(t)
+	return tn != nil && tn.Pkg().Name() == "wire" &&
+		types.NewMethodSet(types.NewPointer(tn.Type())).Lookup(tn.Pkg(), "walk") != nil
 }

@@ -15,6 +15,7 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -34,11 +35,17 @@ type Diagnostic struct {
 // file path relative to root (analysis output must be stable across
 // checkouts for the baseline to work).
 func (d Diagnostic) Format(root string) string {
-	file := d.Pos.Filename
+	return fmt.Sprintf("%s: [%s] %s", relPosition(root, d.Pos), d.Analyzer, d.Message)
+}
+
+// relPosition renders p as "file:line" with the file relative to root when
+// it lies inside it.
+func relPosition(root string, p token.Position) string {
+	file := p.Filename
 	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
 		file = filepath.ToSlash(rel)
 	}
-	return fmt.Sprintf("%s:%d: [%s] %s", file, d.Pos.Line, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s:%d", file, p.Line)
 }
 
 // Pass is the per-package analysis context handed to each analyzer.
@@ -62,13 +69,31 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ExprString renders an expression compactly (for messages and for matching
-// lock receivers / slice destinations by spelling).
-func (p *Pass) ExprString(e ast.Expr) string {
+// slice destinations by spelling).
+func (p *Pass) ExprString(e ast.Expr) string { return exprString(p.Pkg, e) }
+
+// exprString renders an expression using the package's file set.
+func exprString(pkg *Package, e ast.Expr) string {
 	var b strings.Builder
-	if err := printer.Fprint(&b, p.Pkg.Fset, e); err != nil {
+	if err := printer.Fprint(&b, pkg.Fset, e); err != nil {
 		return "?"
 	}
 	return b.String()
+}
+
+// typeName returns the declared name of t, looking through one pointer, or
+// nil when t is not a named type of some package.
+func typeName(t types.Type) *types.TypeName {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		return n.Obj()
+	}
+	return nil
 }
 
 // Analyzer is one named check run over every package.

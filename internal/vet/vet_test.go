@@ -276,6 +276,28 @@ func TestLockDiscipline(t *testing.T) {
 			want: nil,
 		},
 		{
+			name: "submit after an early-return unlock",
+			body: `mu.Lock()
+	if thr == nil {
+		mu.Unlock()
+		return
+	}
+	thr.Submit(1)
+	mu.Unlock()`,
+			want: []string{"scope: Thread.Submit called while holding mu"},
+		},
+		{
+			name: "submit after the fall-through unlock is fine",
+			body: `mu.Lock()
+	if thr == nil {
+		mu.Unlock()
+		return
+	}
+	mu.Unlock()
+	thr.Submit(1)`,
+			want: nil,
+		},
+		{
 			name: "closure is its own scope",
 			body: `mu.Lock()
 	defer mu.Unlock()

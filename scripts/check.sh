@@ -53,8 +53,10 @@
 # the fleet failover leg (internal/server), and the fleet-routing client.
 # With --serve, additionally runs scripts/serve-smoke.sh
 # (pythiad + pythia-loadgen end to end over every transport tier, including
-# a SIGTERM drain and a two-daemon cluster leg). Benchmarks and the serve
-# smoke are not part of the gating suite.
+# a SIGTERM drain and a two-daemon cluster leg; its counters are read from
+# loadgen's stdout). Benchmarks and the serve smoke are not part of the
+# gating suite; loadgen's own tests (every tier and a forced
+# promote/rollback against an in-process daemon) run in step 4.
 set -u
 
 cd "$(dirname "$0")/.."

@@ -9,12 +9,14 @@
 # running clients must reconnect), then SIGTERM the daemon and require a
 # clean graceful drain that also removes the socket file. A learn leg
 # restarts the daemon with -learn and drives a drifted replay with a forced
-# promotion and a forced rollback; the loadgen report must show both
-# lifecycle transitions. A final cluster leg runs a two-daemon fleet where
-# daemon B starts empty: the anti-entropy sweep must replicate the model to
-# B with "replicated from" provenance, a forced epoch bump (B restarted at
-# epoch 2) must propagate to A by gossip, and the fleet must serve cleanly
-# before and after the bump with lineage intact.
+# promotion and a forced rollback; the lifecycle counters loadgen prints
+# must show both transitions. A final cluster leg runs a two-daemon fleet
+# where daemon B starts empty: the anti-entropy sweep must replicate the
+# model to B with "replicated from" provenance, a forced epoch bump (B
+# restarted at epoch 2) must propagate to A by gossip, and the fleet must
+# serve cleanly before and after the bump with lineage intact.
+#
+# Every counter asserted here is read from pythia-loadgen's stdout.
 #
 # Run directly or via `scripts/check.sh --serve`. Non-gating in CI (shared
 # runners make the daemon timing noisy) but must pass locally.
@@ -85,12 +87,21 @@ echo "==> loadgen: 8 clients replaying EP.small over shared-memory rings"
 "${workdir}/pythia-loadgen" -addr "unix://${sock}" -transport shm \
     -tenant EP -app EP -class small -clients 8 -predict-every 4 -distance 4
 
+# loadgen_to FILE ARGS... runs pythia-loadgen with its stdout, which carries
+# the counters the legs below assert on, saved to FILE and echoed.
+loadgen_to() {
+    local out="$1" rc=0
+    shift
+    "${workdir}/pythia-loadgen" "$@" >"${out}" || rc=$?
+    cat "${out}"
+    return "${rc}"
+}
+
 echo "==> loadgen: 8 clients over tcp with injected chaos (resets + torn frames)"
-"${workdir}/pythia-loadgen" -addr "${addr}" -tenant EP -app EP -class small \
-    -clients 8 -predict-every 4 -distance 4 -chaos -chaos-seed 7 \
-    -o "${workdir}/chaos-report.json"
-if ! grep -q '"reconnects"' "${workdir}/chaos-report.json"; then
-    echo "serve-smoke: chaos report lacks resilience counters" >&2
+loadgen_to "${workdir}/loadgen-chaos.out" -addr "${addr}" -tenant EP -app EP -class small \
+    -clients 8 -predict-every 4 -distance 4 -chaos -chaos-seed 7
+if ! grep -q '^resilience: [0-9]* reconnects' "${workdir}/loadgen-chaos.out"; then
+    echo "serve-smoke: chaos leg printed no resilience counters" >&2
     exit 1
 fi
 
@@ -100,7 +111,7 @@ echo "==> kill-and-reconnect: SIGKILL pythiad mid-run, restart on the same socke
 # a clean exit proves the reconnect + replay path absorbed the restart.
 "${workdir}/pythia-loadgen" -addr "unix://${sock}" -transport unix \
     -tenant EP -app EP -class small -clients 4 -predict-every 1 -distance 4 \
-    -repeat 300 -chaos -chaos-seed 3 -o "${workdir}/restart-report.json" \
+    -repeat 300 -chaos -chaos-seed 3 \
     >"${workdir}/loadgen-restart.out" 2>&1 &
 loadgen_pid=$!
 sleep 0.3
@@ -122,7 +133,7 @@ if ! wait "${loadgen_pid}"; then
     exit 1
 fi
 cat "${workdir}/loadgen-restart.out"
-reconnects=$(sed -n 's/.*"reconnects": \([0-9]*\).*/\1/p' "${workdir}/restart-report.json")
+reconnects=$(sed -n 's/^resilience: \([0-9]*\) reconnects.*/\1/p' "${workdir}/loadgen-restart.out")
 if [ -z "${reconnects}" ] || [ "${reconnects}" -lt 1 ]; then
     echo "serve-smoke: expected >=1 reconnect across the daemon restart, got '${reconnects}'" >&2
     exit 1
@@ -177,11 +188,11 @@ fi
 # Phase 2 replays the streams reversed; the forced promotion adopts the
 # shadow model 300 events in and the forced rollback restores the previous
 # generation 600 events later. Both must land in the lifecycle counters.
-"${workdir}/pythia-loadgen" -addr "${addr}" -tenant EP -app EP -class small \
-    -clients 2 -predict-every 2 -repeat 100 -drift \
-    -force-promote 300 -force-rollback 600 -o "${workdir}/learn-report.json"
-promotions=$(sed -n 's/.*"promotions": \([0-9]*\).*/\1/p' "${workdir}/learn-report.json")
-rollbacks=$(sed -n 's/.*"rollbacks": \([0-9]*\).*/\1/p' "${workdir}/learn-report.json")
+loadgen_to "${workdir}/loadgen-learn.out" -addr "${addr}" -tenant EP -app EP \
+    -class small -clients 2 -predict-every 2 -repeat 100 -drift \
+    -force-promote 300 -force-rollback 600
+promotions=$(sed -n 's/^lifecycle: \([0-9]*\) promotions.*/\1/p' "${workdir}/loadgen-learn.out")
+rollbacks=$(sed -n 's/^lifecycle: [0-9]* promotions, \([0-9]*\) rollbacks.*/\1/p' "${workdir}/loadgen-learn.out")
 if [ -z "${promotions}" ] || [ "${promotions}" -lt 1 ]; then
     echo "serve-smoke: expected >=1 promotion in the learn leg, got '${promotions}'" >&2
     exit 1
