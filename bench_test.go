@@ -18,13 +18,11 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/events"
 	"repro/internal/grammar"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/ompsim"
 	"repro/internal/predictor"
-	"repro/internal/recorder"
 	"repro/pythia"
 )
 
@@ -33,7 +31,7 @@ import (
 // Table I experiment at benchmark scale. The medium working set keeps the
 // compute-to-event ratio representative (the small class is event-dense and
 // overstates the relative cost; the full Table I uses large — see
-// `pythia-bench -experiment table1`).
+// `pythia-paper -experiment table1`).
 func BenchmarkTable1_RecordOverhead(b *testing.B) {
 	for _, name := range []string{"BT", "Quicksilver"} {
 		b.Run(name, func(b *testing.B) {
@@ -300,81 +298,18 @@ func BenchmarkAblation_TimingGranularity(b *testing.B) {
 
 // --- hot-path microbenchmarks ----------------------------------------------
 //
-// The three per-event paths a runtime system exercises on every key point:
-// Submit (record mode), Observe (predict mode) and Observe+PredictAt (the
-// steady-state oracle query loop). CI runs them at -benchtime=1x so the code
-// cannot rot; the numbers of record come from the repo's benchmark
-// (BENCHMARK.json, bench/README.md), which times the same paths.
+// Two per-event paths no package benchmark or bench probe times on their
+// own: a checkpointed record-mode Submit and concurrent thread dispatch.
+// The numbers of record for the other hot paths come from the repo's
+// benchmark (BENCHMARK.json, bench/README.md) and the package benchmarks
+// (grammar.BenchmarkAppendApps, model.BenchmarkFinishApps,
+// predictor.BenchmarkObserveExactReplay, predictor.BenchmarkPredictAtDistance).
 
-// hotpathTrace builds a reference trace over the repetitive motif the other
-// hot-path benchmarks replay (run-length-friendly, like a real iterative app).
-func hotpathTrace(reps int) ([]int32, *model.Trace) {
-	var seq []int32
-	for i := 0; i < reps; i++ {
-		seq = append(seq, 0, 1, 2, 1, 2, 3)
-	}
-	g := grammar.New()
-	for _, e := range seq {
-		g.Append(e)
-	}
-	names := []string{"a", "b", "c", "d"}
-	return seq, &model.Trace{Grammar: g.Freeze(), Events: names}
-}
-
-// BenchmarkSubmitThroughput measures the record-mode per-event cost
-// (Thread.Submit -> recorder -> grammar append, the Table I hot path).
-func BenchmarkSubmitThroughput(b *testing.B) {
-	o := pythia.NewRecordOracle(pythia.WithoutTimestamps())
-	ids := []pythia.ID{
-		o.Intern("a"), o.Intern("b"), o.Intern("c"), o.Intern("d"),
-	}
-	motif := []pythia.ID{ids[0], ids[1], ids[2], ids[1], ids[2], ids[3]}
-	th := o.Thread(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.Submit(motif[i%len(motif)])
-	}
-}
-
-// BenchmarkFinish measures the end of a timed recording: Freeze plus the
-// replay of the timestamp log through the grammar into the per-context
-// timing model (recorder.Finish), over a three-level loop nest of about
-// 100 000 events. ns/op divided by the events/op metric is the per-event
-// price of finishing.
-func BenchmarkFinish(b *testing.B) {
-	var now int64
-	r := recorder.New(recorder.WithClock(func() int64 { return now }))
-	rec := func(id events.ID) {
-		r.RecordAt(id, now)
-		now += 1000 + now%613
-	}
-	for outer := 0; outer < 1000; outer++ {
-		rec(0)
-		for mid := 0; mid < 6; mid++ {
-			rec(1)
-			for inner := 0; inner < 5; inner++ {
-				rec(2)
-				rec(3)
-				rec(4)
-			}
-		}
-		rec(5)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		finishSink = r.Finish()
-	}
-	b.ReportMetric(float64(r.EventCount()), "events/op")
-}
-
-var finishSink *model.ThreadTrace
-
-// BenchmarkSubmitCheckpointed is BenchmarkSubmitThroughput with crash-safe
-// checkpointing enabled: the per-event cost must be indistinguishable — the
-// snapshot cadence amortizes the Freeze and all journal I/O happens on the
-// background writer, never on the Submit path.
+// BenchmarkSubmitCheckpointed measures the record-mode per-event cost
+// (Thread.Submit -> recorder -> grammar append) with crash-safe
+// checkpointing enabled: it must be indistinguishable from plain recording —
+// the snapshot cadence amortizes the Freeze and all journal I/O happens on
+// the background writer, never on the Submit path.
 func BenchmarkSubmitCheckpointed(b *testing.B) {
 	o := pythia.NewRecordOracle(
 		pythia.WithoutTimestamps(),
@@ -396,90 +331,6 @@ func BenchmarkSubmitCheckpointed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		th.Submit(motif[i%len(motif)])
-	}
-}
-
-// BenchmarkSubmitLearning is BenchmarkSubmitThroughput on an always-on
-// learning oracle: every Submit feeds both the serving predictor and the
-// shadow recorder, and the epoch scorer runs concurrently on the manager
-// goroutine. The per-event cost must stay within a few percent of the sum
-// of the two paths it drives (record-mode Submit + predict-mode Observe) —
-// candidate materialization, scoring and promotion all happen off the
-// Submit path, and the steady-state loop must not allocate.
-func BenchmarkSubmitLearning(b *testing.B) {
-	rec := pythia.NewRecordOracle(pythia.WithoutTimestamps())
-	names := []string{"a", "b", "c", "d"}
-	recMotif := []pythia.ID{
-		rec.Intern(names[0]), rec.Intern(names[1]), rec.Intern(names[2]),
-		rec.Intern(names[1]), rec.Intern(names[2]), rec.Intern(names[3]),
-	}
-	rt := rec.Thread(0)
-	for i := 0; i < 6*1000; i++ {
-		rt.Submit(recMotif[i%len(recMotif)])
-	}
-	ts, err := rec.Finish()
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, err := pythia.NewPredictOracle(ts, pythia.Config{},
-		pythia.WithOnlineLearning(pythia.LearnPolicy{}, pythia.WithoutTimestamps()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(o.Close) // stops the lifecycle manager goroutine
-	motif := []pythia.ID{
-		o.Intern(names[0]), o.Intern(names[1]), o.Intern(names[2]),
-		o.Intern(names[1]), o.Intern(names[2]), o.Intern(names[3]),
-	}
-	th := o.Thread(0)
-	th.StartAtBeginning()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.Submit(motif[i%len(motif)])
-	}
-}
-
-// BenchmarkObserveThroughput measures the predict-mode per-event tracking
-// cost on a faithful replay (single anchored hypothesis, no queries).
-func BenchmarkObserveThroughput(b *testing.B) {
-	seq, tr := hotpathTrace(1000)
-	p := predictor.New(tr, predictor.Config{})
-	p.StartAtBeginning()
-	j := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if j == len(seq) {
-			j = 0
-			p.StartAtBeginning()
-		}
-		p.Observe(seq[j])
-		j++
-	}
-}
-
-// BenchmarkPredictAtCached measures the steady-state oracle loop: one
-// Observe plus one PredictAt(64) per event on a faithful replay — the
-// amortized-O(1) case the prediction window serves.
-func BenchmarkPredictAtCached(b *testing.B) {
-	const dist = 64
-	seq, tr := hotpathTrace(1000)
-	p := predictor.New(tr, predictor.Config{})
-	p.StartAtBeginning()
-	j := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if j == len(seq)-dist {
-			j = 0
-			p.StartAtBeginning()
-		}
-		p.Observe(seq[j])
-		j++
-		if _, ok := p.PredictAt(dist); !ok {
-			b.Fatal("no prediction on a faithful replay")
-		}
 	}
 }
 

@@ -1,17 +1,17 @@
-// Command pythia-bench regenerates the paper's evaluation tables and
+// Command pythia-paper regenerates the paper's evaluation tables and
 // figures (Colin, Trahay, Conan — CLUSTER 2022, section III) on the
 // simulated substrates:
 //
-//	pythia-bench -experiment table1     # Table I: PYTHIA-RECORD overhead
-//	pythia-bench -experiment fig7       # grammar extracted from BT.large
-//	pythia-bench -experiment fig8       # prediction accuracy vs distance
-//	pythia-bench -experiment fig9       # prediction cost vs distance
-//	pythia-bench -experiment fig10      # LULESH vs problem size (pudding/24)
-//	pythia-bench -experiment fig11      # LULESH vs problem size (pixel/16)
-//	pythia-bench -experiment fig12      # LULESH vs max threads (pudding)
-//	pythia-bench -experiment fig13      # LULESH vs max threads (pixel)
-//	pythia-bench -experiment fig14      # LULESH vs injected error rate
-//	pythia-bench -experiment all        # everything, in paper order
+//	pythia-paper -experiment table1     # Table I: PYTHIA-RECORD overhead
+//	pythia-paper -experiment fig7       # grammar extracted from BT.large
+//	pythia-paper -experiment fig8       # prediction accuracy vs distance
+//	pythia-paper -experiment fig9       # prediction cost vs distance
+//	pythia-paper -experiment fig10      # LULESH vs problem size (pudding/24)
+//	pythia-paper -experiment fig11      # LULESH vs problem size (pixel/16)
+//	pythia-paper -experiment fig12      # LULESH vs max threads (pudding)
+//	pythia-paper -experiment fig13      # LULESH vs max threads (pixel)
+//	pythia-paper -experiment fig14      # LULESH vs injected error rate
+//	pythia-paper -experiment all        # everything, in paper order
 package main
 
 import (
@@ -28,13 +28,13 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "pythia-bench:", err)
+		fmt.Fprintln(os.Stderr, "pythia-paper:", err)
 		os.Exit(1)
 	}
 }
 
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("pythia-bench", flag.ContinueOnError)
+	fs := flag.NewFlagSet("pythia-paper", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all", "table1|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|ext-ranks|ext-duration|all")
 		reps       = fs.Int("reps", 10, "repetitions for wall-clock measurements (table1)")

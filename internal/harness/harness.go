@@ -4,7 +4,7 @@
 // overhead), Fig. 7 (BT grammar), Fig. 8 (prediction accuracy vs distance),
 // Fig. 9 (prediction cost vs distance), Figs. 10-13 (LULESH with adaptive
 // thread counts vs problem size and vs maximum threads), and Fig. 14
-// (resilience to unexpected events). cmd/pythia-bench and the repository
+// (resilience to unexpected events). cmd/pythia-paper and the repository
 // benchmarks are thin wrappers around this package.
 package harness
 

@@ -54,7 +54,7 @@ func (s *Server) tryPark(c *conn) bool {
 		return false
 	}
 	s.parkMu.Lock()
-	if s.draining.Load() || (s.cfg.MaxParked > 0 && len(s.parked) >= s.cfg.MaxParked) {
+	if s.draining.Load() || len(s.parked) >= maxParked {
 		s.parkMu.Unlock()
 		return false
 	}

@@ -37,8 +37,11 @@ const (
 	DefaultMaxSessions  = 4096
 	DefaultDrainTimeout = 5 * time.Second
 	DefaultResumeWindow = 15 * time.Second
-	DefaultMaxParked    = 64
 )
+
+// maxParked caps concurrently parked connections awaiting resume; beyond it
+// a dropped connection releases immediately.
+const maxParked = 64
 
 // Config configures a Server. The zero value serves the current directory
 // with default limits.
@@ -75,10 +78,6 @@ type Config struct {
 	// its ring stalls — reconnects, resumes and replays. A THeartbeat
 	// frame inside the window avoids the detour.
 	Keepalive time.Duration
-	// MaxParked caps concurrently parked connections awaiting resume;
-	// beyond it a dropped connection releases immediately. 0 means
-	// DefaultMaxParked, negative means no cap.
-	MaxParked int
 	// MaxSessionsPerTenant caps open sessions per tenant; excess opens are
 	// refused with CodeRetryLater (non-fatal, retry-after hint attached).
 	// 0 means unlimited.
@@ -141,9 +140,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.ResumeWindow == 0 {
 		cfg.ResumeWindow = DefaultResumeWindow
-	}
-	if cfg.MaxParked == 0 {
-		cfg.MaxParked = DefaultMaxParked
 	}
 	return &Server{
 		cfg:    cfg,

@@ -54,8 +54,11 @@ import (
 const (
 	DefaultDialTimeout       = 5 * time.Second
 	DefaultRequestTimeout    = 10 * time.Second
-	DefaultSubmitFlush       = 64
 	DefaultReconnectMinDelay = 50 * time.Millisecond
+
+	// submitFlush is the number of buffered submissions (the capacity of a
+	// thread's pending buffer) that triggers a one-way SubmitBatch flush.
+	submitFlush = 64
 
 	// shadowEvents is the per-thread capacity (a power of two) of the shadow
 	// buffer that makes post-reconnect replay possible.
@@ -76,10 +79,6 @@ type Config struct {
 	// RequestTimeout bounds each request/response round trip (and each
 	// one-way batch write). 0 means DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// SubmitFlush is the number of buffered submissions that triggers a
-	// one-way SubmitBatch flush. 0 means DefaultSubmitFlush; 1 disables
-	// batching.
-	SubmitFlush int
 	// SharedMem asks for the shared-memory ring transport when the
 	// connection lands on a unix socket: per-thread SPSC rings in an
 	// mmap'd segment, zero syscalls on the steady-state Submit path. A
@@ -212,9 +211,6 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
-	}
-	if cfg.SubmitFlush <= 0 {
-		cfg.SubmitFlush = DefaultSubmitFlush
 	}
 	if cfg.ReconnectMinDelay <= 0 {
 		cfg.ReconnectMinDelay = DefaultReconnectMinDelay
@@ -577,7 +573,7 @@ func (o *Oracle) Thread(tid int32) *Thread {
 	t := &Thread{
 		o:       o,
 		tid:     tid,
-		pending: make([]int32, 0, o.c.cfg.SubmitFlush),
+		pending: make([]int32, 0, submitFlush),
 		shadow:  make([]int32, shadowEvents),
 	}
 	t.inert.Store(o.closed)

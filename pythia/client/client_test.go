@@ -182,9 +182,9 @@ func TestFlushShipsToSocket(t *testing.T) {
 		}
 	}()
 
-	// SubmitFlush far above the submitted count: nothing but Flush (or a
-	// prediction) may ship the batch.
-	o, err := Connect(ln.Addr().String(), "synth", Config{RequestTimeout: 2 * time.Second, SubmitFlush: 1024})
+	// The flush threshold (submitFlush) is far above the submitted count:
+	// nothing but Flush (or a prediction) may ship the batch.
+	o, err := Connect(ln.Addr().String(), "synth", Config{RequestTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatalf("connect: %v", err)
 	}
