@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,13 +24,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pythia-shardplan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout *os.File) error {
+// run plans the tenants named in args, or one per line of stdin when args
+// name none, and writes one line per tenant to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pythia-shardplan", flag.ContinueOnError)
 	var (
 		daemons  = fs.String("daemons", "", "comma-separated fleet daemon addresses (required)")
@@ -58,7 +61,7 @@ func run(args []string, stdout *os.File) error {
 
 	tenants := fs.Args()
 	if len(tenants) == 0 {
-		sc := bufio.NewScanner(os.Stdin)
+		sc := bufio.NewScanner(stdin)
 		for sc.Scan() {
 			if t := strings.TrimSpace(sc.Text()); t != "" {
 				tenants = append(tenants, t)

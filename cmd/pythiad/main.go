@@ -22,10 +22,10 @@
 // files.
 //
 // Serving resilience is tunable: a dead connection's sessions stay parked
-// for -resume-window awaiting the client's resume token, -keepalive reaps
-// half-open connections that stop sending frames, and -max-sessions-per-
-// tenant / -shed-sessions bound per-tenant admission and shed speculative
-// queries (with retry-after hints) under overload. See DESIGN.md §13.
+// for -resume-window awaiting the client's resume token, and -keepalive
+// reaps half-open connections that show no traffic for its window — no
+// frame, and on the shared-memory tier no ring event either, so a client
+// that only submits stays connected. See DESIGN.md §13.
 //
 // Several daemons become one fleet with -cluster-peers (comma list of every
 // daemon, including this one) plus -cluster-self (this daemon's address as
@@ -34,7 +34,10 @@
 // highest, and an anti-entropy sweep every -cluster-sync ships model
 // checkpoints to new owners and keeps -cluster-replicas warm copies per
 // tenant. Per-tenant event budgets (-tenant-events-per-sec, -tenant-burst)
-// bound what any one tenant absorbs. See DESIGN.md §15.
+// bound what any one tenant absorbs: past -max-conns and -max-sessions they
+// are the daemon's one admission mechanism, refusing a tenant's queries and
+// new sessions with a retry-after hint while it is over budget. See
+// DESIGN.md §15.
 package main
 
 import (
@@ -90,23 +93,21 @@ func run(args []string, stdout io.Writer) error {
 	var listens listenList
 	fs.Var(&listens, "listen", "address to listen on: host:port or unix:///path (repeatable)")
 	var (
-		traces         = fs.String("traces", ".", "directory of <tenant>.pythia trace files")
-		maxConns       = fs.Int("max-conns", server.DefaultMaxConns, "concurrent connection cap (negative = unlimited)")
-		maxSessions    = fs.Int("max-sessions", server.DefaultMaxSessions, "concurrent session cap (negative = unlimited)")
-		drainTimeout   = fs.Duration("drain-timeout", server.DefaultDrainTimeout, "bound on graceful shutdown")
-		resumeWindow   = fs.Duration("resume-window", server.DefaultResumeWindow, "how long a dead connection's sessions await resume (negative = resume disabled)")
-		keepalive      = fs.Duration("keepalive", 0, "reap connections silent for this long (0 = never)")
-		tenantSessions = fs.Int("max-sessions-per-tenant", 0, "per-tenant session cap, refused with a retry hint (0 = unlimited)")
-		shedSessions   = fs.Int("shed-sessions", 0, "shed speculative queries above this open-session count (0 = never)")
-		learn          = fs.Bool("learn", false, "online learning: shadow-record each client's live stream, promote when it out-predicts the serving model, roll back on regression")
-		learnEpoch     = fs.Int64("learn-epoch", 0, "scoring epoch in events (0 = default)")
-		clusterSelf    = fs.String("cluster-self", "", "this daemon's address as peers dial it (required with -cluster-peers)")
-		clusterPeers   = fs.String("cluster-peers", "", "comma-separated fleet daemon addresses, including self (enables cluster mode)")
-		clusterEpoch   = fs.Uint64("cluster-epoch", 1, "starting shard-map epoch; peers gossip and adopt the highest")
-		clusterRepl    = fs.Int("cluster-replicas", 0, "warm replicas per tenant beyond the owner")
-		clusterSync    = fs.Duration("cluster-sync", 5*time.Second, "anti-entropy sweep interval in cluster mode (0 = sweep only on epoch changes)")
-		tenantRate     = fs.Int64("tenant-events-per-sec", 0, "per-tenant event budget; queries over budget get retry-after (0 = unlimited)")
-		tenantBurst    = fs.Int64("tenant-burst", 0, "per-tenant burst allowance in events (0 = one second of budget)")
+		traces       = fs.String("traces", ".", "directory of <tenant>.pythia trace files")
+		maxConns     = fs.Int("max-conns", server.DefaultMaxConns, "concurrent connection cap (negative = unlimited)")
+		maxSessions  = fs.Int("max-sessions", server.DefaultMaxSessions, "concurrent session cap (negative = unlimited)")
+		drainTimeout = fs.Duration("drain-timeout", server.DefaultDrainTimeout, "bound on graceful shutdown")
+		resumeWindow = fs.Duration("resume-window", server.DefaultResumeWindow, "how long a dead connection's sessions await resume (negative = resume disabled)")
+		keepalive    = fs.Duration("keepalive", 0, "reap connections with no frame and no shm ring traffic for this long (0 = never)")
+		learn        = fs.Bool("learn", false, "online learning: shadow-record each client's live stream, promote when it out-predicts the serving model, roll back on regression")
+		learnEpoch   = fs.Int64("learn-epoch", 0, "scoring epoch in events (0 = default)")
+		clusterSelf  = fs.String("cluster-self", "", "this daemon's address as peers dial it (required with -cluster-peers)")
+		clusterPeers = fs.String("cluster-peers", "", "comma-separated fleet daemon addresses, including self (enables cluster mode)")
+		clusterEpoch = fs.Uint64("cluster-epoch", 1, "starting shard-map epoch; peers gossip and adopt the highest")
+		clusterRepl  = fs.Int("cluster-replicas", 0, "warm replicas per tenant beyond the owner")
+		clusterSync  = fs.Duration("cluster-sync", 5*time.Second, "anti-entropy sweep interval in cluster mode (0 = sweep only on epoch changes)")
+		tenantRate   = fs.Int64("tenant-events-per-sec", 0, "per-tenant event budget; queries over budget get retry-after (0 = unlimited)")
+		tenantBurst  = fs.Int64("tenant-burst", 0, "per-tenant burst allowance in events (0 = one second of budget)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,18 +146,16 @@ func run(args []string, stdout io.Writer) error {
 
 	logger := log.New(os.Stderr, "pythiad: ", log.LstdFlags)
 	srv := server.New(server.Config{
-		Learn:                learnPol,
-		TraceDir:             *traces,
-		MaxConns:             *maxConns,
-		MaxSessions:          *maxSessions,
-		DrainTimeout:         *drainTimeout,
-		ResumeWindow:         *resumeWindow,
-		Keepalive:            *keepalive,
-		MaxSessionsPerTenant: *tenantSessions,
-		ShedSessions:         *shedSessions,
-		TenantEventsPerSec:   *tenantRate,
-		TenantBurst:          *tenantBurst,
-		Logf:                 logger.Printf,
+		Learn:              learnPol,
+		TraceDir:           *traces,
+		MaxConns:           *maxConns,
+		MaxSessions:        *maxSessions,
+		DrainTimeout:       *drainTimeout,
+		ResumeWindow:       *resumeWindow,
+		Keepalive:          *keepalive,
+		TenantEventsPerSec: *tenantRate,
+		TenantBurst:        *tenantBurst,
+		Logf:               logger.Printf,
 	})
 
 	lns := make([]net.Listener, 0, len(listens))

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -37,9 +38,9 @@ func TestHandlerTableMatchesFrameTable(t *testing.T) {
 		}
 	}
 	// A frame with no row — a reply type, a second Hello, an unknown
-	// number — is a fatal bad frame.
+	// number, the retired Heartbeat pair (26, 27) — is a fatal bad frame.
 	c := newConn(New(Config{TraceDir: dir}), nopConn{})
-	for _, typ := range []wire.Type{wire.THello, wire.TPrediction, wire.TModelAccepted, 0, 200} {
+	for _, typ := range []wire.Type{wire.THello, wire.TPrediction, wire.TModelAccepted, 0, 26, 27, 200} {
 		var pe *protoErr
 		if err := c.handleFrame(typ, nil); !errors.As(err, &pe) || pe.code != wire.CodeBadFrame || !pe.fatal {
 			t.Errorf("%s: err = %v, want a fatal CodeBadFrame", typ, err)
@@ -127,40 +128,39 @@ func TestSessionSlotsAreReused(t *testing.T) {
 	}
 }
 
-// TestAdmissionLimitsShedWithRetryHint turns on the two fail-open
-// protections no other test enables. Each must refuse exactly the work it
-// names — with the non-fatal CodeRetryLater and a retry-after hint — while
-// Submit and PredictAt on the sessions already open keep being served.
+// TestAdmissionLimitsShedWithRetryHint holds the one admission mechanism
+// past the server-wide caps, the per-tenant event budget, to the work it
+// refuses once a sequence query has drained it (a PredictSequence costs its
+// horizon): a fan-out OpenSession, and a further PredictSequence. Each
+// refusal is the non-fatal CodeRetryLater with a retry-after hint; the
+// connection and the open session stay usable, the submits made meanwhile
+// are applied, and once the budget refills PredictAt names the right next
+// event.
 func TestAdmissionLimitsShedWithRetryHint(t *testing.T) {
 	cases := []struct {
 		name    string
-		cfg     Config
-		refused func(c *rawConn, sid uint32) // sends the request the limit must refuse
+		refused func(c *rawConn, sid uint32) // sends the request the budget must refuse
 	}{
-		{
-			name: "MaxSessionsPerTenant",
-			cfg:  Config{MaxSessionsPerTenant: 2}, // the meta session and one thread
-			refused: func(c *rawConn, _ uint32) {
-				c.sendMsg(wire.TOpenSession, &wire.OpenSession{TID: 1, Tenant: "synth"})
-			},
-		},
-		{
-			name: "ShedSessions",
-			cfg:  Config{ShedSessions: 1}, // two sessions open: over the mark
-			refused: func(c *rawConn, sid uint32) {
-				c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, 4))
-			},
-		},
+		{"fan-out OpenSession", func(c *rawConn, _ uint32) {
+			c.sendMsg(wire.TOpenSession, &wire.OpenSession{TID: 1, Tenant: "synth"})
+		}},
+		{"PredictSequence", func(c *rawConn, sid uint32) {
+			c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, 4))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			names := synthTrace(t, dir, "synth", 64)
-			tc.cfg.TraceDir = dir
-			_, addr := startServer(t, tc.cfg)
+			// 200 events/s, 16 of burst: the two opens spend 2, and the
+			// 64-step sequence below the rest and ~50 more — a quarter
+			// second of debt, which each round's submits deepen.
+			_, addr := startServer(t, Config{TraceDir: dir, TenantEventsPerSec: 200, TenantBurst: 16})
 			c := dialRaw(t, addr)
 			reg := regFor(t, c, "synth")
 			sid := c.openSession("synth", 0, wire.FlagStartAtBeginning)
+			c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, 64))
+			c.recvMsg(wire.TPredictions, &wire.Predictions{})
 
 			for round := 0; round < 3; round++ {
 				tc.refused(c, sid)
@@ -173,14 +173,25 @@ func TestAdmissionLimitsShedWithRetryHint(t *testing.T) {
 				for _, name := range names {
 					c.send(wire.TSubmit, wire.AppendSubmit(nil, sid, int32(reg[name])))
 				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
 				c.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))
 				typ, payload := c.recv()
-				if typ != wire.TPrediction {
-					t.Fatalf("round %d: PredictAt answered with %s", round, typ)
+				if typ == wire.TPrediction {
+					if pr, ok, err := wire.ParsePrediction(payload); err != nil || !ok || pr.EventID != int32(reg[names[0]]) {
+						t.Fatalf("prediction = %+v ok=%v err=%v, want %s next", pr, ok, err, names[0])
+					}
+					return
 				}
-				if pr, ok, err := wire.ParsePrediction(payload); err != nil || !ok || pr.EventID != int32(reg[names[0]]) {
-					t.Fatalf("round %d: prediction = %+v ok=%v err=%v, want %s next", round, pr, ok, err, names[0])
+				var re wire.RemoteError
+				if err := wire.Decode(typ, payload, &re); typ != wire.TError || err != nil || re.Code != wire.CodeRetryLater {
+					t.Fatalf("PredictAt while the budget refills: %s %+v (%v)", typ, re, err)
 				}
+				if time.Now().After(deadline) {
+					t.Fatal("the tenant budget never refilled")
+				}
+				time.Sleep(time.Duration(re.RetryAfterMs) * time.Millisecond)
 			}
 		})
 	}

@@ -103,15 +103,14 @@ func (s *Server) sweepParked() {
 	}
 }
 
-// release returns session budget, per-tenant counts, oracle registrations,
-// and tenant references for one connection's session state — the shared
-// accounting for teardown, park expiry, and the drain sweep.
+// release returns session budget, oracle registrations, and tenant
+// references for one connection's session state — the shared accounting
+// for teardown, park expiry, and the drain sweep.
 func (st *sessTable) release(s *Server) {
 	for i := range st.sessions {
 		if sess := &st.sessions[i]; sess.open {
 			sess.open = false
 			s.sessions.Add(-1)
-			sess.ct.t.sess.Add(-1)
 		}
 	}
 	for _, ct := range st.tenants {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,8 +126,8 @@ func TestResumeReplayDedup(t *testing.T) {
 }
 
 // TestKeepaliveReapsSilentConns checks keepalive enforcement in both
-// directions: a silent connection is reaped within the window, a
-// heartbeating one survives many windows.
+// directions: a silent connection is reaped within the window, one that
+// keeps sending requests survives many windows.
 func TestKeepaliveReapsSilentConns(t *testing.T) {
 	dir := t.TempDir()
 	synthTrace(t, dir, "bt", 4)
@@ -147,18 +148,133 @@ func TestKeepaliveReapsSilentConns(t *testing.T) {
 		}
 	})
 
-	t.Run("heartbeats keep conn alive", func(t *testing.T) {
+	t.Run("requests keep conn alive", func(t *testing.T) {
 		c := dialRaw(t, addr)
-		// 8 × 40ms straddles several 100ms windows; each heartbeat must
-		// re-arm the reaper.
+		// 8 × 40ms straddles several 100ms windows; any frame — here a
+		// Health round trip — must re-arm the reaper.
 		for i := 0; i < 8; i++ {
 			time.Sleep(40 * time.Millisecond)
-			c.send(wire.THeartbeat, nil)
-			if typ, _ := c.recv(); typ != wire.THeartbeatAck {
-				t.Fatalf("heartbeat %d: got %s", i, typ)
-			}
+			c.ask(wire.THealth, &wire.TenantRef{}, &wire.HealthInfo{})
 		}
 	})
+}
+
+// shmStream dials unixAddr with shared memory, binds thread 0 of tenant
+// synth to a ring with one submit and a round trip, and returns the client,
+// its oracle, the thread and the interned pattern ids.
+func shmStream(t *testing.T, unixAddr string, names []string) (*client.Client, *client.Oracle, *client.Thread, []pythia.ID) {
+	t.Helper()
+	c, err := client.Dial(unixAddr, client.Config{SharedMem: true, RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if got := c.Transport(); got != "shm" {
+		t.Fatalf("transport %q, want shm", got)
+	}
+	o, err := c.Oracle("synth")
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	ids := make([]pythia.ID, len(names))
+	for i, n := range names {
+		ids[i] = o.Intern(n)
+	}
+	th := o.Thread(0)
+	th.Submit(ids[0]) // binds the ring
+	if _, ok := th.PredictAt(1); !ok {
+		t.Fatal("no prediction after the first submit")
+	}
+	return c, o, th, ids
+}
+
+// TestKeepaliveRingTrafficKeepsShmAlive holds the liveness rule on the
+// shared-memory tier: a client that only submits sends no frame once its
+// ring is bound, and the events the pump consumes must keep its connection
+// alive across many keepalive windows — no reap, no reconnect, and no
+// Submit stuck behind a ring nobody drains any more.
+func TestKeepaliveRingTrafficKeepsShmAlive(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "synth", 64)
+	_, _, unixAddr := startServerTransports(t, Config{TraceDir: dir, Keepalive: 50 * time.Millisecond})
+	c, o, th, ids := shmStream(t, unixAddr, names)
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("closing client: %v", err)
+		}
+	}()
+
+	// One second of paced submits — twenty windows — and nothing else.
+	var slowest time.Duration
+	i := 1
+	for start := time.Now(); time.Since(start) < time.Second; i++ {
+		t0 := time.Now()
+		th.Submit(ids[i%len(ids)])
+		slowest = max(slowest, time.Since(t0))
+		if i%16 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if slowest > 100*time.Millisecond {
+		t.Fatalf("slowest Submit took %v, want under 100ms", slowest)
+	}
+	if n := c.Stats().Reconnects; n != 0 {
+		t.Fatalf("%d reconnects, want 0: the daemon reaped a submitting client", n)
+	}
+	if got := c.Transport(); got != "shm" {
+		t.Fatalf("transport %q after streaming, want shm", got)
+	}
+	if h := o.Health(); h.State != pythia.Healthy {
+		t.Fatalf("health = %s %q, want healthy", h.State, h.Cause)
+	}
+	// Every event arrived: the model names the one after the last submitted.
+	if pr, ok := th.PredictAt(1); !ok || pr.EventID != int32(ids[i%len(ids)]) {
+		t.Fatalf("after %d submits predicted %+v/%v, want %s", i, pr, ok, names[i%len(names)])
+	}
+}
+
+// TestKeepaliveNeverExtendsDrain streams over shm, so the pump keeps
+// re-arming the connection's keepalive window, while the daemon drains
+// with a window far shorter than the keepalive: the drain deadline must
+// win, and Shutdown return cleanly at it, well before a keepalive window.
+func TestKeepaliveNeverExtendsDrain(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "synth", 64)
+	const keepalive = 2 * time.Second
+	srv, _, unixAddr := startServerTransports(t, Config{TraceDir: dir, Keepalive: keepalive, DrainTimeout: 200 * time.Millisecond})
+	c, _, th, ids := shmStream(t, unixAddr, names)
+	defer c.Close()
+
+	var submitted atomic.Int64
+	stop, streamed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(streamed)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			th.Submit(ids[i%len(ids)])
+			submitted.Store(int64(i))
+			if i%16 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	for submitted.Load() < 256 { // the stream is under way
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	err := srv.Shutdown()
+	took := time.Since(start)
+	close(stop)
+	<-streamed
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took > keepalive/2 {
+		t.Fatalf("drain took %v with a 200ms drain window, want well under the %v keepalive", took, keepalive)
+	}
 }
 
 // repeatNames tiles a name pattern to exactly total events.
@@ -957,5 +1073,61 @@ func TestReconnectRefusesChangedEventTable(t *testing.T) {
 	}
 	if got := srv2.Sessions(); got != 1 {
 		t.Fatalf("%d sessions on the new daemon, want only the meta session", got)
+	}
+}
+
+// deadlineConn is a nopConn that remembers the last read deadline set.
+type deadlineConn struct {
+	nopConn
+	mu   sync.Mutex
+	read time.Time
+}
+
+func (d *deadlineConn) SetReadDeadline(t time.Time) error {
+	d.mu.Lock()
+	d.read = t
+	d.mu.Unlock()
+	return nil
+}
+
+func (d *deadlineConn) lastRead() time.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.read
+}
+
+// TestKeepaliveRearmRacingDrainKeepsDrainDeadline hammers armKeepalive, as
+// the shm pump does under a streaming client, across the moment drain
+// flips its flag: whatever the interleaving, the connection's last read
+// deadline is the drain's, never a keepalive window past it.
+func TestKeepaliveRearmRacingDrainKeepsDrainDeadline(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		srv := New(Config{Keepalive: time.Hour, DrainTimeout: time.Minute})
+		dc := &deadlineConn{}
+		c := newConn(srv, dc)
+		srv.conns[c] = struct{}{}
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.armKeepalive()
+				}
+			}
+		}()
+		for dc.lastRead().IsZero() {
+			time.Sleep(10 * time.Microsecond)
+		}
+		if err := srv.Shutdown(); err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		close(stop)
+		<-stopped
+		if got, want := dc.lastRead(), time.Unix(0, srv.drainAt.Load()); !got.Equal(want) {
+			t.Fatalf("round %d: read deadline %v after drain, want the drain deadline %v", round, got, want)
+		}
 	}
 }

@@ -48,8 +48,6 @@ const maxParked = 64
 type Config struct {
 	// TraceDir is the directory of <tenant>.pythia trace files.
 	TraceDir string
-	// Predict tunes every per-connection predicting oracle.
-	Predict pythia.Config
 	// Learn, when non-nil, turns every per-connection oracle into an
 	// online-learning one under the given lifecycle policy: the loaded trace
 	// keeps serving while the client's live stream is shadow-recorded, with
@@ -71,27 +69,20 @@ type Config struct {
 	// awaiting a TResume with the connection's token. 0 means
 	// DefaultResumeWindow, negative disables session resume entirely.
 	ResumeWindow time.Duration
-	// Keepalive, when positive, reaps connections that send no frame for
-	// the given window. That includes a client on the shared-memory tier
-	// that only submits (ring traffic is not a frame): its sessions are
-	// parked, and the client — which finds out at its next request, or when
-	// its ring stalls — reconnects, resumes and replays. A THeartbeat
-	// frame inside the window avoids the detour.
+	// Keepalive, when positive, reaps connections that show no traffic for
+	// the given window. Traffic is any frame, or on the shared-memory tier
+	// the events the pump consumes from a ring, so a client that only
+	// submits stays alive (the pump re-arms at most once per half window:
+	// ring traffic must come at least that often). A reaped connection's
+	// sessions are parked; the client reconnects, resumes and replays.
 	Keepalive time.Duration
-	// MaxSessionsPerTenant caps open sessions per tenant; excess opens are
-	// refused with CodeRetryLater (non-fatal, retry-after hint attached).
-	// 0 means unlimited.
-	MaxSessionsPerTenant int
-	// ShedSessions, when positive, sheds low-value work once the open
-	// session count exceeds it: speculative PredictSequence queries get
-	// CodeRetryLater while Submit acks, PredictAt, and Health always serve.
-	ShedSessions int
 	// TenantEventsPerSec, when positive, gives every tenant a token-bucket
-	// event budget refilling at this rate. Submits charge it (never
-	// refused — they are one-way frames); predictions and session opens
-	// are gated on it and refused with CodeRetryLater plus a retry-after
-	// hint once a tenant has overdrafted, so one hot tenant cannot starve
-	// a daemon. 0 disables per-tenant budgets.
+	// event budget refilling at this rate. It is the one admission
+	// mechanism past the server-wide caps. Submits charge it (never refused
+	// — they are one-way frames); predictions and session opens are gated
+	// on it and refused with CodeRetryLater plus a retry-after hint once a
+	// tenant has overdrafted, so one hot tenant cannot starve a daemon. A
+	// PredictSequence costs its horizon. 0 disables per-tenant budgets.
 	TenantEventsPerSec int64
 	// TenantBurst caps a tenant's budget balance. 0 means one second of
 	// slack (TenantEventsPerSec).
@@ -112,6 +103,7 @@ type Server struct {
 	conns map[*conn]struct{}
 
 	draining atomic.Bool
+	drainAt  atomic.Int64 // the drain deadline in unix nanos, stored before draining flips
 	sessions atomic.Int64 // open sessions, server-wide
 	wg       sync.WaitGroup
 	drainOne sync.Once
@@ -231,10 +223,12 @@ func (s *Server) drain() error {
 	s.mu.Lock()
 	// The flag flips under s.mu so it serializes with accept's admission:
 	// every connection already in s.conns gets a drain deadline below, and
-	// no new one can be admitted after this snapshot.
+	// no new one can be admitted after this snapshot. The deadline is
+	// stored first, so a keepalive re-arm racing the flip can restore it.
+	deadline := time.Now().Add(s.cfg.DrainTimeout)
+	s.drainAt.Store(deadline.UnixNano())
 	s.draining.Store(true)
 	lns := s.lns
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
 	for c := range s.conns {
 		// An expired read deadline unblocks the connection goroutine's
 		// blocking read; frames that arrive before it are still served.
@@ -433,14 +427,26 @@ func (c *conn) serve() {
 	}
 }
 
-// armKeepalive restarts the read-side keepalive window. A draining server
-// leaves the drain deadline alone so keepalive cannot extend it.
+// armKeepalive restarts the read-side keepalive window. The connection
+// goroutine calls it after each flushed request, the shm pump after it
+// consumed ring events. Keepalive never extends a drain: a window set
+// before drain flips the flag is overwritten by drain's own sweep, and one
+// that raced the flip is put back to the stored drain deadline here.
 func (c *conn) armKeepalive() {
 	if c.srv.cfg.Keepalive <= 0 || c.srv.draining.Load() {
 		return
 	}
-	if err := c.NC.SetReadDeadline(time.Now().Add(c.srv.cfg.Keepalive)); err != nil {
-		c.srv.logf("pythiad: keepalive deadline on %s: %v", c.NC.RemoteAddr(), err)
+	c.setReadDeadline(time.Now().Add(c.srv.cfg.Keepalive))
+	if c.srv.draining.Load() {
+		c.setReadDeadline(time.Unix(0, c.srv.drainAt.Load()))
+	}
+}
+
+// setReadDeadline moves the read deadline. A connection already closed —
+// the pump re-arming while teardown runs — is not worth a log line.
+func (c *conn) setReadDeadline(t time.Time) {
+	if err := c.NC.SetReadDeadline(t); err != nil && !errors.Is(err, net.ErrClosed) {
+		c.srv.logf("pythiad: read deadline on %s: %v", c.NC.RemoteAddr(), err)
 	}
 }
 
@@ -621,7 +627,6 @@ var handlers = [math.MaxUint8 + 1]handler{
 	wire.TSubscribe:       on((*conn).shmSubscribe),
 	wire.TResume:          on((*conn).resume),
 	wire.TReplay:          on((*conn).replay),
-	wire.THeartbeat:       on((*conn).heartbeat),
 	wire.TDetach:          on((*conn).detach),
 	wire.TModelInfo:       on((*conn).modelInfo),
 	wire.TPromote:         on((*conn).promote),
@@ -699,19 +704,6 @@ func (c *conn) predictSequence(m *wire.SessionArg) (wire.Message, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	if perr := gateTenant(s.ct.qos); perr != nil {
-		return nil, perr
-	}
-	// Load shedding drops the lowest-value work first: speculative
-	// multi-step sequence queries. Submits are never refused (losing
-	// events corrupts the model) and single PredictAt stays cheap.
-	if shed := c.srv.cfg.ShedSessions; shed > 0 && c.srv.sessions.Load() > int64(shed) {
-		return nil, &protoErr{
-			code:    wire.CodeRetryLater,
-			msg:     "overloaded; sequence predictions shed",
-			retryMs: 100,
-		}
-	}
 	// n comes off the wire: clamp it to what one response frame can
 	// carry, so an 8-byte request cannot demand a multi-GiB prediction
 	// buffer (the core allocates the full horizon up front). Shorter-
@@ -723,6 +715,15 @@ func (c *conn) predictSequence(m *wire.SessionArg) (wire.Message, error) {
 	} else if n > wire.MaxPredictions {
 		n = wire.MaxPredictions
 	}
+	// A sequence costs its clamped horizon: the gate spends one token, the
+	// rest is charged behind it. Speculative multi-step queries, the
+	// lowest-value work, are thus what drains a tenant's budget first.
+	if perr := gateTenant(s.ct.qos); perr != nil {
+		return nil, perr
+	}
+	if n > 1 {
+		chargeEvents(s.ct.qos, int64(n-1))
+	}
 	release, perr := c.enterSession(m.Session)
 	if perr != nil {
 		return nil, perr
@@ -731,9 +732,6 @@ func (c *conn) predictSequence(m *wire.SessionArg) (wire.Message, error) {
 	release()
 	return &wire.Predictions{Preds: preds}, nil
 }
-
-// heartbeat answers a keepalive probe.
-func (c *conn) heartbeat(*wire.Empty) (wire.Message, error) { return &wire.Empty{}, nil }
 
 // detach handles the one-way Detach: the client is closing for good, so its
 // sessions must not be parked.
@@ -781,18 +779,9 @@ func (c *conn) openSession(o *wire.OpenSession) (wire.Message, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	// Per-tenant admission: one tenant's fan-out cannot crowd out the rest
-	// of the server. Non-fatal with a retry hint — the client's session
-	// stays unopened, the connection stays usable.
-	if max := int64(c.srv.cfg.MaxSessionsPerTenant); max > 0 && ct.t.sess.Load() >= max {
-		return nil, &protoErr{
-			code:    wire.CodeRetryLater,
-			msg:     fmt.Sprintf("tenant %q at its session limit; retry later", o.Tenant),
-			retryMs: 250,
-		}
-	}
-	// A tenant deep in event-budget overdraft cannot open new sessions
-	// either — fanning out is how a hot tenant would dodge its budget.
+	// A tenant in event-budget overdraft cannot open new sessions — fanning
+	// out is how a hot tenant would dodge its budget. Non-fatal with a
+	// retry hint: the session stays unopened, the connection usable.
 	if perr := gateTenant(ct.qos); perr != nil {
 		return nil, perr
 	}
@@ -819,7 +808,6 @@ func (c *conn) openSession(o *wire.OpenSession) (wire.Message, error) {
 		c.byKey[key] = s.id
 	}
 	c.srv.sessions.Add(1)
-	ct.t.sess.Add(1)
 
 	if o.Flags&wire.FlagWantEvents != 0 {
 		so.Events = ct.t.ts.Events
@@ -849,7 +837,7 @@ func (c *conn) tenantOf(name string) (*connTenant, *protoErr) {
 		pol.Dir = "" // per-connection oracles: in-memory generations only
 		popts = append(popts, pythia.WithOnlineLearning(pol))
 	}
-	oracle, err := pythia.NewPredictOracle(t.ts, c.srv.cfg.Predict, popts...)
+	oracle, err := pythia.NewPredictOracle(t.ts, pythia.Config{}, popts...)
 	if err != nil {
 		c.srv.st.Release(t)
 		return nil, &protoErr{code: wire.CodeInternal, msg: err.Error()}
@@ -874,9 +862,9 @@ func (c *conn) closeSession(m *wire.SessionRef) (wire.Message, error) {
 }
 
 // retireSession releases one open session slot without answering the
-// client: the budget and per-tenant counts are returned, the (tenant,
-// thread) key is freed for a fresh open, and the slot — under its next id —
-// goes on the free list. Shared by closeSession and the duplicate-open path.
+// client: the session budget is returned, the (tenant, thread) key is freed
+// for a fresh open, and the slot — under its next id — goes on the free
+// list. Shared by closeSession and the duplicate-open path.
 func (c *conn) retireSession(s *session) *protoErr {
 	// A ring-bound session drains its ring before closing, so no submitted
 	// event is lost; the ring becomes rebindable, and nothing but this
@@ -888,7 +876,6 @@ func (c *conn) retireSession(s *session) *protoErr {
 		delete(c.byKey, s.key)
 	}
 	c.srv.sessions.Add(-1)
-	s.ct.t.sess.Add(-1)
 	c.free = append(c.free, s.id&slotMask)
 	s.open, s.th, s.ct = false, nil, nil
 	s.id += 1 << slotBits

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sync"
+	"time"
 	"unsafe"
 
 	"repro/internal/transport"
@@ -295,13 +296,16 @@ func publishLocked(r *shmRing) {
 }
 
 // pumpShm is the per-connection decode pump: it sweeps every bound ring,
-// batch-decoding into the session, and parks on an escalating backoff when
+// batch-decoding into the session, re-arms the connection's keepalive
+// window on what it consumed, and parks on an escalating backoff when
 // nothing arrives. A corrupt ring (hostile or torn producer cursor) kills
 // the connection — the pump closes the socket, which unblocks the conn
 // goroutine's read and tears everything down.
 func (c *conn) pumpShm(sh *connShm) {
 	defer sh.wg.Done()
 	idle := 0
+	keepalive := c.srv.cfg.Keepalive
+	var armed time.Time // the last keepalive re-arm on ring traffic
 	for {
 		select {
 		case <-sh.quit:
@@ -325,6 +329,14 @@ func (c *conn) pumpShm(sh *connShm) {
 		}
 		if worked > 0 {
 			idle = 0
+			// Ring traffic is liveness as much as a frame is: a client that
+			// only submits sends none. Re-arm at most once per half window.
+			if keepalive > 0 {
+				if now := time.Now(); now.Sub(armed) >= keepalive/2 {
+					c.armKeepalive()
+					armed = now
+				}
+			}
 			continue
 		}
 		idle++

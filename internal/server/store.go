@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/wire"
@@ -47,10 +46,6 @@ type tenant struct {
 	ready chan struct{} // closed once ts/err are set
 	ts    *pythia.TraceSet
 	err   error
-
-	// sess counts open sessions on this tenant server-wide (parked sessions
-	// included) — the per-tenant admission-control input.
-	sess atomic.Int64
 
 	// qos is the tenant's shared event budget, created lazily by
 	// Server.tenantBucket when per-tenant budgets are configured.

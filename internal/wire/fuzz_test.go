@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -22,6 +23,17 @@ func FuzzWireDecode(f *testing.F) {
 			if len(g.payload) > 0 {
 				f.Add(uint8(t), frameBytes(t, g.payload[:len(g.payload)/2])) // torn payload
 			}
+		}
+	}
+	// Each golden frame also arrives behind a Hello, as on a live
+	// connection — whole, and cut off inside its payload — so the reader's
+	// second-frame path and a stream torn mid-frame have seeds too.
+	hello := frameBytes(THello, AppendHello(nil, 0))
+	for _, g := range golden {
+		stream := append(slices.Clone(hello), frameBytes(g.typ, g.payload)...)
+		f.Add(uint8(g.typ), stream)
+		if len(g.payload) > 0 {
+			f.Add(uint8(g.typ), stream[:len(hello)+5+len(g.payload)/2])
 		}
 	}
 	// Version-skewed hello and hostile length prefixes.

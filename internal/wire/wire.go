@@ -73,6 +73,9 @@ type Type uint8
 
 // Frame types. The frame table below says which way each one flows, what
 // answers it and what its payload is; DESIGN.md §10 lists the fields.
+// Types 26 and 27 (the retired Heartbeat pair) stay unassigned and are never
+// reused: a peer that sends one gets the fatal CodeBadFrame of any unknown
+// type.
 const (
 	THello           Type = 1
 	THelloOK         Type = 2
@@ -99,8 +102,6 @@ const (
 	TResumed         Type = 23
 	TReplay          Type = 24
 	TReplayed        Type = 25
-	THeartbeat       Type = 26
-	THeartbeatAck    Type = 27
 	TDetach          Type = 28
 	TModelInfo       Type = 29
 	TModelInfoR      Type = 30
@@ -172,8 +173,6 @@ var frames = [math.MaxUint8 + 1]frame{
 	TResumed:         {"Resumed", ToClient, 0, msg[Resumed]},
 	TReplay:          {"Replay", ToServer, TReplayed, msg[Replay]},
 	TReplayed:        {"Replayed", ToClient, 0, msg[SessionApplied]},
-	THeartbeat:       {"Heartbeat", ToServer, THeartbeatAck, msg[Empty]},
-	THeartbeatAck:    {"HeartbeatAck", ToClient, 0, msg[Empty]},
 	TDetach:          {"Detach", ToServer, 0, msg[Empty]},
 	TModelInfo:       {"ModelInfo", ToServer, TModelInfoR, msg[TenantRef]},
 	TModelInfoR:      {"ModelInfoR", ToClient, 0, msg[ModelInfo]},
@@ -731,7 +730,7 @@ type Uint64 struct{ V uint64 }
 
 func (m *Uint64) walk(c *codec) { c.u64(&m.V) }
 
-// Empty is the payload of Heartbeat, HeartbeatAck and Detach.
+// Empty is the payload of Detach.
 type Empty struct{}
 
 func (*Empty) walk(*codec) {}

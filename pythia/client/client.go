@@ -118,7 +118,8 @@ type Stats struct {
 	// DroppedEvents counts submissions lost across reconnects because
 	// they had already been evicted from a thread's shadow buffer.
 	DroppedEvents uint64
-	// RetryLater counts CodeRetryLater responses (server-side shedding).
+	// RetryLater counts CodeRetryLater responses (a tenant over its event
+	// budget).
 	RetryLater uint64
 }
 
