@@ -45,6 +45,9 @@ func run(args []string, stdout io.Writer) error {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 	if fs.NArg() != 2 {

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -75,6 +76,9 @@ func run(args []string, stdout io.Writer) error {
 		gens    = fs.String("generations", "", "print the model-lifecycle lineage of a generation journal directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 	p := &printer{w: stdout}

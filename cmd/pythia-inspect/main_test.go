@@ -117,3 +117,14 @@ func TestInspectCheckpointJournal(t *testing.T) {
 		t.Fatalf("no recoverable generation marked:\n%s", s)
 	}
 }
+
+// TestHelpSucceeds: -h prints the usage and is not a failure.
+func TestHelpSucceeds(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-h"}, &out); err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run(-h) wrote %q to stdout", out.String())
+	}
+}

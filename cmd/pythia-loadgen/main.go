@@ -148,6 +148,9 @@ func run(args []string, stdout io.Writer) error {
 		daemons      = fs.String("daemons", "", "comma-separated pythiad fleet addresses: shard-map-routed multi-daemon mode (excludes -chaos/-drift/shm)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 	app, err := apps.ByName(*appName)

@@ -98,10 +98,17 @@ func TestFlagValidation(t *testing.T) {
 		{"rollback without promote", []string{"-drift", "-force-rollback", "10"}, "-force-rollback requires -force-promote"},
 		{"drift on shm", []string{"-drift", "-transport", "shm"}, "-drift requires a socket transport"},
 		{"daemons with chaos", []string{"-daemons", "a:1,b:2", "-chaos"}, "-daemons excludes -chaos and -drift"},
+		{"help", []string{"-h"}, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			err := run(tt.args, &bytes.Buffer{})
+			if tt.want == "" {
+				if err != nil {
+					t.Fatalf("run(%q) = %v, want nil", tt.args, err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Fatalf("run(%q) = %v, want an error containing %q", tt.args, err, tt.want)
 			}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,6 +45,9 @@ func run(args []string, stdout io.Writer) error {
 		seeds      = fs.Int("seeds", 5, "seeds averaged in fig14")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 

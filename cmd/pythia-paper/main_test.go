@@ -15,6 +15,7 @@ func TestRun(t *testing.T) {
 		wantErr string   // substring of the error; "" means success
 		want    []string // substrings of the output on success
 	}{
+		{name: "help", args: []string{"-h"}},
 		{name: "unknown experiment", args: []string{"-experiment", "fig99"},
 			wantErr: `unknown experiment "fig99"`},
 		{name: "bad class", args: []string{"-experiment", "table1", "-class", "huge"},

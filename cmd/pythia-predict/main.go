@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +55,9 @@ func run(args []string, stdout io.Writer) error {
 		seed      = fs.Int64("seed", 43, "seed for the replayed execution")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 	if *trace == "" {

@@ -92,3 +92,14 @@ func TestBadDistanceIsAnError(t *testing.T) {
 		t.Fatalf("bad -distances accepted, got %v", err)
 	}
 }
+
+// TestHelpSucceeds: -h prints the usage and is not a failure.
+func TestHelpSucceeds(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-h"}, &out); err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run(-h) wrote %q to stdout", out.String())
+	}
+}

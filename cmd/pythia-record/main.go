@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -69,6 +70,9 @@ func run(args []string, stdout io.Writer) error {
 		resume       = fs.Bool("resume", false, "salvage the freshest checkpoint from -checkpoint into -o instead of running")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +41,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		replicas = fs.Int("replicas", 0, "warm replicas per tenant beyond the owner")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 	var fleet []string

@@ -11,7 +11,8 @@ import (
 
 // TestRun holds the planner to the fleet's own shard map: for tenants given
 // as arguments or on stdin, each line names the tenant, cluster.Map's owner
-// and then its warm replicas. Invalid maps fail before any output.
+// and then its warm replicas. Invalid maps fail, and -h succeeds, before
+// any output.
 func TestRun(t *testing.T) {
 	daemons := []string{"127.0.0.1:9137", "127.0.0.1:9138", "unix:///run/pythiad.sock"}
 	tenants := []string{"EP", "CG", "BT", "LU", "MG"}
@@ -54,11 +55,16 @@ func TestRun(t *testing.T) {
 		{"epoch 0", []string{"-daemons", "a:1", "-epoch", "0", "EP"}, "-epoch must be at least 1"},
 		{"negative replicas", []string{"-daemons", "a:1", "-replicas", "-1", "EP"}, "-replicas must be >= 0"},
 		{"no tenants", []string{"-daemons", "a:1"}, "no tenants given"},
+		{"help", []string{"-h"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
 			err := run(tc.args, strings.NewReader(""), &out)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("run(%q) = %v, want nil", tc.args, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("run(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
 			}
 			if out.Len() != 0 {

@@ -42,6 +42,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,6 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	names := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
 	allowStale := fs.Bool("allow-stale", false, "do not fail on stale baseline entries")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h: the usage text is already printed
+		}
 		return 2
 	}
 

@@ -120,6 +120,13 @@ func TestRunExitContract(t *testing.T) {
 			wantCode:  0,
 		},
 		{
+			name:       "-h prints the usage and exits 0",
+			files:      map[string]string{"a.go": cleanSrc},
+			extraArgs:  []string{"-h"},
+			wantCode:   0,
+			wantStderr: []string{"-update-baseline"},
+		},
+		{
 			name:       "list prints the registry",
 			files:      map[string]string{"a.go": cleanSrc},
 			extraArgs:  []string{"-list"},

@@ -41,6 +41,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -110,6 +111,9 @@ func run(args []string, stdout io.Writer) error {
 		tenantBurst  = fs.Int64("tenant-burst", 0, "per-tenant burst allowance in events (0 = one second of budget)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage text is already printed
+		}
 		return err
 	}
 	if len(listens) == 0 {

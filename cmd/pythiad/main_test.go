@@ -10,7 +10,8 @@ import (
 
 // TestRunValidation drives run's argument checks, each of which must fail
 // before a listener opens or the daemon starts: an incomplete cluster
-// configuration, and a trace directory that is missing or is a file.
+// configuration, and a trace directory that is missing or is a file. -h
+// returns nil just as early.
 func TestRunValidation(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "bt.pythia")
@@ -32,12 +33,17 @@ func TestRunValidation(t *testing.T) {
 			"trace directory"},
 		{"trace path is a file", []string{"-traces", file},
 			"is not a directory"},
+		{"help", []string{"-h"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
 			args := append(append([]string(nil), listen...), tc.args...)
 			err := run(args, &out)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("run(%q) = %v, want nil", args, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("run(%q) = %v, want an error containing %q", args, err, tc.wantErr)
 			}
 			if out.Len() != 0 {

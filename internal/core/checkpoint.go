@@ -291,14 +291,3 @@ func (s *Session) CheckpointNow() error {
 	}
 	return s.ckpt.flush()
 }
-
-// CheckpointGeneration returns the generation number the next checkpoint
-// write will use (diagnostics), or 0 when checkpointing is off.
-func (s *Session) CheckpointGeneration() uint64 {
-	if s.ckpt == nil {
-		return 0
-	}
-	s.ckpt.flushMu.Lock()
-	defer s.ckpt.flushMu.Unlock()
-	return s.ckpt.j.NextGeneration()
-}

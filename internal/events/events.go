@@ -9,9 +9,7 @@ package events
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -210,16 +208,6 @@ func (r *Registry) Name(id ID) string {
 	return r.names[id]
 }
 
-// BaseName returns the key point name of id without its payload suffix
-// ("MPI_Send:3" -> "MPI_Send").
-func (r *Registry) BaseName(id ID) string {
-	n := r.Name(id)
-	if i := strings.IndexByte(n, ':'); i >= 0 {
-		return n[:i]
-	}
-	return n
-}
-
 // Len returns the number of interned events.
 func (r *Registry) Len() int {
 	return int(r.size.Load())
@@ -251,11 +239,4 @@ func FromNames(names []string) (*Registry, error) {
 	r.size.Store(int32(len(r.names)))
 	r.snap.Store(&table{byKey: m, names: r.names[:len(r.names):len(r.names)]})
 	return r, nil
-}
-
-// SortedNames returns the descriptors in lexical order (for stable dumps).
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }

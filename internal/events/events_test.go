@@ -33,9 +33,6 @@ func TestInternArgsDiscriminates(t *testing.T) {
 	if r.Name(s3) != "MPI_Send:3" {
 		t.Fatalf("Name = %q", r.Name(s3))
 	}
-	if r.BaseName(s3) != "MPI_Send" {
-		t.Fatalf("BaseName = %q", r.BaseName(s3))
-	}
 	multi := r.InternArgs("MPI_Reduce", 2, 7)
 	if r.Name(multi) != "MPI_Reduce:2:7" {
 		t.Fatalf("multi-arg Name = %q", r.Name(multi))
@@ -133,24 +130,6 @@ func TestQuickInternStable(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	r := NewRegistry()
-	r.Intern("zeta")
-	r.Intern("alpha")
-	got := r.SortedNames()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("SortedNames = %v", got)
-	}
-}
-
-func TestBaseNameWithoutPayload(t *testing.T) {
-	r := NewRegistry()
-	id := r.Intern("plain")
-	if r.BaseName(id) != "plain" {
-		t.Fatalf("BaseName = %q", r.BaseName(id))
-	}
-}
-
 func BenchmarkInternHit(b *testing.B) {
 	r := NewRegistry()
 	r.InternArgs("MPI_Send", 3)
@@ -163,6 +142,6 @@ func BenchmarkInternHit(b *testing.B) {
 func ExampleRegistry() {
 	r := NewRegistry()
 	send := r.InternArgs("MPI_Send", 3)
-	fmt.Println(send, r.Name(send), r.BaseName(send))
-	// Output: 0 MPI_Send:3 MPI_Send
+	fmt.Println(send, r.Name(send))
+	// Output: 0 MPI_Send:3
 }

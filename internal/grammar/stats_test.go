@@ -2,57 +2,6 @@ package grammar
 
 import "testing"
 
-func TestComputeStatsFlat(t *testing.T) {
-	g := New()
-	for _, e := range []int32{0, 1, 2} {
-		g.Append(e)
-	}
-	s := g.Freeze().ComputeStats()
-	if s.Rules != 1 || s.Depth != 1 || s.Terminals != 3 || s.EventCount != 3 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestComputeStatsNested(t *testing.T) {
-	g := New()
-	for i := 0; i < 100; i++ {
-		for j := 0; j < 10; j++ {
-			g.Append(0)
-			g.Append(1)
-		}
-		g.Append(2)
-	}
-	s := g.Freeze().ComputeStats()
-	if s.Depth < 2 {
-		t.Fatalf("nested loops should nest rules: %+v", s)
-	}
-	if s.CompressionRatio < 50 {
-		t.Fatalf("compression ratio %.1f too low for a 2100-event loop trace", s.CompressionRatio)
-	}
-	if s.EventCount != 2100 {
-		t.Fatalf("EventCount = %d", s.EventCount)
-	}
-	if s.MaxBodyRuns == 0 || s.Runs == 0 {
-		t.Fatalf("missing run counts: %+v", s)
-	}
-}
-
-func TestComputeStatsIrregular(t *testing.T) {
-	g := New()
-	state := uint32(99)
-	for i := 0; i < 3000; i++ {
-		state = state*1664525 + 1013904223
-		g.Append(int32(state % 12))
-	}
-	s := g.Freeze().ComputeStats()
-	if s.CompressionRatio > 10 {
-		t.Fatalf("random trace should not compress 10x: %+v", s)
-	}
-	if s.Terminals != 12 {
-		t.Fatalf("terminals = %d", s.Terminals)
-	}
-}
-
 func FuzzGrammarRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2}, uint8(3))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, uint8(2))

@@ -43,16 +43,6 @@ type MPI interface {
 	Allgather(data []float64) [][]float64
 	// Gather collects contributions at root (others get nil).
 	Gather(root int, data []float64) [][]float64
-
-	// Sendrecv performs a combined send and receive.
-	Sendrecv(dest, sendTag int, data []float64, src, recvTag int) []float64
-	// Scatter distributes parts[i] from root to rank i.
-	Scatter(root int, parts [][]float64) []float64
-	// ReduceScatter folds contributions (one value per rank) and hands each
-	// rank its own element.
-	ReduceScatter(op Op, data []float64) float64
-	// Scan returns the inclusive prefix reduction over ranks 0..Rank().
-	Scan(op Op, data []float64) []float64
 }
 
 // Request is a non-blocking operation handle.

@@ -302,3 +302,24 @@ func TestAdaptiveRealClock(t *testing.T) {
 		t.Fatalf("adaptive run pathologically slower: %v vs %v", adNs, vanillaNs)
 	}
 }
+
+func TestSetNumThreads(t *testing.T) {
+	rt := New(Config{MaxThreads: 8})
+	defer rt.Close()
+	var team atomic.Int64
+	rt.SetNumThreads(3)
+	rt.Parallel("r", 0, func(tid, n int) { team.Store(int64(n)) })
+	if team.Load() != 3 {
+		t.Fatalf("team = %d, want 3", team.Load())
+	}
+	rt.SetNumThreads(99) // clamped
+	rt.Parallel("r", 0, func(tid, n int) { team.Store(int64(n)) })
+	if team.Load() != 8 {
+		t.Fatalf("team = %d, want clamp to 8", team.Load())
+	}
+	rt.SetNumThreads(0) // restore default
+	rt.Parallel("r", 0, func(tid, n int) { team.Store(int64(n)) })
+	if team.Load() != 8 {
+		t.Fatalf("team = %d, want 8", team.Load())
+	}
+}

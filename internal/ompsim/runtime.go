@@ -101,9 +101,7 @@ type Runtime struct {
 	rng    *rand.Rand
 	stat   Stats
 
-	mu       sync.Mutex // protects ids (regions may be named dynamically)
-	critMu   sync.Mutex // the critical-section lock
-	oracleMu sync.Mutex // serialises event submission from team members
+	mu sync.Mutex // protects ids (regions may be named dynamically)
 }
 
 // regionIDs caches the interned begin/end events of one region.

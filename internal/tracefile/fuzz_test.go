@@ -60,26 +60,6 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzImportJSON does the same for the JSON importer.
-func FuzzImportJSON(f *testing.F) {
-	var buf bytes.Buffer
-	if err := ExportJSON(&buf, fuzzSeedTraceSet()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{"events":[],"threads":{}}`))
-	f.Add([]byte(`{`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ts, err := ImportJSON(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if verr := ts.Validate(); verr != nil {
-			t.Fatalf("ImportJSON accepted an invalid trace set: %v", verr)
-		}
-	})
-}
-
 // FuzzRecoverJournal throws arbitrary bytes into a journal directory as two
 // generations — one fuzzed, one always valid — and checks recovery never
 // panics, never hangs, and always finds the valid generation: the salvage

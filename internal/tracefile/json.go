@@ -2,17 +2,15 @@ package tracefile
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
-	"repro/internal/grammar"
 	"repro/internal/model"
 )
 
 // JSON export of a trace set for external tooling (plotting scripts,
-// diffing, debugging). The JSON form is lossy in one direction only: it can
-// be fully converted back to a TraceSet, but the binary format remains the
+// diffing, debugging). The grammars and the event table can be rebuilt from
+// it, the per-context timing model cannot: the binary format remains the
 // canonical on-disk representation.
 
 // JSONTraceSet mirrors model.TraceSet with stable, documented field names.
@@ -108,45 +106,4 @@ func ExportJSON(w io.Writer, ts *model.TraceSet) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ImportJSON reads a JSON export back into a TraceSet (without the
-// per-context timing model, which JSON does not carry).
-func ImportJSON(r io.Reader) (*model.TraceSet, error) {
-	var in JSONTraceSet
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, err
-	}
-	ts := &model.TraceSet{Events: in.Events, Threads: make(map[int32]*model.ThreadTrace)}
-	if p := in.Provenance; p != nil {
-		ts.Provenance = &model.Provenance{Generation: p.Generation, Salvaged: p.Salvaged, ReplicatedFrom: p.ReplicatedFrom}
-	}
-	for key, jt := range in.Threads {
-		tid64, err := strconv.ParseInt(key, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("tracefile: bad thread key %q: %w", key, err)
-		}
-		tid := int32(tid64)
-		bodies := make([][]grammar.Run, len(jt.Rules))
-		for i, jr := range jt.Rules {
-			for _, run := range jr.Body {
-				var sym grammar.Sym
-				if run.Event != nil {
-					sym = grammar.Terminal(*run.Event)
-				} else if run.Rule != nil {
-					sym = grammar.NonTerminal(*run.Rule)
-				}
-				bodies[i] = append(bodies[i], grammar.Run{Sym: sym, Count: run.Count})
-			}
-		}
-		g, err := grammar.NewFrozen(bodies)
-		if err != nil {
-			return nil, err
-		}
-		ts.Threads[tid] = &model.ThreadTrace{Grammar: g, Truncated: jt.Truncated, Dropped: jt.Dropped}
-	}
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	return ts, nil
 }

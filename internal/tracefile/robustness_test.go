@@ -53,17 +53,9 @@ func TestTruncatedFlagRoundTrip(t *testing.T) {
 		t.Fatalf("binary round trip lost truncation: truncated=%v dropped=%d", gth.Truncated, gth.Dropped)
 	}
 
-	var jbuf bytes.Buffer
-	if err := ExportJSON(&jbuf, ts); err != nil {
-		t.Fatal(err)
-	}
-	jgot, err := ImportJSON(&jbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jth := jgot.Threads[0]
+	jth := decodeJSON(t, ts).Threads["0"]
 	if !jth.Truncated || jth.Dropped != th.Dropped {
-		t.Fatalf("JSON round trip lost truncation: truncated=%v dropped=%d", jth.Truncated, jth.Dropped)
+		t.Fatalf("JSON export lost truncation: truncated=%v dropped=%d", jth.Truncated, jth.Dropped)
 	}
 }
 
