@@ -118,7 +118,7 @@ func run(args []string, stdout io.Writer) error {
 		th := ts.Threads[tid]
 		p.printf("\nthread %d: %d events, %d rules", tid, th.Grammar.EventCount, len(th.Grammar.Rules))
 		if th.Timing != nil {
-			p.printf(", %d timed contexts", len(th.Timing.BySuffix))
+			p.printf(", %d timed contexts", th.Timing.Contexts())
 		}
 		if th.Truncated {
 			p.printf(", truncated (+%d dropped)", th.Dropped)

@@ -50,6 +50,31 @@ func TestInspectPrintsDurability(t *testing.T) {
 	}
 }
 
+// TestInspectPrintsTimedContexts: a timed recording of (a b)^200 is one
+// rule of two runs under the root, so each event has two contexts (its run,
+// and its run under the root's) and the summary counts four.
+func TestInspectPrintsTimedContexts(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "timed.pythia")
+	var now int64
+	o := pythia.NewRecordOracle(pythia.WithClock(func() int64 { now += 10; return now }))
+	a, b := o.Intern("phaseA"), o.Intern("phaseB")
+	th := o.Thread(0)
+	for i := 0; i < 200; i++ {
+		th.Submit(a)
+		th.Submit(b)
+	}
+	if err := o.FinishAndSave(trace); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-trace", trace, "-summary"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "thread 0: 400 events, 2 rules, 4 timed contexts\n") {
+		t.Fatalf("missing timed-contexts count:\n%s", s)
+	}
+}
+
 func TestInspectPrintsSalvageProvenance(t *testing.T) {
 	_, journal := recordFixture(t)
 	ts, _, err := tracefile.Recover(journal)

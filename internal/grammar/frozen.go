@@ -51,8 +51,9 @@ type Frozen struct {
 // may continue to evolve afterwards; the snapshot is unaffected.
 func (g *Grammar) Freeze() *Frozen {
 	g.settle()
-	// Dense re-indexing of live rules, root first, ascending old index.
-	remap := make(map[int32]int32, len(g.rules))
+	// Dense re-indexing of live rules, root first, ascending old index:
+	// remap[old] is the new index of the live rule at old index old.
+	remap := make([]int32, len(g.rules))
 	var live []*rule
 	for _, r := range g.rules {
 		if r != nil {

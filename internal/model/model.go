@@ -6,7 +6,6 @@
 package model
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -66,36 +65,21 @@ func (s *Stat) Merge(other Stat) {
 // Fig. 6 cases ("BAb" vs "Ab") and every workload in the evaluation.
 const MaxContextDepth = 4
 
-// SuffixKey encodes the last (up to MaxContextDepth) runs of a progress
-// sequence as a compact map key. refs is ordered topmost-first, as
-// progress.Position frames are; depth selects the suffix length.
-func SuffixKey(refs []grammar.UserRef, depth int) string {
-	var b [MaxContextDepth * 8]byte
-	return string(b[:putSuffix(&b, refs, depth)])
-}
-
-// putSuffix writes the key bytes of the last depth (at most
-// MaxContextDepth) runs of refs to the front of b and returns their number.
-// The key of a shorter suffix is a tail of the key of a longer one.
-func putSuffix(b *[MaxContextDepth * 8]byte, refs []grammar.UserRef, depth int) int {
-	depth = min(depth, len(refs), MaxContextDepth)
-	for i, r := range refs[len(refs)-depth:] {
-		binary.LittleEndian.PutUint32(b[8*i:], uint32(r.Rule))
-		binary.LittleEndian.PutUint32(b[8*i+4:], uint32(r.Pos))
-	}
-	return 8 * depth
-}
-
 // Timing is the per-context duration model of paper section II-C: the mean
 // elapsed time from the previous event to the event designated by a progress
 // sequence. As in the paper's Fig. 6, statistics are kept at every suffix
 // granularity of the progress sequence: the full known context gives the
 // most specific estimate, shorter suffixes serve as fallbacks when the
 // context is only partially known.
+//
+// The contexts live in one table of interned suffixes (see contexts), the
+// one TimingBuilder fills and hands over. A slot whose Stat has Count 0 — a
+// tail interned only on the way to a deeper suffix — is not a context. The
+// table is complete when TimingBuilder.Timing or the trace-file decoder
+// returns it, and a lookup never changes it, so any number of predictors may
+// read one Timing concurrently.
 type Timing struct {
-	// BySuffix keys statistics by SuffixKey of the progress sequence, for
-	// every suffix length from 1 to MaxContextDepth.
-	BySuffix map[string]Stat
+	ctx contexts
 	// ByEvent is the context-free fallback: mean delta before each event id
 	// regardless of context.
 	ByEvent map[int32]Stat
@@ -103,49 +87,84 @@ type Timing struct {
 
 // NewTiming returns an empty timing model.
 func NewTiming() *Timing {
-	return &Timing{
-		BySuffix: make(map[string]Stat),
-		ByEvent:  make(map[int32]Stat),
-	}
+	return &Timing{ByEvent: make(map[int32]Stat)}
 }
 
 // AddPath records one observation for the event with the given progress
-// sequence (refs topmost-first, last entry is the terminal run). It is the
-// plain form — a key string and a map read and write per depth — that tests
-// build models with and check TimingBuilder against; the recorder's replay
-// of a whole trace goes through TimingBuilder.
+// sequence (refs topmost-first, last entry is the terminal run): in each of
+// its suffixes up to MaxContextDepth runs and in the per-event statistic.
+// It is the per-event form that tests build models with and check
+// TimingBuilder against; the recorder's replay of a whole trace goes
+// through TimingBuilder.
 func (t *Timing) AddPath(refs []grammar.UserRef, eventID int32, ns int64) {
-	maxDepth := len(refs)
-	if maxDepth > MaxContextDepth {
-		maxDepth = MaxContextDepth
-	}
-	for d := 1; d <= maxDepth; d++ {
-		k := SuffixKey(refs, d)
-		s := t.BySuffix[k]
-		s.Add(ns)
-		t.BySuffix[k] = s
+	for slot := t.ctx.chain(refs); slot >= 0; slot = t.ctx.ctxs[slot].tail {
+		t.ctx.ctxs[slot].stat.Add(ns)
 	}
 	e := t.ByEvent[eventID]
 	e.Add(ns)
 	t.ByEvent[eventID] = e
 }
 
+// SetContext sets the statistic of the context refs (topmost-first, at most
+// MaxContextDepth runs), interning it and its tails; a tail not set itself
+// keeps Count 0. The trace-file decoder builds a Timing with it.
+func (t *Timing) SetContext(refs []grammar.UserRef, s Stat) {
+	if slot := t.ctx.chain(refs); slot >= 0 {
+		t.ctx.ctxs[slot].stat = s
+	}
+}
+
+// EachContext calls fn once for every context, in no particular order, with
+// its suffix (topmost-first; valid only during the call) and statistic.
+func (t *Timing) EachContext(fn func(refs []grammar.UserRef, s Stat)) {
+	var refs [MaxContextDepth]grammar.UserRef
+	for i := range t.ctx.ctxs {
+		if t.ctx.ctxs[i].stat.Count == 0 {
+			continue
+		}
+		// Following the tails from a suffix visits its runs outermost first.
+		d := 0
+		for s := int32(i); s >= 0; s = t.ctx.ctxs[s].tail {
+			refs[d] = t.ctx.ctxs[s].ref
+			d++
+		}
+		fn(refs[:d], t.ctx.ctxs[i].stat)
+	}
+}
+
+// Contexts returns the number of contexts: suffixes that hold observations.
+func (t *Timing) Contexts() int {
+	n := 0
+	for i := range t.ctx.ctxs {
+		if t.ctx.ctxs[i].stat.Count > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // MeanForPath returns the expected duration preceding the event at the given
-// progress sequence, using the deepest recorded suffix and falling back to
-// shallower suffixes, the per-event mean, and finally zero. It does not
-// allocate: the keys tried are slices of one stack buffer, and a map lookup
-// by string(bytes) does not copy them.
+// progress sequence: the mean of its deepest suffix (up to MaxContextDepth
+// runs) that is a context, else the per-event mean, else zero. It resolves
+// the suffixes innermost first and stops at the first one not interned —
+// the tails of an interned suffix are interned too — so it costs at most
+// MaxContextDepth probes and does not allocate.
 // pythia:hotpath — one call per hypothesis per look-ahead step.
 func (t *Timing) MeanForPath(refs []grammar.UserRef, eventID int32) float64 {
 	if t == nil {
 		return 0
 	}
-	var b [MaxContextDepth * 8]byte
-	n := putSuffix(&b, refs, MaxContextDepth)
-	for from := 0; from < n; from += 8 {
-		if s, ok := t.BySuffix[string(b[from:n])]; ok && s.Count > 0 {
-			return s.Mean()
+	deepest, slot := int32(-1), int32(-1)
+	for i, outermost := len(refs)-1, max(0, len(refs)-MaxContextDepth); i >= outermost; i-- {
+		if slot = t.ctx.find(slot, refs[i]); slot < 0 {
+			break
 		}
+		if t.ctx.ctxs[slot].stat.Count > 0 {
+			deepest = slot
+		}
+	}
+	if deepest >= 0 {
+		return t.ctx.ctxs[deepest].stat.Mean()
 	}
 	if s, ok := t.ByEvent[eventID]; ok && s.Count > 0 {
 		return s.Mean()
@@ -176,13 +195,6 @@ func (tr *Trace) Validate() error {
 	for _, id := range tr.Grammar.TerminalIDs() {
 		if int(id) >= len(tr.Events) || id < 0 {
 			return fmt.Errorf("trace: terminal %d has no descriptor (table size %d)", id, len(tr.Events))
-		}
-	}
-	if tr.Timing != nil {
-		for k := range tr.Timing.BySuffix {
-			if len(k)%8 != 0 || len(k) == 0 || len(k) > MaxContextDepth*8 {
-				return fmt.Errorf("trace: malformed timing suffix key (%d bytes)", len(k))
-			}
 		}
 	}
 	return nil

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -44,29 +42,6 @@ func TestQuickStatMeanWithinBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSuffixKeyDepths(t *testing.T) {
-	refs := []grammar.UserRef{{Rule: 0, Pos: 1}, {Rule: 2, Pos: 0}, {Rule: 3, Pos: 4}}
-	k1 := SuffixKey(refs, 1)
-	k2 := SuffixKey(refs, 2)
-	k3 := SuffixKey(refs, 3)
-	if len(k1) != 8 || len(k2) != 16 || len(k3) != 24 {
-		t.Fatalf("key lengths: %d %d %d", len(k1), len(k2), len(k3))
-	}
-	// Suffix property: a deeper key must end with the shallower one.
-	if k2[len(k2)-8:] != k1 {
-		t.Fatal("depth-2 key does not extend depth-1 key")
-	}
-	// Depth beyond the stack clamps.
-	if SuffixKey(refs, 10) != k3 {
-		t.Fatal("over-deep key not clamped to stack depth")
-	}
-	// Depth beyond MaxContextDepth clamps.
-	long := make([]grammar.UserRef, MaxContextDepth+3)
-	if len(SuffixKey(long, MaxContextDepth+3)) != MaxContextDepth*8 {
-		t.Fatal("key not clamped to MaxContextDepth")
 	}
 }
 
@@ -141,11 +116,6 @@ func TestTraceValidate(t *testing.T) {
 	if err := (&Trace{}).Validate(); err == nil {
 		t.Fatal("nil grammar accepted")
 	}
-	badTiming := &Trace{Grammar: f, Events: []string{"a", "b"}, Timing: NewTiming()}
-	badTiming.Timing.BySuffix["short"] = Stat{Count: 1}
-	if err := badTiming.Validate(); err == nil {
-		t.Fatal("malformed timing key accepted")
-	}
 }
 
 func TestTraceEventName(t *testing.T) {
@@ -206,34 +176,5 @@ func TestStatMergeCommutative(t *testing.T) {
 	want := mk(1, 5, 3, 9, 2)
 	if ab != want {
 		t.Fatalf("merge = %+v, want %+v", ab, want)
-	}
-}
-
-// TestTimingBuilderRandomPaths: over random progress sequences of every
-// length from 1 past MaxContextDepth — thousands of distinct contexts, so the
-// slot table doubles many times, and sparse event ids — the builder's Timing
-// equals an AddPath loop's.
-func TestTimingBuilderRandomPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var b TimingBuilder
-	want := NewTiming()
-	for i := 0; i < 40_000; i++ {
-		refs := make([]grammar.UserRef, 1+rng.Intn(MaxContextDepth+2))
-		for j := range refs {
-			refs[j] = grammar.UserRef{Rule: int32(rng.Intn(6)), Pos: int32(rng.Intn(4))}
-		}
-		id, ns := int32(rng.Intn(5)*7), int64(rng.Intn(50))
-		b.Add(refs, id, ns)
-		want.AddPath(refs, id, ns)
-	}
-	if len(want.BySuffix) < 5000 {
-		t.Fatalf("only %d contexts", len(want.BySuffix))
-	}
-	if got := b.Timing(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("builder and AddPath disagree: %d/%d suffixes, %d/%d events",
-			len(got.BySuffix), len(want.BySuffix), len(got.ByEvent), len(want.ByEvent))
-	}
-	if got := new(TimingBuilder).Timing(); !reflect.DeepEqual(got, NewTiming()) {
-		t.Fatalf("empty builder yields %+v", got)
 	}
 }

@@ -113,7 +113,7 @@ func (r *replay) terminal(ev int32, cnt int, w window) bool {
 	for _, d := range r.deltas[r.at:end] {
 		s.Add(d)
 	}
-	slot := r.b.chain(w.refs[:w.n])
+	slot := r.b.ctx.chain(w.refs[:w.n])
 	r.b.merge(slot, ev, s)
 	if r.rec > 0 {
 		m := &r.b.memo

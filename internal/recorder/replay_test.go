@@ -3,7 +3,6 @@ package recorder_test
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -95,8 +94,8 @@ func checkReplay(t *testing.T, label string, names []string, stream []events.ID)
 			t.Fatalf("%s %s: grammar holds %d events, want %d", label, c.what, c.got.Grammar.EventCount, len(c.deltas))
 		}
 		want := referenceTiming(c.got.Grammar, c.deltas)
-		if !reflect.DeepEqual(c.got.Timing, want) {
-			t.Fatalf("%s %s: replay and AddPath reference disagree:\n%+v\n%+v", label, c.what, c.got.Timing, want)
+		if got, want := recorder.Canonical(c.got.Timing), recorder.Canonical(want); got != want {
+			t.Fatalf("%s %s: replay and AddPath reference disagree:\n%s\n%s", label, c.what, got, want)
 		}
 		if !bytes.Equal(encode(t, names, c.got.Grammar, c.got.Timing), encode(t, names, c.got.Grammar, want)) {
 			t.Fatalf("%s %s: replay and AddPath reference encode to different trace files", label, c.what)
@@ -181,14 +180,13 @@ func nestedLoop(outer int) *recorder.Recorder {
 }
 
 // TestBuildThreadTraceAllocsByContexts: the replay allocates per distinct
-// timing context (its key string, its map entry, the builder's growth), not
-// per event — so the count is bounded by the contexts and stays put when the
+// timing context (the growth of the context table), not per event — so the count is bounded by the contexts and stays put when the
 // same loop runs ten times longer.
 func TestBuildThreadTraceAllocsByContexts(t *testing.T) {
 	measure := func(outer int) (allocs float64, contexts int, n int64) {
 		ck := nestedLoop(outer).Checkpoint() // Freeze happens here, not in the measured replay
 		th := ck.Materialize()
-		return testing.AllocsPerRun(3, func() { ck.Materialize() }), len(th.Timing.BySuffix), th.Grammar.EventCount
+		return testing.AllocsPerRun(3, func() { ck.Materialize() }), th.Timing.Contexts(), th.Grammar.EventCount
 	}
 	short, contexts, n := measure(520)
 	if n < 50_000 {
@@ -347,8 +345,7 @@ func replayCuts(f *grammar.Frozen, n int) []int {
 var replaySeeds = [][]byte{
 	// A 3-level nest (3, 2, 3 iterations) replayed at every prefix: cuts
 	// inside a memoised body's first iteration and part way through its
-	// later ones, where a replay that interned contexts ahead of their
-	// observations emits zero-count BySuffix entries.
+	// later ones.
 	{0x0a, 0x02, 0x01, 0x02, 0xff},
 	// A 7-level nest with noise in the fifth innermost pass, then noise.
 	{0x1a, 0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x04, 0x10, 0x14},
@@ -403,8 +400,8 @@ func FuzzTimingReplayDiff(f *testing.F) {
 			var b model.TimingBuilder
 			b.Replay(g, deltas[:k])
 			got := b.Timing()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("replay of %d of %d deltas and the reference disagree:\n%+v\n%+v", k, len(deltas), got, want)
+			if got, want := recorder.Canonical(got), recorder.Canonical(want); got != want {
+				t.Fatalf("replay of %d of %d deltas and the reference disagree:\n%s\n%s", k, len(deltas), got, want)
 			}
 			if !bytes.Equal(encode(t, names, g, got), encode(t, names, g, want)) {
 				t.Fatalf("replay of %d of %d deltas and the reference encode to different trace files", k, len(deltas))

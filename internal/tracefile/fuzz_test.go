@@ -47,6 +47,7 @@ func FuzzRead(f *testing.F) {
 		mutated[15] ^= 0xff
 	}
 	f.Add(mutated)
+	f.Add(fileWithKey(f, make([]byte, 5)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, err := Read(bytes.NewReader(data))

@@ -38,6 +38,7 @@ package tracefile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,6 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -203,7 +205,9 @@ func Read(r io.Reader) (*model.TraceSet, error) {
 			return nil, err
 		}
 		th.Grammar = g
-		th.Timing = d.timing()
+		if th.Timing, err = d.timing(); err != nil {
+			return nil, err
+		}
 		ts.Threads[tid] = th
 	}
 	if d.uvarint() != 0 {
@@ -426,22 +430,47 @@ func (e *encoder) stat(s model.Stat) {
 	e.svarint(s.Max)
 }
 
+// timingKey is one timing context as a trace file holds it: its key bytes
+// and its statistic.
+type timingKey struct {
+	b [model.MaxContextDepth * 8]byte
+	n int
+	s model.Stat
+}
+
+func (k *timingKey) key() []byte { return k.b[:k.n] }
+
+// suffixKey writes the key of the context refs (topmost-first, at most
+// model.MaxContextDepth runs) to the front of b and returns its length:
+// each run's rule and position as little-endian uint32s, outermost run
+// first, so the key of a shorter suffix is a tail of the key of a longer
+// one.
+func suffixKey(b *[model.MaxContextDepth * 8]byte, refs []grammar.UserRef) int {
+	for i, r := range refs {
+		binary.LittleEndian.PutUint32(b[8*i:], uint32(r.Rule))
+		binary.LittleEndian.PutUint32(b[8*i+4:], uint32(r.Pos))
+	}
+	return 8 * len(refs)
+}
+
 func (e *encoder) timing(t *model.Timing) {
 	if t == nil {
 		e.uvarint(0)
 		return
 	}
 	e.uvarint(1)
-	// Deterministic output: sort keys.
-	keys := make([]string, 0, len(t.BySuffix))
-	for k := range t.BySuffix {
+	// Deterministic output: the contexts in the byte order of their keys.
+	keys := make([]timingKey, 0, t.Contexts())
+	t.EachContext(func(refs []grammar.UserRef, s model.Stat) {
+		k := timingKey{s: s}
+		k.n = suffixKey(&k.b, refs)
 		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	})
+	slices.SortFunc(keys, func(a, b timingKey) int { return bytes.Compare(a.key(), b.key()) })
 	e.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.bytes([]byte(k))
-		e.stat(t.BySuffix[k])
+	for i := range keys {
+		e.bytes(keys[i].key())
+		e.stat(keys[i].s)
 	}
 	ids := make([]int32, 0, len(t.ByEvent))
 	for id := range t.ByEvent {
@@ -513,12 +542,20 @@ func (d *decoder) bytes() []byte {
 		return nil
 	}
 	buf := make([]byte, n)
+	d.read(buf)
+	return buf
+}
+
+// read fills buf from the payload.
+func (d *decoder) read(buf []byte) {
+	if d.err != nil {
+		return
+	}
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		d.err = err
-		return nil
+		return
 	}
 	d.crc.Write(buf)
-	return buf
 }
 
 func (d *decoder) grammar() (*grammar.Frozen, error) {
@@ -560,21 +597,42 @@ func (d *decoder) stat() model.Stat {
 	return s
 }
 
-func (d *decoder) timing() *model.Timing {
+// ErrMalformedTimingKey reports a timing context key that is empty, not a
+// whole number of runs (8 bytes each) or deeper than model.MaxContextDepth.
+var ErrMalformedTimingKey = errors.New("tracefile: malformed timing suffix key")
+
+// timing reads a timing section, interning each context's chain straight
+// from its key bytes.
+func (d *decoder) timing() (*model.Timing, error) {
 	flag := d.uvarint()
 	if d.err != nil || flag == 0 {
-		return nil
+		return nil, nil
 	}
 	t := model.NewTiming()
+	var key [model.MaxContextDepth * 8]byte
+	var refs [model.MaxContextDepth]grammar.UserRef
 	n := d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := string(d.bytes())
-		t.BySuffix[k] = d.stat()
+		kn := d.uvarint()
+		if d.err != nil {
+			break
+		}
+		if kn == 0 || kn%8 != 0 || kn > uint64(len(key)) {
+			return nil, fmt.Errorf("%w (%d bytes)", ErrMalformedTimingKey, kn)
+		}
+		d.read(key[:kn])
+		for j := range refs[:kn/8] {
+			refs[j] = grammar.UserRef{
+				Rule: int32(binary.LittleEndian.Uint32(key[8*j:])),
+				Pos:  int32(binary.LittleEndian.Uint32(key[8*j+4:])),
+			}
+		}
+		t.SetContext(refs[:kn/8], d.stat())
 	}
 	m := d.uvarint()
 	for i := uint64(0); i < m && d.err == nil; i++ {
 		id := int32(d.svarint())
 		t.ByEvent[id] = d.stat()
 	}
-	return t
+	return t, nil
 }

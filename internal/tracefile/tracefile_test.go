@@ -1,12 +1,17 @@
 package tracefile
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/grammar"
 	"repro/internal/model"
 	"repro/internal/predictor"
 	"repro/internal/recorder"
@@ -69,7 +74,7 @@ func TestRoundTrip(t *testing.T) {
 		if gth.Grammar.EventCount != th.Grammar.EventCount {
 			t.Fatalf("thread %d event count %d, want %d", tid, gth.Grammar.EventCount, th.Grammar.EventCount)
 		}
-		if !reflect.DeepEqual(gth.Timing.BySuffix, th.Timing.BySuffix) {
+		if !reflect.DeepEqual(contextsByKey(gth.Timing), contextsByKey(th.Timing)) {
 			t.Fatalf("thread %d suffix timing differs", tid)
 		}
 		if !reflect.DeepEqual(gth.Timing.ByEvent, th.Timing.ByEvent) {
@@ -81,6 +86,88 @@ func TestRoundTrip(t *testing.T) {
 				gth.Grammar.Rules[i].Len != th.Grammar.Rules[i].Len {
 				t.Fatalf("thread %d rule %d derived data differs", tid, i)
 			}
+		}
+	}
+}
+
+// contextsByKey returns tm's contexts by their trace-file keys: the form in
+// which two Timings compare, whatever order their tables interned in.
+func contextsByKey(tm *model.Timing) map[string]model.Stat {
+	m := make(map[string]model.Stat)
+	tm.EachContext(func(refs []grammar.UserRef, s model.Stat) {
+		var b [model.MaxContextDepth * 8]byte
+		m[string(b[:suffixKey(&b, refs)])] = s
+	})
+	return m
+}
+
+func TestSuffixKeyDepths(t *testing.T) {
+	refs := []grammar.UserRef{{Rule: 0, Pos: 1}, {Rule: 2, Pos: 0}, {Rule: 3, Pos: 4}}
+	key := func(refs []grammar.UserRef) string {
+		var b [model.MaxContextDepth * 8]byte
+		return string(b[:suffixKey(&b, refs)])
+	}
+	k1, k2, k3 := key(refs[2:]), key(refs[1:]), key(refs)
+	if len(k1) != 8 || len(k2) != 16 || len(k3) != 24 {
+		t.Fatalf("key lengths: %d %d %d", len(k1), len(k2), len(k3))
+	}
+	// Suffix property: a deeper key must end with the shallower one.
+	if k2[len(k2)-8:] != k1 || k3[len(k3)-16:] != k2 {
+		t.Fatal("a deeper key does not extend the shallower one")
+	}
+	if k1 != "\x03\x00\x00\x00\x04\x00\x00\x00" {
+		t.Fatalf("depth-1 key %q, want rule then position, little-endian", k1)
+	}
+}
+
+// fileWithKey returns a one-thread trace file (grammar: the single event 0)
+// whose timing section holds one context, keyed by key.
+func fileWithKey(t testing.TB, key []byte) []byte {
+	t.Helper()
+	g, err := grammar.NewFrozen([][]grammar.Run{{{Sym: grammar.Terminal(0), Count: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	bw := bufio.NewWriter(&payload)
+	e := &encoder{w: bw}
+	e.uvarint(Version)
+	e.uvarint(1)
+	e.bytes([]byte("e"))
+	e.uvarint(1) // one thread: tid 0, no flags
+	e.svarint(0)
+	e.uvarint(0)
+	e.grammar(g)
+	e.uvarint(1) // timing: one context, no event statistics
+	e.uvarint(1)
+	e.bytes(key)
+	e.stat(model.Stat{Count: 1, Sum: 5, Min: 5, Max: 5})
+	e.uvarint(0)
+	e.uvarint(0) // no provenance
+	if err := errors.Join(e.err, bw.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	out := append(append([]byte(nil), Magic[:]...), payload.Bytes()...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload.Bytes()))
+}
+
+// TestReadRefusesMalformedTimingKey: a timing key that is empty, not a
+// whole number of 8-byte runs or deeper than MaxContextDepth fails the read
+// with ErrMalformedTimingKey; keys of 1 to MaxContextDepth runs load.
+func TestReadRefusesMalformedTimingKey(t *testing.T) {
+	for _, n := range []int{0, 5, 12, 8 * (model.MaxContextDepth + 1)} {
+		_, err := Read(bytes.NewReader(fileWithKey(t, make([]byte, n))))
+		if !errors.Is(err, ErrMalformedTimingKey) {
+			t.Errorf("%d-byte key: err = %v, want ErrMalformedTimingKey", n, err)
+		}
+	}
+	for d := 1; d <= model.MaxContextDepth; d++ {
+		ts, err := Read(bytes.NewReader(fileWithKey(t, make([]byte, 8*d))))
+		if err != nil {
+			t.Fatalf("%d-run key: %v", d, err)
+		}
+		if n := ts.Threads[0].Timing.Contexts(); n != 1 {
+			t.Fatalf("%d-run key: %d contexts, want 1", d, n)
 		}
 	}
 }

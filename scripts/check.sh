@@ -15,7 +15,9 @@
 #                     path against the reduction alone),
 #                     FuzzTimingReplayDiff (10s: the memoised timing replay
 #                     against the per-event reference at every prefix of
-#                     the delta log), FuzzFrontierDiff (10s: the predictor —
+#                     the delta log), FuzzMeanForPathDiff (the timing
+#                     lookup against the string-keyed reference),
+#                     FuzzFrontierDiff (10s: the predictor —
 #                     its window and its frontier walk — against the
 #                     allocating reference), FuzzPredictNoisy (fail-open, and
 #                     answers independent of earlier queries),
@@ -112,6 +114,8 @@ step "fuzz smoke (FuzzConfirmDiff)" \
     go test -fuzz FuzzConfirmDiff -fuzztime=10s -run '^$' ./internal/grammar/
 step "fuzz smoke (FuzzTimingReplayDiff)" \
     go test -fuzz FuzzTimingReplayDiff -fuzztime=10s -run '^$' ./internal/recorder/
+step "fuzz smoke (FuzzMeanForPathDiff)" \
+    go test -fuzz FuzzMeanForPathDiff -fuzztime=5s -run '^$' ./internal/model/
 step "fuzz smoke (FuzzFrontierDiff)" \
     go test -fuzz FuzzFrontierDiff -fuzztime=10s -run '^$' ./internal/predictor/
 step "fuzz smoke (FuzzPredictNoisy)" \
