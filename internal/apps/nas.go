@@ -327,10 +327,3 @@ func RunMG(ctx *Context) {
 	m.Allreduce(mpisim.OpMax, []float64{sink})
 	m.Barrier()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -10,7 +10,7 @@
 //
 //   - TokenBucket: a lock-free token bucket used for per-tenant event
 //     budgets and daemon-wide pacing. Submission charges it (and may
-//     drive it negative — Submit frames are one-way and cannot be
+//     drive it negative — submitted events are one-way and cannot be
 //     refused without killing the connection); request/response ops gate
 //     on it and are refused with a retry-after hint when exhausted.
 //

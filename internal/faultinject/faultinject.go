@@ -66,15 +66,6 @@ func (in *Injector) substitute() int32 {
 	return 1 << 28 << uint(in.rng.Intn(3))
 }
 
-// Apply runs the whole stream through Perturb.
-func (in *Injector) Apply(ids []int32) []int32 {
-	out := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, in.Perturb(id)...)
-	}
-	return out
-}
-
 // Skew perturbs a timestamp by a uniform amount in [-MaxSkewNs, MaxSkewNs].
 func (in *Injector) Skew(now int64) int64 {
 	if in.plan.MaxSkewNs <= 0 {

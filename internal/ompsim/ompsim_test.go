@@ -1,6 +1,7 @@
 package ompsim
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,28 +46,22 @@ func TestRealModeExecutesBody(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	rt := New(Config{MaxThreads: 3})
-	defer rt.Close()
-	seen := make([]atomic.Bool, 100)
-	rt.ParallelFor("loop", 100, 1, func(i int) { seen[i].Store(true) })
-	for i := range seen {
-		if !seen[i].Load() {
-			t.Fatalf("iteration %d not executed", i)
-		}
-	}
-}
-
+// TestVirtualForCoversRangeSequentially holds virtual mode to running a
+// region's body once per team member, in thread order on the calling
+// goroutine, while the cost model advances the clock.
 func TestVirtualForCoversRangeSequentially(t *testing.T) {
 	m := Pudding()
 	rt := New(Config{MaxThreads: 8, Machine: &m})
 	defer rt.Close()
-	var hits [50]int
-	rt.ParallelFor("loop", 50, 10, func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("iteration %d executed %d times", i, h)
+	var order []int
+	rt.Parallel("loop", 500, func(tid, n int) {
+		if n != 8 {
+			t.Errorf("team of %d, want 8", n)
 		}
+		order = append(order, tid)
+	})
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(order, want) {
+		t.Fatalf("bodies ran for tids %v, want %v", order, want)
 	}
 	if rt.Now() <= 0 {
 		t.Fatal("virtual clock did not advance")

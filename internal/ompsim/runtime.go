@@ -292,22 +292,6 @@ func (rt *Runtime) Sequential(work int64, body func()) {
 	}
 }
 
-// ParallelFor runs a canonical statically-chunked loop of n iterations as a
-// parallel region; workPerIter feeds the cost model.
-func (rt *Runtime) ParallelFor(name string, n int, workPerIter int64, body func(i int)) {
-	var wrapped func(tid, nthreads int)
-	if body != nil {
-		wrapped = func(tid, nthreads int) {
-			lo := n * tid / nthreads
-			hi := n * (tid + 1) / nthreads
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}
-	}
-	rt.Parallel(name, int64(n)*workPerIter, wrapped)
-}
-
 func orNop(body func(tid, nthreads int)) func(tid, nthreads int) {
 	if body != nil {
 		return body

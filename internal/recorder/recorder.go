@@ -271,23 +271,11 @@ func (r *Recorder) maybeCheckpoint() {
 	}
 }
 
-// Snapshot freezes the structure recorded *so far* without ending the
-// recording — the crash-tolerance hook: a long run can checkpoint its trace
-// periodically and keep recording. Snapshots carry the timing model built
-// from the deltas seen so far.
-func (r *Recorder) Snapshot() *model.ThreadTrace {
-	return r.finishInternal()
-}
-
 // Finish freezes the recorded structure into a per-thread trace artifact.
 // When timestamps were recorded, the event sequence is replayed through the
 // grammar — exactly as the paper describes — to associate each grammar
 // context with the mean elapsed time since the previous event.
 func (r *Recorder) Finish() *model.ThreadTrace {
-	return r.finishInternal()
-}
-
-func (r *Recorder) finishInternal() *model.ThreadTrace {
 	return buildThreadTrace(r.g.Freeze(), r.deltas, r.truncated, r.dropped)
 }
 

@@ -239,7 +239,7 @@ func TestSnapshotMidRun(t *testing.T) {
 		r.RecordAt(events.ID(i%2), now)
 		now += 100
 	}
-	snap := r.Snapshot()
+	snap := r.Checkpoint().Materialize()
 	if snap.Grammar.EventCount != 30 {
 		t.Fatalf("snapshot has %d events, want 30", snap.Grammar.EventCount)
 	}

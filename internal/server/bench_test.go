@@ -33,8 +33,8 @@ func (nopConn) SetReadDeadline(t time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // benchConn builds a served connection over an in-memory transport with an
-// open session on a synthetic repeating trace, plus the per-event Submit
-// payloads of one pattern repetition.
+// open session on a synthetic repeating trace, plus the one-event
+// SubmitBatch payloads of one pattern repetition.
 func benchConn(tb testing.TB, reps int) (*conn, uint32, [][]byte) {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -48,27 +48,27 @@ func benchConn(tb testing.TB, reps int) (*conn, uint32, [][]byte) {
 	}
 	sid := uint32(len(c.sessions) - 1)
 	reg := make(map[string]int32)
-	for i, name := range c.sessions[sid].ct.t.ts.Events {
+	for i, name := range c.tenants["synth"].t.ts.Events {
 		reg[name] = int32(i)
 	}
 	payloads := make([][]byte, len(names))
 	for i, name := range names {
-		payloads[i] = wire.AppendSubmit(nil, sid, reg[name])
+		payloads[i] = wire.AppendSubmitBatch(nil, sid, []int32{reg[name]})
 	}
 	return c, sid, payloads
 }
 
 // BenchmarkServeSubmit measures the steady-state per-request server path
-// for the one-way Submit frame: parse, session dispatch, oracle Submit.
+// for a one-event SubmitBatch frame: parse, session dispatch, sink apply.
 // The acceptance bar is 0 allocs/op.
 func BenchmarkServeSubmit(b *testing.B) {
 	const reps = 1 << 18
 	c, sid, payloads := benchConn(b, reps)
-	th := c.sessions[sid].th
+	th := c.sessions[sid].sink.th
 	// Warm the prediction window's buffers so the timed region is
 	// pure steady state.
 	for i := 0; i < 1024; i++ {
-		if err := c.handleFrame(wire.TSubmit, payloads[i%len(payloads)]); err != nil {
+		if err := c.handleFrame(wire.TSubmitBatch, payloads[i%len(payloads)]); err != nil {
 			b.Fatalf("warmup: %v", err)
 		}
 	}
@@ -86,7 +86,7 @@ func BenchmarkServeSubmit(b *testing.B) {
 			phase, submitted = 0, 0
 			b.StartTimer()
 		}
-		if err := c.handleFrame(wire.TSubmit, payloads[phase%len(payloads)]); err != nil {
+		if err := c.handleFrame(wire.TSubmitBatch, payloads[phase%len(payloads)]); err != nil {
 			b.Fatal(err)
 		}
 		phase++
@@ -99,7 +99,7 @@ func BenchmarkServeSubmit(b *testing.B) {
 func BenchmarkServePredictAt(b *testing.B) {
 	c, sid, payloads := benchConn(b, 1<<12)
 	for i := 0; i < 256; i++ {
-		if err := c.handleFrame(wire.TSubmit, payloads[i%len(payloads)]); err != nil {
+		if err := c.handleFrame(wire.TSubmitBatch, payloads[i%len(payloads)]); err != nil {
 			b.Fatalf("warmup: %v", err)
 		}
 	}
@@ -121,28 +121,29 @@ func BenchmarkServePredictAt(b *testing.B) {
 }
 
 // TestServeSubmitZeroAlloc pins the acceptance criterion directly: the
-// steady-state Submit serving path performs zero allocations per request.
+// steady-state serving path of a one-event SubmitBatch performs zero
+// allocations per request.
 func TestServeSubmitZeroAlloc(t *testing.T) {
 	c, _, payloads := benchConn(t, 1<<13)
 	for i := 0; i < 1024; i++ {
-		if err := c.handleFrame(wire.TSubmit, payloads[i%len(payloads)]); err != nil {
+		if err := c.handleFrame(wire.TSubmitBatch, payloads[i%len(payloads)]); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
 	}
 	phase := 1024
 	allocs := testing.AllocsPerRun(2000, func() {
-		if err := c.handleFrame(wire.TSubmit, payloads[phase%len(payloads)]); err != nil {
+		if err := c.handleFrame(wire.TSubmitBatch, payloads[phase%len(payloads)]); err != nil {
 			t.Fatal(err)
 		}
 		phase++
 	})
 	if allocs != 0 {
-		t.Fatalf("Submit serving path allocated %v/op in steady state, want 0", allocs)
+		t.Fatalf("SubmitBatch serving path allocated %v/op in steady state, want 0", allocs)
 	}
 }
 
-// TestServeSubmitBatchMatchesSubmit checks the batched one-way path feeds
-// the oracle identically to per-event frames.
+// TestServeSubmitBatchMatchesSubmit checks one batch frame feeds the oracle
+// identically to one-event frames.
 func TestServeSubmitBatchMatchesSubmit(t *testing.T) {
 	dir := t.TempDir()
 	names := synthTrace(t, dir, "synth", 128)
@@ -160,7 +161,7 @@ func TestServeSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 
 	reg := make(map[string]int32)
-	for i, name := range single.sessions[0].ct.t.ts.Events {
+	for i, name := range single.tenants["synth"].t.ts.Events {
 		reg[name] = int32(i)
 	}
 	var ids []int32
@@ -168,15 +169,15 @@ func TestServeSubmitBatchMatchesSubmit(t *testing.T) {
 		ids = append(ids, reg[names[i%len(names)]])
 	}
 	for _, id := range ids {
-		if err := single.handleFrame(wire.TSubmit, wire.AppendSubmit(nil, 0, id)); err != nil {
+		if err := single.handleFrame(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, 0, []int32{id})); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
 	if err := batched.handleFrame(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, 0, ids)); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	a, aok := single.sessions[0].th.PredictAt(1)
-	b, bok := batched.sessions[0].th.PredictAt(1)
+	a, aok := single.sessions[0].sink.th.PredictAt(1)
+	b, bok := batched.sessions[0].sink.th.PredictAt(1)
 	if aok != bok || !samePrediction(a, b) {
 		t.Fatalf("batched path diverged: %+v/%v vs %+v/%v", a, aok, b, bok)
 	}

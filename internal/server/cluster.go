@@ -310,10 +310,10 @@ func (s *Server) tenantBucket(t *tenant) *cluster.TokenBucket {
 	return t.qos
 }
 
-// chargeEvents debits n submitted events against the session's tenant
-// budget. Submits are one-way and are never refused — an exhausted budget
+// chargeEvents debits n events against the session's tenant budget.
+// Submitted events are one-way and are never refused — an exhausted budget
 // surfaces on the tenant's next gated request instead.
-// pythia:hotpath — called per Submit; must not allocate.
+// pythia:hotpath — called per applied batch; must not allocate.
 func chargeEvents(q *cluster.TokenBucket, n int64) {
 	if q != nil {
 		q.Charge(n, time.Now().UnixNano())

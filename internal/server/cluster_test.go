@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/tracefile"
+	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/pythia"
 	"repro/pythia/client"
@@ -369,10 +370,129 @@ func TestTenantBudgetGatesRequests(t *testing.T) {
 	c.expectError(wire.CodeRetryLater)
 	// ...while submits still ack (connection alive, events never refused)
 	// and an innocent tenant on the same connection is untouched.
-	c.send(wire.TSubmit, wire.AppendSubmit(nil, hot, 0))
+	c.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, hot, []int32{0}))
 	cold := c.openSession("cold", 0, 0)
 	c.send(wire.TPredictAt, wire.AppendPredictAt(nil, cold, 4))
 	if typ, _ := c.recv(); typ != wire.TPrediction {
 		t.Fatalf("cold tenant got %s, want Prediction", typ)
 	}
+}
+
+// TestTenantBudgetChargesEveryTier holds the tenant event budget to every
+// way events enter a session. 512 on-trace events overdraft a 50 events/s,
+// 10-event budget whether they arrive in a SubmitBatch over tcp or unix or
+// through a shared-memory ring, so the next PredictAt is refused with
+// CodeRetryLater and a retry-after hint. A resume Replay that overlaps
+// what the server already applied is charged for the events it applies
+// and not for the ones it skips.
+func TestTenantBudgetChargesEveryTier(t *testing.T) {
+	dir := t.TempDir()
+	tiers := []string{"tcp", "unix", "shm"}
+	var names []string
+	for _, tier := range tiers {
+		names = synthTrace(t, dir, tier, 128) // one tenant, one budget per tier
+	}
+	_, tcpAddr, unixAddr := startServerTransports(t, Config{TraceDir: dir, TenantEventsPerSec: 50, TenantBurst: 10})
+
+	for _, tier := range tiers {
+		t.Run(tier, func(t *testing.T) {
+			addr := tcpAddr
+			if tier != "tcp" {
+				addr = unixAddr
+			}
+			c := dialRaw(t, addr)
+			reg := regFor(t, c, tier)
+			ids := make([]int32, 512)
+			for i := range ids {
+				ids[i] = int32(reg[names[i%len(names)]])
+			}
+			sid := c.openSession(tier, 0, wire.FlagStartAtBeginning)
+			if tier == "shm" {
+				ring := shmRing0(t, c, sid)
+				for _, id := range ids {
+					if !ring.TryPush(id) {
+						t.Fatal("ring full")
+					}
+				}
+			} else {
+				c.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, sid, ids))
+			}
+			c.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))
+			var re wire.RemoteError
+			c.recvMsg(wire.TError, &re)
+			if re.Code != wire.CodeRetryLater || re.RetryAfterMs == 0 {
+				t.Fatalf("PredictAt after 512 events: %+v, want CodeRetryLater with a retry-after hint", re)
+			}
+		})
+	}
+
+	t.Run("replay", func(t *testing.T) {
+		// One token a second: the budget moves only by what the leg spends.
+		dir := t.TempDir()
+		synthTrace(t, dir, "bt", 8)
+		_, addr := startServer(t, Config{TraceDir: dir, TenantEventsPerSec: 1, TenantBurst: 10})
+		c1, tok := dialRawResume(t, addr)
+		reg := regFor(t, c1, "bt")        // 10 → 9
+		sid := c1.openSession("bt", 0, 0) // 9 → 8
+		a, b, cc, d := int32(reg["phase:a"]), int32(reg["phase:b"]), int32(reg["phase:c"]), int32(reg["phase:d"])
+		c1.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, sid, []int32{a, b, cc, d, a})) // 8 → 3
+		c1.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))                           // 3 → 2
+		if typ, _ := c1.recv(); typ != wire.TPrediction {
+			t.Fatalf("sync predict: got %s", typ)
+		}
+		if err := c1.NC.Close(); err != nil {
+			t.Fatalf("killing c1: %v", err)
+		}
+
+		c2, _ := dialRawResume(t, addr)
+		resumeWithRetry(t, c2, tok)
+		// Sequences 3–5 are already applied, 6 is new: one token, 2 → 1.
+		var done wire.SessionApplied
+		c2.ask(wire.TReplay, &wire.Replay{Session: sid, Base: 3, IDs: []int32{cc, d, a, b}}, &done)
+		if done.Applied != 6 {
+			t.Fatalf("Replayed applied = %d, want 6", done.Applied)
+		}
+		c2.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1)) // 1 → 0
+		if typ, _ := c2.recv(); typ != wire.TPrediction {
+			t.Fatalf("PredictAt after an overlapping replay: got %s, want Prediction (the skipped events were charged)", typ)
+		}
+		// Eight new events: the budget goes into overdraft.
+		c2.ask(wire.TReplay, &wire.Replay{Session: sid, Base: 7, IDs: []int32{cc, d, a, b, cc, d, a, b}}, &done)
+		if done.Applied != 14 {
+			t.Fatalf("Replayed applied = %d, want 14", done.Applied)
+		}
+		c2.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))
+		var re wire.RemoteError
+		c2.recvMsg(wire.TError, &re)
+		if re.Code != wire.CodeRetryLater || re.RetryAfterMs == 0 {
+			t.Fatalf("PredictAt after a replay of 8 new events: %+v, want CodeRetryLater with a retry-after hint", re)
+		}
+	})
+}
+
+// shmRing0 maps a one-ring segment onto the raw connection and binds the
+// session to its ring, returning the client end of the ring.
+func shmRing0(t *testing.T, c *rawConn, sid uint32) *transport.Ring {
+	t.Helper()
+	g := transport.Geometry{Rings: 1, Slots: 1024, PredCap: 1}
+	seg, err := transport.CreateSegment(t.TempDir(), g.SegmentSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := seg.Close(); err != nil {
+			t.Errorf("closing segment: %v", err)
+		}
+	})
+	transport.WriteHeader(seg.Bytes(), g)
+	rings, err := transport.MapRings(seg.Bytes(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ask(wire.TShmSetup, &wire.ShmSetup{
+		Rings: 1, Slots: uint32(g.Slots), PredCap: 1,
+		SegSize: uint64(g.SegmentSize()), Path: seg.Path(),
+	}, &wire.ShmSetupOK{})
+	c.ask(wire.TShmBind, &wire.SessionArg{Session: sid, Arg: 0}, &wire.SessionArg{})
+	return &rings[0]
 }

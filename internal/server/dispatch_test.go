@@ -38,9 +38,10 @@ func TestHandlerTableMatchesFrameTable(t *testing.T) {
 		}
 	}
 	// A frame with no row — a reply type, a second Hello, an unknown
-	// number, the retired Heartbeat pair (26, 27) — is a fatal bad frame.
+	// number, the retired single-event Submit (5) and Heartbeat pair (26,
+	// 27) — is a fatal bad frame.
 	c := newConn(New(Config{TraceDir: dir}), nopConn{})
-	for _, typ := range []wire.Type{wire.THello, wire.TPrediction, wire.TModelAccepted, 0, 26, 27, 200} {
+	for _, typ := range []wire.Type{wire.THello, wire.TPrediction, wire.TModelAccepted, 0, 5, 26, 27, 200} {
 		var pe *protoErr
 		if err := c.handleFrame(typ, nil); !errors.As(err, &pe) || pe.code != wire.CodeBadFrame || !pe.fatal {
 			t.Errorf("%s: err = %v, want a fatal CodeBadFrame", typ, err)
@@ -110,10 +111,9 @@ func TestSessionSlotsAreReused(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"Submit", c.handleFrame(wire.TSubmit, wire.AppendSubmit(nil, first, 0))},
 		{"SubmitBatch", c.handleFrame(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, first, []int32{0}))},
 		{"PredictAt", c.handleFrame(wire.TPredictAt, wire.AppendPredictAt(nil, first, 1))},
-		{"PredictSequence", c.handleFrame(wire.TPredictSequence, wire.AppendPredictSequence(nil, first, 1))},
+		{"PredictSequence", c.handleFrame(wire.TPredictSequence, wire.Append(nil, &wire.SessionArg{Session: first, Arg: 1}))},
 		{"CloseSession", closeSession(first)},
 	}
 	for _, s := range stale {
@@ -145,7 +145,7 @@ func TestAdmissionLimitsShedWithRetryHint(t *testing.T) {
 			c.sendMsg(wire.TOpenSession, &wire.OpenSession{TID: 1, Tenant: "synth"})
 		}},
 		{"PredictSequence", func(c *rawConn, sid uint32) {
-			c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, 4))
+			c.send(wire.TPredictSequence, wire.Append(nil, &wire.SessionArg{Session: sid, Arg: 4}))
 		}},
 	}
 	for _, tc := range cases {
@@ -159,7 +159,7 @@ func TestAdmissionLimitsShedWithRetryHint(t *testing.T) {
 			c := dialRaw(t, addr)
 			reg := regFor(t, c, "synth")
 			sid := c.openSession("synth", 0, wire.FlagStartAtBeginning)
-			c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, 64))
+			c.send(wire.TPredictSequence, wire.Append(nil, &wire.SessionArg{Session: sid, Arg: 64}))
 			c.recvMsg(wire.TPredictions, &wire.Predictions{})
 
 			for round := 0; round < 3; round++ {
@@ -171,7 +171,7 @@ func TestAdmissionLimitsShedWithRetryHint(t *testing.T) {
 				}
 				// The connection and the open session are untouched.
 				for _, name := range names {
-					c.send(wire.TSubmit, wire.AppendSubmit(nil, sid, int32(reg[name])))
+					c.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, sid, []int32{int32(reg[name])}))
 				}
 			}
 			deadline := time.Now().Add(5 * time.Second)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/wire"
-	"repro/pythia"
 )
 
 // Session resume. A connection that negotiated a resume token does not
@@ -144,7 +143,11 @@ func (c *conn) resume(m *wire.Uint64) (wire.Message, error) {
 	resumed := new(wire.Resumed)
 	for i := range c.sessions {
 		if s := &c.sessions[i]; s.open {
-			resumed.Sessions = append(resumed.Sessions, wire.SessionApplied{Session: s.id, Applied: *s.applied})
+			sa := wire.SessionApplied{Session: s.id}
+			if s.sink != nil {
+				sa.Applied = s.sink.applied
+			}
+			resumed.Sessions = append(resumed.Sessions, sa)
 		}
 	}
 	return resumed, nil
@@ -153,26 +156,25 @@ func (c *conn) resume(m *wire.Uint64) (wire.Message, error) {
 // replay handles TReplay: apply the batch's events, skipping every sequence
 // number at or below the session's applied counter. A client replaying its
 // shadow buffer after resume may overlap what the server already applied;
-// the counter makes redelivery exactly-once.
+// the counter makes redelivery exactly-once. The suffix past the counter is
+// one apply — one containment frame, and a charge for exactly the events
+// applied. A replay that starts past the counter (the client lost events
+// from its shadow window) moves the counter over the gap first, so it keeps
+// numbering the client's sequence.
 func (c *conn) replay(m *wire.Replay) (wire.Message, error) {
 	if m.Base == 0 {
 		return nil, badFrame("Replay base must be 1-based")
 	}
-	s, perr := c.threadOf(m.Session)
+	k, release, perr := c.enter(m.Session, false)
 	if perr != nil {
 		return nil, perr
 	}
-	release, perr := c.enterSession(m.Session)
-	if perr != nil {
-		return nil, perr
+	if last := m.Base - 1 + uint64(len(m.IDs)); last > k.applied {
+		from := max(k.applied, m.Base-1)
+		k.applied = from
+		k.apply(asIDs(m.IDs[from-(m.Base-1):]))
 	}
-	for i, id := range m.IDs {
-		if seq := m.Base + uint64(i); seq > *s.applied {
-			s.th.Submit(pythia.ID(id))
-			*s.applied = seq
-		}
-	}
-	applied := *s.applied
+	applied := k.applied
 	release()
 	return &wire.SessionApplied{Session: m.Session, Applied: applied}, nil
 }

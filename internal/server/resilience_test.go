@@ -69,7 +69,7 @@ func TestResumeReplayDedup(t *testing.T) {
 	sid := c1.openSession("bt", 0, 0)
 	a, b, cc, d := int32(reg["phase:a"]), int32(reg["phase:b"]), int32(reg["phase:c"]), int32(reg["phase:d"])
 	for _, id := range []int32{a, b, cc} {
-		c1.send(wire.TSubmit, wire.AppendSubmit(nil, sid, id))
+		c1.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, sid, []int32{id}))
 	}
 	// A round trip syncs the one-way submits before the connection dies.
 	c1.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))

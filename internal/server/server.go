@@ -4,7 +4,7 @@
 // Each accepted connection is owned by one goroutine, which owns every
 // session opened on it — preserving the library's single-submitter Thread
 // contract without per-event locking. Tenants (named traces from the trace
-// directory) are loaded lazily into a sharded, refcounted store and shared
+// directory) are loaded lazily into a refcounted store and shared
 // read-only across connections; each connection builds its own predicting
 // oracle per tenant, so one client's divergence or contained panic degrades
 // only that client's predictions while Health aggregation still surfaces it.
@@ -78,11 +78,13 @@ type Config struct {
 	Keepalive time.Duration
 	// TenantEventsPerSec, when positive, gives every tenant a token-bucket
 	// event budget refilling at this rate. It is the one admission
-	// mechanism past the server-wide caps. Submits charge it (never refused
-	// — they are one-way frames); predictions and session opens are gated
-	// on it and refused with CodeRetryLater plus a retry-after hint once a
-	// tenant has overdrafted, so one hot tenant cannot starve a daemon. A
-	// PredictSequence costs its horizon. 0 disables per-tenant budgets.
+	// mechanism past the server-wide caps. Every event a session applies
+	// charges it — socket batches, shm ring events and resume replays
+	// alike — and is never refused (submission is one-way); predictions
+	// and session opens are gated on it and refused with CodeRetryLater
+	// plus a retry-after hint once a tenant has overdrafted, so one hot
+	// tenant cannot starve a daemon. A PredictSequence costs its horizon.
+	// 0 disables per-tenant budgets.
 	TenantEventsPerSec int64
 	// TenantBurst caps a tenant's budget balance. 0 means one second of
 	// slack (TenantEventsPerSec).
@@ -309,19 +311,35 @@ const (
 	slotMask = 1<<slotBits - 1
 )
 
-// session is one slot of the session table. th is nil for meta sessions
-// (tid < 0), which exist to pin a tenant and fetch its event table. applied
-// counts events fed into the session since it opened; it lives behind a
-// pointer so the count survives sessions-slice growth and is shared with the
-// shm pump (both writers are serialized by the ring lock for ring-bound
-// sessions) — a ring is always unbound before its session's slot is retired.
+// session is one slot of the session table. sink is nil for meta sessions
+// (tid < 0), which exist to pin a tenant and fetch its event table.
 type session struct {
-	id      uint32 // the slot's current (or, once retired, next) session id
-	key     sessKey
+	id   uint32 // the slot's current (or, once retired, next) session id
+	key  sessKey
+	sink *sink
+	open bool
+}
+
+// sink is the one way events enter a session: socket batches, drained shm
+// ring chunks and resume replays all go through apply, which feeds the
+// oracle thread, counts the events (the applied counter resume dedup reads)
+// and charges them to the tenant's event budget. A ring-bound session's
+// ring shares its sink; the ring lock serializes the two writers. A session
+// gets a fresh sink each time it opens, and a ring is unbound before its
+// session's slot is retired.
+type sink struct {
 	th      *pythia.Thread
-	ct      *connTenant
-	open    bool
-	applied *uint64
+	applied uint64
+	qos     *cluster.TokenBucket
+}
+
+// apply hands ids to the oracle as one SubmitBatch — one containment
+// frame — advances the applied counter and charges the tenant budget.
+// pythia:hotpath — per batch on every tier; must not allocate.
+func (k *sink) apply(ids []pythia.ID) {
+	k.th.SubmitBatch(ids)
+	k.applied += uint64(len(ids))
+	chargeEvents(k.qos, int64(len(ids)))
 }
 
 // connTenant is this connection's handle on one tenant: the shared store
@@ -533,43 +551,21 @@ func (c *conn) teardown() {
 
 // handleFrame dispatches one request frame: the three hot-path frames
 // directly, everything else through the handler table.
-// pythia:hotpath — per-request on the serving path; the Submit and
+// pythia:hotpath — per-request on the serving path; the SubmitBatch and
 // PredictAt arms must not allocate.
 func (c *conn) handleFrame(t wire.Type, payload []byte) error {
 	switch t {
-	case wire.TSubmit:
-		sid, id, err := wire.ParseSubmit(payload)
-		if err != nil {
-			return badFrame(err.Error())
-		}
-		s, perr := c.threadOf(sid)
-		if perr != nil {
-			return perr
-		}
-		release, perr := c.enterSession(sid)
-		if perr != nil {
-			return perr
-		}
-		s.th.Submit(pythia.ID(id))
-		*s.applied++
-		release()
-		chargeEvents(s.ct.qos, 1)
-		return nil
 	case wire.TSubmitBatch:
 		sid, batch, err := wire.ParseSubmitBatch(payload)
 		if err != nil {
 			return badFrame(err.Error())
 		}
-		s, perr := c.threadOf(sid)
+		k, release, perr := c.enter(sid, false)
 		if perr != nil {
 			return perr
 		}
-		release, perr := c.enterSession(sid)
-		if perr != nil {
-			return perr
-		}
-		// Decode into the connection's scratch, a chunk at a time, and hand
-		// each chunk to the oracle as one SubmitBatch.
+		// Decode into the connection's scratch, a chunk at a time, and
+		// apply each chunk as one batch.
 		if c.ids == nil {
 			c.ids = make([]pythia.ID, scratchChunk)
 		}
@@ -578,29 +574,20 @@ func (c *conn) handleFrame(t wire.Type, payload []byte) error {
 			for i := range ids {
 				ids[i] = pythia.ID(batch.At(lo + i))
 			}
-			s.th.SubmitBatch(ids)
+			k.apply(ids)
 		}
-		*s.applied += uint64(batch.Len())
 		release()
-		chargeEvents(s.ct.qos, int64(batch.Len()))
 		return nil
 	case wire.TPredictAt:
 		sid, distance, err := wire.ParsePredictAt(payload)
 		if err != nil {
 			return badFrame(err.Error())
 		}
-		s, perr := c.threadOf(sid)
+		k, release, perr := c.enter(sid, true)
 		if perr != nil {
 			return perr
 		}
-		if perr := gateTenant(s.ct.qos); perr != nil {
-			return perr
-		}
-		release, perr := c.enterSession(sid)
-		if perr != nil {
-			return perr
-		}
-		pr, ok := s.th.PredictAt(distance)
+		pr, ok := k.th.PredictAt(distance)
 		release()
 		c.Out = wire.AppendPrediction(c.Out[:0], pr, ok)
 		return wire.WriteFrame(c.BW, wire.TPrediction, c.Out)
@@ -678,19 +665,20 @@ func (c *conn) sessionOf(sid uint32) *session {
 	return &c.sessions[idx]
 }
 
-// threadOf resolves a session id to a slot with an oracle thread. Failures
-// are fatal: they corrupt request/response pairing (the id may belong to a
-// one-way Submit), so the connection cannot safely continue.
+// sinkOf resolves a session id to the sink of an open thread session.
+// Failures are fatal: they corrupt request/response pairing (the id may
+// belong to a one-way SubmitBatch), so the connection cannot safely
+// continue.
 // pythia:hotpath — per-request on the serving path.
-func (c *conn) threadOf(sid uint32) (*session, *protoErr) {
+func (c *conn) sinkOf(sid uint32) (*sink, *protoErr) {
 	s := c.sessionOf(sid)
 	if s == nil {
 		return nil, errUnknownSession
 	}
-	if s.th == nil {
+	if s.sink == nil {
 		return nil, errMetaSession
 	}
-	return s, nil
+	return s.sink, nil
 }
 
 var (
@@ -698,9 +686,45 @@ var (
 	errMetaSession    = &protoErr{code: wire.CodeBadFrame, msg: "submit/predict on a meta session", fatal: true}
 )
 
+// enter is how a socket op reaches a session: it resolves sid to the
+// session's sink and orders the op after everything the session's bound
+// ring holds — it drains the ring under the ring lock, which the returned
+// release drops (a no-op for an unbound session). A query (gate) is then
+// admitted against the tenant's event budget, after the drain, so the
+// budget has been charged for every event the answer reflects; a refusal
+// releases the ring before it returns.
+// pythia:hotpath — per-request on the serving path.
+func (c *conn) enter(sid uint32, gate bool) (*sink, func(), *protoErr) {
+	k, perr := c.sinkOf(sid)
+	if perr != nil {
+		return nil, nil, perr
+	}
+	release := releaseNop
+	if c.shm != nil {
+		if idx, bound := c.ringOf[sid]; bound {
+			r := &c.shm.rings[idx]
+			r.mu.Lock()
+			if _, err := drainRingLocked(r); err != nil {
+				r.mu.Unlock()
+				return nil, nil, &protoErr{code: wire.CodeBadFrame, msg: err.Error(), fatal: true}
+			}
+			release = r.mu.Unlock
+		}
+	}
+	if gate {
+		if perr := gateTenant(k.qos); perr != nil {
+			release()
+			return nil, nil, perr
+		}
+	}
+	return k, release, nil
+}
+
+var releaseNop = func() {}
+
 // predictSequence answers a PredictSequence request.
 func (c *conn) predictSequence(m *wire.SessionArg) (wire.Message, error) {
-	s, perr := c.threadOf(m.Session)
+	k, release, perr := c.enter(m.Session, true)
 	if perr != nil {
 		return nil, perr
 	}
@@ -715,20 +739,13 @@ func (c *conn) predictSequence(m *wire.SessionArg) (wire.Message, error) {
 	} else if n > wire.MaxPredictions {
 		n = wire.MaxPredictions
 	}
-	// A sequence costs its clamped horizon: the gate spends one token, the
+	// A sequence costs its clamped horizon: the gate spent one token, the
 	// rest is charged behind it. Speculative multi-step queries, the
 	// lowest-value work, are thus what drains a tenant's budget first.
-	if perr := gateTenant(s.ct.qos); perr != nil {
-		return nil, perr
-	}
 	if n > 1 {
-		chargeEvents(s.ct.qos, int64(n-1))
+		chargeEvents(k.qos, int64(n-1))
 	}
-	release, perr := c.enterSession(m.Session)
-	if perr != nil {
-		return nil, perr
-	}
-	preds := s.th.PredictSequence(n)
+	preds := k.th.PredictSequence(n)
 	release()
 	return &wire.Predictions{Preds: preds}, nil
 }
@@ -793,17 +810,16 @@ func (c *conn) openSession(o *wire.OpenSession) (wire.Message, error) {
 	} else if idx = uint32(len(c.sessions)); idx > slotMask {
 		return nil, &protoErr{code: wire.CodeSessionLimit, msg: "this connection's session table is full"}
 	} else {
-		c.sessions = append(c.sessions, session{id: idx, applied: new(uint64)})
+		c.sessions = append(c.sessions, session{id: idx})
 	}
 	s := &c.sessions[idx]
-	s.key, s.ct, s.open = key, ct, true
-	*s.applied = 0
+	s.key, s.open = key, true
 	so := &wire.SessionOpened{Session: s.id, State: stateToWire(ct.oracle.Health().State)}
 	if o.TID >= 0 {
-		s.th = ct.oracle.Thread(o.TID)
+		s.sink = &sink{th: ct.oracle.Thread(o.TID), qos: ct.qos}
 		so.HasPredictor = ct.t.ts.Trace(o.TID) != nil
 		if o.Flags&wire.FlagStartAtBeginning != 0 {
-			s.th.StartAtBeginning()
+			s.sink.th.StartAtBeginning()
 		}
 		c.byKey[key] = s.id
 	}
@@ -868,16 +884,16 @@ func (c *conn) closeSession(m *wire.SessionRef) (wire.Message, error) {
 func (c *conn) retireSession(s *session) *protoErr {
 	// A ring-bound session drains its ring before closing, so no submitted
 	// event is lost; the ring becomes rebindable, and nothing but this
-	// goroutine refers to the slot's applied counter any more.
+	// goroutine refers to the session's sink any more.
 	if perr := c.shmUnbind(s.id); perr != nil {
 		return perr
 	}
-	if s.th != nil {
+	if s.sink != nil {
 		delete(c.byKey, s.key)
 	}
 	c.srv.sessions.Add(-1)
 	c.free = append(c.free, s.id&slotMask)
-	s.open, s.th, s.ct = false, nil, nil
+	s.open, s.sink = false, nil
 	s.id += 1 << slotBits
 	return nil
 }

@@ -366,11 +366,12 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	return c
 }
 
-// dialRawHello dials and handshakes with the given Hello flags, returning
-// the server's HelloOK alongside the connection.
+// dialRawHello dials addr (tcp "host:port" or "unix://path") and
+// handshakes with the given Hello flags, returning the server's HelloOK
+// alongside the connection.
 func dialRawHello(t *testing.T, addr string, flags uint8) (*rawConn, wire.HelloOK) {
 	t.Helper()
-	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	nc, _, err := transport.Dial(addr, 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -469,7 +470,7 @@ func TestGracefulDrain(t *testing.T) {
 	sid := c.openSession("synth", 0, wire.FlagStartAtBeginning)
 	reg := regFor(t, c, "synth")
 	for i := 0; i < 8; i++ {
-		c.send(wire.TSubmit, wire.AppendSubmit(nil, sid, int32(reg[names[i%len(names)]])))
+		c.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, sid, []int32{int32(reg[names[i%len(names)]])}))
 	}
 
 	shutdownDone := make(chan error, 1)
@@ -566,7 +567,7 @@ func TestOverloadRefusesNewSessionsNeverStallsExisting(t *testing.T) {
 	c.expectError(wire.CodeSessionLimit)
 
 	// The existing session keeps answering after the refusal.
-	c.send(wire.TSubmit, wire.AppendSubmit(nil, sid, int32(reg[names[0]])))
+	c.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, sid, []int32{int32(reg[names[0]])}))
 	c.send(wire.TPredictAt, wire.AppendPredictAt(nil, sid, 1))
 	typ, payload := c.recv()
 	if typ != wire.TPrediction {
@@ -787,7 +788,7 @@ func TestProtocolFatalErrors(t *testing.T) {
 			t.Fatalf("reopen returned the stale session id %d", old)
 		}
 		// The connection keeps serving and the fresh session answers.
-		c.send(wire.TSubmit, wire.AppendSubmit(nil, fresh, 0))
+		c.send(wire.TSubmitBatch, wire.AppendSubmitBatch(nil, fresh, []int32{0}))
 		c.send(wire.TPredictAt, wire.AppendPredictAt(nil, fresh, 1))
 		typ, _ := c.recv()
 		if typ != wire.TPrediction {
@@ -813,15 +814,16 @@ func TestPredictSequenceCountClamped(t *testing.T) {
 	sid := c.openSession("synth", 0, wire.FlagStartAtBeginning)
 
 	for _, n := range []int{math.MaxInt32, wire.MaxPredictions + 1, -1, math.MinInt32} {
-		c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, n))
+		c.send(wire.TPredictSequence, wire.Append(nil, &wire.SessionArg{Session: sid, Arg: uint32(n)}))
 		typ, payload := c.recv()
 		if typ != wire.TPredictions {
 			t.Fatalf("n=%d: expected Predictions, got %s", n, typ)
 		}
-		preds, err := wire.ParsePredictions(payload)
-		if err != nil {
+		var m wire.Predictions
+		if err := wire.Decode(wire.TPredictions, payload, &m); err != nil {
 			t.Fatalf("n=%d: parsing Predictions: %v", n, err)
 		}
+		preds := m.Preds
 		if len(preds) > wire.MaxPredictions {
 			t.Fatalf("n=%d: %d predictions, past the frame bound", n, len(preds))
 		}
@@ -853,15 +855,16 @@ func TestPredictSequenceMaxPredictionsBoundary(t *testing.T) {
 		c := dialRaw(t, addr)
 		sid := c.openSession("synth", 0, wire.FlagStartAtBeginning)
 		for _, n := range counts {
-			c.send(wire.TPredictSequence, wire.AppendPredictSequence(nil, sid, n))
+			c.send(wire.TPredictSequence, wire.Append(nil, &wire.SessionArg{Session: sid, Arg: uint32(n)}))
 			typ, payload := c.recv()
 			if typ != wire.TPredictions {
 				t.Fatalf("n=%d: expected Predictions, got %s (clamp, not error)", n, typ)
 			}
-			preds, err := wire.ParsePredictions(payload)
-			if err != nil {
+			var m wire.Predictions
+			if err := wire.Decode(wire.TPredictions, payload, &m); err != nil {
 				t.Fatalf("n=%d: parsing Predictions: %v", n, err)
 			}
+			preds := m.Preds
 			if len(preds) == 0 {
 				t.Fatalf("n=%d: empty sequence on an open session", n)
 			}

@@ -28,12 +28,11 @@ type connShm struct {
 type shmRing struct {
 	mu         sync.Mutex
 	r          *transport.Ring
-	th         *pythia.Thread // nil while unbound
-	applied    *uint64        // bound session's applied counter (resume dedup)
-	scratch    []int32        // decode buffer, sized at first bind
-	subHorizon int            // predictions per subscription refresh, 0 = off
-	subEvery   uint64         // refresh cadence in consumed events
-	lastPush   uint64         // Consumed() at the last publish
+	sink       *sink   // the bound session's sink; nil while unbound
+	scratch    []int32 // decode buffer, sized at first bind
+	subHorizon int     // predictions per subscription refresh, 0 = off
+	subEvery   uint64  // refresh cadence in consumed events
+	lastPush   uint64  // Consumed() at the last publish
 }
 
 // scratchChunk bounds the per-ring decode buffer: a drain loops in chunks,
@@ -111,7 +110,7 @@ func (c *conn) shmBind(m *wire.SessionArg) (wire.Message, error) {
 	if c.shm == nil {
 		return nil, badFrame("ShmBind before ShmSetup")
 	}
-	s, perr := c.threadOf(m.Session)
+	k, perr := c.sinkOf(m.Session)
 	if perr != nil {
 		return nil, perr
 	}
@@ -124,12 +123,11 @@ func (c *conn) shmBind(m *wire.SessionArg) (wire.Message, error) {
 	}
 	r := &c.shm.rings[ring]
 	r.mu.Lock()
-	if r.th != nil {
+	if r.sink != nil {
 		r.mu.Unlock()
 		return nil, badFrame(fmt.Sprintf("ring %d already bound", ring))
 	}
-	r.th = s.th
-	r.applied = s.applied
+	r.sink = k
 	if r.scratch == nil {
 		r.scratch = make([]int32, scratchChunk)
 	}
@@ -147,7 +145,7 @@ func (c *conn) shmSubscribe(sub *wire.Subscribe) (wire.Message, error) {
 	if c.shm == nil {
 		return nil, badFrame("Subscribe before ShmSetup")
 	}
-	if _, perr := c.threadOf(sub.Session); perr != nil {
+	if _, perr := c.sinkOf(sub.Session); perr != nil {
 		return nil, perr
 	}
 	idx, bound := c.ringOf[sub.Session]
@@ -181,29 +179,6 @@ func (c *conn) shmSubscribe(sub *wire.Subscribe) (wire.Message, error) {
 	return &wire.SessionRef{Session: sub.Session}, nil
 }
 
-// enterSession orders a socket op on sid after everything its bound ring
-// holds: it drains the ring under the ring lock and returns the unlock. For
-// unbound sessions (and non-shm connections) it is a no-op.
-// pythia:hotpath — per-request on the serving path once shm is negotiated.
-func (c *conn) enterSession(sid uint32) (func(), *protoErr) {
-	if c.shm == nil {
-		return releaseNop, nil
-	}
-	idx, bound := c.ringOf[sid]
-	if !bound {
-		return releaseNop, nil
-	}
-	r := &c.shm.rings[idx]
-	r.mu.Lock()
-	if _, err := drainRingLocked(r); err != nil {
-		r.mu.Unlock()
-		return nil, &protoErr{code: wire.CodeBadFrame, msg: err.Error(), fatal: true}
-	}
-	return r.mu.Unlock, nil
-}
-
-var releaseNop = func() {}
-
 // shmUnbind detaches a closing session from its ring after a final drain.
 func (c *conn) shmUnbind(sid uint32) *protoErr {
 	if c.shm == nil {
@@ -216,8 +191,7 @@ func (c *conn) shmUnbind(sid uint32) *protoErr {
 	r := &c.shm.rings[idx]
 	r.mu.Lock()
 	_, err := drainRingLocked(r)
-	r.th = nil
-	r.applied = nil
+	r.sink = nil
 	r.subHorizon = 0
 	r.mu.Unlock()
 	delete(c.ringOf, sid)
@@ -259,12 +233,12 @@ func asIDs(ids []int32) []pythia.ID {
 }
 
 // drainRingLocked is the server-side batch decode: it consumes everything
-// the ring currently holds into the bound session, in scratch-sized chunks
-// — each one SubmitBatch, so one containment frame per chunk — and
-// refreshes the subscription slot on cadence. Caller holds r.mu and has
-// checked r.th != nil (or accepts the nil no-op).
+// the ring currently holds into the bound session's sink, in scratch-sized
+// chunks — each one apply, so one containment frame and one budget charge
+// per chunk — and refreshes the subscription slot on cadence. Caller holds
+// r.mu; an unbound ring is a no-op.
 func drainRingLocked(r *shmRing) (int, error) {
-	if r.th == nil {
+	if r.sink == nil {
 		return 0, nil
 	}
 	total := 0
@@ -276,10 +250,7 @@ func drainRingLocked(r *shmRing) (int, error) {
 		if n == 0 {
 			break
 		}
-		r.th.SubmitBatch(asIDs(r.scratch[:n]))
-		if r.applied != nil {
-			*r.applied += uint64(n)
-		}
+		r.sink.apply(asIDs(r.scratch[:n]))
 		total += n
 	}
 	if r.subHorizon > 0 && r.r.Consumed()-r.lastPush >= r.subEvery {
@@ -289,9 +260,9 @@ func drainRingLocked(r *shmRing) (int, error) {
 }
 
 // publishLocked refreshes the ring's seqlock'd prediction slot. Caller
-// holds r.mu with r.th non-nil.
+// holds r.mu with r.sink non-nil.
 func publishLocked(r *shmRing) {
-	r.r.PublishPredictions(r.th.PredictSequence(r.subHorizon))
+	r.r.PublishPredictions(r.sink.th.PredictSequence(r.subHorizon))
 	r.lastPush = r.r.Consumed()
 }
 

@@ -13,31 +13,23 @@ import (
 	"repro/pythia"
 )
 
-// storeShards is the number of independently locked shards in the trace
-// store. Tenants hash across shards by name, so concurrent connections
-// opening sessions on different tenants almost never contend on a lock.
-const storeShards = 16
-
 // errBadTenant rejects tenant names that could escape the trace directory
 // or that no trace file could legally be named after.
 var errBadTenant = errors.New("server: invalid tenant name")
 
-// store is the sharded multi-tenant trace store: at most one loaded trace
-// per tenant, loaded lazily on the first Acquire and unloaded when the last
-// reference is released. Loading happens outside the shard lock, so a slow
-// load of one tenant never blocks lookups of its shard siblings.
+// store is the multi-tenant trace store: at most one loaded trace per
+// tenant, loaded lazily on the first Acquire and unloaded when the last
+// reference is released. One lock covers the map: it is taken once per
+// (connection, tenant) and per Health request, never per event. Loading
+// happens outside it, so a slow load of one tenant never blocks another.
 type store struct {
-	dir    string
-	shards [storeShards]storeShard
-}
-
-type storeShard struct {
+	dir     string
 	mu      sync.Mutex
 	tenants map[string]*tenant
 }
 
 // tenant is one loaded trace plus the live oracles serving it. refs counts
-// Acquire-minus-Release; the entry leaves the shard map at zero so an idle
+// Acquire-minus-Release; the entry leaves the store's map at zero so an idle
 // tenant's memory is reclaimed and a later Acquire reloads from disk.
 type tenant struct {
 	name string
@@ -57,11 +49,7 @@ type tenant struct {
 }
 
 func newStore(dir string) *store {
-	s := &store{dir: dir}
-	for i := range s.shards {
-		s.shards[i].tenants = make(map[string]*tenant)
-	}
-	return s
+	return &store{dir: dir, tenants: make(map[string]*tenant)}
 }
 
 // sanitizeTenant validates a tenant name as a bare file stem: no path
@@ -85,15 +73,6 @@ func sanitizeTenant(name string) error {
 	return nil
 }
 
-func (s *store) shardOf(name string) *storeShard {
-	// Inline FNV-1a over the tenant name.
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return &s.shards[h%storeShards]
-}
-
 // Acquire returns the loaded tenant, loading dir/<name>.pythia on first
 // use. Concurrent acquirers of a loading tenant wait on the same load.
 // Every successful OR failed Acquire must be paired with a Release.
@@ -101,9 +80,8 @@ func (s *store) Acquire(name string) (*tenant, error) {
 	if err := sanitizeTenant(name); err != nil {
 		return nil, err
 	}
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	t := sh.tenants[name]
+	s.mu.Lock()
+	t := s.tenants[name]
 	loader := false
 	if t == nil {
 		t = &tenant{
@@ -111,11 +89,11 @@ func (s *store) Acquire(name string) (*tenant, error) {
 			ready:   make(chan struct{}),
 			oracles: make(map[*pythia.Oracle]struct{}),
 		}
-		sh.tenants[name] = t
+		s.tenants[name] = t
 		loader = true
 	}
 	t.refs++
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	if loader {
 		ts, err := pythia.LoadTraceSet(filepath.Join(s.dir, name+".pythia"))
@@ -133,13 +111,12 @@ func (s *store) Acquire(name string) (*tenant, error) {
 // Release drops one reference; the tenant unloads at zero. A failed-load
 // tenant also leaves the map at zero, so a later Acquire retries the disk.
 func (s *store) Release(t *tenant) {
-	sh := s.shardOf(t.name)
-	sh.mu.Lock()
+	s.mu.Lock()
 	t.refs--
-	if t.refs == 0 && sh.tenants[t.name] == t {
-		delete(sh.tenants, t.name)
+	if t.refs == 0 && s.tenants[t.name] == t {
+		delete(s.tenants, t.name)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // register adds a live oracle to the tenant's health roster.
@@ -220,10 +197,9 @@ func (s *store) healthOf(name string) (wire.HealthInfo, bool) {
 	if err := sanitizeTenant(name); err != nil {
 		return wire.HealthInfo{}, false
 	}
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	t := sh.tenants[name]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	t := s.tenants[name]
+	s.mu.Unlock()
 	if t == nil {
 		return wire.HealthInfo{}, false
 	}
@@ -243,26 +219,23 @@ func (s *store) healthOf(name string) (wire.HealthInfo, bool) {
 
 // serverHealth folds every loaded tenant into one server-wide report.
 func (s *store) serverHealth() wire.HealthInfo {
+	s.mu.Lock()
+	tenants := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		tenants = append(tenants, t)
+	}
+	s.mu.Unlock()
 	var hi wire.HealthInfo
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		tenants := make([]*tenant, 0, len(sh.tenants))
-		for _, t := range sh.tenants {
-			tenants = append(tenants, t)
+	for _, t := range tenants {
+		select {
+		case <-t.ready:
+		default:
+			continue
 		}
-		sh.mu.Unlock()
-		for _, t := range tenants {
-			select {
-			case <-t.ready:
-			default:
-				continue
-			}
-			if t.err != nil {
-				continue
-			}
-			t.foldHealth(&hi)
+		if t.err != nil {
+			continue
 		}
+		t.foldHealth(&hi)
 	}
 	return hi
 }

@@ -36,6 +36,16 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(uint8(g.typ), stream[:len(hello)+5+len(g.payload)/2])
 		}
 	}
+	// Each golden frame also arrives twice in a row, as in a pipelined
+	// burst (the reader reuses its buffer for the second), and once with a
+	// trailing byte inside the frame — the malformed form
+	// TestTrailingBytesAreMalformed checks, here for the mutator to start
+	// from.
+	for _, g := range golden {
+		one := frameBytes(g.typ, g.payload)
+		f.Add(uint8(g.typ), append(slices.Clone(one), one...))
+		f.Add(uint8(g.typ), frameBytes(g.typ, append(slices.Clone(g.payload), 0)))
+	}
 	// Version-skewed hello and hostile length prefixes.
 	skew := AppendHello(nil, 0)
 	skew[5] ^= 0xff // low version byte, not the trailing flags byte

@@ -11,7 +11,7 @@
 //
 // The conversation starts with Hello/HelloOK (version negotiation); after
 // that the client opens per-(tenant, thread) sessions and submits events /
-// queries predictions on them. Submit, SubmitBatch and Detach are one-way —
+// queries predictions on them. SubmitBatch and Detach are one-way —
 // the server answers nothing on success, which is what makes pipelined batch
 // submission cheap; every other request frame is answered by exactly one
 // response frame (the reply type its row of the frame table names, or
@@ -23,7 +23,7 @@
 // through a bounds-latching cursor that never trusts a length field further
 // than the bytes actually present (a torn or hostile frame yields an error,
 // not a panic or an oversized allocation). Only the request hot path
-// (Submit/SubmitBatch/PredictAt/Prediction) is written out by hand, because
+// (SubmitBatch/PredictAt/Prediction) is written out by hand, because
 // it must allocate nothing in either direction.
 package wire
 
@@ -73,15 +73,14 @@ type Type uint8
 
 // Frame types. The frame table below says which way each one flows, what
 // answers it and what its payload is; DESIGN.md §10 lists the fields.
-// Types 26 and 27 (the retired Heartbeat pair) stay unassigned and are never
-// reused: a peer that sends one gets the fatal CodeBadFrame of any unknown
-// type.
+// Type 5 (the retired single-event Submit) and types 26 and 27 (the retired
+// Heartbeat pair) stay unassigned and are never reused: a peer that sends
+// one gets the fatal CodeBadFrame of any unknown type.
 const (
 	THello           Type = 1
 	THelloOK         Type = 2
 	TOpenSession     Type = 3
 	TSessionOpened   Type = 4
-	TSubmit          Type = 5
 	TSubmitBatch     Type = 6
 	TPredictAt       Type = 7
 	TPrediction      Type = 8
@@ -152,7 +151,6 @@ var frames = [math.MaxUint8 + 1]frame{
 	THelloOK:         {"HelloOK", ToClient, 0, msg[HelloOK]},
 	TOpenSession:     {"OpenSession", ToServer, TSessionOpened, msg[OpenSession]},
 	TSessionOpened:   {"SessionOpened", ToClient, 0, msg[SessionOpened]},
-	TSubmit:          {"Submit", ToServer, 0, nil},
 	TSubmitBatch:     {"SubmitBatch", ToServer, 0, nil},
 	TPredictAt:       {"PredictAt", ToServer, TPrediction, nil},
 	TPrediction:      {"Prediction", ToClient, 0, nil},
@@ -203,7 +201,7 @@ func (t Type) Dir() Dir { return frames[t].dir }
 func (t Type) Reply() Type { return frames[t].reply }
 
 // New returns a zero message value of the Go type that carries frame t, or
-// nil for an unknown type and for the hot-path frames (Submit, SubmitBatch,
+// nil for an unknown type and for the hot-path frames (SubmitBatch,
 // PredictAt, Prediction), which have hand-written codecs instead.
 func New(t Type) Message {
 	if mk := frames[t].msg; mk != nil {
@@ -237,7 +235,7 @@ const (
 	CodeShmSetup Code = 10
 	// CodeRetryLater sheds load: the server refused the request but the
 	// connection stays healthy; the Error payload may carry a retry-after
-	// hint in milliseconds (RemoteError.RetryAfterMs). Never sent for Submit.
+	// hint in milliseconds (RemoteError.RetryAfterMs). Never sent for SubmitBatch.
 	CodeRetryLater Code = 11
 	// CodeNoResume answers a TResume whose token is unknown or expired.
 	// Non-fatal: the client re-opens its sessions fresh on this connection.
@@ -933,13 +931,6 @@ func (m *ModelAccepted) walk(c *codec) {
 // The hot path, written out by hand: these run per event or per query and
 // must not allocate, which a walk through the Message interface would.
 
-// AppendSubmit encodes a Submit payload.
-// pythia:hotpath — per-event on the client submit path.
-func AppendSubmit(buf []byte, session uint32, id int32) []byte {
-	buf = appendU32(buf, session)
-	return appendU32(buf, uint32(id))
-}
-
 // AppendSubmitBatch encodes a SubmitBatch payload.
 // pythia:hotpath — per-flush on the client submit path.
 func AppendSubmitBatch(buf []byte, session uint32, ids []int32) []byte {
@@ -979,19 +970,7 @@ func AppendPrediction(buf []byte, pr predictor.Prediction, ok bool) []byte {
 	return appendPredictionBody(buf, pr)
 }
 
-// ParseSubmit decodes a TSubmit payload.
-// pythia:hotpath — per-event on the serving path.
-func ParseSubmit(p []byte) (session uint32, id int32, err error) {
-	if len(p) != 8 {
-		return 0, 0, errMalformedSubmit
-	}
-	session = binary.BigEndian.Uint32(p)
-	id = int32(binary.BigEndian.Uint32(p[4:]))
-	return session, id, nil
-}
-
 var (
-	errMalformedSubmit    = fmt.Errorf("%w: Submit", ErrMalformed)
 	errMalformedBatch     = fmt.Errorf("%w: SubmitBatch", ErrMalformed)
 	errMalformedPredictAt = fmt.Errorf("%w: PredictAt", ErrMalformed)
 )
@@ -1069,18 +1048,6 @@ func ParseSessionOpened(p []byte) (SessionOpened, error) {
 	var so SessionOpened
 	err := Decode(TSessionOpened, p, &so)
 	return so, err
-}
-
-// AppendPredictSequence encodes a PredictSequence payload.
-func AppendPredictSequence(buf []byte, session uint32, n int) []byte {
-	return Append(buf, &SessionArg{Session: session, Arg: uint32(n)})
-}
-
-// ParsePredictions decodes a TPredictions payload.
-func ParsePredictions(p []byte) ([]predictor.Prediction, error) {
-	var m Predictions
-	err := Decode(TPredictions, p, &m)
-	return m.Preds, err
 }
 
 // ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ func TestReadFrameErrors(t *testing.T) {
 		{"torn header", []byte{0, 0, 1}, io.ErrUnexpectedEOF},
 		{"zero length", []byte{0, 0, 0, 0}, ErrEmptyFrame},
 		{"oversized", []byte{0xff, 0xff, 0xff, 0xff}, ErrFrameTooLarge},
-		{"torn body", frameBytes(TSubmit, make([]byte, 8))[:7], io.ErrUnexpectedEOF},
+		{"torn body", frameBytes(TPredictAt, make([]byte, 8))[:7], io.ErrUnexpectedEOF},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,8 +105,8 @@ func TestReadFrameErrors(t *testing.T) {
 
 func TestReadFrameReusesBuffer(t *testing.T) {
 	var raw []byte
-	raw = append(raw, frameBytes(TSubmit, AppendSubmit(nil, 1, 7))...)
-	raw = append(raw, frameBytes(TSubmit, AppendSubmit(nil, 1, 9))...)
+	raw = append(raw, frameBytes(TPredictAt, AppendPredictAt(nil, 1, 7))...)
+	raw = append(raw, frameBytes(TPredictAt, AppendPredictAt(nil, 1, 9))...)
 	br := bufio.NewReader(bytes.NewReader(raw))
 	buf := make([]byte, 0, 64)
 	for i := 0; i < 2; i++ {
@@ -114,7 +114,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if _, _, err := ParseSubmit(payload); err != nil {
+		if _, _, err := ParsePredictAt(payload); err != nil {
 			t.Fatalf("frame %d parse: %v", i, err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 
 func TestWriteFrameTooLarge(t *testing.T) {
 	bw := bufio.NewWriter(io.Discard)
-	if err := WriteFrame(bw, TSubmit, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(bw, TSubmitBatch, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -182,16 +182,6 @@ func TestSessionOpenedDishonestCount(t *testing.T) {
 	}
 }
 
-func TestSubmitRoundTrip(t *testing.T) {
-	s, id, err := ParseSubmit(AppendSubmit(nil, 42, -7))
-	if err != nil || s != 42 || id != -7 {
-		t.Fatalf("ParseSubmit = %d, %d, %v", s, id, err)
-	}
-	if _, _, err := ParseSubmit([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("short submit err = %v", err)
-	}
-}
-
 func TestSubmitBatchRoundTrip(t *testing.T) {
 	ids := []int32{5, -1, 0, 1 << 20}
 	s, b, err := ParseSubmitBatch(AppendSubmitBatch(nil, 9, ids))
@@ -223,9 +213,6 @@ func TestPredictRoundTrips(t *testing.T) {
 		t.Fatalf("ParsePredictAt = %d, %d, %v", s, d, err)
 	}
 	wantRoundTrip(t, TPredictSequence, &SessionArg{Session: 4, Arg: 8})
-	if !bytes.Equal(AppendPredictSequence(nil, 4, 8), Append(nil, &SessionArg{Session: 4, Arg: 8})) {
-		t.Fatal("AppendPredictSequence disagrees with the SessionArg walk")
-	}
 
 	// Bit-exactness of float fields, including non-round values.
 	want := predictor.Prediction{EventID: 11, Probability: 1.0 / 3.0, Distance: 5, ExpectedNs: 1234.5678e3}
@@ -241,16 +228,16 @@ func TestPredictRoundTrips(t *testing.T) {
 	}
 
 	preds := []predictor.Prediction{want, {EventID: -1, Probability: 0.25, Distance: 1, ExpectedNs: 0}}
-	gotSeq, err := ParsePredictions(Append(nil, &Predictions{Preds: preds}))
-	if err != nil {
-		t.Fatalf("ParsePredictions: %v", err)
+	var gotSeq Predictions
+	if err := Decode(TPredictions, Append(nil, &Predictions{Preds: preds}), &gotSeq); err != nil {
+		t.Fatalf("decoding Predictions: %v", err)
 	}
-	if !reflect.DeepEqual(gotSeq, preds) {
-		t.Fatalf("predictions round trip: got %+v want %+v", gotSeq, preds)
+	if !reflect.DeepEqual(gotSeq.Preds, preds) {
+		t.Fatalf("predictions round trip: got %+v want %+v", gotSeq.Preds, preds)
 	}
-	empty, err := ParsePredictions(Append(nil, &Predictions{}))
-	if err != nil || empty != nil {
-		t.Fatalf("empty predictions = %v, %v", empty, err)
+	var empty Predictions
+	if err := Decode(TPredictions, Append(nil, &Predictions{}), &empty); err != nil || empty.Preds != nil {
+		t.Fatalf("empty predictions = %v, %v", empty.Preds, err)
 	}
 }
 
@@ -415,7 +402,7 @@ func loadGolden(tb testing.TB) []goldenFrame {
 }
 
 // recode decodes a frame-typ payload and encodes what it decoded: through
-// the frame table's message value, or — for the four hot-path frames the
+// the frame table's message value, or — for the three hot-path frames the
 // table has none for — through their hand-written pair.
 func recode(typ Type, p []byte) ([]byte, error) {
 	if m := New(typ); m != nil {
@@ -425,9 +412,6 @@ func recode(typ Type, p []byte) ([]byte, error) {
 		return Append(nil, m), nil
 	}
 	switch typ {
-	case TSubmit:
-		s, id, err := ParseSubmit(p)
-		return AppendSubmit(nil, s, id), err
 	case TSubmitBatch:
 		s, b, err := ParseSubmitBatch(p)
 		ids := make([]int32, b.Len())
@@ -485,13 +469,14 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
-// retired lists the frame numbers taken out of the protocol (the Heartbeat
-// pair): they have no table row and are never assigned again.
-var retired = map[Type]bool{26: true, 27: true}
+// retired lists the frame numbers taken out of the protocol (the
+// single-event Submit and the Heartbeat pair): they have no table row and
+// are never assigned again.
+var retired = map[Type]bool{5: true, 26: true, 27: true}
 
 // TestFrameTable checks the table against itself: rows 1..39 but the
 // retired ones and nothing else, names unique, every request's reply is a
-// row that flows back, and only the four hot-path frames lack a message
+// row that flows back, and only the three hot-path frames lack a message
 // value.
 func TestFrameTable(t *testing.T) {
 	for n, row := range frames {
@@ -521,7 +506,7 @@ func TestFrameTable(t *testing.T) {
 				t.Errorf("%s is answered by %s, which is not a reply frame", typ, r)
 			}
 		}
-		hot := typ == TSubmit || typ == TSubmitBatch || typ == TPredictAt || typ == TPrediction
+		hot := typ == TSubmitBatch || typ == TPredictAt || typ == TPrediction
 		if (New(typ) == nil) != hot {
 			t.Errorf("%s: New = %v, hot-path = %v", typ, New(typ), hot)
 		}
@@ -606,7 +591,6 @@ func TestEncodeZeroAllocWithReusedBuffer(t *testing.T) {
 	buf := make([]byte, 0, 256)
 	ids := []int32{1, 2, 3, 4}
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendSubmit(buf[:0], 1, 2)
 		buf = AppendSubmitBatch(buf[:0], 1, ids)
 		buf = AppendPredictAt(buf[:0], 1, 16)
 		buf = AppendPrediction(buf[:0], predictor.Prediction{EventID: 1}, true)
@@ -617,13 +601,9 @@ func TestEncodeZeroAllocWithReusedBuffer(t *testing.T) {
 }
 
 func TestDecodeZeroAllocOnHotPath(t *testing.T) {
-	submit := AppendSubmit(nil, 1, 2)
 	batch := AppendSubmitBatch(nil, 1, []int32{1, 2, 3, 4})
 	predictAt := AppendPredictAt(nil, 1, 16)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := ParseSubmit(submit); err != nil {
-			t.Fatal(err)
-		}
 		if _, b, err := ParseSubmitBatch(batch); err != nil || b.Len() != 4 {
 			t.Fatal(err)
 		}
