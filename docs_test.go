@@ -15,6 +15,7 @@ var citingDocs = []string{
 	"DESIGN.md",
 	"EXPERIMENTS.md",
 	"bench/README.md",
+	"PAPER.md",
 	".claude/skills/verify/SKILL.md",
 }
 

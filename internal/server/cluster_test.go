@@ -474,25 +474,6 @@ func TestTenantBudgetChargesEveryTier(t *testing.T) {
 // session to its ring, returning the client end of the ring.
 func shmRing0(t *testing.T, c *rawConn, sid uint32) *transport.Ring {
 	t.Helper()
-	g := transport.Geometry{Rings: 1, Slots: 1024, PredCap: 1}
-	seg, err := transport.CreateSegment(t.TempDir(), g.SegmentSize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := seg.Close(); err != nil {
-			t.Errorf("closing segment: %v", err)
-		}
-	})
-	transport.WriteHeader(seg.Bytes(), g)
-	rings, err := transport.MapRings(seg.Bytes(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ask(wire.TShmSetup, &wire.ShmSetup{
-		Rings: 1, Slots: uint32(g.Slots), PredCap: 1,
-		SegSize: uint64(g.SegmentSize()), Path: seg.Path(),
-	}, &wire.ShmSetupOK{})
-	c.ask(wire.TShmBind, &wire.SessionArg{Session: sid, Arg: 0}, &wire.SessionArg{})
+	rings, _ := rawShm(t, c, 1024, sid)
 	return &rings[0]
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -20,9 +22,19 @@ import (
 type connShm struct {
 	seg   *transport.Segment
 	rings []shmRing
-	quit  chan struct{}
+	bell  transport.Bell // the segment's doorbell: the idle pump sleeps on it
+	stop  atomic.Bool    // set by shmTeardown before it wakes the pump
 	wg    sync.WaitGroup
 }
+
+// Pump idling: after pumpSpin empty sweeps that only yield the processor,
+// the pump arms the segment's bell and sleeps on it. A push wakes it; the
+// timeout only bounds what a producer that scribbles the bell can make it
+// sleep through.
+const (
+	pumpSpin  = 64
+	bellSleep = time.Second
+)
 
 // shmRing pairs one mapped ring with its binding. All fields behind mu.
 type shmRing struct {
@@ -84,7 +96,7 @@ func (c *conn) shmSetup(ss *wire.ShmSetup) (wire.Message, error) {
 		return nil, shmRefused("%v", err)
 	}
 
-	sh := &connShm{seg: seg, rings: make([]shmRing, g.Rings), quit: make(chan struct{})}
+	sh := &connShm{seg: seg, rings: make([]shmRing, g.Rings), bell: transport.SegmentBell(seg.Bytes())}
 	for i := range rings {
 		sh.rings[i].r = &rings[i]
 	}
@@ -208,7 +220,8 @@ func (c *conn) shmTeardown() {
 	if c.shm == nil {
 		return
 	}
-	close(c.shm.quit)
+	c.shm.stop.Store(true)
+	c.shm.bell.Wake()
 	c.shm.wg.Wait()
 	for i := range c.shm.rings {
 		r := &c.shm.rings[i]
@@ -267,50 +280,81 @@ func publishLocked(r *shmRing) {
 }
 
 // pumpShm is the per-connection decode pump: it sweeps every bound ring,
-// batch-decoding into the session, re-arms the connection's keepalive
-// window on what it consumed, and parks on an escalating backoff when
-// nothing arrives. A corrupt ring (hostile or torn producer cursor) kills
-// the connection — the pump closes the socket, which unblocks the conn
-// goroutine's read and tears everything down.
+// batch-decoding into the session, and re-arms the connection's keepalive
+// window on what it consumed. When nothing arrives it yields for pumpSpin
+// sweeps, then sleeps on the segment's bell until a push rings it. A corrupt
+// ring (hostile or torn producer cursor) kills the connection — the pump
+// closes the socket, which unblocks the conn goroutine's read and tears
+// everything down.
 func (c *conn) pumpShm(sh *connShm) {
 	defer sh.wg.Done()
 	idle := 0
 	keepalive := c.srv.cfg.Keepalive
 	var armed time.Time // the last keepalive re-arm on ring traffic
-	for {
-		select {
-		case <-sh.quit:
+	for !sh.stop.Load() {
+		worked, ok := c.sweepShm(sh)
+		if ok && worked == 0 && idle >= pumpSpin {
+			worked, ok = c.sleepShm(sh)
+		}
+		if !ok {
 			return
-		default:
 		}
-		worked := 0
-		for i := range sh.rings {
-			r := &sh.rings[i]
-			r.mu.Lock()
-			n, err := drainRingLocked(r)
-			r.mu.Unlock()
-			if err != nil {
-				c.srv.logf("pythiad: shm ring %d of %s: %v", i, c.NC.RemoteAddr(), err)
-				if cerr := c.NC.Close(); cerr != nil {
-					c.srv.logf("pythiad: closing %s after ring corruption: %v", c.NC.RemoteAddr(), cerr)
-				}
-				return
-			}
-			worked += n
-		}
-		if worked > 0 {
-			idle = 0
-			// Ring traffic is liveness as much as a frame is: a client that
-			// only submits sends none. Re-arm at most once per half window.
-			if keepalive > 0 {
-				if now := time.Now(); now.Sub(armed) >= keepalive/2 {
-					c.armKeepalive()
-					armed = now
-				}
-			}
+		if worked == 0 {
+			idle++
+			runtime.Gosched()
 			continue
 		}
-		idle++
-		transport.Park(idle)
+		idle = 0
+		// Ring traffic is liveness as much as a frame is: a client that
+		// only submits sends none. Re-arm at most once per half window.
+		if keepalive > 0 {
+			if now := time.Now(); now.Sub(armed) >= keepalive/2 {
+				c.armKeepalive()
+				armed = now
+			}
+		}
 	}
+}
+
+// sleepShm is the pump's idle step: arm the bell, look at the rings once
+// more — a push that look misses sees the armed bell and rings it — and
+// sleep on the bell if they are still empty. It returns what its last
+// sweep consumed. stop is read after the arm for the same reason the rings
+// are: shmTeardown sets it before it wakes the bell.
+func (c *conn) sleepShm(sh *connShm) (worked int, ok bool) {
+	sh.bell.Arm()
+	if sh.stop.Load() {
+		return 0, true
+	}
+	if worked, ok = c.sweepShm(sh); worked > 0 || !ok {
+		sh.bell.Disarm()
+		return worked, ok
+	}
+	sh.bell.Wait(bellSleep)
+	worked, ok = c.sweepShm(sh)
+	if worked > 0 && sh.bell.Armed() {
+		// Events arrived, yet no push disarmed the bell: a lost wake-up.
+		c.srv.shmLostWakes.Add(1)
+	}
+	return worked, ok
+}
+
+// sweepShm drains every bound ring once and reports the events consumed.
+// It reports ok false after a corrupt ring has closed the connection.
+func (c *conn) sweepShm(sh *connShm) (worked int, ok bool) {
+	for i := range sh.rings {
+		r := &sh.rings[i]
+		r.mu.Lock()
+		n, err := drainRingLocked(r)
+		r.mu.Unlock()
+		if err != nil {
+			c.srv.logf("pythiad: shm ring %d of %s: %v", i, c.NC.RemoteAddr(), err)
+			if cerr := c.NC.Close(); cerr != nil {
+				c.srv.logf("pythiad: closing %s after ring corruption: %v", c.NC.RemoteAddr(), cerr)
+			}
+			return worked, false
+		}
+		worked += n
+	}
+	return worked, true
 }

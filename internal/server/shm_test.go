@@ -1,6 +1,10 @@
 package server
 
 import (
+	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,5 +256,238 @@ func TestShmCorruptRingKillsConnection(t *testing.T) {
 	}
 	if !logged.Load() {
 		t.Error("ring corruption was not logged")
+	}
+}
+
+// rawShm maps a segment with one ring per session onto the raw connection
+// and binds sids[i] to ring i. It returns the client ends of the rings and
+// the segment's bell.
+func rawShm(t *testing.T, c *rawConn, slots int, sids ...uint32) ([]transport.Ring, transport.Bell) {
+	t.Helper()
+	g := transport.Geometry{Rings: len(sids), Slots: slots, PredCap: 1}
+	seg, err := transport.CreateSegment(t.TempDir(), g.SegmentSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := seg.Close(); err != nil {
+			t.Errorf("closing segment: %v", err)
+		}
+	})
+	transport.WriteHeader(seg.Bytes(), g)
+	rings, err := transport.MapRings(seg.Bytes(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ask(wire.TShmSetup, &wire.ShmSetup{
+		Rings: uint32(g.Rings), Slots: uint32(g.Slots), PredCap: 1,
+		SegSize: uint64(g.SegmentSize()), Path: seg.Path(),
+	}, &wire.ShmSetupOK{})
+	for i, sid := range sids {
+		c.ask(wire.TShmBind, &wire.SessionArg{Session: sid, Arg: uint32(i)}, &wire.SessionArg{})
+	}
+	return rings, transport.SegmentBell(seg.Bytes())
+}
+
+// waitAsleep returns once the pump has armed the bell and had time to block
+// on it.
+func waitAsleep(t *testing.T, bell transport.Bell) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !bell.Armed() {
+		if time.Now().After(deadline) {
+			t.Fatal("the idle pump never armed the bell")
+		}
+		runtime.Gosched()
+	}
+	time.Sleep(5 * time.Millisecond)
+	if !bell.Armed() {
+		t.Fatal("bell disarmed with nothing pushed")
+	}
+}
+
+// waitFor polls cond until it holds and fails the test if that takes
+// longer than limit; it returns how long it took.
+func waitFor(t *testing.T, limit time.Duration, what string, cond func() bool) time.Duration {
+	t.Helper()
+	start := time.Now()
+	for !cond() {
+		if d := time.Since(start); d > limit {
+			t.Fatalf("%s took over %v", what, limit)
+		}
+		runtime.Gosched()
+	}
+	return time.Since(start)
+}
+
+// TestShmBellWakesSleepingPump checks that a push, not the pump's timeout,
+// wakes an idle pump: once the pump sleeps on the bell, a burst with no
+// socket op behind it is consumed within a tenth of bellSleep, and closing
+// the connection ends the sleeping pump as quickly.
+func TestShmBellWakesSleepingPump(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "synth", 8)
+	srv, tcpAddr, _ := startServerTransports(t, Config{TraceDir: dir})
+	rc := dialRaw(t, tcpAddr)
+	reg := regFor(t, rc, "synth")
+	sid := rc.openSession("synth", 0, wire.FlagStartAtBeginning)
+	rings, bell := rawShm(t, rc, 64, sid)
+	ring := &rings[0]
+	limit := bellSleep / 10
+
+	waitAsleep(t, bell)
+	for _, n := range names {
+		if !ring.TryPush(int32(reg[n])) {
+			t.Fatal("ring full")
+		}
+	}
+	d := waitFor(t, limit, "consuming a burst pushed at a sleeping pump", func() bool { return ring.Pending() == 0 })
+	t.Logf("burst consumed %v after the push", d)
+
+	waitAsleep(t, bell)
+	if err := rc.NC.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = waitFor(t, limit, "tearing down a sleeping pump", func() bool { return srv.Sessions() == 0 })
+	t.Logf("sessions released %v after the close", d)
+}
+
+// TestShmBellNoLostWakeups pushes single events at the pump's sleep edge,
+// the moment it stops yielding and arms the bell: it first measures how
+// long after a consume the idle pump arms, then pushes at random gaps up
+// to twice that, from one producer and then from two sharing the
+// segment's one bell. Every event must be consumed long before the pump's
+// timeout, and the pump must never find events behind a bell no push
+// rang. Run it under -race.
+func TestShmBellNoLostWakeups(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "synth", 8)
+	srv, tcpAddr, _ := startServerTransports(t, Config{TraceDir: dir})
+	rc := dialRaw(t, tcpAddr)
+	reg := regFor(t, rc, "synth")
+	id := int32(reg[names[0]])
+	sids := []uint32{
+		rc.openSession("synth", 0, wire.FlagStartAtBeginning),
+		rc.openSession("synth", 1, wire.FlagStartAtBeginning),
+	}
+	rings, bell := rawShm(t, rc, 64, sids...)
+	consumed := func(ring *transport.Ring) bool {
+		for t0 := time.Now(); ring.Pending() > 0; runtime.Gosched() {
+			if time.Since(t0) > bellSleep/2 {
+				return false
+			}
+		}
+		return true
+	}
+
+	// The edge: from a consume to the armed bell, median of a few laps.
+	laps := make([]time.Duration, 31)
+	for i := range laps {
+		waitAsleep(t, bell)
+		rings[0].TryPush(id)
+		if !consumed(&rings[0]) {
+			t.Fatal("a push at a sleeping pump waited half a timeout")
+		}
+		t0 := time.Now()
+		for !bell.Armed() {
+		}
+		laps[i] = time.Since(t0)
+	}
+	slices.Sort(laps)
+	edge := laps[len(laps)/2]
+	t.Logf("the idle pump arms the bell %v after a consume", edge)
+
+	pushes := 2000
+	if testing.Short() {
+		pushes = 200
+	}
+	push := func(ring *transport.Ring, seed uint64, n int) {
+		rng := rand.New(rand.NewPCG(seed, 45))
+		for i := 0; i < n; i++ {
+			// Spin, not sleep: a sleep lasts at least a millisecond.
+			gap := time.Duration(rng.Int64N(2*int64(edge) + 1))
+			for t0 := time.Now(); time.Since(t0) < gap; {
+			}
+			ring.TryPush(id)
+			if !consumed(ring) {
+				t.Errorf("push %d waited over %v: a lost wake-up", i, bellSleep/2)
+				return
+			}
+		}
+	}
+	// One producer, so the pump keeps a processor of its own and the gaps
+	// land where they are aimed.
+	push(&rings[0], 1, pushes)
+	// Two producers on the one bell: a push that loses the 1 → 0 swap
+	// relies on the winner's wake.
+	var wg sync.WaitGroup
+	for p := range rings {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			push(&rings[p], uint64(2+p), pushes/4)
+		}()
+	}
+	wg.Wait()
+	if n := srv.shmLostWakes.Load(); n != 0 {
+		t.Fatalf("%d pump sleeps ended with events no push rang for", n)
+	}
+}
+
+// TestShmHostileBell lets a client scribble the bell word while it pushes:
+// whatever the word reads, the pump must not fault, must consume a burst
+// within one timeout, and must exit on teardown.
+func TestShmHostileBell(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "synth", 8)
+	srv, tcpAddr, _ := startServerTransports(t, Config{TraceDir: dir})
+	limit := bellSleep + 500*time.Millisecond
+	for _, tc := range []struct {
+		name string
+		vals []uint32
+	}{
+		{"zero", []uint32{0}},
+		{"one", []uint32{1}},
+		{"two", []uint32{2}},
+		{"all-ones", []uint32{0xFFFFFFFF}},
+		{"flipping", []uint32{0, 1, 2, 0xFFFFFFFF, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := dialRaw(t, tcpAddr)
+			reg := regFor(t, rc, "synth")
+			sid := rc.openSession("synth", 0, wire.FlagStartAtBeginning)
+			rings, bell := rawShm(t, rc, 64, sid)
+			ring := &rings[0]
+
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					for _, v := range tc.vals {
+						bell.CorruptForTest(v)
+						runtime.Gosched()
+					}
+				}
+			}()
+			defer func() {
+				stop.Store(true)
+				wg.Wait()
+			}()
+
+			for round := 0; round < 3; round++ {
+				for _, n := range names {
+					if !ring.TryPush(int32(reg[n])) {
+						t.Fatal("ring full")
+					}
+				}
+				waitFor(t, limit, "consuming under a scribbled bell", func() bool { return ring.Pending() == 0 })
+			}
+			if err := rc.NC.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, limit, "tearing down under a scribbled bell", func() bool { return srv.Sessions() == 0 })
+		})
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/predictor"
 )
@@ -15,16 +16,19 @@ import (
 // decodes in-bounds ids or reports ErrRingCorrupt (it must never read out
 // of range — the segment is exactly SegmentSize bytes, so any OOB access
 // faults or trips -race), and ReadPredictions never returns more than
-// PredCap entries no matter what the count word says.
+// PredCap entries no matter what the count word says. The doorbell is
+// producer-writable too: whatever it reads, a push and a bounded Wait must
+// return, and the header must still validate (the bell is live state, not
+// geometry).
 func FuzzRingDecode(f *testing.F) {
-	f.Add(1, 64, 1, uint64(0), uint64(0), uint64(0), uint64(0), []byte{})
-	f.Add(2, 64, 8, uint64(5), uint64(70), uint64(2), uint64(3), []byte{1, 2, 3, 4})
-	f.Add(1, 64, 1, uint64(1<<63), uint64(1), uint64(1), uint64(1<<40), []byte{0xff})
-	f.Add(1, 128, 4, uint64(100), uint64(100+129), uint64(4), uint64(5), []byte{})
-	f.Add(0, 0, 0, uint64(0), uint64(0), uint64(0), uint64(0), []byte{})
-	f.Add(-1, 1<<20, -5, uint64(0), uint64(0), uint64(0), uint64(0), []byte{})
+	f.Add(1, 64, 1, uint64(0), uint64(0), uint64(0), uint64(0), uint32(0), []byte{})
+	f.Add(2, 64, 8, uint64(5), uint64(70), uint64(2), uint64(3), uint32(1), []byte{1, 2, 3, 4})
+	f.Add(1, 64, 1, uint64(1<<63), uint64(1), uint64(1), uint64(1<<40), uint32(2), []byte{0xff})
+	f.Add(1, 128, 4, uint64(100), uint64(100+129), uint64(4), uint64(5), uint32(0xFFFFFFFF), []byte{})
+	f.Add(0, 0, 0, uint64(0), uint64(0), uint64(0), uint64(0), uint32(0), []byte{})
+	f.Add(-1, 1<<20, -5, uint64(0), uint64(0), uint64(0), uint64(0), uint32(1), []byte{})
 
-	f.Fuzz(func(t *testing.T, rings, slots, predCap int, head, tail, seq, cnt uint64, fill []byte) {
+	f.Fuzz(func(t *testing.T, rings, slots, predCap int, head, tail, seq, cnt uint64, bell uint32, fill []byte) {
 		g := Geometry{Rings: rings, Slots: slots, PredCap: predCap}
 		seg, err := NewMemSegment(g)
 		if err != nil {
@@ -68,6 +72,13 @@ func FuzzRingDecode(f *testing.F) {
 		if ok && len(preds) > g.PredCap {
 			t.Fatalf("ReadPredictions returned %d entries, capacity %d", len(preds), g.PredCap)
 		}
+
+		// A scribbled bell: the push still lands or reports full, and a
+		// consumer waiting on the bell is bounded by its timeout.
+		b := SegmentBell(seg)
+		b.CorruptForTest(bell)
+		r.TryPush(7)
+		b.Wait(time.Microsecond)
 
 		// The header must still validate (decode touches nothing before
 		// headerSize) and a flipped header must not.

@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/predictor"
 )
@@ -99,6 +101,14 @@ func TestReadHeader(t *testing.T) {
 	if err := ReadHeader(seg, other); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("geometry mismatch: %v, want ErrBadSegment", err)
 	}
+	// A version-1 segment has no doorbell: its producer would never wake
+	// a sleeping pump, so the server refuses it and the client stays on
+	// the socket.
+	binary.LittleEndian.PutUint32(seg[8:], 1)
+	if err := ReadHeader(seg, g); !errors.Is(err, ErrBadSegment) {
+		t.Errorf("version 1: %v, want ErrBadSegment", err)
+	}
+	binary.LittleEndian.PutUint32(seg[8:], segVersion)
 	seg[0] ^= 0xff
 	if err := ReadHeader(seg, g); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("bad magic: %v, want ErrBadSegment", err)
@@ -339,6 +349,47 @@ func TestSeqlockTornReadStress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestBellPushWakesWaiter: a consumer waiting on an armed bell returns as
+// soon as a push into any ring of the segment rings it, the push leaves the
+// bell disarmed, and a disarmed bell does not block.
+func TestBellPushWakesWaiter(t *testing.T) {
+	g := testGeometry()
+	seg, err := NewMemSegment(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings, err := MapRings(seg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bell := SegmentBell(seg)
+	bell.Arm()
+	woke := make(chan time.Duration)
+	go func() {
+		t0 := time.Now()
+		bell.Wait(time.Minute)
+		woke <- time.Since(t0)
+	}()
+	time.Sleep(5 * time.Millisecond) // let the waiter block
+	if !rings[1].TryPush(1) {
+		t.Fatal("push rejected")
+	}
+	select {
+	case d := <-woke:
+		t.Logf("waiter woke %v after it blocked", d)
+	case <-time.After(10 * time.Second):
+		t.Fatal("a push did not wake the waiter")
+	}
+	if bell.Armed() {
+		t.Error("the push left the bell armed")
+	}
+	t0 := time.Now()
+	bell.Wait(time.Minute)
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("Wait on a disarmed bell blocked %v", d)
+	}
 }
 
 func TestRingZeroAlloc(t *testing.T) {

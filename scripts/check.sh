@@ -25,10 +25,14 @@
 #                     FuzzFlowGuards and FuzzModelLifecycle briefly
 #   7. vet fixtures — gofmt/go vet inside the analyzer fixture mini-modules
 #                     (separate modules, so ./... sweeps skip them)
-#   8. pythia-vet   — the repo's own static-analysis pass, all nine
+#   8. cross-vet    — go vet of internal/transport, internal/server and
+#                     pythia/client for darwin/arm64 and freebsd/amd64, so
+#                     the non-Linux doorbell shim (bell_other.go) compiles
+#                     although no Linux run builds it
+#   9. pythia-vet   — the repo's own static-analysis pass, all nine
 #                     analyzers; stale baseline entries fail the run
 #                     (see cmd/pythia-vet for the exit contract)
-#   9. benchmark    — go vet and go test inside bench/. It is a module of
+#  10. benchmark    — go vet and go test inside bench/. It is a module of
 #                     its own, so ./... sweeps skip it, yet it builds
 #                     against internal/wire, internal/server and
 #                     pythia/client: a change there can break it unseen
@@ -146,6 +150,21 @@ check_fixture_modules() {
     return "${ok}"
 }
 step "vet fixtures (go vet per fixture module)" check_fixture_modules
+
+# Linux builds only bell_linux.go; vet the shm packages for two other unix
+# targets so the portable shim keeps compiling.
+check_cross_vet() {
+    local target ok=0
+    for target in darwin/arm64 freebsd/amd64; do
+        if ! GOOS="${target%/*}" GOARCH="${target#*/}" \
+            go vet ./internal/transport ./internal/server ./pythia/client; then
+            echo "go vet failed for ${target}" >&2
+            ok=1
+        fi
+    done
+    return "${ok}"
+}
+step "cross-vet (darwin/arm64, freebsd/amd64: the non-Linux shm shim)" check_cross_vet
 
 step "pythia-vet" go run ./cmd/pythia-vet ./...
 
