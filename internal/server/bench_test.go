@@ -183,20 +183,15 @@ func TestServeSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 }
 
-// BenchmarkShmRankStream replays one LU rank (class medium, seed 42: about
-// two thousand events) over the shared-memory tier the way the serving
-// benchmark streams it, and splits each replay into its phases: restart
-// (StartAtBeginning, one OpenSession round trip), bind (the first Submit,
-// which binds a ring), subscribe, push (Submit into the ring plus a Latest
-// read every 16 events) and fence (the PredictAt round trip the daemon
-// answers only after draining the ring). Each phase is reported per replay,
-// push per event.
-func BenchmarkShmRankStream(b *testing.B) {
+// luRankTrace records one LU rank (class medium, seed 42) as tenant "lu" in
+// a fresh trace directory and returns the directory and the rank's event
+// stream.
+func luRankTrace(b *testing.B) (dir string, stream []string) {
 	app, err := apps.ByName("LU")
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream := harness.CaptureStreams(app, apps.Medium, 42)[0]
+	stream = harness.CaptureStreams(app, apps.Medium, 42)[0]
 	var now atomic.Int64
 	rec := pythia.NewRecordOracle(pythia.WithClock(func() int64 { return now.Add(1000) }))
 	for _, name := range stream {
@@ -206,10 +201,23 @@ func BenchmarkShmRankStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
+	dir = b.TempDir()
 	if err := pythia.SaveTraceSet(filepath.Join(dir, "lu.pythia"), ts); err != nil {
 		b.Fatal(err)
 	}
+	return dir, stream
+}
+
+// BenchmarkShmRankStream replays one LU rank (class medium, seed 42: about
+// two thousand events) over the shared-memory tier the way the serving
+// benchmark streams it, and splits each replay into its phases: restart
+// (StartAtBeginning, one OpenSession round trip), bind (the first Submit,
+// which binds a ring), subscribe, push (Submit into the ring plus a Latest
+// read every 16 events) and fence (the PredictAt round trip the daemon
+// answers only after draining the ring). Each phase is reported per replay,
+// push per event.
+func BenchmarkShmRankStream(b *testing.B) {
+	dir, stream := luRankTrace(b)
 	_, _, unixAddr := startServerTransports(b, Config{TraceDir: dir})
 	o, err := client.Connect(unixAddr, "lu", client.Config{SharedMem: true})
 	if err != nil {

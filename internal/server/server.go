@@ -110,12 +110,6 @@ type Server struct {
 	wg       sync.WaitGroup
 	drainOne sync.Once
 
-	// shmLostWakes counts shm pump sleeps after which the rings held events
-	// that no push rang the bell for: a lost wake-up, which the pump only
-	// recovers from at its timeout. Tests read it; with producers that keep
-	// the bell protocol it stays 0.
-	shmLostWakes atomic.Int64
-
 	parkMu sync.Mutex
 	parked map[uint64]*parkedConn // resume token -> parked sessions
 

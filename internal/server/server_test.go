@@ -356,11 +356,11 @@ func TestRemoteBitIdenticalAllApps(t *testing.T) {
 
 // rawConn is a wire-level test client for asserting exact protocol frames.
 type rawConn struct {
-	t *testing.T
+	t testing.TB
 	*wire.Conn
 }
 
-func dialRaw(t *testing.T, addr string) *rawConn {
+func dialRaw(t testing.TB, addr string) *rawConn {
 	t.Helper()
 	c, _ := dialRawHello(t, addr, 0)
 	return c
@@ -369,7 +369,7 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 // dialRawHello dials addr (tcp "host:port" or "unix://path") and
 // handshakes with the given Hello flags, returning the server's HelloOK
 // alongside the connection.
-func dialRawHello(t *testing.T, addr string, flags uint8) (*rawConn, wire.HelloOK) {
+func dialRawHello(t testing.TB, addr string, flags uint8) (*rawConn, wire.HelloOK) {
 	t.Helper()
 	nc, _, err := transport.Dial(addr, 2*time.Second)
 	if err != nil {
@@ -535,7 +535,7 @@ func TestGracefulDrain(t *testing.T) {
 
 // regFor fetches a tenant's event table over a meta session and returns a
 // name → id map.
-func regFor(t *testing.T, c *rawConn, tenant string) map[string]pythia.ID {
+func regFor(t testing.TB, c *rawConn, tenant string) map[string]pythia.ID {
 	t.Helper()
 	c.send(wire.TOpenSession, wire.AppendOpenSession(nil, wire.OpenSession{TID: -1, Flags: wire.FlagWantEvents, Tenant: tenant}))
 	typ, payload := c.recv()

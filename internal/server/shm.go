@@ -27,12 +27,18 @@ type connShm struct {
 	wg    sync.WaitGroup
 }
 
-// Pump idling: after pumpSpin empty sweeps that only yield the processor,
-// the pump arms the segment's bell and sleeps on it. A push wakes it; the
-// timeout only bounds what a producer that scribbles the bell can make it
-// sleep through.
+// Pump idling, in three stages. For transport.ParkSpin empty sweeps the
+// pump only yields the processor. Then it naps napSleep between sweeps
+// until bellIdle has passed since the last event: an event that arrives
+// meanwhile waits out at most one nap, and its producer pays nothing.
+// Past bellIdle it arms the segment's bell and sleeps on it, and the next
+// push pays one FUTEX_WAKE to wake it — a cost that a gap of bellIdle or
+// more dwarfs, and that almost no recorded application event meets (see
+// DESIGN §12). The timeout only bounds what a producer that scribbles the
+// bell can make the pump sleep through.
 const (
-	pumpSpin  = 64
+	napSleep  = 10 * time.Microsecond
+	bellIdle  = time.Millisecond
 	bellSleep = time.Second
 )
 
@@ -281,28 +287,46 @@ func publishLocked(r *shmRing) {
 
 // pumpShm is the per-connection decode pump: it sweeps every bound ring,
 // batch-decoding into the session, and re-arms the connection's keepalive
-// window on what it consumed. When nothing arrives it yields for pumpSpin
-// sweeps, then sleeps on the segment's bell until a push rings it. A corrupt
-// ring (hostile or torn producer cursor) kills the connection — the pump
-// closes the socket, which unblocks the conn goroutine's read and tears
-// everything down.
+// window on what it consumed. When nothing arrives it yields, naps, and at
+// last sleeps on the segment's bell until a push rings it (see bellIdle).
+// A corrupt ring (hostile or torn producer cursor) kills the connection —
+// the pump closes the socket, which unblocks the conn goroutine's read and
+// tears everything down.
 func (c *conn) pumpShm(sh *connShm) {
 	defer sh.wg.Done()
-	idle := 0
+	idle := 0           // empty sweeps since the last event
+	var quiet time.Time // when the first of them found the rings empty
 	keepalive := c.srv.cfg.Keepalive
 	var armed time.Time // the last keepalive re-arm on ring traffic
 	for !sh.stop.Load() {
 		worked, ok := c.sweepShm(sh)
-		if ok && worked == 0 && idle >= pumpSpin {
-			worked, ok = c.sleepShm(sh)
-		}
-		if !ok {
+		switch {
+		case !ok:
 			return
-		}
-		if worked == 0 {
+		case worked > 0:
+		case idle < transport.ParkSpin:
+			if idle == 0 {
+				quiet = time.Now()
+			}
 			idle++
 			runtime.Gosched()
 			continue
+		case time.Since(quiet) < bellIdle:
+			transport.Nap(napSleep)
+			continue
+		default:
+			asleep := time.Now()
+			if worked, ok = c.sleepShm(sh); !ok {
+				return
+			}
+			if worked == 0 {
+				// Nap out whatever part of bellIdle the sleep did not
+				// last: none after a timeout, all of it after a wait that
+				// a scribbled bell cut short, so no client can make the
+				// pump spin.
+				quiet = asleep
+				continue
+			}
 		}
 		idle = 0
 		// Ring traffic is liveness as much as a frame is: a client that
@@ -316,11 +340,13 @@ func (c *conn) pumpShm(sh *connShm) {
 	}
 }
 
-// sleepShm is the pump's idle step: arm the bell, look at the rings once
-// more — a push that look misses sees the armed bell and rings it — and
-// sleep on the bell if they are still empty. It returns what its last
+// sleepShm is the pump's last idle stage: arm the bell, look at the rings
+// once more — a push that look misses sees the armed bell and rings it —
+// and sleep on the bell if they are still empty. It returns what its last
 // sweep consumed. stop is read after the arm for the same reason the rings
-// are: shmTeardown sets it before it wakes the bell.
+// are: shmTeardown sets it before it wakes the bell. The bell is stood
+// down after the sleep, so pushes while the pump naps again make no
+// syscall.
 func (c *conn) sleepShm(sh *connShm) (worked int, ok bool) {
 	sh.bell.Arm()
 	if sh.stop.Load() {
@@ -331,12 +357,8 @@ func (c *conn) sleepShm(sh *connShm) (worked int, ok bool) {
 		return worked, ok
 	}
 	sh.bell.Wait(bellSleep)
-	worked, ok = c.sweepShm(sh)
-	if worked > 0 && sh.bell.Armed() {
-		// Events arrived, yet no push disarmed the bell: a lost wake-up.
-		c.srv.shmLostWakes.Add(1)
-	}
-	return worked, ok
+	sh.bell.Disarm()
+	return c.sweepShm(sh)
 }
 
 // sweepShm drains every bound ring once and reports the events consumed.

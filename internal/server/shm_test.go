@@ -262,7 +262,7 @@ func TestShmCorruptRingKillsConnection(t *testing.T) {
 // rawShm maps a segment with one ring per session onto the raw connection
 // and binds sids[i] to ring i. It returns the client ends of the rings and
 // the segment's bell.
-func rawShm(t *testing.T, c *rawConn, slots int, sids ...uint32) ([]transport.Ring, transport.Bell) {
+func rawShm(t testing.TB, c *rawConn, slots int, sids ...uint32) ([]transport.Ring, transport.Bell) {
 	t.Helper()
 	g := transport.Geometry{Rings: len(sids), Slots: slots, PredCap: 1}
 	seg, err := transport.CreateSegment(t.TempDir(), g.SegmentSize())
@@ -353,16 +353,16 @@ func TestShmBellWakesSleepingPump(t *testing.T) {
 }
 
 // TestShmBellNoLostWakeups pushes single events at the pump's sleep edge,
-// the moment it stops yielding and arms the bell: it first measures how
+// the moment it stops napping and arms the bell: it first measures how
 // long after a consume the idle pump arms, then pushes at random gaps up
 // to twice that, from one producer and then from two sharing the
 // segment's one bell. Every event must be consumed long before the pump's
-// timeout, and the pump must never find events behind a bell no push
-// rang. Run it under -race.
+// timeout: a lost wake-up leaves its push waiting for it. Run it under
+// -race.
 func TestShmBellNoLostWakeups(t *testing.T) {
 	dir := t.TempDir()
 	names := synthTrace(t, dir, "synth", 8)
-	srv, tcpAddr, _ := startServerTransports(t, Config{TraceDir: dir})
+	_, tcpAddr, _ := startServerTransports(t, Config{TraceDir: dir})
 	rc := dialRaw(t, tcpAddr)
 	reg := regFor(t, rc, "synth")
 	id := int32(reg[names[0]])
@@ -397,9 +397,9 @@ func TestShmBellNoLostWakeups(t *testing.T) {
 	edge := laps[len(laps)/2]
 	t.Logf("the idle pump arms the bell %v after a consume", edge)
 
-	pushes := 2000
+	pushes := 1000
 	if testing.Short() {
-		pushes = 200
+		pushes = 100
 	}
 	push := func(ring *transport.Ring, seed uint64, n int) {
 		rng := rand.New(rand.NewPCG(seed, 45))
@@ -429,14 +429,57 @@ func TestShmBellNoLostWakeups(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := srv.shmLostWakes.Load(); n != 0 {
-		t.Fatalf("%d pump sleeps ended with events no push rang for", n)
+}
+
+// TestShmSleepFindsPushBeforeArm drives the pump's last idle stage by hand
+// on the one interleaving a wake cannot cover: an event pushed before the
+// bell was armed, whose push therefore rang nothing. The look at the rings
+// between arming and waiting must find it, long before the timeout would.
+func TestShmSleepFindsPushBeforeArm(t *testing.T) {
+	dir := t.TempDir()
+	synthTrace(t, dir, "synth", 8)
+	c := newConn(New(Config{TraceDir: dir}), nopConn{})
+	open := wire.AppendOpenSession(nil, wire.OpenSession{TID: 0, Flags: wire.FlagStartAtBeginning, Tenant: "synth"})
+	if err := c.handleFrame(wire.TOpenSession, open); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	k, perr := c.sinkOf(0)
+	if perr != nil {
+		t.Fatalf("session: %v", perr)
+	}
+	g := transport.Geometry{Rings: 1, Slots: 64, PredCap: 1}
+	seg, err := transport.CreateSegment(t.TempDir(), g.SegmentSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	transport.WriteHeader(seg.Bytes(), g)
+	rings, err := transport.MapRings(seg.Bytes(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &connShm{seg: seg, rings: make([]shmRing, 1), bell: transport.SegmentBell(seg.Bytes())}
+	sh.rings[0] = shmRing{r: &rings[0], sink: k, scratch: make([]int32, scratchChunk)}
+
+	if !rings[0].TryPush(0) {
+		t.Fatal("ring full")
+	}
+	start := time.Now()
+	worked, ok := c.sleepShm(sh)
+	if d := time.Since(start); worked != 1 || !ok || d > bellSleep/10 {
+		t.Fatalf("sleepShm consumed %d (ok %v) after %v, want the one event at once", worked, ok, d)
+	}
+	if sh.bell.Armed() {
+		t.Error("the bell stayed armed although the pump found work")
 	}
 }
 
 // TestShmHostileBell lets a client scribble the bell word while it pushes:
 // whatever the word reads, the pump must not fault, must consume a burst
-// within one timeout, and must exit on teardown.
+// within one timeout, and must exit on teardown. Nor may the scribbling
+// make it spin: a wait the scribbled word cuts short is followed by naps,
+// so the pump arms the bell — the scribbler sees a 1 it did not write — at
+// most about once per bellIdle.
 func TestShmHostileBell(t *testing.T) {
 	dir := t.TempDir()
 	names := synthTrace(t, dir, "synth", 8)
@@ -461,12 +504,19 @@ func TestShmHostileBell(t *testing.T) {
 
 			var stop atomic.Bool
 			var wg sync.WaitGroup
+			arms := 0
+			start := time.Now()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				wrote := uint32(1)
 				for !stop.Load() {
 					for _, v := range tc.vals {
+						if wrote != 1 && bell.Armed() {
+							arms++
+						}
 						bell.CorruptForTest(v)
+						wrote = v
 						runtime.Gosched()
 					}
 				}
@@ -474,6 +524,11 @@ func TestShmHostileBell(t *testing.T) {
 			defer func() {
 				stop.Store(true)
 				wg.Wait()
+				elapsed := time.Since(start)
+				if limit := 2*int(elapsed/bellIdle) + 10; arms > limit {
+					t.Errorf("the pump armed the bell %d times in %v, more than %d: it spins", arms, elapsed, limit)
+				}
+				t.Logf("the pump armed the bell %d times in %v", arms, elapsed)
 			}()
 
 			for round := 0; round < 3; round++ {
@@ -484,6 +539,7 @@ func TestShmHostileBell(t *testing.T) {
 				}
 				waitFor(t, limit, "consuming under a scribbled bell", func() bool { return ring.Pending() == 0 })
 			}
+			time.Sleep(50 * bellIdle) // the scribbler against an idle pump
 			if err := rc.NC.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -31,3 +31,11 @@ func bellWait(w *uint32, d time.Duration) {
 func bellWake(w *uint32) {
 	syscall.Syscall6(syscall.SYS_FUTEX, uintptr(unsafe.Pointer(w)), futexWake, 1, 0, 0, 0)
 }
+
+// nap is a raw nanosleep: the thread sleeps in the kernel, and the
+// runtime hands its P on as it does for the futex wait. An interrupted
+// nap just ends early, so the result is not inspected.
+func nap(d time.Duration) {
+	ts := syscall.NsecToTimespec(int64(d))
+	syscall.Syscall(syscall.SYS_NANOSLEEP, uintptr(unsafe.Pointer(&ts)), 0, 0)
+}

@@ -49,13 +49,15 @@
 // Cross-process visibility relies only on sync/atomic loads/stores on
 // naturally aligned words in the mapping, which on every Go platform are
 // plain MOVs with the needed ordering; a busy ring costs no syscall on
-// either side. An idle consumer sleeps on the doorbell, the way io_uring's
-// SQPOLL thread sleeps behind its NEED_WAKEUP flag: it arms the bell, looks
-// at its rings once more, and blocks in FUTEX_WAIT on Linux (a nap of at
-// most parkMaxSleep elsewhere). A push that finds the bell armed disarms it
-// and makes the one FUTEX_WAKE, so a burst pays one syscall on its first
-// event and none after. A producer facing a full ring spins, then parks
-// (Park).
+// either side. A consumer that finds its rings empty first naps between
+// looks (Nap), which costs the producer nothing; once it has been idle a
+// while it sleeps on the doorbell, the way io_uring's SQPOLL thread sleeps
+// behind its NEED_WAKEUP flag: it arms the bell, looks at its rings once
+// more, and blocks in FUTEX_WAIT on Linux (a nap of at most parkMaxSleep
+// elsewhere). A push that finds the bell armed disarms it and makes the
+// one FUTEX_WAKE, so a burst after a long idle pays one syscall on its
+// first event and none after. A producer facing a full ring spins, then
+// parks (Park).
 //
 // All geometry is validated as untrusted input (Geometry.Validate,
 // MapRings): counts are bounded, slot counts must be powers of two, and
@@ -421,7 +423,7 @@ func (b Bell) Arm() { atomic.StoreUint32(b.word, 1) }
 func (b Bell) Disarm() { atomic.StoreUint32(b.word, 0) }
 
 // Armed reports whether the bell still reads 1: no push has rung it since
-// Arm.
+// Arm. The consumer does not need it; tests use it to see a sleeping pump.
 func (b Bell) Armed() bool { return atomic.LoadUint32(b.word) == 1 }
 
 // Wait sleeps until a push rings the bell or timeout passes, and returns at
@@ -450,7 +452,7 @@ func ringBell(w *uint32) {
 
 // Park is the producer's backoff when its ring is full — its one caller is
 // the client's full-ring wait: call it with an attempt counter that resets
-// to zero whenever a push succeeds. The first parkSpin attempts only yield
+// to zero whenever a push succeeds. The first ParkSpin attempts only yield
 // the processor (the consumer is awake and draining, since a full ring is
 // a busy one); past that it sleeps, escalating to parkMaxSleep. On Linux
 // the sleep has a floor of about a millisecond whatever is asked, because
@@ -458,19 +460,30 @@ func ringBell(w *uint32) {
 // time.Sleep returned after a median 1 084 µs (Go 1.24, 2-vCPU Xeon), so
 // every step of the ladder sleeps about parkMaxSleep there.
 func Park(attempt int) {
-	if attempt < parkSpin {
+	if attempt < ParkSpin {
 		runtime.Gosched()
 		return
 	}
-	d := time.Duration(attempt-parkSpin+1) * parkSleepStep
+	d := time.Duration(attempt-ParkSpin+1) * parkSleepStep
 	if d > parkMaxSleep {
 		d = parkMaxSleep
 	}
 	time.Sleep(d)
 }
 
+// ParkSpin is how many empty rounds a waiter on a ring only yields the
+// processor before it sleeps, on either side: Park's first rounds, and the
+// server pump's before it naps.
+const ParkSpin = 64
+
 const (
-	parkSpin      = 64
 	parkSleepStep = 5 * time.Microsecond
 	parkMaxSleep  = time.Millisecond
 )
+
+// Nap sleeps for about d, below a millisecond too, where time.Sleep cannot
+// on Linux. There it is a raw nanosleep, which the kernel's timer slack
+// (50 µs by default) lengthens: a 10 µs nap lasted a median 68 µs (same
+// host as Park's figure). An idle consumer naps between looks at its rings
+// before it arms the bell.
+func Nap(d time.Duration) { nap(d) }
