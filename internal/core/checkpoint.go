@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/events"
 	"repro/internal/model"
 	"repro/internal/recorder"
 	"repro/internal/tracefile"
@@ -63,12 +62,12 @@ func (p CheckpointPolicy) snapEvery() int64 {
 	return DefaultCheckpointEvents
 }
 
-// snapCollector gathers the latest snapshot each recording thread offers
-// and turns them into a trace set on demand. Both background consumers of
-// snapshots embed one: the checkpointer writes what it collects to the
-// journal, the learner publishes it as the shadow candidate.
-type snapCollector struct {
-	reg *events.Registry
+// checkpointer owns the journal and the background write loop of one
+// recording session.
+type checkpointer struct {
+	sess *Session
+	pol  CheckpointPolicy
+	j    *tracefile.Journal
 
 	// mu guards the offer side. Offers come from recording threads at their
 	// snapshot cadence; seq counts them, so a snapshot's seq tells fresh
@@ -81,8 +80,15 @@ type snapCollector struct {
 
 	// mat caches each thread's materialized snapshot: collect re-runs the
 	// timing replay only for threads that advanced. Collects are serialized
-	// by the owner (checkpointer.flushMu, learner.opMu).
-	mat map[int32]matEntry
+	// by flushMu, which also serializes flushes (the background loop and
+	// CheckpointNow).
+	mat     map[int32]matEntry
+	flushMu sync.Mutex
+
+	notify    chan struct{} // event-count write trigger (cap 1)
+	stop      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 type snapEntry struct {
@@ -93,66 +99,6 @@ type snapEntry struct {
 type matEntry struct {
 	seq uint64
 	tt  *model.ThreadTrace
-}
-
-func newSnapCollector(reg *events.Registry) snapCollector {
-	return snapCollector{reg: reg, snaps: make(map[int32]snapEntry), mat: make(map[int32]matEntry)}
-}
-
-// offer records the latest snapshot of one thread.
-func (sc *snapCollector) offer(tid int32, snap recorder.Checkpoint) {
-	sc.mu.Lock()
-	sc.seq++
-	sc.snaps[tid] = snapEntry{snap: snap, seq: sc.seq}
-	sc.mu.Unlock()
-}
-
-// collect builds a trace set from the latest snapshot of every thread. It
-// returns nil when no thread has offered one yet, or — unless force is set —
-// when none has since the previous collect.
-func (sc *snapCollector) collect(force bool) *model.TraceSet {
-	sc.mu.Lock()
-	if len(sc.snaps) == 0 || (!force && sc.seq == sc.taken) {
-		sc.mu.Unlock()
-		return nil
-	}
-	sc.taken = sc.seq
-	snaps := make(map[int32]snapEntry, len(sc.snaps))
-	for tid, e := range sc.snaps {
-		snaps[tid] = e
-	}
-	sc.mu.Unlock()
-
-	threads := make(map[int32]*model.ThreadTrace, len(snaps))
-	for tid, e := range snaps {
-		m, ok := sc.mat[tid]
-		if !ok || m.seq != e.seq {
-			m = matEntry{seq: e.seq, tt: e.snap.Materialize()}
-			sc.mat[tid] = m
-		}
-		threads[tid] = m.tt
-	}
-	// The registry read happens after the snapshots were taken, so the
-	// descriptor table is always a superset of the ids any grammar uses.
-	return &model.TraceSet{Events: sc.reg.Names(), Threads: threads}
-}
-
-// checkpointer owns the journal and the background write loop of one
-// recording session.
-type checkpointer struct {
-	snapCollector
-
-	sess *Session
-	pol  CheckpointPolicy
-	j    *tracefile.Journal
-
-	// flushMu serializes flushes (the background loop and CheckpointNow).
-	flushMu sync.Mutex
-
-	notify    chan struct{} // event-count write trigger (cap 1)
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 // maxWriteAttempts and the backoff ladder bound how long one generation
@@ -177,13 +123,14 @@ func newCheckpointer(s *Session, pol CheckpointPolicy) *checkpointer {
 		return nil
 	}
 	c := &checkpointer{
-		snapCollector: newSnapCollector(s.reg),
-		sess:          s,
-		pol:           pol,
-		j:             j,
-		notify:        make(chan struct{}, 1),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+		sess:   s,
+		pol:    pol,
+		j:      j,
+		snaps:  make(map[int32]snapEntry),
+		mat:    make(map[int32]matEntry),
+		notify: make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go c.run()
 	return c
@@ -193,7 +140,10 @@ func newCheckpointer(s *Session, pol CheckpointPolicy) *checkpointer {
 // writes on event count, nudges the background loop. Called from recording
 // threads at their snapshot cadence — off the per-event hot path.
 func (c *checkpointer) offer(tid int32, snap recorder.Checkpoint) {
-	c.snapCollector.offer(tid, snap)
+	c.mu.Lock()
+	c.seq++
+	c.snaps[tid] = snapEntry{snap: snap, seq: c.seq}
+	c.mu.Unlock()
 	if c.pol.EveryEvents > 0 {
 		select {
 		case c.notify <- struct{}{}:
@@ -237,13 +187,43 @@ func (c *checkpointer) run() {
 	}
 }
 
+// collect builds a trace set from the latest snapshot of every thread. It
+// returns nil when no thread has offered one since the previous collect.
+// Caller holds flushMu.
+func (c *checkpointer) collect() *model.TraceSet {
+	c.mu.Lock()
+	if c.seq == c.taken {
+		c.mu.Unlock()
+		return nil
+	}
+	c.taken = c.seq
+	snaps := make(map[int32]snapEntry, len(c.snaps))
+	for tid, e := range c.snaps {
+		snaps[tid] = e
+	}
+	c.mu.Unlock()
+
+	threads := make(map[int32]*model.ThreadTrace, len(snaps))
+	for tid, e := range snaps {
+		m, ok := c.mat[tid]
+		if !ok || m.seq != e.seq {
+			m = matEntry{seq: e.seq, tt: e.snap.Materialize()}
+			c.mat[tid] = m
+		}
+		threads[tid] = m.tt
+	}
+	// The registry read happens after the snapshots were taken, so the
+	// descriptor table is always a superset of the ids any grammar uses.
+	return &model.TraceSet{Events: c.sess.reg.Names(), Threads: threads}
+}
+
 // flush writes one generation holding the latest snapshot of every thread,
 // if anything changed since the previous generation.
 func (c *checkpointer) flush() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 
-	ts := c.collect(false)
+	ts := c.collect()
 	if ts == nil {
 		return nil
 	}

@@ -202,9 +202,8 @@ func (s *Session) createThread(tid int32) *Thread {
 		t.rec = recorder.New(s.recorderOptions(tid)...)
 		// Learning sessions serve from the current generation, which may
 		// already be ahead of the seed reference trace.
-		t.learn = &threadLearn{l: s.learn}
 		g := s.learn.serving.Load()
-		t.learn.gen = g
+		t.learn = &threadLearn{l: s.learn, gen: g}
 		if tr := g.ts.Trace(tid); tr != nil {
 			t.pred = predictor.New(tr, s.pcfg)
 		}
@@ -334,7 +333,7 @@ func (t *Thread) Submit(id events.ID) {
 		return
 	}
 	defer t.sess.Contain("Thread.Submit")
-	t.apply(id)
+	t.apply(id, 0, false)
 }
 
 // SubmitBatch is Submit for a run of events, in order: one fail-open check
@@ -350,15 +349,21 @@ func (t *Thread) SubmitBatch(ids []events.ID) {
 	}
 	defer t.sess.Contain("Thread.SubmitBatch")
 	for _, id := range ids {
-		t.apply(id)
+		t.apply(id, 0, false)
 	}
 }
 
-// apply records and tracks one event and folds the health transitions it
-// caused; the exported Submit variants run it under containment.
-func (t *Thread) apply(id events.ID) {
+// apply records one event — at now when timed, on the recorder's clock
+// otherwise — observes it (through the learner on learning sessions, whose
+// epoch hook lives there) and folds the health transitions it caused.
+// Every Submit variant runs it under containment.
+func (t *Thread) apply(id events.ID, now int64, timed bool) {
 	if t.rec != nil {
-		t.rec.Record(id)
+		if timed {
+			t.rec.RecordAt(id, now)
+		} else {
+			t.rec.Record(id)
+		}
 	}
 	if t.learn != nil {
 		t.learn.observe(t, int32(id))
@@ -376,15 +381,7 @@ func (t *Thread) SubmitAt(id events.ID, now int64) {
 		return
 	}
 	defer t.sess.Contain("Thread.SubmitAt")
-	if t.rec != nil {
-		t.rec.RecordAt(id, now)
-	}
-	if t.learn != nil {
-		t.learn.observe(t, int32(id))
-	} else if t.pred != nil {
-		t.pred.Observe(int32(id))
-	}
-	t.noteHealth()
+	t.apply(id, now, true)
 }
 
 // StartAtBeginning seeds prediction at the start of the reference trace.

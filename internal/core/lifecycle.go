@@ -4,30 +4,34 @@ package core
 // promotion and automatic rollback. A learning session collapses the
 // paper's record-then-predict phases into one: every thread records a
 // *shadow* grammar of the live Submit stream (the plain recorder hot path)
-// while the *serving* model keeps answering predictions. A background
-// manager goroutine periodically materializes the shadow into a candidate
-// trace set, and every thread scores a *rival* predictor built from that
-// candidate against the serving predictor over the same observed events.
-// When the rival out-predicts the serving model by a configured margin for
-// several consecutive tumbling epochs — the same hysteresis discipline as
-// the divergence watchdog — the manager promotes it: the candidate is
-// journaled as a new generation (commit before publish) and then published
-// through one atomic pointer, so threads pick it up with a single load on
-// their next Submit and rebuild their predictor off the hot path. The
-// previous generation is retained and keeps scoring for a watch window; if
-// it out-predicts the promoted model, the manager rolls back — minting a
+// while the *serving* model keeps answering predictions. Every EpochEvents
+// events a thread hands the learner a snapshot of its shadow, and every
+// thread scores a *rival* predictor — the frozen grammars of the latest
+// snapshots, no timing model — against the serving predictor over the same
+// observed events.
+//
+// Decisions sit on the event stream, not on a side thread: the thread whose
+// 64-event fold completes a tumbling epoch judges it at once. When the
+// rival out-predicts the serving model by a configured margin for several
+// consecutive epochs — the same hysteresis discipline as the divergence
+// watchdog — that thread promotes it: only then are the scored snapshots
+// materialized (the timing replay) into a trace set, journaled as a new
+// generation (commit before publish) and published through one atomic
+// pointer, so threads pick it up with a single load on their next Submit.
+// The previous generation is retained and keeps scoring for a watch window;
+// if it out-predicts the promoted model, the learner rolls back — minting a
 // fresh generation with the old model's content (generation numbers never
 // go backwards), latching a Health cause and counter.
 //
-// Failure discipline matches the checkpointer: journal trouble degrades
-// health but never stalls Submit, the manager goroutine is quit-signalled
-// and joined on Close, and a crash at any instant recovers to the newest
-// committed generation because nothing is ever published before it is
-// durable.
+// Without a journal the deciding thread also publishes, so the session runs
+// no goroutine and a one-thread session decides at the same event indexes
+// on every run. With one, a one-shot goroutine per transition does the
+// write, so journal trouble degrades health but never stalls Submit, and a
+// crash at any instant recovers to the newest committed generation because
+// nothing is ever published before it is durable.
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,7 +110,7 @@ func (p LearnPolicy) withDefaults() LearnPolicy {
 	return p
 }
 
-// lifecycleAction is what one scored epoch asks the manager to do.
+// lifecycleAction is what one scored epoch asks the learner to do.
 type lifecycleAction int
 
 const (
@@ -269,11 +273,15 @@ func (l *lineage) retained() []uint64 {
 }
 
 // rivalSpec is the model threads currently score against the serving one:
-// the freshest shadow candidate while learning, the previous generation
-// while watching a promotion. Threads detect a change by pointer identity
-// and rebuild their rival predictor at the next event.
+// while learning, the frozen grammars of the latest shadow snapshots (snaps
+// holds them for the promotion that may follow); while watching a
+// promotion, the previous generation (snaps nil). Scoring reads only
+// distance-1 hits, so a shadow rival carries no timing model. Threads
+// detect a change by pointer identity and rebuild their rival predictor at
+// the next event.
 type rivalSpec struct {
-	ts *model.TraceSet
+	ts    *model.TraceSet
+	snaps map[int32]recorder.Checkpoint
 }
 
 // ModelInfo is a snapshot of a session's model lifecycle, for operators and
@@ -295,57 +303,55 @@ type ModelInfo struct {
 	Retained []uint64
 }
 
-// learner owns one learning session's model lifecycle: the shadow snapshot
-// sink, the epoch score aggregate, the lineage ledger, the optional
-// generation journal, and the background manager goroutine that judges
-// epochs and performs promotions and rollbacks.
+// learner owns one learning session's model lifecycle: the latest shadow
+// snapshots, the epoch score aggregate, the lineage ledger and the
+// optional generation journal. It has no goroutine of its own: submitting
+// threads offer snapshots and judge epochs, and only a journal write runs
+// elsewhere (see startLocked).
 type learner struct {
-	snapCollector // the shadow snapshots; collects run under opMu
-
 	sess *Session
 	pol  LearnPolicy
 	j    *tracefile.Journal // nil in memory-only mode (or after open failure)
 
 	// serving and rival are the published models; threads read both with
-	// one atomic load per Submit and act only on pointer change.
+	// one atomic load per Submit and act only on pointer change. Both are
+	// stored under opMu.
 	serving atomic.Pointer[generation]
 	rival   atomic.Pointer[rivalSpec]
 
-	// aggMu guards the epoch score aggregate. Threads write here at their
-	// flush cadence.
-	aggMu    sync.Mutex
-	aggSpec  *rivalSpec
+	// opMu guards everything below: the snapshots, the score aggregate, the
+	// machines and the transition in flight. It is never held across a
+	// journal write, and across a promotion's materialization only by the
+	// deciding thread of a memory-only session.
+	opMu  sync.Mutex
+	snaps map[int32]recorder.Checkpoint
+	fresh bool // a snapshot arrived since the shadow rival was published
+
 	aggServ  int64
 	aggRival int64
 	aggN     int64
+	epochs   uint64
 
-	// opMu serializes lifecycle transitions and journal writes: the
-	// manager goroutine and the forced Promote/Rollback entry points.
-	opMu sync.Mutex
-	lin  lineage
-	sm   lifecycle
+	lin lineage
+	sm  lifecycle
 
-	epochs atomic.Uint64
-
-	notify    chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
+	// busy marks a transition between plan and publish (a journal write in
+	// flight); epochs completing meanwhile are dropped, and forced
+	// transitions wait on idle. closed stops judging; wg joins the commit
+	// goroutines on close.
+	busy   bool
+	closed bool
+	idle   sync.Cond
+	wg     sync.WaitGroup
 }
 
-// newLearner seeds the lifecycle with ref as the initial serving generation
-// and starts the manager goroutine. A journal that cannot be opened (or
-// seeded) degrades health and falls back to memory-only learning — the
-// fail-open contract; learning itself never depends on the disk.
+// newLearner seeds the lifecycle with ref as the initial serving
+// generation. A journal that cannot be opened (or seeded) degrades health
+// and falls back to memory-only learning — the fail-open contract;
+// learning itself never depends on the disk.
 func newLearner(s *Session, pol LearnPolicy, ref *model.TraceSet) *learner {
-	l := &learner{
-		snapCollector: newSnapCollector(s.reg),
-		sess:          s,
-		pol:           pol.withDefaults(),
-		notify:        make(chan struct{}, 1),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-	}
+	l := &learner{sess: s, pol: pol.withDefaults(), snaps: make(map[int32]recorder.Checkpoint)}
+	l.idle.L = &l.opMu
 	l.sm = newLifecycle(l.pol)
 	seedNum := uint64(1)
 	if l.pol.Dir != "" {
@@ -368,235 +374,247 @@ func newLearner(s *Session, pol LearnPolicy, ref *model.TraceSet) *learner {
 	}
 	l.lin = newLineage(ref, seedNum)
 	l.serving.Store(l.lin.serving)
-	go l.run()
 	return l
 }
 
-// offer records the latest shadow snapshot of one thread and nudges the
-// manager, donating the scheduler quantum (see score: before the first
-// candidate is published there are no score calls, so the first publish
-// depends on this yield on single-P hosts). Called from recording threads
-// at their snapshot cadence.
+// offer records the latest shadow snapshot of one thread; the very first
+// one becomes the first rival. Called from recording threads at their
+// snapshot cadence (every EpochEvents events).
 func (l *learner) offer(tid int32, snap recorder.Checkpoint) {
-	l.snapCollector.offer(tid, snap)
-	l.nudge()
-	runtime.Gosched()
-}
-
-// nudge wakes the manager goroutine without blocking.
-func (l *learner) nudge() {
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-}
-
-// score folds one thread's epoch segment into the aggregate, provided it
-// was measured against the currently published rival. It reports a
-// completed epoch by nudging the manager — and donates the scheduler
-// quantum: the manager is wake-driven, and on a GOMAXPROCS=1 host a busy
-// submit loop can otherwise run for a full preemption quantum (~10ms of
-// events) before the judge ever gets scheduled, smearing many epochs into
-// one. One Gosched per completed epoch is far off the hot path.
-func (l *learner) score(spec *rivalSpec, servHits, rivalHits, n int64) {
-	l.aggMu.Lock()
-	if spec == l.aggSpec {
-		l.aggServ += servHits
-		l.aggRival += rivalHits
-		l.aggN += n
-	}
-	full := l.aggN >= l.pol.EpochEvents
-	l.aggMu.Unlock()
-	if full {
-		l.nudge()
-		runtime.Gosched()
-	}
-}
-
-// run is the manager loop: quit-signalled through stop and joined through
-// done (see close), following the checkpointer's lifecycle discipline.
-func (l *learner) run() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-l.notify:
-		}
-		l.step()
-	}
-}
-
-// step judges a completed epoch (possibly promoting or rolling back) and
-// refreshes the published candidate. All transitions run under opMu so
-// forced operator transitions never interleave with scored ones.
-func (l *learner) step() {
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
+	l.snaps[tid] = snap
+	l.fresh = true
+	if l.rival.Load() == nil {
+		l.publishShadowLocked()
+	}
+}
 
-	l.aggMu.Lock()
+// score folds one thread's 64-event segment into the aggregate, provided it
+// was measured against the currently published rival and no transition is
+// in flight. The fold that completes an epoch judges it on the spot: a
+// promotion or rollback starts, or — while learning — the latest snapshots
+// become the next rival.
+func (l *learner) score(spec *rivalSpec, servHits, rivalHits, n int64) {
+	l.opMu.Lock()
+	defer l.opMu.Unlock()
+	if spec != l.rival.Load() || l.busy || l.closed {
+		return
+	}
+	l.aggServ += servHits
+	l.aggRival += rivalHits
+	l.aggN += n
+	if l.aggN < l.pol.EpochEvents {
+		return
+	}
 	servH, rivH, n := l.aggServ, l.aggRival, l.aggN
-	judge := n >= l.pol.EpochEvents
-	if judge {
-		l.aggServ, l.aggRival, l.aggN = 0, 0, 0
-	}
-	l.aggMu.Unlock()
-
-	if judge {
-		l.epochs.Add(1)
-		switch l.sm.observeEpoch(servH, rivH, n) {
-		case actPromote:
-			// Promote exactly what was scored: the published rival.
-			if spec := l.rival.Load(); spec != nil && spec.ts != nil {
-				if _, err := l.promoteLocked(spec.ts); err != nil {
-					l.sess.health.noteCheckpointFailure(err)
-					// The promotion did not happen; leave the machine in
-					// the learning state rather than watching a swap that
-					// never occurred.
-					l.sm.forceRollback()
-				}
-			}
-		case actRollback:
-			if _, err := l.rollbackLocked(fmt.Sprintf(
-				"model rollback: generation %d regressed against generation %d (epoch hits %d vs %d over %d events)",
-				l.lin.serving.num, l.lin.previous.num, servH, rivH, n)); err != nil {
-				// Already latched in health by rollbackLocked: the regressed
-				// model keeps serving (fail-open) and the cause names the
-				// failed journal write.
-			}
+	l.aggServ, l.aggRival, l.aggN = 0, 0, 0
+	l.epochs++
+	switch l.sm.observeEpoch(servH, rivH, n) {
+	case actPromote:
+		// Promote exactly what was scored: the published rival's snapshots.
+		l.startLocked(&change{kind: model.ProvPromotion, snaps: spec.snaps, parent: l.lin.serving.num})
+	case actRollback:
+		l.startLocked(&change{kind: model.ProvRollback, ts: l.lin.previous.ts, parent: l.lin.serving.num,
+			cause: fmt.Sprintf("model rollback: generation %d regressed against generation %d (epoch hits %d vs %d over %d events)",
+				l.lin.serving.num, l.lin.previous.num, servH, rivH, n)})
+	default:
+		// Refresh the candidate only at epoch boundaries: publishing a rival
+		// resets the aggregate, so refreshing on every snapshot would starve
+		// the epoch clock whenever the snapshot cadence divides the epoch.
+		if !l.sm.watching && (l.fresh || l.rival.Load().snaps == nil) {
+			l.publishShadowLocked()
 		}
 	}
+}
 
-	// While learning, keep the scored candidate fresh; while watching, the
-	// rival stays pinned to the previous generation. Refresh only at epoch
-	// boundaries (or to publish the very first candidate): publishing a new
-	// rival resets the score aggregate, so refreshing on every snapshot
-	// would starve the epoch clock whenever the snapshot cadence divides
-	// the epoch length.
-	if !l.sm.watching && (judge || l.rival.Load() == nil) {
-		if cand := l.collect(false); cand != nil {
-			l.publishRival(cand)
-		}
+// publishShadowLocked publishes the latest snapshots as the rival.
+func (l *learner) publishShadowLocked() {
+	snaps := l.copySnapsLocked()
+	ts := &model.TraceSet{Threads: make(map[int32]*model.ThreadTrace, len(snaps))}
+	for tid, snap := range snaps {
+		ts.Threads[tid] = &model.ThreadTrace{Grammar: snap.Grammar}
 	}
+	l.fresh = false
+	l.publishRival(&rivalSpec{ts: ts, snaps: snaps})
+}
+
+// copySnapsLocked copies the latest snapshots, so a rival or a promotion
+// keeps exactly the set it was built from.
+func (l *learner) copySnapsLocked() map[int32]recorder.Checkpoint {
+	out := make(map[int32]recorder.Checkpoint, len(l.snaps))
+	for tid, snap := range l.snaps {
+		out[tid] = snap
+	}
+	return out
 }
 
 // publishRival installs a new scoring target and resets the aggregate —
 // scores measured against different rivals must never be mixed.
-func (l *learner) publishRival(ts *model.TraceSet) {
-	spec := &rivalSpec{ts: ts}
-	l.aggMu.Lock()
-	l.aggSpec = spec
+func (l *learner) publishRival(spec *rivalSpec) {
 	l.aggServ, l.aggRival, l.aggN = 0, 0, 0
-	l.aggMu.Unlock()
 	l.rival.Store(spec)
 }
 
-// mintLocked journals (commit) and only then publishes a new serving
-// generation. On a journal write failure nothing is published and the
-// serving model is unchanged. Caller holds opMu.
-func (l *learner) mintLocked(kind model.ProvKind, mint func(num uint64) (*generation, error), ts *model.TraceSet) (*generation, error) {
-	num := l.lin.next
-	if l.j != nil {
-		num = l.j.NextGeneration()
-		// Stamp lineage on a shallow copy: the content trace set may be
-		// shared with a still-live generation record.
-		out := *ts
-		out.Provenance = &model.Provenance{
-			Kind:      kind,
-			Parent:    l.lin.serving.num,
-			UnixNanos: time.Now().UnixNano(),
-		}
-		if _, err := l.j.WriteGeneration(&out); err != nil {
-			return nil, err
-		}
-	}
-	return mint(num)
+// change is one promotion or rollback: planned under opMu, committed
+// (materialized and journaled) by commit, then published by publishLocked.
+type change struct {
+	kind   model.ProvKind
+	snaps  map[int32]recorder.Checkpoint // promotion: the snapshots to materialize
+	ts     *model.TraceSet               // the content to serve
+	parent uint64                        // the serving generation at plan time
+	num    uint64                        // the journaled generation number
+	cause  string                        // rollback: the Health cause
 }
 
-// promoteLocked performs the warm handoff: journal the candidate, update
-// the ledger, publish the new serving generation, and pin the rival to the
-// previous generation for the watch window. Caller holds opMu.
-func (l *learner) promoteLocked(cand *model.TraceSet) (*generation, error) {
-	g, err := l.mintLocked(model.ProvPromotion, func(num uint64) (*generation, error) {
-		return l.lin.promote(num, cand)
-	}, cand)
-	if err != nil {
-		return nil, err
+// startLocked carries out a scored transition. Without a journal the
+// deciding thread commits and publishes it at once; with one, a one-shot
+// goroutine writes it so Submit never waits on the disk. Caller holds opMu.
+func (l *learner) startLocked(c *change) {
+	if l.j == nil {
+		l.finishScoredLocked(c, l.commit(c))
+		return
 	}
-	l.serving.Store(g)
-	l.sess.health.notePromotion()
-	// The previous generation is the watchdog now: it keeps scoring, and a
-	// win within the watch window rolls the promotion back.
-	if prev := l.lin.previous; prev != nil {
-		l.publishRival(prev.ts)
-	}
-	return g, nil
+	l.busy = true
+	l.wg.Add(1)
+	go l.commitAsync(c)
 }
 
-// rollbackLocked re-mints the previous generation as the serving model and
-// latches the regression in Health. Caller holds opMu; the ledger must
-// hold a previous generation.
-func (l *learner) rollbackLocked(cause string) (*generation, error) {
-	prev := l.lin.previous
-	if prev == nil {
-		return nil, fmt.Errorf("core: no previous generation to roll back to")
-	}
-	g, err := l.mintLocked(model.ProvRollback, func(num uint64) (*generation, error) {
-		return l.lin.rollback(num)
-	}, prev.ts)
-	if err != nil {
-		// The regressed model stays serving (fail-open: a broken disk must
-		// not take predictions down), but the regression is surfaced.
-		l.sess.health.noteCheckpointFailure(err)
-		l.sess.health.noteRollback(cause + " (rollback journal write failed)")
-		return nil, err
-	}
-	l.serving.Store(g)
-	l.sess.health.noteRollback(cause)
-	return g, nil
-}
-
-// forcePromote promotes the current shadow candidate unconditionally (the
-// ModelInfo/Promote wire op and fault-injection harnesses). The promoted
-// model enters the same watch window as a scored promotion.
-func (l *learner) forcePromote() (uint64, error) {
+// commitAsync is the one-shot commit goroutine of a journaled scored
+// transition, joined by close.
+func (l *learner) commitAsync(c *change) {
+	defer l.wg.Done()
+	err := l.commit(c)
 	l.opMu.Lock()
 	defer l.opMu.Unlock()
-	var cand *model.TraceSet
-	if !l.sm.watching {
-		if spec := l.rival.Load(); spec != nil && spec.ts != nil {
-			cand = spec.ts
+	l.busy = false
+	l.idle.Broadcast()
+	l.finishScoredLocked(c, err)
+}
+
+// finishScoredLocked publishes a committed scored transition. A promotion
+// that failed also leaves the watch state observeEpoch entered: there is
+// no swap to watch. Caller holds opMu.
+func (l *learner) finishScoredLocked(c *change, err error) {
+	if _, err := l.publishLocked(c, err); err != nil && c.kind == model.ProvPromotion {
+		l.sm.forceRollback()
+	}
+}
+
+// commit materializes a promotion's snapshots — the timing replay, paid
+// once per promotion — and journals the change. It runs without opMu
+// except on the deciding thread of a memory-only session, which has no
+// write to wait for; busy keeps every other transition out meanwhile.
+func (l *learner) commit(c *change) error {
+	if c.snaps != nil {
+		threads := make(map[int32]*model.ThreadTrace, len(c.snaps))
+		for tid, snap := range c.snaps {
+			threads[tid] = snap.Materialize()
+		}
+		// The registry read happens after the snapshots were taken, so the
+		// descriptor table is a superset of the ids any grammar uses.
+		c.ts = &model.TraceSet{Events: l.sess.reg.Names(), Threads: threads}
+	}
+	if l.j == nil {
+		return nil
+	}
+	// Stamp lineage on a shallow copy: the content trace set may be shared
+	// with a still-live generation record.
+	out := *c.ts
+	out.Provenance = &model.Provenance{Kind: c.kind, Parent: c.parent, UnixNanos: time.Now().UnixNano()}
+	var err error
+	c.num, err = l.j.WriteGeneration(&out)
+	return err
+}
+
+// publishLocked mints a committed change in the ledger and publishes it:
+// a promotion pins the rival to the previous generation for the watch
+// window, a rollback returns to scoring the shadow. On a failed commit
+// nothing is published and the serving model is unchanged (fail-open: a
+// broken disk must not take predictions down), but the failure — and a
+// regression left serving — is surfaced. Caller holds opMu.
+func (l *learner) publishLocked(c *change, err error) (*generation, error) {
+	var g *generation
+	if err == nil {
+		if l.j == nil {
+			c.num = l.lin.next
+		}
+		if c.kind == model.ProvPromotion {
+			g, err = l.lin.promote(c.num, c.ts)
+		} else {
+			g, err = l.lin.rollback(c.num)
 		}
 	}
-	if cand == nil {
-		cand = l.collect(true)
+	if err != nil {
+		l.sess.health.noteCheckpointFailure(err)
+		if c.kind == model.ProvRollback {
+			l.sess.health.noteRollback(c.cause + " (rollback journal write failed)")
+		}
+		return nil, err
 	}
-	if cand == nil {
-		return 0, fmt.Errorf("core: no shadow candidate to promote yet")
+	l.serving.Store(g)
+	if c.kind == model.ProvPromotion {
+		l.sess.health.notePromotion()
+		l.sm.forcePromote()
+		l.publishRival(&rivalSpec{ts: l.lin.previous.ts})
+	} else {
+		l.sess.health.noteRollback(c.cause)
+		l.sm.forceRollback()
+		l.publishShadowLocked()
 	}
-	g, err := l.promoteLocked(cand)
+	return g, nil
+}
+
+// force runs an operator transition synchronously on its caller: it waits
+// for a transition in flight, plans under opMu, commits without it, and
+// publishes. A forced promotion is watched — and rolled back — exactly
+// like an earned one.
+func (l *learner) force(plan func() (*change, error)) (uint64, error) {
+	l.opMu.Lock()
+	for l.busy {
+		l.idle.Wait()
+	}
+	c, err := plan()
+	if err != nil {
+		l.opMu.Unlock()
+		return 0, err
+	}
+	l.busy = true
+	l.opMu.Unlock()
+	err = l.commit(c)
+	l.opMu.Lock()
+	defer l.opMu.Unlock()
+	l.busy = false
+	l.idle.Broadcast()
+	g, err := l.publishLocked(c, err)
 	if err != nil {
 		return 0, err
 	}
-	l.sm.forcePromote()
 	return g.num, nil
+}
+
+// forcePromote promotes the latest shadow snapshots unconditionally (the
+// Promote wire op and fault-injection harnesses).
+func (l *learner) forcePromote() (uint64, error) {
+	return l.force(func() (*change, error) {
+		if len(l.snaps) == 0 {
+			return nil, fmt.Errorf("core: no shadow candidate to promote yet")
+		}
+		return &change{kind: model.ProvPromotion, snaps: l.copySnapsLocked(), parent: l.lin.serving.num}, nil
+	})
 }
 
 // forceRollback rolls back to the previous generation unconditionally.
 func (l *learner) forceRollback() (uint64, error) {
-	l.opMu.Lock()
-	defer l.opMu.Unlock()
-	if l.lin.previous == nil {
-		return 0, fmt.Errorf("core: no previous generation to roll back to")
-	}
-	g, err := l.rollbackLocked(fmt.Sprintf(
-		"model rollback: generation %d rolled back to generation %d content by operator",
-		l.lin.serving.num, l.lin.previous.num))
-	if err != nil {
-		return 0, err
-	}
-	l.sm.forceRollback()
-	return g.num, nil
+	return l.force(func() (*change, error) {
+		prev := l.lin.previous
+		if prev == nil {
+			return nil, fmt.Errorf("core: no previous generation to roll back to")
+		}
+		return &change{kind: model.ProvRollback, ts: prev.ts, parent: l.lin.serving.num,
+			cause: fmt.Sprintf("model rollback: generation %d rolled back to generation %d content by operator",
+				l.lin.serving.num, prev.num)}, nil
+	})
 }
 
 // modelInfo snapshots the lifecycle.
@@ -610,23 +628,25 @@ func (l *learner) modelInfo() ModelInfo {
 		ServingGeneration: l.lin.serving.num,
 		Promotions:        uint64(h.Promotions),
 		Rollbacks:         uint64(h.Rollbacks),
-		ShadowEpochs:      l.epochs.Load(),
+		ShadowEpochs:      l.epochs,
 		Retained:          l.lin.retained(),
 	}
-	if l.sm.watching {
+	// A scored promotion whose journal write is pending has moved the
+	// machine but published nothing yet: until the rival is the previous
+	// generation, the session still reads learning.
+	if l.sm.watching && l.rival.Load().snaps == nil {
 		mi.State = "watching"
 	}
 	return mi
 }
 
-// close stops the manager goroutine and joins it (bounded, like the
-// checkpointer: a hung disk must not stall the host's shutdown).
+// close stops judging and joins any commit goroutine still writing.
+// Idempotent; forced transitions keep working afterwards.
 func (l *learner) close() {
-	l.closeOnce.Do(func() { close(l.stop) })
-	select {
-	case <-l.done:
-	case <-time.After(shutdownTimeout):
-	}
+	l.opMu.Lock()
+	l.closed = true
+	l.opMu.Unlock()
+	l.wg.Wait()
 }
 
 // NewLearningSession starts an always-on session: predictions are served
@@ -691,9 +711,9 @@ func (s *Session) Rollback() (uint64, error) {
 	return s.learn.forceRollback()
 }
 
-// Close releases the session's background machinery (the lifecycle manager
-// and the checkpointer, when present). Idempotent; sessions without either
-// need not call it.
+// Close releases the session's background machinery (a learner's pending
+// journal write and the checkpointer, when present). Idempotent; sessions
+// without either need not call it.
 func (s *Session) Close() {
 	if s.learn != nil {
 		s.learn.close()

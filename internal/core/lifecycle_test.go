@@ -1,9 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -376,7 +381,7 @@ func TestLearningSessionGuards(t *testing.T) {
 		t.Fatal("Rollback on a frozen session must fail")
 	}
 
-	// Close is idempotent and joins the manager.
+	// Close is idempotent.
 	ls, err := NewLearningSession(ref, predictor.Config{}, LearnPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -468,5 +473,310 @@ func TestOnlineSessionNewEventsExtendRegistry(t *testing.T) {
 	}
 	if fresh.Events[nu] != "brand-new" {
 		t.Fatalf("descriptor table not extended: %v", fresh.Events)
+	}
+}
+
+// driftNames is a loop nest whose inner trip count varies with the outer
+// iteration, so its grammar has structure to learn.
+var driftNames = []string{"init", "send", "recv", "reduce", "barrier"}
+
+// driftStream returns iters outer iterations of the loop nest as ids.
+func driftStream(s *Session, iters int) []events.ID {
+	ids := internPattern(s, driftNames)
+	var out []events.ID
+	for i := 0; i < iters; i++ {
+		out = append(out, idOf(ids[0]))
+		for k := 0; k < 2+i%3; k++ {
+			out = append(out, idOf(ids[1]), idOf(ids[2]))
+		}
+		out = append(out, idOf(ids[3]), idOf(ids[4]))
+	}
+	return out
+}
+
+// reversed returns the stream back to front.
+func reversed(ids []events.ID) []events.ID {
+	out := make([]events.ID, len(ids))
+	for i, id := range ids {
+		out[len(ids)-1-i] = id
+	}
+	return out
+}
+
+// decision is one lifecycle event seen after a Submit: the event index, the
+// action and a digest of the generation serving afterwards.
+type decision struct {
+	at     int
+	action string
+	digest string
+}
+
+// servingDigest hashes the serving generation's number and content, timing
+// model included.
+func servingDigest(t *testing.T, s *Session) string {
+	t.Helper()
+	g := s.learn.serving.Load()
+	h := sha256.New()
+	fmt.Fprintf(h, "%d:", g.num)
+	if err := tracefile.Write(h, g.ts); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// driftSession records the pre-drift stream as the reference and opens a
+// learning session on it under pol with the watch window widened to 16
+// epochs. The returned stream is the pre-drift stream's reversal and then
+// the pre-drift stream, twice: the reversal earns a promotion, and the
+// pre-drift stream's return inside the watch window rolls it back. Submit
+// it in virtual time with submitDrift.
+func driftSession(t *testing.T, pol LearnPolicy) (*Session, []events.ID) {
+	t.Helper()
+	rs := NewRecordSession()
+	fwd := driftStream(rs, 100)
+	submitDrift(rs.Thread(0), fwd, nil)
+	ref := mustFinishRecord(t, rs)
+
+	pol.WatchEpochs = 16
+	s, err := NewLearningSession(ref, predictor.Config{}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []events.ID
+	for i := 0; i < 2; i++ {
+		stream = append(append(stream, reversed(fwd)...), fwd...)
+	}
+	return s, stream
+}
+
+// submitDrift submits the stream in virtual time, calling after (if not
+// nil) with each event's index once it is submitted.
+func submitDrift(th *Thread, stream []events.ID, after func(i int)) {
+	var now int64
+	for i, id := range stream {
+		th.SubmitAt(id, now)
+		now += 10 + int64(id)
+		if after != nil {
+			after(i)
+		}
+	}
+}
+
+// learnDecisions drives a fresh drift session with no journal and lists
+// every judged epoch, promotion and rollback.
+func learnDecisions(t *testing.T) []decision {
+	t.Helper()
+	s, stream := driftSession(t, fastLearn())
+	defer s.Close()
+	var out []decision
+	var last ModelInfo
+	submitDrift(s.Thread(0), stream, func(i int) {
+		mi := s.ModelInfo()
+		for _, c := range []struct {
+			action string
+			n, was uint64
+		}{
+			{"epoch", mi.ShadowEpochs, last.ShadowEpochs},
+			{"promote", mi.Promotions, last.Promotions},
+			{"rollback", mi.Rollbacks, last.Rollbacks},
+		} {
+			for ; c.was < c.n; c.was++ {
+				out = append(out, decision{at: i, action: c.action, digest: servingDigest(t, s)})
+			}
+		}
+		last = mi
+	})
+	return out
+}
+
+// TestLearnerDecisionsDeterministic: every decision of a one-thread
+// learning session sits at an event index, so the scheduler cannot move
+// one — whatever GOMAXPROCS is, and beside a goroutine that keeps yielding.
+func TestLearnerDecisionsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := learnDecisions(t)
+	var promotions, rollbacks int
+	for _, d := range want {
+		switch d.action {
+		case "promote":
+			promotions++
+		case "rollback":
+			rollbacks++
+		}
+	}
+	if promotions == 0 || rollbacks == 0 {
+		t.Fatalf("drift produced %d promotions and %d rollbacks; the test needs both", promotions, rollbacks)
+	}
+
+	runtime.GOMAXPROCS(2)
+	compareDecisions(t, "GOMAXPROCS=2", want, learnDecisions(t))
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	got := learnDecisions(t)
+	close(stop)
+	<-done
+	compareDecisions(t, "beside a yielding goroutine", want, got)
+}
+
+func compareDecisions(t *testing.T, run string, want, got []decision) {
+	t.Helper()
+	for i := 0; i < len(want) || i < len(got); i++ {
+		if i >= len(want) || i >= len(got) || want[i] != got[i] {
+			var w, g any = "none", "none"
+			if i < len(want) {
+				w = want[i]
+			}
+			if i < len(got) {
+				g = got[i]
+			}
+			t.Fatalf("%s: decision %d differs: got %+v, want %+v (%d vs %d decisions)", run, i, g, w, len(got), len(want))
+		}
+	}
+}
+
+// settlesTo waits briefly for the goroutine count to return to want: a
+// joined goroutine may still be unwinding when its join returns.
+func settlesTo(want int) bool {
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if runtime.NumGoroutine() == want {
+			return true
+		}
+	}
+	return false
+}
+
+// quietGoroutines returns the goroutine count once it has held still for
+// 20 ms, so goroutines that earlier tests joined have finished unwinding.
+func quietGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 20 && time.Now().Before(deadline); still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// TestLearningSessionStartsNoGoroutine: a session without a journal decides
+// on its submitting thread and starts nothing; with one, every commit
+// goroutine is joined by Close.
+func TestLearningSessionStartsNoGoroutine(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		before := quietGoroutines()
+		pol := fastLearn()
+		pol.Dir = dir
+		s, stream := driftSession(t, pol)
+		submitDrift(s.Thread(0), stream, nil)
+		if _, err := s.Promote(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		mi := s.ModelInfo()
+		if mi.Promotions < 2 || mi.Rollbacks < 1 {
+			t.Fatalf("dir %q: %+v, want a scored promotion, a forced one and a rollback", dir, mi)
+		}
+		if dir == "" && !settlesTo(before) {
+			t.Fatalf("learning session without a journal runs %d goroutines, had %d before it", runtime.NumGoroutine(), before)
+		}
+		s.Close()
+		if !settlesTo(before) {
+			t.Fatalf("dir %q: %d goroutines after Close, had %d before the session", dir, runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestJournalWriteNeverStallsSubmit holds a scored promotion's journal write
+// and shows that Submits keep completing while it is held: the epochs they
+// complete are dropped, nothing is published, and the thread adopts the
+// generation at its first Submit after the write returns.
+func TestJournalWriteNeverStallsSubmit(t *testing.T) {
+	pol := fastLearn()
+	pol.Dir = t.TempDir()
+	s, stream := driftSession(t, pol)
+	defer s.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	tracefile.SetCrashHook(func(point, _ string) {
+		if point == tracefile.CrashSaveCreatedTemp {
+			once.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	})
+	defer tracefile.SetCrashHook(nil)
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+
+	th := s.Thread(0)
+	var now int64
+	submit := func(id events.ID) {
+		th.SubmitAt(id, now)
+		now += 10 + int64(id)
+	}
+	// The commit goroutine may reach the hook only after the stream ends.
+	i := 0
+	for ; i < len(stream); i++ {
+		submit(stream[i])
+		select {
+		case <-held:
+		default:
+			continue
+		}
+		break
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no scored promotion reached the journal: %+v", s.ModelInfo())
+	}
+	mi := s.ModelInfo()
+	if mi.Promotions != 0 || mi.ServingGeneration != 1 || mi.State != "learning" {
+		t.Fatalf("published before the write returned: %+v", mi)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for j := 0; j < 20*int(pol.EpochEvents); j++ {
+			submit(stream[(i+1+j)%len(stream)])
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit stalled behind a held journal write")
+	}
+	if got := s.ModelInfo(); got.Promotions != 0 || got.ShadowEpochs != mi.ShadowEpochs {
+		t.Fatalf("epochs judged or a generation published while the write was held: %+v, then %+v", mi, got)
+	}
+
+	releaseOnce()
+	s.Close() // joins the commit goroutine
+	mi = s.ModelInfo()
+	if mi.Promotions != 1 || mi.ServingGeneration != 2 || mi.State != "watching" {
+		t.Fatalf("after the write returned: %+v", mi)
+	}
+	if th.learn.gen.num != 1 {
+		t.Fatalf("thread adopted generation %d before its next Submit", th.learn.gen.num)
+	}
+	submit(stream[0])
+	if th.learn.gen.num != 2 {
+		t.Fatalf("thread serves generation %d after its next Submit, want 2", th.learn.gen.num)
 	}
 }

@@ -47,9 +47,12 @@ func (c Fig9Config) withDefaults() Fig9Config {
 	return c
 }
 
-// Fig9 measures the cost of one PYTHIA-PREDICT query as a function of the
-// prediction distance (paper section III-C3): the cost grows linearly with
-// the distance, and irregular applications with complex grammars cost more.
+// Fig9 measures the cost of PYTHIA-PREDICT queries by prediction distance
+// (paper section III-C3). At each sampled point it queries one thread at
+// every distance in ascending order, and the predictor keeps its
+// look-ahead between calls and across observations. A row is therefore the
+// amortised cost of a query against a warm look-ahead, not the cost of the
+// paper's cold query, which grows linearly with the distance.
 func Fig9(cfg Fig9Config) ([]Fig9Row, error) {
 	cfg = cfg.withDefaults()
 	list, err := selectApps(cfg.Apps)

@@ -114,8 +114,8 @@ func (st *sessTable) release(s *Server) {
 	}
 	for _, ct := range st.tenants {
 		ct.t.unregister(ct.oracle)
-		// A learning oracle runs a lifecycle manager goroutine; join it.
-		// Frozen oracles make this a no-op.
+		// A learning oracle stops judging epochs; frozen oracles make
+		// this a no-op.
 		ct.oracle.Close()
 		s.st.Release(ct.t)
 	}

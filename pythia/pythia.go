@@ -159,8 +159,8 @@ type PredictOption func(*predictConfig)
 
 // WithOnlineLearning turns a predicting oracle into an always-on one: the
 // loaded trace keeps serving predictions while every thread's live event
-// stream is re-recorded as a shadow grammar; a background manager scores
-// both models over tumbling epochs and promotes the shadow only when it
+// stream is re-recorded as a shadow grammar; the submitting threads score
+// both models over tumbling epochs and promote the shadow only when it
 // out-predicts the serving model with hysteresis, rolling the promotion
 // back automatically if it regresses in its watch window. RecordOptions
 // configure the shadow recorders — the same budgets and clocks a recording
@@ -341,8 +341,8 @@ func (o *Oracle) Rollback() (gen uint64, err error) {
 	return o.sess.Rollback()
 }
 
-// Close releases the oracle's background machinery (the learning lifecycle
-// manager and the checkpointer, when present). Idempotent; oracles without
+// Close releases the oracle's background machinery (a learning oracle's
+// pending journal write and the checkpointer, when present). Idempotent; oracles without
 // either need not call it.
 func (o *Oracle) Close() {
 	defer o.sess.Contain("Oracle.Close")

@@ -8,8 +8,10 @@
 #   3. go build     — everything compiles
 #   4. go test      — the full unit suite
 #   5. go test -race — concurrency-sensitive packages under the race detector
-#                     (core, the public API, the lock-free event table, the
-#                     transport rings/seqlock, and the serving path)
+#                     (core with the model lifecycle, the public API, the
+#                     lock-free event table, the transport rings/seqlock,
+#                     the serving path, and the trace-file journal and wire
+#                     codecs the lifecycle writes and serves through)
 #   6. fuzz smoke   — FuzzGrammarInvariants, FuzzDigramIndexDiff,
 #                     FuzzConfirmDiff (10s: the recorder's confirming fast
 #                     path against the reduction alone),
@@ -46,11 +48,11 @@
 # (PYTHIA_CHAOS=1 — resets, torn frames, drops, stalls over tcp/unix/shm)
 # plus the reconnect, resume, keepalive and connect-pipeline suites, all
 # under -race.
-# CI gates on this in its own job. With --learn, additionally runs the
-# model-lifecycle suites under the race detector: the scored-promotion /
-# rollback state machine and learner (core), the lifecycle wire ops and
-# reconnect-across-promotion (server), the lineage journal round trips
-# (tracefile), and the promotion crash/SIGKILL matrix (faultinject).
+# CI gates on this in its own job. The model-lifecycle suites need no flag
+# of their own: step 5 runs the learner (core), the lifecycle wire ops and
+# reconnect-across-promotion (server) and the lineage journal round trips
+# (tracefile) under the race detector, and --chaos runs the promotion
+# crash/SIGKILL matrix with the rest of internal/faultinject.
 # With --bench, additionally runs the repo's benchmark, every workload
 # (bash bench/run.sh --workload all; see BENCHMARK.json and bench/README.md).
 # With --cluster, additionally runs the pythia-cluster suites under the
@@ -70,14 +72,12 @@ cd "$(dirname "$0")/.."
 run_bench=0
 run_chaos=0
 run_serve=0
-run_learn=0
 run_cluster=0
 for arg in "$@"; do
     case "${arg}" in
         --bench) run_bench=1 ;;
         --chaos) run_chaos=1 ;;
         --serve) run_serve=1 ;;
-        --learn) run_learn=1 ;;
         --cluster) run_cluster=1 ;;
         *) echo "check.sh: unknown argument ${arg}" >&2; exit 2 ;;
     esac
@@ -108,8 +108,9 @@ step "gofmt" check_gofmt
 step "go vet" go vet ./...
 step "go build" go build ./...
 step "go test" go test ./...
-step "go test -race (core + public API + events + transport + server)" \
-    go test -race ./internal/core/... ./pythia/... ./internal/events/ ./internal/transport/ ./internal/server/
+step "go test -race (core + public API + events + transport + server + tracefile + wire)" \
+    go test -race ./internal/core/... ./pythia/... ./internal/events/ ./internal/transport/ ./internal/server/ \
+    ./internal/tracefile/ ./internal/wire/
 step "fuzz smoke (FuzzGrammarInvariants)" \
     go test -fuzz FuzzGrammarInvariants -fuzztime=5s -run '^$' ./internal/grammar/
 step "fuzz smoke (FuzzDigramIndexDiff)" \
@@ -182,16 +183,6 @@ if [ "${run_chaos}" -eq 1 ]; then
         env PYTHIA_CHAOS=1 go test -race -count=1 \
         -run 'Chaos|Reconnect|Resume|Keepalive|Fallback|Pipeline|OracleClose' \
         ./internal/server/ ./pythia/client/
-fi
-
-if [ "${run_learn}" -eq 1 ]; then
-    step "learn (lifecycle machine + learner + wire ops, -race)" \
-        go test -race -count=1 \
-        -run 'Learn|Lifecycle|Promot|Rollback|Generation|Lineage' \
-        ./internal/core/ ./internal/server/ ./internal/tracefile/ ./internal/wire/
-    step "learn (promotion crash/SIGKILL matrix, -race)" \
-        go test -race -count=1 -run 'CrashDuringPromotion|SIGKILLDuringPromotion' \
-        ./internal/faultinject/
 fi
 
 if [ "${run_cluster}" -eq 1 ]; then
