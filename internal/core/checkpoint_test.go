@@ -103,6 +103,7 @@ func TestCheckpointNow(t *testing.T) {
 		WithRecorderOptions(recorder.WithoutTimestamps()),
 		WithCheckpoint(CheckpointPolicy{Dir: dir, Interval: time.Hour}),
 	)
+	t.Cleanup(s.Close)
 	a := s.Registry().Intern("a")
 	th := s.Thread(0)
 	for i := 0; i < 2*DefaultCheckpointEvents; i++ {

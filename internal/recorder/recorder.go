@@ -14,7 +14,6 @@ package recorder
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/events"
 	"repro/internal/grammar"
@@ -22,8 +21,10 @@ import (
 )
 
 // Clock returns a monotonically non-decreasing time in nanoseconds. Real
-// runs use a wall clock; the discrete-event OpenMP substrate injects its
-// virtual clock so that recorded durations are virtual too.
+// runs use the default clock, which reads the CPU's time-stamp counter where
+// it is invariant and the runtime's monotonic clock elsewhere (clock.go);
+// the discrete-event OpenMP substrate injects its virtual clock so that
+// recorded durations are virtual too.
 type Clock func() int64
 
 // Option configures a Recorder.
@@ -103,16 +104,16 @@ type Recorder struct {
 	ckptSink  func(Checkpoint)
 }
 
-// New returns a recorder. By default timestamps are recorded with a
-// monotonic wall clock.
+// New returns a recorder. By default timestamps are recorded with the
+// default clock: monotonic nanoseconds since New, read off the time-stamp
+// counter where the platform allows it (see clock.go).
 func New(opts ...Option) *Recorder {
 	r := &Recorder{g: grammar.New()}
 	for _, o := range opts {
 		o(r)
 	}
 	if r.clock == nil && !r.noTime {
-		base := time.Now()
-		r.clock = func() int64 { return int64(time.Since(base)) }
+		r.clock = defaultClock()
 	}
 	return r
 }

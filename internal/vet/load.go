@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package of the module under analysis.
@@ -20,7 +21,7 @@ type Package struct {
 	Path string
 	// Dir is the absolute directory holding the package sources.
 	Dir string
-	// Fset is the file set shared by every package of one Load call.
+	// Fset is the file set shared by every package LoadModule parses.
 	Fset *token.FileSet
 	// Files holds the parsed non-test files of the package.
 	Files []*ast.File
@@ -29,6 +30,19 @@ type Package struct {
 	// Info carries the type-checker's expression and identifier facts.
 	Info *types.Info
 }
+
+// std is the GOROOT source importer every LoadModule shares, and sharedFset
+// the file set it and every loaded module parse into: each standard-library
+// package is type-checked from source once per process, not once per
+// module. The source importer is not safe for concurrent use, so imports
+// through it hold the mutex; a token.FileSet is.
+var (
+	sharedFset = token.NewFileSet()
+	std        = struct {
+		sync.Mutex
+		imp types.Importer
+	}{imp: importer.ForCompiler(sharedFset, "source", nil)}
+)
 
 // Module is a loaded, type-checked module.
 type Module struct {
@@ -52,18 +66,15 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	dirs, err := packageDirs(root)
 	if err != nil {
 		return nil, err
 	}
 
 	ld := &loader{
-		fset:    fset,
 		root:    root,
 		modPath: modPath,
 		parsed:  make(map[string]*Package),
-		std:     importer.ForCompiler(fset, "source", nil),
 		checked: make(map[string]*types.Package),
 	}
 	for _, d := range dirs {
@@ -76,7 +87,7 @@ func LoadModule(dir string) (*Module, error) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	m := &Module{Root: root, ModPath: modPath, Fset: fset}
+	m := &Module{Root: root, ModPath: modPath, Fset: sharedFset}
 	for _, p := range paths {
 		if _, err := ld.check(p); err != nil {
 			return nil, err
@@ -148,11 +159,9 @@ func packageDirs(root string) ([]string, error) {
 // loader parses and type-checks packages on demand, memoising results so each
 // package is checked once regardless of import order.
 type loader struct {
-	fset    *token.FileSet
 	root    string
 	modPath string
 	parsed  map[string]*Package       // import path -> parsed (maybe unchecked) package
-	std     types.Importer            // GOROOT source importer for non-module imports
 	checked map[string]*types.Package // import path -> type-checked package
 	stack   []string                  // import cycle detection
 }
@@ -171,7 +180,7 @@ func (ld *loader) parseDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	pkg := &Package{Path: imp, Dir: dir, Fset: ld.fset}
+	pkg := &Package{Path: imp, Dir: dir, Fset: sharedFset}
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -186,7 +195,7 @@ func (ld *loader) parseDir(dir string) error {
 		} else if !match {
 			continue
 		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(sharedFset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return fmt.Errorf("vet: parsing %s: %w", filepath.Join(dir, name), err)
 		}
@@ -205,7 +214,9 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	if path == ld.modPath || strings.HasPrefix(path, ld.modPath+"/") {
 		return ld.check(path)
 	}
-	return ld.std.Import(path)
+	std.Lock()
+	defer std.Unlock()
+	return std.imp.Import(path)
 }
 
 // check type-checks one module package (and, recursively, its module
@@ -234,7 +245,7 @@ func (ld *loader) check(path string) (*types.Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 	}
 	cfg := &types.Config{Importer: ld}
-	tp, err := cfg.Check(path, ld.fset, pkg.Files, info)
+	tp, err := cfg.Check(path, sharedFset, pkg.Files, info)
 	if err != nil {
 		return nil, fmt.Errorf("vet: type-checking %s: %w", path, err)
 	}

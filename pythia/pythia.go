@@ -75,9 +75,9 @@ type Stats = predictor.Stats
 // RecordOption configures recording.
 type RecordOption = core.RecordOption
 
-// WithClock records event timestamps with a caller-provided monotonic clock
-// (nanoseconds). Simulated runtimes inject their virtual clock here so that
-// recorded durations are virtual too.
+// WithClock replaces the default clock (the CPU's time-stamp counter where it
+// is invariant, the monotonic clock elsewhere) with a caller's, in ns.
+// Simulated runtimes inject their virtual clock so durations are virtual too.
 func WithClock(clock func() int64) RecordOption {
 	return core.WithRecorderOptions(recorder.WithClock(clock))
 }
@@ -212,9 +212,9 @@ type Oracle struct {
 	sess *core.Session
 }
 
-// NewRecordOracle starts a recording (reference execution) oracle.
-// Timestamps are recorded with a monotonic wall clock unless configured
-// otherwise.
+// NewRecordOracle starts a recording (reference execution) oracle. Unless
+// configured otherwise, timestamps come from the default clock (see
+// WithClock).
 func NewRecordOracle(opts ...RecordOption) *Oracle {
 	return &Oracle{sess: core.NewRecordSession(opts...)}
 }

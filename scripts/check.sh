@@ -27,10 +27,12 @@
 #                     FuzzFlowGuards and FuzzModelLifecycle briefly
 #   7. vet fixtures — gofmt/go vet inside the analyzer fixture mini-modules
 #                     (separate modules, so ./... sweeps skip them)
-#   8. cross-vet    — go vet of internal/transport, internal/server and
-#                     pythia/client for darwin/arm64 and freebsd/amd64, so
-#                     the non-Linux doorbell shim (bell_other.go) compiles
-#                     although no Linux run builds it
+#   8. cross-vet    — go vet of internal/transport, internal/server,
+#                     pythia/client and internal/recorder for darwin/arm64
+#                     and freebsd/amd64, so the non-Linux doorbell shim
+#                     (bell_other.go) and the recorder's non-amd64 clock
+#                     (clock_other.go) compile although no Linux amd64 run
+#                     builds them, and the counter assembly vets off Linux
 #   9. pythia-vet   — the repo's own static-analysis pass, all nine
 #                     analyzers; stale baseline entries fail the run
 #                     (see cmd/pythia-vet for the exit contract)
@@ -152,20 +154,22 @@ check_fixture_modules() {
 }
 step "vet fixtures (go vet per fixture module)" check_fixture_modules
 
-# Linux builds only bell_linux.go; vet the shm packages for two other unix
-# targets so the portable shim keeps compiling.
+# Linux builds only bell_linux.go and amd64 only clock_amd64.{go,s}; vet the
+# shm packages and the recorder for two other unix targets so the portable
+# doorbell shim and the non-amd64 clock keep compiling.
 check_cross_vet() {
     local target ok=0
     for target in darwin/arm64 freebsd/amd64; do
         if ! GOOS="${target%/*}" GOARCH="${target#*/}" \
-            go vet ./internal/transport ./internal/server ./pythia/client; then
+            go vet ./internal/transport ./internal/server ./pythia/client \
+            ./internal/recorder; then
             echo "go vet failed for ${target}" >&2
             ok=1
         fi
     done
     return "${ok}"
 }
-step "cross-vet (darwin/arm64, freebsd/amd64: the non-Linux shm shim)" check_cross_vet
+step "cross-vet (darwin/arm64, freebsd/amd64: the non-Linux shm shim, the non-amd64 recorder clock)" check_cross_vet
 
 step "pythia-vet" go run ./cmd/pythia-vet ./...
 
