@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/pythia-vet ./...
 //	go run ./cmd/pythia-vet -analyzers=atomic-mix,lock-order ./...
-//	go run ./cmd/pythia-vet -update-baseline ./...
+//	go run ./cmd/pythia-vet -list
 //
 // Analyzers (see internal/vet):
 //
@@ -16,8 +16,8 @@
 //	containment          experimental packages must not leak into the core
 //	untrusted-size       wire/file-decoded sizes must be bounded before use
 //	atomic-mix           one synchronisation discipline per field
-//	goroutine-lifecycle  library goroutines must be joined, signalled, or
-//	                     annotated pythia:detached
+//	goroutine-lifecycle  library goroutines must be joined, not only
+//	                     quit-signalled
 //	lock-order           no AB/BA lock acquisition cycles through the call graph
 //
 // lock-discipline, atomic-mix and lock-order read one set of lock regions,
@@ -25,16 +25,22 @@
 // release at the same or a shallower block depth, so an early-return
 // Unlock inside an if does not end it for the code that follows.
 //
+// A finding is accepted in one way only: a comment
+//
+//	// pythia:allow <analyzer> <reason>
+//
+// trailing the finding's line, or anywhere in the comment block that ends on
+// the line above it. The allow moves with its code, and the reason sits next
+// to what it excuses. An allow that names an unknown analyzer, gives no
+// reason, or accepts no finding is itself reported, as
+// "file:line: [allow] message"; with -analyzers, only the allows of the
+// analyzers that ran are checked for a reason and a use.
+//
 // Exit contract (scripts and CI depend on it):
 //
-//	0  clean — no findings beyond the baseline, and no stale baseline entries
-//	1  findings not in the baseline, or stale baseline entries (see -allow-stale)
+//	0  clean — every finding is accepted by an allow, and every allow is used
+//	1  findings no allow accepts, or misused allows
 //	2  the module could not be loaded, or the flags were invalid
-//
-// A stale baseline entry is one that no longer matches any finding: the bug
-// it excused was fixed, so the entry is dead weight that could mask a future
-// regression at the same site. Staleness fails the run unless -allow-stale
-// is set (useful mid-refactor when line numbers are churning).
 //
 // The positional package patterns are accepted for familiarity but the tool
 // always analyses every package of the enclosing module: the analyzers are
@@ -47,8 +53,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/vet"
 )
@@ -60,12 +64,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pythia-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	baselinePath := fs.String("baseline", "", "baseline file (default <module root>/vet-baseline.txt)")
-	update := fs.Bool("update-baseline", false, "rewrite the baseline to accept all current findings")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	dir := fs.String("dir", ".", "directory inside the module to analyse")
 	names := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-	allowStale := fs.Bool("allow-stale", false, "do not fail on stale baseline entries")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0 // -h: the usage text is already printed
@@ -90,46 +91,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fprintf(stderr, "pythia-vet: %v\n", err)
 		return 2
 	}
-	diags := vet.RunAnalyzers(mod, analyzers)
-
-	bp := *baselinePath
-	if bp == "" {
-		bp = filepath.Join(mod.Root, "vet-baseline.txt")
-	}
-
-	if *update {
-		if err := vet.WriteBaseline(bp, mod.Root, diags); err != nil {
-			fprintf(stderr, "pythia-vet: %v\n", err)
-			return 2
-		}
-		fprintf(stdout, "pythia-vet: wrote %d finding(s) to %s\n", len(diags), bp)
-		return 0
-	}
-
-	base, err := vet.LoadBaseline(bp)
-	if err != nil {
-		fprintf(stderr, "pythia-vet: %v\n", err)
-		return 2
-	}
-	fresh, suppressed, stale := base.Filter(mod.Root, diags)
-	stale = staleForSelected(stale, analyzers)
-	for _, d := range fresh {
+	diags, allowed := vet.RunAnalyzers(mod, analyzers)
+	for _, d := range diags {
 		fprintf(stdout, "%s\n", d.Format(mod.Root))
 	}
-	for _, s := range stale {
-		fprintf(stderr, "pythia-vet: stale baseline entry (fixed? remove it): %s\n", s)
-	}
-	fail := len(fresh) > 0
-	if len(stale) > 0 && !*allowStale {
-		fprintf(stderr, "pythia-vet: %d stale baseline entr(ies) — regenerate the baseline or pass -allow-stale\n", len(stale))
-		fail = true
-	}
-	if fail {
-		fprintf(stderr, "pythia-vet: %d finding(s) (%d baselined, %d stale)\n", len(fresh), suppressed, len(stale))
+	if len(diags) > 0 {
+		fprintf(stderr, "pythia-vet: %d finding(s) (%d allowed)\n", len(diags), allowed)
 		return 1
 	}
-	if suppressed > 0 {
-		fprintf(stderr, "pythia-vet: clean (%d baselined finding(s))\n", suppressed)
+	if allowed > 0 {
+		fprintf(stderr, "pythia-vet: clean (%d allowed finding(s))\n", allowed)
 	}
 	return 0
 }
@@ -137,24 +108,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // fprintf writes a CLI diagnostic. The streams are injected (so the tests
 // can capture output), but they are the command's stdout/stderr: if writing
 // a diagnostic fails there is nowhere left to report, so the print error is
-// structurally dead — the same contract the fmt.Print family has. The one
-// resulting error-hygiene finding is justified in vet-baseline.txt.
+// structurally dead — the same contract the fmt.Print family has.
 func fprintf(w io.Writer, format string, args ...any) {
+	// pythia:allow error-hygiene — the one place the CLI writes its
+	// diagnostics; the injected streams take it outside the analyzer's
+	// os.Stdout/os.Stderr allowlist, but a failed write to them has nowhere
+	// left to go.
 	fmt.Fprintf(w, format, args...)
-}
-
-// staleForSelected keeps only the stale entries produced by analyzers that
-// actually ran: with -analyzers narrowing the set, entries belonging to the
-// skipped analyzers cannot match anything and would be false staleness.
-func staleForSelected(stale []string, analyzers []*vet.Analyzer) []string {
-	var out []string
-	for _, s := range stale {
-		for _, a := range analyzers {
-			if strings.Contains(s, "["+a.Name+"]") {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out
 }

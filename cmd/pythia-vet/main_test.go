@@ -42,13 +42,23 @@ func Decode(hdr []byte) []uint64 {
 }
 `
 
+// allowedSrc returns buggySrc with comment on the line above its finding,
+// after extra lines inserted above Decode's doc comment.
+func allowedSrc(comment, extra string) string {
+	src := strings.Replace(buggySrc, "\treturn make", "\t"+comment+"\n\treturn make", 1)
+	return strings.Replace(src, "// Decode allocates", extra+"// Decode allocates", 1)
+}
+
+// unusedAllowSrc is cleanSrc with an allow that accepts nothing.
+var unusedAllowSrc = strings.Replace(cleanSrc, "func Add",
+	"// pythia:allow untrusted-size — nothing here to excuse\nfunc Add", 1)
+
 // TestRunExitContract pins the documented exit codes and flag behaviour:
-// 0 clean, 1 findings or stale baseline, 2 load/flag errors.
+// 0 clean, 1 findings or misused allows, 2 load/flag errors.
 func TestRunExitContract(t *testing.T) {
 	tests := []struct {
 		name       string
 		files      map[string]string
-		baseline   string // written as vet-baseline.txt when non-empty
 		extraArgs  []string
 		wantCode   int
 		wantStdout []string // substrings
@@ -92,30 +102,42 @@ func TestRunExitContract(t *testing.T) {
 			wantStderr: []string{"pythia-vet:"},
 		},
 		{
-			name:     "baselined finding exits 0",
-			files:    map[string]string{"a.go": buggySrc},
-			baseline: "a.go:8: [untrusted-size] size n from untrusted source binary.Uint32 reaches make without a dominating bound check (clamp or validate it first)\n",
-			wantCode: 0,
-		},
-		{
-			name:       "stale baseline entry exits 1",
-			files:      map[string]string{"a.go": cleanSrc},
-			baseline:   "a.go:8: [untrusted-size] size n from untrusted source binary.Uint32 reaches make without a dominating bound check (clamp or validate it first)\n",
-			wantCode:   1,
-			wantStderr: []string{"stale baseline entry", "regenerate the baseline or pass -allow-stale"},
-		},
-		{
-			name:       "allow-stale downgrades staleness to a warning",
-			files:      map[string]string{"a.go": cleanSrc},
-			baseline:   "a.go:8: [untrusted-size] size n from untrusted source binary.Uint32 reaches make without a dominating bound check (clamp or validate it first)\n",
-			extraArgs:  []string{"-allow-stale"},
+			name:       "allowed finding exits 0",
+			files:      map[string]string{"a.go": allowedSrc("// pythia:allow untrusted-size — the header is trusted", "")},
 			wantCode:   0,
-			wantStderr: []string{"stale baseline entry"},
+			wantStderr: []string{"clean (1 allowed finding(s))"},
+		},
+		{
+			// Lines added above an accepted finding shift it; the allow
+			// moves with its code.
+			name: "lines inserted above an allowed finding still exit 0",
+			files: map[string]string{"a.go": allowedSrc("// pythia:allow untrusted-size — the header is trusted",
+				"// Two lines added\n// above the doc comment.\n//\n")},
+			wantCode:   0,
+			wantStderr: []string{"clean (1 allowed finding(s))"},
+		},
+		{
+			name:       "unused allow exits 1",
+			files:      map[string]string{"a.go": unusedAllowSrc},
+			wantCode:   1,
+			wantStdout: []string{"a.go:4: [allow] pythia:allow untrusted-size accepts no finding on line 5"},
+			wantStderr: []string{"1 finding(s) (0 allowed)"},
+		},
+		{
+			name:       "allow naming an unknown analyzer exits 1",
+			files:      map[string]string{"a.go": allowedSrc("// pythia:allow untrusted-sise — misspelt", "")},
+			wantCode:   1,
+			wantStdout: []string{`a.go:8: [allow] pythia:allow names unknown analyzer "untrusted-sise"`, "a.go:9: [untrusted-size]"},
+		},
+		{
+			name:       "allow without a reason exits 1",
+			files:      map[string]string{"a.go": allowedSrc("// pythia:allow untrusted-size", "")},
+			wantCode:   1,
+			wantStdout: []string{"a.go:8: [allow] pythia:allow untrusted-size gives no reason", "a.go:9: [untrusted-size]"},
 		},
 		{
 			name:      "stale entry for a skipped analyzer does not fail a filtered run",
-			files:     map[string]string{"a.go": cleanSrc},
-			baseline:  "a.go:8: [untrusted-size] size n from untrusted source binary.Uint32 reaches make without a dominating bound check (clamp or validate it first)\n",
+			files:     map[string]string{"a.go": unusedAllowSrc},
 			extraArgs: []string{"-analyzers=atomic-mix"},
 			wantCode:  0,
 		},
@@ -124,7 +146,7 @@ func TestRunExitContract(t *testing.T) {
 			files:      map[string]string{"a.go": cleanSrc},
 			extraArgs:  []string{"-h"},
 			wantCode:   0,
-			wantStderr: []string{"-update-baseline"},
+			wantStderr: []string{"-analyzers", "-dir", "-list"},
 		},
 		{
 			name:       "list prints the registry",
@@ -144,12 +166,6 @@ func TestRunExitContract(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			root := writeModule(t, tt.files)
-			bp := filepath.Join(root, "vet-baseline.txt")
-			if tt.baseline != "" {
-				if err := os.WriteFile(bp, []byte(tt.baseline), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
 			args := append([]string{"-dir", root}, tt.extraArgs...)
 			var stdout, stderr strings.Builder
 			code := run(args, &stdout, &stderr)
@@ -168,24 +184,5 @@ func TestRunExitContract(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunUpdateBaseline round-trips -update-baseline: the rewritten file
-// must make the same module pass with no staleness.
-func TestRunUpdateBaseline(t *testing.T) {
-	root := writeModule(t, map[string]string{"a.go": buggySrc})
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-dir", root, "-update-baseline"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("update exit = %d, stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "wrote 1 finding(s)") {
-		t.Errorf("update stdout: %s", stdout.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-dir", root}, &stdout, &stderr); code != 0 {
-		t.Errorf("post-update exit = %d, want 0\nstdout:\n%s\nstderr:\n%s",
-			code, stdout.String(), stderr.String())
 	}
 }

@@ -27,6 +27,10 @@ func InverseFFT(re, im []float64) {
 func fftDir(re, im []float64, inverse bool) {
 	n := len(re)
 	if n == 0 || n&(n-1) != 0 {
+		// pythia:allow panic-policy — a caller-contract panic on a
+		// simulator numerics API: a wrong FFT length is a programming error
+		// the real library aborts on too, and a "pythia: internal" prefix
+		// would mislabel a caller bug as an oracle bug.
 		panic("apps: FFT length must be a power of two")
 	}
 	// Bit-reversal permutation.

@@ -77,18 +77,19 @@ type proxyConn struct {
 	server net.Conn
 }
 
-// kill severs both halves. abrupt asks for a TCP RST instead of FIN.
+// kill severs both halves. abrupt asks for a TCP RST instead of FIN. Its
+// errors have no consumer: severing the pipe is the handling.
 func (pc *proxyConn) kill(abrupt bool) {
 	if abrupt {
 		if tc, ok := pc.client.(*net.TCPConn); ok {
-			_ = tc.SetLinger(0)
+			_ = tc.SetLinger(0) // pythia:allow error-hygiene — deliberate kill
 		}
 		if tc, ok := pc.server.(*net.TCPConn); ok {
-			_ = tc.SetLinger(0)
+			_ = tc.SetLinger(0) // pythia:allow error-hygiene — deliberate kill
 		}
 	}
-	_ = pc.client.Close()
-	_ = pc.server.Close()
+	_ = pc.client.Close() // pythia:allow error-hygiene — deliberate kill
+	_ = pc.server.Close() // pythia:allow error-hygiene — deliberate kill
 }
 
 // New starts a proxy in front of backend (a transport address: "host:port",
@@ -193,12 +194,12 @@ func (p *Proxy) acceptLoop() {
 			continue
 		}
 		if !p.enabled.Load() {
-			_ = client.Close()
+			_ = client.Close() // pythia:allow error-hygiene — refusing the connection is the handling
 			continue
 		}
 		server, err := net.DialTimeout(p.backendNet, p.backendAddr, 5*time.Second)
 		if err != nil {
-			_ = client.Close()
+			_ = client.Close() // pythia:allow error-hygiene — refusing the connection is the handling
 			continue
 		}
 		id := p.total.Add(1) - 1
@@ -273,7 +274,7 @@ func (p *Proxy) pump(pc *proxyConn, id int64, dir int, src, dst net.Conn) {
 				return
 			case due(p.cfg.TornEvery, chunk, phase+7):
 				cut := 1 + rng.Intn(n)
-				_, _ = dst.Write(buf[:cut])
+				_, _ = dst.Write(buf[:cut]) // pythia:allow error-hygiene — a torn write on a pipe being killed
 				pc.kill(true)
 				return
 			case due(p.cfg.DropEvery, chunk, phase+11):

@@ -306,6 +306,7 @@ type Thread struct {
 }
 
 // TID returns the thread identifier.
+// pythia:allow containment — returns a field verbatim; nothing here can panic.
 func (t *Thread) TID() int32 { return t.tid }
 
 // noteHealth folds per-thread degradation transitions into the session
@@ -427,8 +428,10 @@ func (t *Thread) PredictDurationUntil(id events.ID, maxDistance int) (pr predict
 
 // Predictor exposes the underlying predictor (nil in record mode), for
 // diagnostics.
+// pythia:allow containment — returns a field verbatim; nothing here can panic.
 func (t *Thread) Predictor() *predictor.Predictor { return t.pred }
 
 // Recorder exposes the underlying recorder (nil in predict mode), for
 // diagnostics.
+// pythia:allow containment — returns a field verbatim; nothing here can panic.
 func (t *Thread) Recorder() *recorder.Recorder { return t.rec }

@@ -83,6 +83,9 @@ func PanicClock(n int) func() int64 {
 	return func() int64 {
 		calls++
 		if calls > int64(n) {
+			// pythia:allow panic-policy — the panic is the injected fault; a
+			// "pythia: internal" prefix would make contained-fault causes
+			// indistinguishable from real oracle bugs in the chaos tests.
 			panic("faultinject: scheduled clock fault")
 		}
 		now += 7

@@ -497,6 +497,8 @@ func (g *Grammar) allocRule() *rule {
 		g.free = g.free[:n-1]
 	} else {
 		idx = int32(len(g.rules))
+		// pythia:allow hotpath-alloc — g.rules grows only when a new rule
+		// index is minted: bounded by the peak live rule count, not by events.
 		g.rules = append(g.rules, nil)
 	}
 	var r *rule
@@ -520,13 +522,15 @@ func (g *Grammar) allocRule() *rule {
 func (g *Grammar) freeRule(r *rule) {
 	g.rules[r.idx] = nil
 	g.liveRules--
+	// pythia:allow hotpath-alloc — g.free never holds more indexes than
+	// g.rules has minted, so it is bounded by the peak live rule count.
 	g.free = append(g.free, r.idx)
 	if len(g.rulePool) >= 256 {
 		return
 	}
 	r.uses = 0
 	r.guard.prev, r.guard.next = r.guard, r.guard
-	g.rulePool = append(g.rulePool, r)
+	g.rulePool = append(g.rulePool, r) // pythia:allow hotpath-alloc — capped at 256 above
 }
 
 func minU32(a, b uint32) uint32 {

@@ -40,20 +40,7 @@ func runMPIAppRanks(app apps.App, class apps.Class, record bool, seed int64, ran
 		oracle = pythia.NewRecordOracle(pythia.WithoutTimestamps())
 	}
 	w := mpisim.NewWorld(ranks)
-	body := func(m mpisim.MPI) {
-		ctx := &apps.Context{MPI: m, Class: class, Seed: seed}
-		if app.Hybrid {
-			cfg := ompsim.Config{MaxThreads: 2}
-			if record {
-				cfg.Oracle = oracle
-				cfg.ThreadID = int32(m.Rank())
-			}
-			rt := ompsim.New(cfg)
-			defer rt.Close()
-			ctx.OMP = rt
-		}
-		app.Run(ctx)
-	}
+	body := appBody(app, class, seed, record, oracle)
 	start := time.Now()
 	if record {
 		w.RunInterposed(func(m mpisim.MPI) mpisim.MPI {

@@ -142,6 +142,8 @@ func (r *Rank) Allreduce(op Op, data []float64) []float64 {
 // Alltoall implements MPI.
 func (r *Rank) Alltoall(send [][]float64) [][]float64 {
 	if len(send) != r.world.size {
+		// pythia:allow panic-policy — a caller-contract panic on the
+		// simulated MPI API: real MPI aborts on a mis-sized buffer too.
 		panic("mpisim: Alltoall send buffer must have one slice per rank")
 	}
 	// Flatten contributions as concatenation with per-rank lengths; use p2p

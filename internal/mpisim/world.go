@@ -178,6 +178,8 @@ type World struct {
 // NewWorld creates a world of the given size (>= 1).
 func NewWorld(size int) *World {
 	if size < 1 {
+		// pythia:allow panic-policy — a caller-contract panic: real MPI
+		// aborts on an invalid world size too.
 		panic(fmt.Sprintf("mpisim: world size %d", size))
 	}
 	w := &World{size: size, coll: newCollective(size)}
@@ -194,6 +196,8 @@ func (w *World) Size() int { return w.size }
 // used by a single goroutine.
 func (w *World) Rank(rank int) *Rank {
 	if rank < 0 || rank >= w.size {
+		// pythia:allow panic-policy — a caller-contract panic: real MPI
+		// aborts on an out-of-range rank too.
 		panic(fmt.Sprintf("mpisim: rank %d out of world of size %d", rank, w.size))
 	}
 	return &Rank{world: w, rank: rank}

@@ -60,9 +60,9 @@ func (s *Server) ConfigureCluster(self string, daemons []string, epoch uint64, r
 		m:    cluster.Map{Epoch: epoch, Replicas: replicas, Daemons: daemons},
 	})
 	s.clusMu.Unlock()
-	// pythia:detached — one-shot anti-entropy pass; Sweep serializes on
-	// sweepMu and returns immediately once the server starts draining, so
-	// nothing needs to join it.
+	// pythia:allow goroutine-lifecycle — one-shot anti-entropy pass; Sweep
+	// serializes on sweepMu and returns immediately once the server starts
+	// draining, so nothing needs to join it.
 	go s.Sweep()
 }
 
@@ -90,9 +90,9 @@ func (s *Server) adoptEpoch(epoch uint64) bool {
 	s.clus.Store(next)
 	s.clusMu.Unlock()
 	s.logf("pythiad: cluster epoch %d adopted (was %d)", epoch, cs.m.Epoch)
-	// pythia:detached — one-shot anti-entropy pass; Sweep serializes on
-	// sweepMu and returns immediately once the server starts draining, so
-	// nothing needs to join it.
+	// pythia:allow goroutine-lifecycle — one-shot anti-entropy pass; Sweep
+	// serializes on sweepMu and returns immediately once the server starts
+	// draining, so nothing needs to join it.
 	go s.Sweep()
 	return true
 }

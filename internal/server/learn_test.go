@@ -7,8 +7,11 @@ package server
 // oracle even across connection cuts.
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,6 +119,75 @@ func TestModelLifecycleOverWire(t *testing.T) {
 	if h := ro.Health(); h.Rollbacks != 1 || h.State != pythia.Degraded {
 		t.Fatalf("rollback not latched in remote health: %+v", h)
 	}
+}
+
+// TestLearnPromotionStaysInMemory pins where a learning daemon's promotions
+// live: tenantOf clears LearnPolicy.Dir, so a promoted generation belongs to
+// its connection's oracle and never reaches the trace directory. The
+// tenant's file, the directory listing and the offer a cluster sweep ships
+// to peers (loadOffer) all read as before the promotion.
+func TestLearnPromotionStaysInMemory(t *testing.T) {
+	dir := t.TempDir()
+	names := synthTrace(t, dir, "bt", 96)
+	srv, addr := startServer(t, learnConfig(dir))
+	path := filepath.Join(dir, "bt.pythia")
+	fileBefore, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listBefore := dirNames(t, dir)
+	offerBefore := srv.loadOffer("bt", "self")
+	if len(offerBefore.Payload) == 0 {
+		t.Fatal("loadOffer shipped no payload for the tenant's trace")
+	}
+
+	c, err := client.Dial(addr, client.Config{RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	ro, err := c.Oracle("bt")
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	rth := ro.Thread(0)
+	for _, name := range driftStream(names, 512) {
+		rth.Submit(ro.Intern(name))
+	}
+	rth.Flush()
+	if gen, err := ro.Promote(); err != nil || gen != 2 {
+		t.Fatalf("Promote after drift = %d, %v; want generation 2", gen, err)
+	}
+
+	fileAfter, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fileAfter, fileBefore) {
+		t.Errorf("promotion rewrote %s (%d -> %d bytes)", path, len(fileBefore), len(fileAfter))
+	}
+	if got := dirNames(t, dir); !slices.Equal(got, listBefore) {
+		t.Errorf("trace dir after promotion = %v, want %v", got, listBefore)
+	}
+	offerAfter := srv.loadOffer("bt", "self")
+	if offerAfter.Generation != offerBefore.Generation || !bytes.Equal(offerAfter.Payload, offerBefore.Payload) {
+		t.Errorf("sweep offer after promotion: generation %d (%d bytes), want %d (%d bytes)",
+			offerAfter.Generation, len(offerAfter.Payload), offerBefore.Generation, len(offerBefore.Payload))
+	}
+}
+
+// dirNames lists the entries of dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 func TestLifecycleRefusedWithoutLearning(t *testing.T) {

@@ -310,10 +310,12 @@ func Save(path string, ts *model.TraceSet) error {
 	}
 	hookAt(CrashSaveRenamed, path)
 	// Durability of the rename requires the directory entry to hit disk.
-	// Best-effort: some platforms/filesystems reject fsync on directories.
+	// Best-effort: some platforms/filesystems reject fsync on directories,
+	// and the rename already succeeded, so failing Save here would turn a
+	// durability nicety into an availability bug.
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		_ = dir.Close()
+		_ = dir.Sync()  // pythia:allow error-hygiene — best-effort, see above
+		_ = dir.Close() // pythia:allow error-hygiene — best-effort, see above
 	}
 	return nil
 }

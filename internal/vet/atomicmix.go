@@ -33,7 +33,7 @@ import (
 //   - fields with no lock-covered write at all (rule 2 cannot tell
 //     single-goroutine state from a missing lock, so it stays silent).
 //
-// Justified exceptions go in the baseline with a comment.
+// A justified exception carries a pythia:allow atomic-mix comment.
 var AtomicMix = &Analyzer{
 	Name: "atomic-mix",
 	Doc:  "one synchronization discipline per struct field (atomic xor plain, locked xor not)",

@@ -10,8 +10,8 @@ import (
 // through the panic-containment wrapper — a deferred call to Contain or
 // ContainTo — so an internal bug degrades the oracle instead of crashing
 // the host runtime. Pure accessors that cannot panic (no calls, no
-// indexing) are individually accepted in vet-baseline.txt with a
-// justification, keeping the exception list reviewed rather than implicit.
+// indexing) are individually accepted with a pythia:allow containment
+// comment, keeping the exception list reviewed rather than implicit.
 var Containment = &Analyzer{
 	Name: "containment",
 	Doc:  "exported methods of pythia:contained types must defer a containment wrapper",

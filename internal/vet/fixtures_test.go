@@ -15,7 +15,7 @@ func loadDiskFixture(t *testing.T, name string, analyzers ...*Analyzer) []string
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	diags := RunAnalyzers(mod, analyzers)
+	diags, _ := RunAnalyzers(mod, analyzers)
 	out := make([]string, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, d.Format(mod.Root))
@@ -99,4 +99,45 @@ func TestLockOrderFixture(t *testing.T) {
 		"[lock-order] lock-order inversion: fixture.Index.mu acquired while holding fixture.Ledger.mu (via call to reindex)",
 		"[lock-order] lock-order inversion: fixture.Ledger.mu acquired while holding fixture.Index.mu",
 	})
+}
+
+// TestAllowFixture pins the one way to accept a finding. good.go holds a
+// leading and a trailing pythia:allow, each accepting exactly one finding;
+// bad.go holds the misuses RunAnalyzers reports as [allow] findings — an
+// allow that accepts nothing, one naming an unknown analyzer, one with no
+// reason — plus a trailing allow that must not reach the line below it.
+func TestAllowFixture(t *testing.T) {
+	mod, err := LoadModule(filepath.Join("testdata", "fixtures", "allow"))
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	diags, allowed := RunAnalyzers(mod, []*Analyzer{ErrorHygiene})
+	got := make([]string, 0, len(diags))
+	for _, d := range diags {
+		got = append(got, d.Format(mod.Root))
+	}
+	expectAllInBadFile(t, got)
+	expectFindings(t, got, []string{
+		"bad.go:9: [allow] pythia:allow error-hygiene accepts no finding on line 10",
+		`bad.go:17: [allow] pythia:allow names unknown analyzer "error-hygeine"`,
+		"bad.go:18: [error-hygiene] error value fail() assigned to _",
+		"bad.go:23: [allow] pythia:allow error-hygiene gives no reason",
+		"bad.go:23: [error-hygiene] error value fail() assigned to _",
+		"bad.go:30: [error-hygiene] error value fail() assigned to _",
+	})
+	if allowed != 3 {
+		t.Errorf("allowed = %d, want 3 (good.go's two and TrailingOnly's first line)", allowed)
+	}
+
+	// An analyzer that did not run leaves its allows unjudged: neither the
+	// unused nor the reasonless one is reported, but an unknown name still is.
+	diags, allowed = RunAnalyzers(mod, []*Analyzer{PanicPolicy})
+	got = got[:0]
+	for _, d := range diags {
+		got = append(got, d.Format(mod.Root))
+	}
+	expectFindings(t, got, []string{`bad.go:17: [allow] pythia:allow names unknown analyzer "error-hygeine"`})
+	if allowed != 0 {
+		t.Errorf("allowed = %d with error-hygiene not run, want 0", allowed)
+	}
 }

@@ -29,12 +29,11 @@ import (
 // graph and checked the same way; a goroutine whose body cannot be seen
 // statically (a function value) is flagged.
 //
-// Deliberately detached goroutines carry a "pythia:detached" annotation —
-// on the line above the `go` statement or in the enclosing function's doc
-// comment — with a justification.
+// A deliberately detached goroutine carries a pythia:allow
+// goroutine-lifecycle comment on its `go` statement saying why.
 var GoroutineLifecycle = &Analyzer{
 	Name: "goroutine-lifecycle",
-	Doc:  "library goroutines must be joined on drain (and may be quit-signalled), or annotated pythia:detached",
+	Doc:  "library goroutines must be joined on drain (and may be quit-signalled)",
 	Run:  runGoroutineLifecycle,
 }
 
@@ -55,25 +54,19 @@ func runGoroutineLifecycle(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if hasAnnotation(fd.Doc, "detached") {
-				continue
-			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				gs, ok := n.(*ast.GoStmt)
 				if !ok {
-					return true
-				}
-				if detachedAt(pass.Pkg, file, gs) {
 					return true
 				}
 				switch goroutineTie(pass, fd, gs) {
 				case tieJoined:
 				case tieSignalled:
 					pass.Reportf(gs.Pos(),
-						"goroutine is quit-signalled but never joined: nothing waits for it to exit, so a drain can return while it still runs (close or send on a done channel a drain path receives from, or tie it to a WaitGroup; annotate pythia:detached if the leak is deliberate)")
+						"goroutine is quit-signalled but never joined: nothing waits for it to exit, so a drain can return while it still runs (close or send on a done channel a drain path receives from, or tie it to a WaitGroup)")
 				default:
 					pass.Reportf(gs.Pos(),
-						"goroutine is not tied to a WaitGroup, a quit/stop channel, or a join channel the spawner waits on (annotate pythia:detached with a justification if the leak is deliberate)")
+						"goroutine is not tied to a WaitGroup, a quit/stop channel, or a join channel the spawner waits on")
 				}
 				return true
 			})
@@ -130,24 +123,6 @@ func sleepsConstant(pkg *Package, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// detachedAt reports a "pythia:detached" comment block ending on the line
-// just above the go statement (or trailing on the same line). The
-// annotation may sit anywhere in the block, so a multi-line justification
-// still counts.
-func detachedAt(pkg *Package, file *ast.File, gs *ast.GoStmt) bool {
-	goLine := pkg.Fset.Position(gs.Pos()).Line
-	for _, cg := range file.Comments {
-		if !hasAnnotation(cg, "detached") {
-			continue
-		}
-		line := pkg.Fset.Position(cg.End()).Line
-		if line == goLine || line == goLine-1 {
-			return true
-		}
-	}
-	return false
 }
 
 // goroutineTie classifies the lifecycle tie of the goroutine spawned by

@@ -316,7 +316,7 @@ func computeLockOrder(facts *ModuleFacts) map[string][]Diagnostic {
 	}
 
 	// Keep the earliest site per ordered (held, acquired) pair so the
-	// report (and the baseline) stays stable as unrelated code moves.
+	// report (and any pythia:allow on it) stays stable as unrelated code moves.
 	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].pos < pairs[j].pos })
 	first := make(map[[2]string]lockPair)
 	for _, p := range pairs {

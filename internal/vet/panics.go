@@ -16,8 +16,8 @@ const internalPanicPrefix = "pythia: internal"
 // examples/) unless the panic message is a string constant prefixed
 // "pythia: internal" — the marker for documented invariant violations.
 // API-misuse panics (argument validation, mode confusion) must either become
-// error returns or be individually accepted in vet-baseline.txt with a
-// justification.
+// error returns or be individually accepted with a pythia:allow
+// panic-policy comment.
 var PanicPolicy = &Analyzer{
 	Name: "panic-policy",
 	Doc:  "library panics must be documented invariant violations",

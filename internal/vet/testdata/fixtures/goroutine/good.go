@@ -82,8 +82,8 @@ func (w *Worker) RunHandshake() {
 
 // RunDetached is deliberately fire-and-forget and says so.
 func (w *Worker) RunDetached() {
-	// pythia:detached — one-shot best-effort notification; the process
-	// outliving it is fine and nothing observes its completion.
+	// pythia:allow goroutine-lifecycle — one-shot best-effort notification;
+	// the process outliving it is fine and nothing observes its completion.
 	go func() {
 		w.n++
 	}()

@@ -33,7 +33,7 @@ type Diagnostic struct {
 
 // Format renders the diagnostic as "file:line: [analyzer] message" with the
 // file path relative to root (analysis output must be stable across
-// checkouts for the baseline to work).
+// checkouts).
 func (d Diagnostic) Format(root string) string {
 	return fmt.Sprintf("%s: [%s] %s", relPosition(root, d.Pos), d.Analyzer, d.Message)
 }
@@ -157,10 +157,11 @@ func SelectAnalyzers(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunAnalyzers applies every analyzer to every package of the module and
-// returns the findings sorted by file, line and analyzer.
-func RunAnalyzers(m *Module, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
+// RunAnalyzers applies every analyzer to every package of the module, drops
+// the findings a pythia:allow comment accepts (allow.go) and returns the rest,
+// with one "allow" diagnostic per misused allow, sorted by file, line and
+// analyzer, together with the number of findings accepted.
+func RunAnalyzers(m *Module, analyzers []*Analyzer) (diags []Diagnostic, allowed int) {
 	facts := NewModuleFacts(m)
 	for _, pkg := range m.Packages {
 		for _, a := range analyzers {
@@ -176,6 +177,7 @@ func RunAnalyzers(m *Module, analyzers []*Analyzer) []Diagnostic {
 			a.Run(pass)
 		}
 	}
+	diags, allowed = applyAllows(m, analyzers, diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -189,7 +191,7 @@ func RunAnalyzers(m *Module, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Message < b.Message
 	})
-	return diags
+	return diags, allowed
 }
 
 // funcDecls yields every function declaration of the package together with

@@ -1,7 +1,6 @@
 package vet
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +27,7 @@ func loadFixture(t *testing.T, files map[string]string, analyzers ...*Analyzer) 
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	diags := RunAnalyzers(mod, analyzers)
+	diags, _ := RunAnalyzers(mod, analyzers)
 	out := make([]string, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, d.Format(root))
@@ -510,77 +509,6 @@ func MayFail() error { return errors.New("x") }
 		"examples/demo/main.go": example,
 	}, ErrorHygiene)
 	expectFindings(t, got, nil)
-}
-
-func TestBaselineFilter(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.txt")
-	content := "# header comment\nfile.go:1: [a] msg\nfile.go:1: [a] msg\nfile.go:9: [b] gone\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag := func(line int, analyzer, msg string) Diagnostic {
-		return Diagnostic{
-			Pos:      token.Position{Filename: "file.go", Line: line},
-			Analyzer: analyzer,
-			Message:  msg,
-		}
-	}
-	diags := []Diagnostic{
-		diag(1, "a", "msg"), diag(1, "a", "msg"), // both within the budget of 2
-		diag(1, "a", "msg"), // exceeds the budget
-		diag(2, "a", "new"), // not baselined at all
-	}
-	fresh, suppressed, stale := b.Filter(dir, diags)
-	if suppressed != 2 {
-		t.Errorf("suppressed = %d, want 2", suppressed)
-	}
-	if len(fresh) != 2 {
-		t.Fatalf("fresh = %d finding(s), want 2", len(fresh))
-	}
-	if got := fresh[1].Format(dir); got != "file.go:2: [a] new" {
-		t.Errorf("fresh[1] = %q", got)
-	}
-	if len(stale) != 1 || stale[0] != "file.go:9: [b] gone" {
-		t.Errorf("stale = %q, want the unmatched entry", stale)
-	}
-}
-
-func TestLoadBaselineMissingFile(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.txt"))
-	if err != nil {
-		t.Fatalf("missing baseline should load as empty, got error %v", err)
-	}
-	d := Diagnostic{Pos: token.Position{Filename: "f.go", Line: 1}, Analyzer: "a", Message: "m"}
-	fresh, suppressed, stale := b.Filter(t.TempDir(), []Diagnostic{d})
-	if len(fresh) != 1 || suppressed != 0 || len(stale) != 0 {
-		t.Fatalf("empty baseline Filter = (%d fresh, %d suppressed, %d stale)", len(fresh), suppressed, len(stale))
-	}
-}
-
-func TestWriteBaselinePreservesHeader(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.txt")
-	header := "# justification: deliberate finding\n# second line\n"
-	if err := os.WriteFile(path, []byte(header+"old.go:1: [a] gone\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d := Diagnostic{Pos: token.Position{Filename: "new.go", Line: 3}, Analyzer: "b", Message: "kept"}
-	if err := WriteBaseline(path, dir, []Diagnostic{d}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := header + "new.go:3: [b] kept\n"
-	if string(got) != want {
-		t.Errorf("rewritten baseline:\n%s\nwant:\n%s", got, want)
-	}
 }
 
 func TestLoadModuleSelf(t *testing.T) {

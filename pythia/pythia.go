@@ -251,12 +251,16 @@ func LoadOracle(path string, cfg Config, opts ...PredictOption) (*Oracle, error)
 }
 
 // Recording reports whether the oracle is in record mode.
+// pythia:allow containment — reads the session mode under the session's own
+// synchronisation; nothing here can panic.
 func (o *Oracle) Recording() bool { return o.sess.Mode() == core.ModeRecord }
 
 // Health returns a snapshot of the oracle's reliability state: Healthy,
 // Degraded (fail-open after a contained panic or a breached record budget)
 // or Quarantined (divergence watchdog), with the first failure cause and
 // failure counters. Safe to call from any goroutine.
+// pythia:allow containment — delegates to Session.Health, which reads under
+// the session's own synchronisation.
 func (o *Oracle) Health() Health { return o.sess.Health() }
 
 // Intern returns the event ID for a key point name, optionally discriminated
@@ -290,6 +294,8 @@ func (o *Oracle) EventName(id ID) (name string) {
 // Thread returns the oracle handle for thread tid, creating it on first use.
 // The handle is never nil: if thread creation fails internally the oracle
 // degrades and the handle is inert.
+// pythia:allow containment — delegates to Session.Thread, whose creation path
+// is contained (createThreadContained) and returns an inert stub on failure.
 func (o *Oracle) Thread(tid int32) *Thread { return o.sess.Thread(tid) }
 
 // Finish ends a recording oracle and returns its trace set. It returns an

@@ -34,7 +34,8 @@
 #                     (clock_other.go) compile although no Linux amd64 run
 #                     builds them, and the counter assembly vets off Linux
 #   9. pythia-vet   — the repo's own static-analysis pass, all nine
-#                     analyzers; stale baseline entries fail the run
+#                     analyzers; an unused, unknown-analyzer or reasonless
+#                     pythia:allow fails the run like a finding
 #                     (see cmd/pythia-vet for the exit contract)
 #  10. benchmark    — go vet and go test inside bench/. It is a module of
 #                     its own, so ./... sweeps skip it, yet it builds
@@ -171,7 +172,7 @@ check_cross_vet() {
 }
 step "cross-vet (darwin/arm64, freebsd/amd64: the non-Linux shm shim, the non-amd64 recorder clock)" check_cross_vet
 
-step "pythia-vet" go run ./cmd/pythia-vet ./...
+step "pythia-vet (findings and unused/unknown/reasonless allows fail)" go run ./cmd/pythia-vet ./...
 
 check_bench_module() {
     (cd bench && go vet . && go test .)
