@@ -65,9 +65,7 @@ func BenchmarkFig7_BTGrammar(b *testing.B) {
 func BenchmarkFig8_Accuracy(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig8(harness.Fig8Config{
-			Apps: []string{"BT"}, Distances: []int{64}, MaxSamplesPerRank: 20,
-		})
+		rows, err := harness.Fig8(harness.Fig8Config{Apps: []string{"BT"}, Distances: []int{64}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,9 +83,7 @@ func BenchmarkFig8_Accuracy(b *testing.B) {
 func BenchmarkFig9_PredictionCost(b *testing.B) {
 	var cost float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig9(harness.Fig9Config{
-			Apps: []string{"CG"}, Distances: []int{64}, MaxSamples: 16,
-		})
+		rows, err := harness.Fig9(harness.Fig9Config{Apps: []string{"CG"}, Distances: []int{64}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -65,7 +65,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/chaosnet"
 	"repro/internal/harness"
-	"repro/internal/wire"
 	"repro/pythia"
 	"repro/pythia/client"
 )
@@ -459,35 +458,16 @@ func (rp *replay) runThread(res *clientResult, c *client.Client, o *client.Oracl
 func (rp *replay) stepLifecycle(o *client.Oracle, lc *lifecycle) error {
 	if rp.forcePromote > 0 && !lc.promoted && lc.events >= rp.forcePromote {
 		lc.promoted = true
-		if err := forceOp(o.Promote); err != nil {
+		if _, err := o.Promote(); err != nil {
 			return fmt.Errorf("force-promote: %w", err)
 		}
 	}
 	if rp.forceRollback > 0 && lc.promoted && !lc.rolledBack &&
 		lc.events >= rp.forcePromote+rp.forceRollback {
 		lc.rolledBack = true
-		if err := forceOp(o.Rollback); err != nil {
+		if _, err := o.Rollback(); err != nil {
 			return fmt.Errorf("force-rollback: %w", err)
 		}
 	}
 	return nil
-}
-
-// forceOp runs a forced lifecycle operation, retrying CodeLifecycle
-// refusals briefly: the shadow's first candidate materializes
-// asynchronously after an epoch completes, so a forced promotion scheduled
-// right at the epoch boundary can race the server's judge by a few
-// milliseconds. Any other error — and a refusal that persists past the
-// window — is returned as-is.
-func forceOp(op func() (uint64, error)) error {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := op()
-		var re *client.RemoteError
-		if err == nil || !errors.As(err, &re) || re.Code != wire.CodeLifecycle ||
-			time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }

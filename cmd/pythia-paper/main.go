@@ -41,7 +41,6 @@ func run(args []string, stdout io.Writer) error {
 		reps       = fs.Int("reps", 10, "repetitions for wall-clock measurements (table1)")
 		appsFlag   = fs.String("apps", "", "comma-separated application subset (default: all 13)")
 		classFlag  = fs.String("class", "large", "working set for table1 (small|medium|large)")
-		samples    = fs.Int("samples", 100, "prediction query samples per rank (fig8/fig9)")
 		seeds      = fs.Int("seeds", 5, "seeds averaged in fig14")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -77,9 +76,7 @@ func run(args []string, stdout io.Writer) error {
 				return fmt.Errorf("fig7: %w", err)
 			}
 		case "fig8":
-			rows, err := harness.Fig8(harness.Fig8Config{
-				Apps: appList, MaxSamplesPerRank: *samples,
-			})
+			rows, err := harness.Fig8(harness.Fig8Config{Apps: appList})
 			if err != nil {
 				return fmt.Errorf("fig8: %w", err)
 			}
@@ -87,9 +84,7 @@ func run(args []string, stdout io.Writer) error {
 				return fmt.Errorf("rendering fig8: %w", err)
 			}
 		case "fig9":
-			rows, err := harness.Fig9(harness.Fig9Config{
-				Apps: appList, MaxSamples: *samples,
-			})
+			rows, err := harness.Fig9(harness.Fig9Config{Apps: appList})
 			if err != nil {
 				return fmt.Errorf("fig9: %w", err)
 			}
@@ -133,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 			if len(names) == 0 {
 				names = []string{"BT", "CG", "LU"}
 			}
-			rows, err := harness.ExtRanks(names, 4, []int{4, 8}, *samples)
+			rows, err := harness.ExtRanks(names, 4, []int{4, 8})
 			if err != nil {
 				return fmt.Errorf("ext-ranks: %w", err)
 			}

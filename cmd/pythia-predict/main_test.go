@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func TestReplayReportsAccuracy(t *testing.T) {
 	trace := recordTrace(t, t.TempDir(), "EP")
 	var out bytes.Buffer
 	err := run([]string{"-app", "EP", "-class", "small", "-trace", trace,
-		"-distances", "1,8", "-samples", "20"}, &out)
+		"-distances", "1,8"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -50,6 +51,36 @@ func TestReplayReportsAccuracy(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
 		}
+	}
+}
+
+// TestMatchesFig8 replays AMG.large against an AMG.small trace, the
+// pairing and seeds of Fig. 8, and checks that every distance reports
+// exactly Fig. 8's accuracy and sample count: the tool and the figure score
+// the same query points.
+func TestMatchesFig8(t *testing.T) {
+	trace := recordTrace(t, t.TempDir(), "AMG")
+	var out bytes.Buffer
+	if err := run([]string{"-app", "AMG", "-class", "large", "-trace", trace}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	rows, err := harness.Fig8(harness.Fig8Config{Apps: []string{"AMG"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range rows {
+		if r.Class != apps.Large {
+			continue
+		}
+		n++
+		want := fmt.Sprintf("distance %3d: accuracy %5.1f%%  (%d samples)\n", r.Distance, r.Accuracy*100, r.Samples)
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks Fig. 8's line %q:\n%s", want, out.String())
+		}
+	}
+	if n != len(harness.DefaultDistances) {
+		t.Fatalf("Fig. 8 has %d AMG.large rows, want %d", n, len(harness.DefaultDistances))
 	}
 }
 
@@ -90,6 +121,11 @@ func TestBadDistanceIsAnError(t *testing.T) {
 		"-distances", "1,banana"}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "bad distance") {
 		t.Fatalf("bad -distances accepted, got %v", err)
+	}
+	err = run([]string{"-app", "EP", "-class", "small", "-trace", trace,
+		"-distances", "1,0"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "bad distance") {
+		t.Fatalf("distance 0 accepted, got %v", err)
 	}
 }
 

@@ -3,10 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/apps"
-	"repro/internal/mpisim"
 	"repro/internal/ompsim"
 	"repro/pythia"
 )
@@ -33,107 +31,34 @@ type ExtRanksRow struct {
 	Samples    int
 }
 
-// runMPIAppRanks is RunMPIApp with an explicit rank count.
-func runMPIAppRanks(app apps.App, class apps.Class, record bool, seed int64, ranks int) MPIRun {
-	var oracle *pythia.Oracle
-	if record {
-		oracle = pythia.NewRecordOracle(pythia.WithoutTimestamps())
-	}
-	w := mpisim.NewWorld(ranks)
-	body := appBody(app, class, seed, record, oracle)
-	start := time.Now()
-	if record {
-		w.RunInterposed(func(m mpisim.MPI) mpisim.MPI {
-			return mpisim.NewInterposer(m, oracle)
-		}, body)
-	} else {
-		w.Run(body)
-	}
-	out := MPIRun{Wall: time.Since(start)}
-	if record {
-		out.Trace = mustFinish(oracle)
-	}
-	return out
-}
-
 // ExtRanks records each application on refRanks processes (small working
 // set) and replays executions with the given rank counts, scoring
 // next-event accuracy at the blocking calls of the ranks both runs share.
-func ExtRanks(appNames []string, refRanks int, replayRanks []int, maxSamples int) ([]ExtRanksRow, error) {
+func ExtRanks(appNames []string, refRanks int, replayRanks []int) ([]ExtRanksRow, error) {
 	list, err := selectApps(appNames)
 	if err != nil {
 		return nil, err
 	}
-	if maxSamples <= 0 {
-		maxSamples = 100
-	}
 	var rows []ExtRanksRow
 	for _, app := range list {
-		ref := runMPIAppRanks(app, apps.Small, true, 42, refRanks)
+		ref := runRanks(app, apps.Small, true, recordSeed, refRanks)
 		for _, rr := range replayRanks {
-			capture := runMPIAppRanks(app, apps.Small, true, 43, rr)
-			hits, total := 0, 0
-			var unknown, observed int64
-			common := refRanks
-			if rr < common {
-				common = rr
+			streams := streamsOf(runRanks(app, apps.Small, true, replaySeed, rr).Trace)
+			for tid := range streams {
+				if tid >= int32(min(refRanks, rr)) {
+					delete(streams, tid)
+				}
 			}
-			for tid := int32(0); tid < int32(common); tid++ {
-				th := capture.Trace.Threads[tid]
-				if th == nil {
-					continue
-				}
-				ids := th.Grammar.Unfold()
-				stream := make([]string, len(ids))
-				for i, id := range ids {
-					stream[i] = capture.Trace.Events[id]
-				}
-				oracle, err := pythia.NewPredictOracle(ref.Trace, pythia.Config{})
-				if err != nil {
-					return nil, err
-				}
-				pt := oracle.Thread(tid)
-				if pt.Predictor() == nil {
-					continue
-				}
-				pt.StartAtBeginning()
-				var points []int
-				for i, name := range stream {
-					if IsBlockingEvent(name) && i+1 < len(stream) {
-						points = append(points, i)
-					}
-				}
-				stride := 1
-				if len(points) > maxSamples {
-					stride = len(points) / maxSamples
-				}
-				sample := make(map[int]bool)
-				for i := 0; i < len(points); i += stride {
-					sample[points[i]] = true
-				}
-				for i, name := range stream {
-					pt.Submit(oracle.Intern(name))
-					if sample[i] {
-						total++
-						if pred, ok := pt.PredictAt(1); ok &&
-							oracle.EventName(pythia.ID(pred.EventID)) == stream[i+1] {
-							hits++
-						}
-					}
-				}
-				st := pt.Predictor().Stats()
-				unknown += st.Unknown
-				observed += st.Observed
+			acc, err := ScoreReplay(ref.Trace, streams, []int{1})
+			if err != nil {
+				return nil, err
 			}
 			row := ExtRanksRow{
 				App: app.Name, RefRanks: refRanks, ReplayRanks: rr,
-				Distance: 1, Samples: total,
+				Distance: 1, Accuracy: acc.Rate(1), Samples: acc.Samples[1],
 			}
-			if total > 0 {
-				row.Accuracy = float64(hits) / float64(total)
-			}
-			if observed > 0 {
-				row.UnknownPct = float64(unknown) / float64(observed)
+			if acc.Observed > 0 {
+				row.UnknownPct = float64(acc.Unknown) / float64(acc.Observed)
 			}
 			rows = append(rows, row)
 		}
@@ -178,15 +103,7 @@ func ExtDuration(size int64) ([]ExtDurationRow, error) {
 	m := ompsim.Pudding()
 	steps := apps.LuleshSteps(size)
 
-	rec := pythia.NewRecordOracle()
-	recRT := ompsim.New(ompsim.Config{MaxThreads: m.Cores, Machine: &m, Oracle: rec})
-	apps.RunLuleshOMP(recRT, size, steps)
-	recRT.Close()
-	ts, err := rec.Finish()
-	if err != nil {
-		return nil, err
-	}
-
+	_, _, ts := runLuleshOnce(m, m.Cores, size, true, nil, 0, 0)
 	oracle, err := pythia.NewPredictOracle(ts, pythia.Config{})
 	if err != nil {
 		return nil, err
@@ -199,7 +116,6 @@ func ExtDuration(size int64) ([]ExtDurationRow, error) {
 		sum, worst float64
 	}
 	byRegion := map[string]*agg{}
-	var vnow int64
 	for step := 0; step < steps; step++ {
 		for _, r := range apps.LuleshRegions() {
 			begin := oracle.Intern("GOMP_parallel_start." + r.Name)
@@ -222,10 +138,8 @@ func ExtDuration(size int64) ([]ExtDurationRow, error) {
 					a.worst = errPct
 				}
 			}
-			vnow += actual
 			th.Submit(end)
 		}
-		vnow += 2_000
 	}
 	var rows []ExtDurationRow
 	for _, r := range apps.LuleshRegions() {

@@ -15,7 +15,7 @@ func Fig7(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	run := RunMPIApp(app, apps.Large, true, 42)
+	run := RunMPIApp(app, apps.Large, true, recordSeed)
 	tid := sortedThreadIDs(run.Trace.Threads)[0]
 	g := run.Trace.Threads[tid].Grammar
 	rw := &reportWriter{w: w}

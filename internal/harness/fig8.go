@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/pythia"
@@ -27,121 +28,112 @@ type Fig8Config struct {
 	Apps []string
 	// Distances to evaluate (default DefaultDistances).
 	Distances []int
-	// MaxSamplesPerRank caps the query points per rank (default 100).
-	MaxSamplesPerRank int
-	// RefSeed seeds the reference (recorded) execution; ReplaySeed seeds
-	// the replayed executions. Distinct seeds model run-to-run variation in
-	// the data-dependent applications (AMG, Quicksilver), as on a real
-	// machine.
-	RefSeed, ReplaySeed int64
-}
-
-func (c Fig8Config) withDefaults() Fig8Config {
-	if len(c.Distances) == 0 {
-		c.Distances = DefaultDistances
-	}
-	if c.MaxSamplesPerRank <= 0 {
-		c.MaxSamplesPerRank = 100
-	}
-	if c.RefSeed == 0 {
-		c.RefSeed = 42
-	}
-	if c.ReplaySeed == 0 {
-		c.ReplaySeed = 43
-	}
-	return c
 }
 
 // Fig8 measures the accuracy of PYTHIA-PREDICT (paper section III-C2): a
 // trace is recorded on the small working set, then the application runs
-// with every working set; at each blocking call the oracle predicts the
+// with every working set; at every blocking call the oracle predicts the
 // event x events ahead and the prediction is scored against what actually
 // happened.
 func Fig8(cfg Fig8Config) ([]Fig8Row, error) {
-	cfg = cfg.withDefaults()
+	if len(cfg.Distances) == 0 {
+		cfg.Distances = DefaultDistances
+	}
 	list, err := selectApps(cfg.Apps)
 	if err != nil {
 		return nil, err
 	}
-	maxDist := 0
-	for _, d := range cfg.Distances {
-		if d > maxDist {
-			maxDist = d
-		}
-	}
 	var rows []Fig8Row
 	for _, app := range list {
-		ref := RunMPIApp(app, apps.Small, true, cfg.RefSeed)
+		ref := RunMPIApp(app, apps.Small, true, recordSeed)
 		for _, class := range []apps.Class{apps.Small, apps.Medium, apps.Large} {
-			streams := CaptureStreams(app, class, cfg.ReplaySeed)
-			hits := make(map[int]int)
-			total := make(map[int]int)
-			for _, tid := range sortedThreadIDs(streams) {
-				stream := streams[tid]
-				oracle, err := pythia.NewPredictOracle(ref.Trace, pythia.Config{})
-				if err != nil {
-					return nil, err
-				}
-				th := oracle.Thread(tid)
-				if th.Predictor() == nil {
-					continue
-				}
-				// The replay tracks from the very beginning of the
-				// execution, as the paper's deployed runtimes do.
-				th.StartAtBeginning()
-				// Choose query points: blocking events that still have a
-				// future to predict, evenly subsampled. Short streams (EP,
-				// FT, IS) score only the distances that fit.
-				var points []int
-				for i, name := range stream {
-					if IsBlockingEvent(name) && i+1 < len(stream) {
-						points = append(points, i)
-					}
-				}
-				stride := 1
-				if len(points) > cfg.MaxSamplesPerRank {
-					stride = len(points) / cfg.MaxSamplesPerRank
-				}
-				sample := make(map[int]bool, cfg.MaxSamplesPerRank)
-				for i := 0; i < len(points); i += stride {
-					sample[points[i]] = true
-				}
-				for i, name := range stream {
-					th.Submit(oracle.Intern(name))
-					if !sample[i] {
-						continue
-					}
-					horizon := maxDist
-					if rem := len(stream) - 1 - i; rem < horizon {
-						horizon = rem
-					}
-					preds := th.PredictSequence(horizon)
-					for _, d := range cfg.Distances {
-						if i+d >= len(stream) {
-							continue
-						}
-						total[d]++
-						if d-1 < len(preds) &&
-							oracle.EventName(pythia.ID(preds[d-1].EventID)) == stream[i+d] {
-							hits[d]++
-						}
-					}
-				}
+			acc, err := ScoreReplay(ref.Trace, CaptureStreams(app, class, replaySeed), cfg.Distances)
+			if err != nil {
+				return nil, err
 			}
 			for _, d := range cfg.Distances {
-				if total[d] == 0 {
+				if acc.Samples[d] == 0 {
 					// The stream is shorter than this distance everywhere
 					// (EP's handful of events): nothing to score.
 					continue
 				}
 				rows = append(rows, Fig8Row{
 					App: app.Name, Class: class, Distance: d,
-					Accuracy: float64(hits[d]) / float64(total[d]), Samples: total[d],
+					Accuracy: acc.Rate(d), Samples: acc.Samples[d],
 				})
 			}
 		}
 	}
 	return rows, nil
+}
+
+// Accuracy is the score of one replay: per distance, the predictions
+// scored and the correct ones, and the predictor's tracking counters summed
+// over the replayed ranks.
+type Accuracy struct {
+	Hits, Samples               map[int]int
+	Followed, Observed, Unknown int64
+}
+
+// Rate is the fraction of correct predictions at distance d (0 when none
+// was scored).
+func (a Accuracy) Rate(d int) float64 {
+	if a.Samples[d] == 0 {
+		return 0
+	}
+	return float64(a.Hits[d]) / float64(a.Samples[d])
+}
+
+// ScoreReplay replays each rank's event stream against the reference trace,
+// tracking from the very beginning of the execution as the paper's deployed
+// runtimes do, and scores every blocking event that still has a future: the
+// oracle predicts the next events up to the largest distance, clamped to
+// what remains of the stream, and distance d is scored where the stream
+// reaches i+d. Short streams (EP, FT, IS) score only the distances that
+// fit. Fig. 8, the rank-count extension and pythia-predict all score here.
+func ScoreReplay(ref *pythia.TraceSet, streams map[int32][]string, distances []int) (Accuracy, error) {
+	acc := Accuracy{Hits: make(map[int]int), Samples: make(map[int]int)}
+	maxDist := slices.Max(distances)
+	for _, tid := range sortedThreadIDs(streams) {
+		stream := streams[tid]
+		oracle, err := pythia.NewPredictOracle(ref, pythia.Config{})
+		if err != nil {
+			return acc, fmt.Errorf("building oracle for rank %d: %w", tid, err)
+		}
+		th := oracle.Thread(tid)
+		if th.Predictor() == nil {
+			continue
+		}
+		th.StartAtBeginning()
+		for i, name := range stream {
+			th.Submit(oracle.Intern(name))
+			if !IsBlockingEvent(name) || i+1 >= len(stream) {
+				continue
+			}
+			preds := th.PredictSequence(min(maxDist, len(stream)-1-i))
+			for _, d := range distances {
+				if i+d >= len(stream) {
+					continue
+				}
+				acc.Samples[d]++
+				if d-1 < len(preds) &&
+					oracle.EventName(pythia.ID(preds[d-1].EventID)) == stream[i+d] {
+					acc.Hits[d]++
+				}
+			}
+		}
+		// Quarantine (divergence watchdog) is a legitimate fail-open
+		// outcome on a divergent replay; only Degraded — a contained
+		// panic or breached budget — invalidates the score.
+		if h := oracle.Health(); h.State == pythia.Degraded {
+			return acc, fmt.Errorf("oracle degraded replaying rank %d: %s", tid, h.Cause)
+		}
+		st := th.Predictor().Stats()
+		acc.Followed += st.Followed
+		acc.Observed += st.Observed
+		acc.Unknown += st.Unknown
+	}
+	return acc, nil
 }
 
 // WriteFig8 renders the accuracy series, one block per application with one

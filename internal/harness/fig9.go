@@ -24,45 +24,28 @@ type Fig9Config struct {
 	Apps []string
 	// Distances to evaluate (default DefaultDistances).
 	Distances []int
-	// MaxSamples caps the measured query points per application
-	// (default 64).
-	MaxSamples int
-	// Class is the working set (the paper uses large).
-	Class apps.Class
-	// Seed feeds the applications.
-	Seed int64
-}
-
-func (c Fig9Config) withDefaults() Fig9Config {
-	if len(c.Distances) == 0 {
-		c.Distances = DefaultDistances
-	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = 64
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	c.Class = apps.Large
-	return c
 }
 
 // Fig9 measures the cost of PYTHIA-PREDICT queries by prediction distance
-// (paper section III-C3). At each sampled point it queries one thread at
-// every distance in ascending order, and the predictor keeps its
-// look-ahead between calls and across observations. A row is therefore the
-// amortised cost of a query against a warm look-ahead, not the cost of the
-// paper's cold query, which grows linearly with the distance.
+// (paper section III-C3) on the large working set. At every blocking event
+// of one rank it queries the thread at every distance in ascending order,
+// and the predictor keeps its look-ahead between calls and across
+// observations. A row is therefore the amortised cost of a query against a
+// warm look-ahead, not the cost of the paper's cold query, which grows
+// linearly with the distance.
 func Fig9(cfg Fig9Config) ([]Fig9Row, error) {
-	cfg = cfg.withDefaults()
+	if len(cfg.Distances) == 0 {
+		cfg.Distances = DefaultDistances
+	}
 	list, err := selectApps(cfg.Apps)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig9Row
 	for _, app := range list {
-		ref := RunMPIApp(app, cfg.Class, true, cfg.Seed)
-		streams := CaptureStreams(app, cfg.Class, cfg.Seed)
+		// The queries replay the recorded execution itself.
+		ref := RunMPIApp(app, apps.Large, true, recordSeed)
+		streams := streamsOf(ref.Trace)
 		tid := sortedThreadIDs(streams)[0]
 		stream := streams[tid]
 
@@ -73,26 +56,11 @@ func Fig9(cfg Fig9Config) ([]Fig9Row, error) {
 		th := oracle.Thread(tid)
 		th.StartAtBeginning()
 
-		var points []int
-		for i, name := range stream {
-			if IsBlockingEvent(name) {
-				points = append(points, i)
-			}
-		}
-		stride := 1
-		if len(points) > cfg.MaxSamples {
-			stride = len(points) / cfg.MaxSamples
-		}
-		sample := make(map[int]bool, cfg.MaxSamples)
-		for i := 0; i < len(points); i += stride {
-			sample[points[i]] = true
-		}
-
 		costs := make(map[int]time.Duration)
 		counts := make(map[int]int)
-		for i, name := range stream {
+		for _, name := range stream {
 			th.Submit(oracle.Intern(name))
-			if !sample[i] {
+			if !IsBlockingEvent(name) {
 				continue
 			}
 			for _, d := range cfg.Distances {

@@ -55,6 +55,12 @@ type MPIRun struct {
 	Trace *pythia.TraceSet
 }
 
+// The evaluation's fixed seeds: the reference (recorded) execution runs
+// with recordSeed and every replayed execution with replaySeed. Distinct
+// seeds model run-to-run variation in the data-dependent applications (AMG,
+// Quicksilver), as on a real machine.
+const recordSeed, replaySeed = 42, 43
+
 // RunMPIApp executes one application in vanilla mode (record=false) or under
 // PYTHIA-RECORD (record=true). Hybrid applications get a per-rank OpenMP
 // runtime; when recording, its region events interleave into the rank's
@@ -65,18 +71,7 @@ type MPIRun struct {
 // Tools that own their oracle — and must turn failures into exit codes, not
 // stack traces — use RunMPIAppWithOracle instead.
 func RunMPIApp(app apps.App, class apps.Class, record bool, seed int64) MPIRun {
-	if !record {
-		w := mpisim.NewWorld(app.Ranks)
-		start := time.Now()
-		w.Run(func(m mpisim.MPI) { appBody(app, class, seed, false, nil)(m) })
-		return MPIRun{Wall: time.Since(start)}
-	}
-	oracle := pythia.NewRecordOracle(pythia.WithoutTimestamps())
-	run, err := RunMPIAppWithOracle(oracle, app, class, seed)
-	if err != nil {
-		panic(fmt.Sprintf("pythia: internal: harness: record-mode Finish failed: %v", err))
-	}
-	return run
+	return runRanks(app, class, record, seed, app.Ranks)
 }
 
 // RunMPIAppWithOracle executes one application under PYTHIA-RECORD against a
@@ -85,9 +80,32 @@ func RunMPIApp(app apps.App, class apps.Class, record bool, seed int64) MPIRun {
 // — e.g. the oracle degraded after containing an internal panic — comes back
 // as an error carrying the health cause, never as a panic.
 func RunMPIAppWithOracle(oracle *pythia.Oracle, app apps.App, class apps.Class, seed int64) (MPIRun, error) {
-	w := mpisim.NewWorld(app.Ranks)
-	body := appBody(app, class, seed, true, oracle)
+	return runApp(app, class, seed, app.Ranks, oracle)
+}
+
+// runRanks is RunMPIApp on an explicit number of ranks.
+func runRanks(app apps.App, class apps.Class, record bool, seed int64, ranks int) MPIRun {
+	var oracle *pythia.Oracle
+	if record {
+		oracle = pythia.NewRecordOracle(pythia.WithoutTimestamps())
+	}
+	run, err := runApp(app, class, seed, ranks, oracle)
+	if err != nil {
+		panic(fmt.Sprintf("pythia: internal: harness: record-mode Finish failed: %v", err))
+	}
+	return run
+}
+
+// runApp is the one path that executes an application: on ranks processes,
+// vanilla when oracle is nil and recorded into oracle otherwise.
+func runApp(app apps.App, class apps.Class, seed int64, ranks int, oracle *pythia.Oracle) (MPIRun, error) {
+	w := mpisim.NewWorld(ranks)
+	body := appBody(app, class, seed, oracle)
 	start := time.Now()
+	if oracle == nil {
+		w.Run(body)
+		return MPIRun{Wall: time.Since(start)}, nil
+	}
 	w.RunInterposed(func(m mpisim.MPI) mpisim.MPI {
 		return mpisim.NewInterposer(m, oracle)
 	}, body)
@@ -114,14 +132,14 @@ func mustFinish(o *pythia.Oracle) *pythia.TraceSet {
 	return ts
 }
 
-// appBody builds the per-rank body closure shared by the vanilla and
-// recorded paths.
-func appBody(app apps.App, class apps.Class, seed int64, record bool, oracle *pythia.Oracle) func(mpisim.MPI) {
+// appBody builds the per-rank body closure of a vanilla (oracle == nil) or
+// recorded run.
+func appBody(app apps.App, class apps.Class, seed int64, oracle *pythia.Oracle) func(mpisim.MPI) {
 	return func(m mpisim.MPI) {
 		ctx := &apps.Context{MPI: m, Class: class, Seed: seed}
 		if app.Hybrid {
 			cfg := ompsim.Config{MaxThreads: 2}
-			if record {
+			if oracle != nil {
 				cfg.Oracle = oracle
 				cfg.ThreadID = int32(m.Rank())
 			}
@@ -138,13 +156,18 @@ func appBody(app apps.App, class apps.Class, seed int64, record bool, oracle *py
 // This is how the evaluation replays an execution with one working set
 // against the trace of another.
 func CaptureStreams(app apps.App, class apps.Class, seed int64) map[int32][]string {
-	run := RunMPIApp(app, class, true, seed)
-	out := make(map[int32][]string, len(run.Trace.Threads))
-	for tid, th := range run.Trace.Threads {
+	return streamsOf(RunMPIApp(app, class, true, seed).Trace)
+}
+
+// streamsOf unfolds every rank of a recorded trace into its event
+// descriptor stream.
+func streamsOf(ts *pythia.TraceSet) map[int32][]string {
+	out := make(map[int32][]string, len(ts.Threads))
+	for tid, th := range ts.Threads {
 		ids := th.Grammar.Unfold()
 		stream := make([]string, len(ids))
 		for i, id := range ids {
-			stream[i] = run.Trace.Events[id]
+			stream[i] = ts.Events[id]
 		}
 		out[tid] = stream
 	}

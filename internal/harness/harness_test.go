@@ -52,15 +52,20 @@ func TestTable1SingleApp(t *testing.T) {
 }
 
 // TestFig8ShapeBT checks the headline Fig. 8 property on the most regular
-// solver: accuracy is essentially perfect at short distances on every
+// solver: accuracy is essentially perfect at every distance on every
 // working set, because BT's structure does not depend on the problem size.
+// It reads the rows TestPaperGolden renders.
 func TestFig8ShapeBT(t *testing.T) {
-	rows, err := Fig8(Fig8Config{Apps: []string{"BT"}, Distances: []int{1, 8, 64},
-		MaxSamplesPerRank: 20})
-	if err != nil {
-		t.Fatal(err)
+	var bt []Fig8Row
+	for _, r := range goldenFig8Rows(t) {
+		if r.App == "BT" {
+			bt = append(bt, r)
+		}
 	}
-	for _, r := range rows {
+	if len(bt) != 3*len(DefaultDistances) {
+		t.Fatalf("got %d BT rows, want one per working set and distance", len(bt))
+	}
+	for _, r := range bt {
 		if r.Samples == 0 {
 			t.Fatalf("no samples for %+v", r)
 		}
@@ -68,24 +73,18 @@ func TestFig8ShapeBT(t *testing.T) {
 			t.Errorf("BT %s x=%d accuracy %.2f, want >= 0.9", r.Class, r.Distance, r.Accuracy)
 		}
 	}
-	var sb strings.Builder
-	WriteFig8(&sb, []int{1, 8, 64}, rows)
-	if !strings.Contains(sb.String(), "BT") {
-		t.Fatal("rendered figure missing app")
-	}
 }
 
 // TestFig8LoopBoundaryDegradation: LU's inner loop length grows with the
 // working set, so long-distance predictions from a small-class trace must
-// degrade on the large class relative to the small class.
+// degrade on the large class relative to the small class. It reads the rows
+// TestPaperGolden renders.
 func TestFig8LoopBoundaryDegradation(t *testing.T) {
-	rows, err := Fig8(Fig8Config{Apps: []string{"LU"}, Distances: []int{1, 128},
-		MaxSamplesPerRank: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
 	acc := map[apps.Class]map[int]float64{}
-	for _, r := range rows {
+	for _, r := range goldenFig8Rows(t) {
+		if r.App != "LU" {
+			continue
+		}
 		if acc[r.Class] == nil {
 			acc[r.Class] = map[int]float64{}
 		}
@@ -103,12 +102,12 @@ func TestFig8LoopBoundaryDegradation(t *testing.T) {
 // TestFig9CostGrowsWithDistance checks what the Fig. 9 experiment reports,
 // for shape only: on the serving path PredictAt is answered from the
 // prediction window, so a faithful replay costs about the same at distance
-// 1 and 64, and the order of two 16-sample wall-clock means is decided by
+// 1 and 64, and the order of two wall-clock means is decided by
 // whatever else runs on the host. The paper's claim, that cost grows with
 // the distance, is about the walk, and is checked where the frontier walk
 // runs per query: predictor.TestWalkCostGrowsWithDistance.
 func TestFig9CostGrowsWithDistance(t *testing.T) {
-	rows, err := Fig9(Fig9Config{Apps: []string{"CG"}, Distances: []int{1, 64}, MaxSamples: 16})
+	rows, err := Fig9(Fig9Config{Apps: []string{"CG"}, Distances: []int{1, 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestHybridRecordingIncludesOMPEvents(t *testing.T) {
 // TestExtRanksSmoke: same-configuration replay is perfect; changed rank
 // count degrades and produces unknown events.
 func TestExtRanksSmoke(t *testing.T) {
-	rows, err := ExtRanks([]string{"BT"}, 4, []int{4, 8}, 20)
+	rows, err := ExtRanks([]string{"BT"}, 4, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

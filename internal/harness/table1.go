@@ -26,25 +26,15 @@ type Table1Config struct {
 	Repetitions int
 	// Apps restricts the experiment (empty = all 13).
 	Apps []string
-	// Seed feeds the data-dependent applications.
-	Seed int64
-}
-
-func (c Table1Config) withDefaults() Table1Config {
-	if c.Repetitions <= 0 {
-		c.Repetitions = 10
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
 }
 
 // Table1 measures the overhead of PYTHIA-RECORD on every application
 // (paper section III-C1): vanilla vs recorded execution time, the number of
 // recorded events, and the average grammar size.
 func Table1(cfg Table1Config) ([]Table1Row, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Repetitions <= 0 {
+		cfg.Repetitions = 10
+	}
 	list, err := selectApps(cfg.Apps)
 	if err != nil {
 		return nil, err
@@ -55,9 +45,9 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 		var events int64
 		var rules float64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			v := RunMPIApp(app, cfg.Class, false, cfg.Seed)
+			v := RunMPIApp(app, cfg.Class, false, recordSeed)
 			vanilla = append(vanilla, v.Wall)
-			r := RunMPIApp(app, cfg.Class, true, cfg.Seed)
+			r := RunMPIApp(app, cfg.Class, true, recordSeed)
 			recorded = append(recorded, r.Wall)
 			if rep == 0 {
 				events = r.Trace.TotalEvents()

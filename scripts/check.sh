@@ -7,12 +7,16 @@
 #   2. go vet       — the standard toolchain vet
 #   3. go build     — everything compiles
 #   4. go test      — the full unit suite
-#   5. go test -race — concurrency-sensitive packages under the race detector
+#   5. paper golden — TestPaperGolden again under GOMAXPROCS=1: mpisim
+#                     ranks are goroutines, so a paper number that starts
+#                     to depend on goroutine scheduling differs from
+#                     internal/harness/testdata/paper.golden here
+#   6. go test -race — concurrency-sensitive packages under the race detector
 #                     (core with the model lifecycle, the public API, the
 #                     lock-free event table, the transport rings/seqlock,
 #                     the serving path, and the trace-file journal and wire
 #                     codecs the lifecycle writes and serves through)
-#   6. fuzz smoke   — FuzzGrammarInvariants, FuzzDigramIndexDiff,
+#   7. fuzz smoke   — FuzzGrammarInvariants, FuzzDigramIndexDiff,
 #                     FuzzConfirmDiff (10s: the recorder's confirming fast
 #                     path against the reduction alone),
 #                     FuzzTimingReplayDiff (10s: the memoised timing replay
@@ -25,19 +29,19 @@
 #                     answers independent of earlier queries),
 #                     FuzzRecoverJournal, FuzzWireDecode, FuzzRingDecode,
 #                     FuzzFlowGuards and FuzzModelLifecycle briefly
-#   7. vet fixtures — gofmt/go vet inside the analyzer fixture mini-modules
+#   8. vet fixtures — gofmt/go vet inside the analyzer fixture mini-modules
 #                     (separate modules, so ./... sweeps skip them)
-#   8. cross-vet    — go vet of internal/transport, internal/server,
+#   9. cross-vet    — go vet of internal/transport, internal/server,
 #                     pythia/client and internal/recorder for darwin/arm64
 #                     and freebsd/amd64, so the non-Linux doorbell shim
 #                     (bell_other.go) and the recorder's non-amd64 clock
 #                     (clock_other.go) compile although no Linux amd64 run
 #                     builds them, and the counter assembly vets off Linux
-#   9. pythia-vet   — the repo's own static-analysis pass, all nine
+#  10. pythia-vet   — the repo's own static-analysis pass, all nine
 #                     analyzers; an unused, unknown-analyzer or reasonless
 #                     pythia:allow fails the run like a finding
 #                     (see cmd/pythia-vet for the exit contract)
-#  10. benchmark    — go vet and go test inside bench/. It is a module of
+#  11. benchmark    — go vet and go test inside bench/. It is a module of
 #                     its own, so ./... sweeps skip it, yet it builds
 #                     against internal/wire, internal/server and
 #                     pythia/client: a change there can break it unseen
@@ -52,7 +56,7 @@
 # plus the reconnect, resume, keepalive and connect-pipeline suites, all
 # under -race.
 # CI gates on this in its own job. The model-lifecycle suites need no flag
-# of their own: step 5 runs the learner (core), the lifecycle wire ops and
+# of their own: step 6 runs the learner (core), the lifecycle wire ops and
 # reconnect-across-promotion (server) and the lineage journal round trips
 # (tracefile) under the race detector, and --chaos runs the promotion
 # crash/SIGKILL matrix with the rest of internal/faultinject.
@@ -111,6 +115,8 @@ step "gofmt" check_gofmt
 step "go vet" go vet ./...
 step "go build" go build ./...
 step "go test" go test ./...
+step "paper golden under GOMAXPROCS=1" \
+    env GOMAXPROCS=1 go test -count=1 -run TestPaperGolden ./internal/harness
 step "go test -race (core + public API + events + transport + server + tracefile + wire)" \
     go test -race ./internal/core/... ./pythia/... ./internal/events/ ./internal/transport/ ./internal/server/ \
     ./internal/tracefile/ ./internal/wire/
